@@ -27,7 +27,7 @@ use ticc_bench::table::{fmt_duration, Table};
 use ticc_bench::*;
 use ticc_core::counter::counter_instance;
 use ticc_core::{
-    check_potential_satisfaction, CheckOptions, Encoding, EngineStats, GroundMode, Monitor, Threads,
+    check_potential_satisfaction, CheckOptions, EngineStats, GroundMode, Monitor, Threads,
 };
 use ticc_ptl::arena::Arena;
 use ticc_ptl::sat::{is_satisfiable_with, SatSolver};
@@ -47,7 +47,8 @@ struct Headlines {
     e14: Option<E14Result>,
     /// E15: indexed vs odometer grounding on the sparse workload.
     e15: Option<E15Result>,
-    /// E16: compiled template automata vs symbolic progression.
+    /// E16: compiled template automata vs the reference's symbolic
+    /// progression.
     e16: Option<E16Result>,
     /// E17: multi-tenant server, group commit vs per-session fsync.
     e17: Option<E17Result>,
@@ -782,11 +783,9 @@ fn e11_notion_latency() {
     t.print();
 }
 
-/// One measured configuration of the E13 sweep.
+/// One measured pipeline of the E13 comparison.
 struct E13Config {
     label: &'static str,
-    encoding: Encoding,
-    cache: bool,
     appends_per_sec: f64,
     stats: EngineStats,
 }
@@ -797,14 +796,15 @@ struct E13Result {
     history: usize,
     measured: usize,
     configs: Vec<E13Config>,
-    /// Hot configuration vs the rebuild-everything ablation.
+    /// Production vs the paper-shaped reference.
     speedup: f64,
 }
 
 /// E13: the append hot path — steady-state appends cost `O(|Δtx|)`
-/// plus (usually) one transition-cache lookup. Ablates the two layers
-/// independently: incremental letter patching vs full re-encode, and
-/// transition cache on vs off.
+/// plus (usually) one transition-cache lookup. Compares the production
+/// pipeline (incremental letter patching, transition cache, compiled
+/// automata) against the reference (full re-encode, progression plus
+/// phase 2 on every append).
 fn e13_append_hot_path(smoke: bool) -> E13Result {
     use ticc_fotl::parser::parse;
     let sc = order_schema();
@@ -814,8 +814,8 @@ fn e13_append_hot_path(smoke: bool) -> E13Result {
     let mut t = Table::new(
         format!("E13: append hot path (steady churn, |R_D| = {domain}, FIFO + cap, t = {total})"),
         "steady-state appends cost O(|Δtx|) + one hash lookup: \
-         incremental patching skips the re-encode, the transition \
-         cache skips progression and phase 2",
+         production's incremental patching skips the re-encode, its \
+         transition cache skips progression and phase 2",
         &[
             "config",
             "appends/s",
@@ -825,11 +825,7 @@ fn e13_append_hot_path(smoke: bool) -> E13Result {
             "speedup",
         ],
     );
-    let run = |encoding: Encoding, cache: bool| -> (f64, EngineStats) {
-        let opts = CheckOptions::builder()
-            .encoding(encoding)
-            .transition_cache(cache)
-            .build();
+    let run = |opts: CheckOptions| -> (f64, EngineStats) {
         let mut m = Monitor::new(sc.clone(), opts);
         m.add_constraint("fifo", fifo(&sc)).unwrap();
         m.add_constraint("cap", parse(&sc, "G !Sub(999)").unwrap())
@@ -853,19 +849,15 @@ fn e13_append_hot_path(smoke: bool) -> E13Result {
             m.engine_stats(),
         )
     };
-    let spec: [(&'static str, Encoding, bool); 4] = [
-        ("rebuild / no cache", Encoding::Rebuild, false),
-        ("incremental / no cache", Encoding::Incremental, false),
-        ("rebuild / cache", Encoding::Rebuild, true),
-        ("incremental + cache", Encoding::Incremental, true),
+    let spec = [
+        ("reference", CheckOptions::reference()),
+        ("production", CheckOptions::default()),
     ];
     let mut configs = Vec::new();
-    for (label, encoding, cache) in spec {
-        let (rate, stats) = run(encoding, cache);
+    for (label, opts) in spec {
+        let (rate, stats) = run(opts);
         configs.push(E13Config {
             label,
-            encoding,
-            cache,
             appends_per_sec: rate,
             stats,
         });
@@ -882,7 +874,7 @@ fn e13_append_hot_path(smoke: bool) -> E13Result {
         ]);
     }
     t.print();
-    let speedup = configs[3].appends_per_sec / baseline;
+    let speedup = configs[1].appends_per_sec / baseline;
     E13Result {
         domain,
         history: total,
@@ -1018,10 +1010,10 @@ struct E15Result {
 /// index join enumerates only instantiations with a supported atom;
 /// the skipped remainder folds to one canonical rigid-false residue.
 /// Also re-runs the whole workload through the online monitor under
-/// Indexed, Odometer, and Indexed∥4 and asserts the check events are
-/// identical.
+/// production, the reference (odometer grounding, full re-grounds), and
+/// production∥4 and asserts the check events are identical.
 fn e15_grounding_index(smoke: bool) -> E15Result {
-    use ticc_core::{ground_opts, GroundStrategy};
+    use ticc_core::{ground_indexed, GroundStrategy};
     let esc = edge_schema();
     let k = 3usize;
     let phi = chain_constraint(&esc, k);
@@ -1054,16 +1046,7 @@ fn e15_grounding_index(smoke: bool) -> E15Result {
         });
         let mut g = None;
         let d_idx = ticc_bench::time_best_of(if smoke { 1 } else { 3 }, || {
-            g = Some(
-                ground_opts(
-                    &h,
-                    &phi,
-                    GroundMode::Folded,
-                    GroundStrategy::Indexed,
-                    Threads::Off,
-                )
-                .unwrap(),
-            );
+            g = Some(ground_indexed(&h, &phi, GroundMode::Folded, Threads::Off).unwrap());
         });
         let g = g.unwrap();
         assert_eq!(g.strategy(), GroundStrategy::Indexed, "gate must engage");
@@ -1090,11 +1073,7 @@ fn e15_grounding_index(smoke: bool) -> E15Result {
     // activations, and the parallel shard merge — must produce
     // bit-identical check events under all three configurations.
     let txs = sparse_edge_txs(&esc, domain, headline_per, states, seed);
-    let run = |strategy: GroundStrategy, thr: Threads| {
-        let opts = CheckOptions::builder()
-            .grounding(strategy)
-            .threads(thr)
-            .build();
+    let run = |opts: CheckOptions| {
         let mut m = Monitor::new(esc.clone(), opts);
         m.add_constraint("chain", phi.clone()).unwrap();
         let mut events = Vec::new();
@@ -1103,21 +1082,21 @@ fn e15_grounding_index(smoke: bool) -> E15Result {
         }
         (events, m.engine_stats())
     };
-    let (ev_idx, s_idx) = run(GroundStrategy::Indexed, Threads::Off);
-    let (ev_odo, _) = run(GroundStrategy::Odometer, Threads::Off);
-    let (ev_par, _) = run(GroundStrategy::Indexed, Threads::Fixed(4));
+    let (ev_idx, s_idx) = run(CheckOptions::default());
+    let (ev_odo, _) = run(CheckOptions::reference());
+    let (ev_par, _) = run(CheckOptions::builder().threads(Threads::Fixed(4)).build());
     let events_identical = ev_idx == ev_odo && ev_idx == ev_par;
     assert!(
         events_identical,
-        "indexed / odometer / indexed∥4 check events diverged"
+        "production / reference / production∥4 check events diverged"
     );
     assert!(
         s_idx.inst_pruned > 0,
         "the sparse workload must actually prune"
     );
     println!(
-        "  monitor equivalence: {} events identical under Indexed, \
-         Odometer, Indexed∥4; online inst_pruned = {}",
+        "  monitor equivalence: {} events identical under production, \
+         reference, production∥4; online inst_pruned = {}",
         ev_idx.len(),
         s_idx.inst_pruned
     );
@@ -1154,10 +1133,10 @@ struct E16Row {
     /// Steady appends measured per configuration.
     measured: usize,
     compiled: E16Config,
-    symbolic: E16Config,
-    /// Symbolic ns/append over compiled ns/append (higher = compiled wins).
+    reference: E16Config,
+    /// Reference ns/append over compiled ns/append (higher = compiled wins).
     throughput_ratio: f64,
-    /// Symbolic retained bytes over compiled retained bytes.
+    /// Reference retained bytes over compiled retained bytes.
     memory_ratio: f64,
 }
 
@@ -1185,8 +1164,8 @@ struct E16Result {
 ///   `u32` successors).
 ///
 /// The model is applied symmetrically — each run is charged for
-/// whatever it actually retained — so the ratio compares the symbolic
-/// path's formula/cache footprint against the compiled path's
+/// whatever it actually retained — so the ratio compares the reference's
+/// symbolic formula/cache footprint against the compiled path's
 /// per-instantiation `u32` state.
 fn e16_retained_bytes(s: &EngineStats) -> u64 {
     const NODE_BYTES: u64 = 48;
@@ -1201,15 +1180,17 @@ fn e16_retained_bytes(s: &EngineStats) -> u64 {
         + s.automaton_states * STATE_ROW_BYTES
 }
 
-/// E16: compiled template automata vs symbolic progression on the
-/// response workload (`forall x. G (Sub(x) -> X Fill(x))`). Every
+/// E16: compiled template automata vs the reference's symbolic
+/// progression on the response workload
+/// (`forall x. G (Sub(x) -> X Fill(x))`). Every
 /// element of `0..n` is taken through one submit → fill cycle so `n`
 /// isomorphic instantiations stay live, then the steady state walks
 /// the obligation across them (`|Δtx| ≤ 4` per append). The compiled
 /// path binds all `n` instantiations to ONE hash-consed template and
-/// steps dormant-free `u32` state; the symbolic path re-progresses the
-/// conjunction residue, whose period-`n` cycle defeats both the
-/// transition cache and the phase-2 sat cache. Check events are
+/// steps dormant-free `u32` state; the reference re-progresses the
+/// conjunction residue and runs phase 2 on every append (the period-`n`
+/// cycle would defeat production's transition and sat caches too).
+/// Check events are
 /// asserted identical at every sweep point.
 fn e16_template_automata(smoke: bool) -> E16Result {
     let sc = order_schema();
@@ -1217,17 +1198,17 @@ fn e16_template_automata(smoke: bool) -> E16Result {
     let sweep: &[usize] = if smoke { &[200] } else { &[1000, 4000, 12000] };
     let measured = if smoke { 20 } else { 60 };
     let mut t = Table::new(
-        "E16: template automata vs symbolic progression (response constraint)",
+        "E16: template automata vs reference progression (response constraint)",
         "one shared template, u32 state per instantiation; symbolic \
          residues cycle with period n and miss both caches",
         &[
             "insts",
             "templates",
             "states",
-            "symbolic/app",
+            "reference/app",
             "compiled/app",
             "speedup",
-            "sym B/inst",
+            "ref B/inst",
             "cmp B/inst",
             "mem ratio",
         ],
@@ -1235,10 +1216,7 @@ fn e16_template_automata(smoke: bool) -> E16Result {
     let mut rows = Vec::new();
     let mut events_identical = true;
     for &n in sweep {
-        let run = |template_automata: bool| {
-            let opts = CheckOptions::builder()
-                .template_automata(template_automata)
-                .build();
+        let run = |opts: CheckOptions| {
             let mut m = Monitor::new(sc.clone(), opts);
             m.add_constraint("response", phi.clone()).unwrap();
             let mut events = Vec::new();
@@ -1261,10 +1239,10 @@ fn e16_template_automata(smoke: bool) -> E16Result {
                 events,
             )
         };
-        let (compiled, ev_cmp) = run(true);
-        let (symbolic, ev_sym) = run(false);
-        events_identical &= ev_cmp == ev_sym;
-        assert_eq!(ev_cmp, ev_sym, "compiled / symbolic check events diverged");
+        let (compiled, ev_cmp) = run(CheckOptions::default());
+        let (reference, ev_ref) = run(CheckOptions::reference());
+        events_identical &= ev_cmp == ev_ref;
+        assert_eq!(ev_cmp, ev_ref, "compiled / reference check events diverged");
         assert!(
             compiled.stats.templates_compiled >= 1,
             "the response workload must compile"
@@ -1274,19 +1252,19 @@ fn e16_template_automata(smoke: bool) -> E16Result {
             "every instantiation must bind to a template"
         );
         assert_eq!(
-            symbolic.stats.templates_compiled, 0,
-            "the ablation must stay symbolic"
+            reference.stats.templates_compiled, 0,
+            "the reference must stay symbolic"
         );
-        let throughput_ratio = symbolic.ns_per_append / compiled.ns_per_append;
-        let memory_ratio = symbolic.retained_bytes as f64 / compiled.retained_bytes as f64;
+        let throughput_ratio = reference.ns_per_append / compiled.ns_per_append;
+        let memory_ratio = reference.retained_bytes as f64 / compiled.retained_bytes as f64;
         t.row([
             n.to_string(),
             compiled.stats.templates_compiled.to_string(),
             compiled.stats.automaton_states.to_string(),
-            fmt_duration(Duration::from_nanos(symbolic.ns_per_append as u64)),
+            fmt_duration(Duration::from_nanos(reference.ns_per_append as u64)),
             fmt_duration(Duration::from_nanos(compiled.ns_per_append as u64)),
             format!("{throughput_ratio:.1}x"),
-            format!("{:.0}", symbolic.retained_bytes as f64 / n as f64),
+            format!("{:.0}", reference.retained_bytes as f64 / n as f64),
             format!("{:.0}", compiled.retained_bytes as f64 / n as f64),
             format!("{memory_ratio:.1}x"),
         ]);
@@ -1294,7 +1272,7 @@ fn e16_template_automata(smoke: bool) -> E16Result {
             insts: n,
             measured,
             compiled,
-            symbolic,
+            reference,
             throughput_ratio,
             memory_ratio,
         });
@@ -2112,24 +2090,22 @@ fn e13_json(e13: &E13Result) -> String {
     s.push_str("    \"configs\": [\n");
     for (i, c) in e13.configs.iter().enumerate() {
         s.push_str(&format!(
-            "      {{\"encoding\": \"{}\", \"transition_cache\": {}, \
+            "      {{\"pipeline\": \"{}\", \
              \"appends_per_sec\": {:.1}, \"transition_hits\": {}, \
-             \"transition_misses\": {}, \"encode_patched_atoms\": {}}}{}\n",
-            match c.encoding {
-                Encoding::Rebuild => "rebuild",
-                Encoding::Incremental => "incremental",
-            },
-            c.cache,
+             \"transition_misses\": {}, \"encode_patched_atoms\": {}, \
+             \"automaton_appends\": {}}}{}\n",
+            c.label,
             c.appends_per_sec,
             c.stats.cache.transition_hits,
             c.stats.cache.transition_misses,
             c.stats.encode_patched_atoms,
+            c.stats.automaton_appends,
             if i + 1 < e13.configs.len() { "," } else { "" },
         ));
     }
     s.push_str("    ],\n");
     s.push_str(&format!(
-        "    \"speedup_hot_vs_rebuild\": {:.2}\n  }}",
+        "    \"speedup_production_vs_reference\": {:.2}\n  }}",
         e13.speedup
     ));
     s
@@ -2167,9 +2143,9 @@ fn e16_json(e16: &E16Result) -> String {
         s.push_str(&format!(
             "      {{\"insts\": {}, \"measured_appends\": {}, \
              \"compiled_ns_per_append\": {:.1}, \
-             \"symbolic_ns_per_append\": {:.1}, \
+             \"reference_ns_per_append\": {:.1}, \
              \"compiled_retained_bytes\": {}, \
-             \"symbolic_retained_bytes\": {}, \
+             \"reference_retained_bytes\": {}, \
              \"templates_compiled\": {}, \"automaton_states\": {}, \
              \"automaton_insts\": {}, \"automaton_steps\": {}, \
              \"compile_time_ns\": {}, \"throughput_ratio\": {:.2}, \
@@ -2177,9 +2153,9 @@ fn e16_json(e16: &E16Result) -> String {
             r.insts,
             r.measured,
             r.compiled.ns_per_append,
-            r.symbolic.ns_per_append,
+            r.reference.ns_per_append,
             r.compiled.retained_bytes,
-            r.symbolic.retained_bytes,
+            r.reference.retained_bytes,
             r.compiled.stats.templates_compiled,
             r.compiled.stats.automaton_states,
             r.compiled.stats.automaton_insts,

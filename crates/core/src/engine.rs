@@ -25,11 +25,11 @@
 //! The full (paper-literal) construction re-encodes rigid equality
 //! letters over all of `M` into every trace state, so an enlarged `M`
 //! invalidates the stored trace: under [`GroundMode::Full`] the engine
-//! always rebuilds, as it does when [`Regrounding::Full`] is selected
-//! (the E6 ablation).
+//! always rebuilds, as the paper-shaped reference pipeline does on
+//! every domain growth.
 
 use crate::error::Error;
-use crate::extension::{CheckOptions, Durability, Encoding, HistoryBudget};
+use crate::extension::{CheckOptions, Durability, HistoryBudget, Pipeline};
 use crate::ground::{ground_metered, GroundMode, GroundStrategy, Grounding};
 use crate::obs::{EngineStats, Timer};
 use crate::par::{ParMeter, Threads, WorkerPool};
@@ -53,19 +53,6 @@ use ticc_tdb::{History, Schema, State, Transaction};
 /// Handle to a registered constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConstraintId(pub usize);
-
-/// How the engine reacts when an update introduces new relevant
-/// elements (the ablation axis of experiment E6b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Regrounding {
-    /// Incremental: ground only the `Δ`-instantiations and replay them
-    /// through the stored trace (the default; folded mode only — the
-    /// full construction falls back to a rebuild).
-    #[default]
-    Delta,
-    /// Rebuild the grounding from scratch over the whole history.
-    Full,
-}
 
 /// Which notion of violation the engine implements.
 ///
@@ -117,10 +104,6 @@ pub struct MonitorEvent {
     /// History length at which the violation became unavoidable.
     pub at: usize,
 }
-
-/// Former error type of the engine (and the monitor facade over it).
-#[deprecated(since = "0.2.0", note = "use the unified `ticc_core::Error`")]
-pub type MonitorError = Error;
 
 /// Size bound of the per-context transition cache. Reaching it drops
 /// the whole table (epoch eviction) — deterministic regardless of hash
@@ -240,17 +223,6 @@ impl CompiledSet {
             } else {
                 unit.col &= !(1 << bit);
             }
-            self.refresh_active(u);
-        }
-    }
-
-    /// Recomputes every unit's column from scratch (the
-    /// [`Encoding::Rebuild`] ablation — the compiled analogue of a full
-    /// state re-encode).
-    fn recompute_cols(&mut self, w: &PropState) {
-        for u in 0..self.units.len() as u32 {
-            let unit = &mut self.units[u as usize];
-            unit.col = Self::col_of(Some(w), &unit.support);
             self.refresh_active(u);
         }
     }
@@ -383,7 +355,7 @@ impl GroundingContext {
             history,
             phi,
             opts.mode,
-            opts.grounding,
+            opts.ground_strategy(),
             opts.threads,
             &mut meter,
         )?;
@@ -436,15 +408,15 @@ impl GroundingContext {
     }
 
     /// Attempts to compile the current symbolic residue into per-unit
-    /// template automata. Applicable only with the knob on, under
-    /// [`Notion::Potential`] (the bad-prefix notion's `⊥`-check is
+    /// template automata. Applicable only to the production pipeline,
+    /// under [`Notion::Potential`] (the bad-prefix notion's `⊥`-check is
     /// syntax-dependent), and for folded groundings. On any obstacle —
     /// past connectives, support too wide, state budget exceeded — the
     /// context simply stays symbolic. The wall-clock spent (including
     /// failed attempts) accrues to the build-phase `compile_time`
     /// gauge, never to append latency.
     pub(crate) fn try_compile(&mut self, notion: Notion, opts: &CheckOptions) {
-        if !opts.template_automata
+        if opts.pipeline == Pipeline::Reference
             || notion != Notion::Potential
             || self.g.mode() != GroundMode::Folded
         {
@@ -625,11 +597,11 @@ impl GroundingContext {
 
     /// Fast path: the state mentions no element outside `M`. Encodes
     /// the next propositional state — patched in place from the
-    /// previous trace state in `O(|Δtx|)` under
-    /// [`Encoding::Incremental`], else via a full re-encode — then
-    /// advances the residue one letter, consulting the transition
-    /// cache first. On a cache hit both progression and (when the
-    /// memoised verdict is present) the phase-2 satisfiability test
+    /// previous trace state in `O(|Δtx|)` on the production pipeline's
+    /// folded groundings, else via a full re-encode — then advances the
+    /// residue one letter, consulting the transition cache first
+    /// (production only). On a cache hit both progression and (when
+    /// the memoised verdict is present) the phase-2 satisfiability test
     /// are skipped: a steady-state append is the encoding patch plus
     /// one hash lookup. Returns `Ok(None)` (doing nothing) if a new
     /// relevant element blocks the fast path.
@@ -644,10 +616,14 @@ impl GroundingContext {
         cold: Option<(&HistoryPager, usize)>,
         stats: &mut EngineStats,
     ) -> Result<Option<Status>, Error> {
-        if self.compiled.is_some() && notion == Notion::BadPrefix {
+        if self.compiled.is_some()
+            && (notion == Notion::BadPrefix || opts.pipeline == Pipeline::Reference)
+        {
             // Compiled state decides potential satisfaction; the
             // bad-prefix notion's `⊥`-check is syntax-dependent, so a
             // mid-run notion flip falls back to the symbolic residue.
+            // The reference pipeline never steps automata, so a context
+            // restored compiled from a production snapshot decompiles.
             self.decompile();
         }
         if self.g.strategy() == GroundStrategy::Indexed {
@@ -685,12 +661,10 @@ impl GroundingContext {
                 stats.replayed_conjuncts += dg.new_mappings;
             }
         }
-        let mut used_patch = false;
-        let w = if opts.encoding == Encoding::Incremental && self.g.mode() == GroundMode::Folded {
+        let w = if opts.pipeline == Pipeline::Production && self.g.mode() == GroundMode::Folded {
             match self.g.patch_state(tx) {
                 Some(w) => {
                     stats.encode_patched_atoms += self.g.patched_letters().len() as u64;
-                    used_patch = true;
                     w
                 }
                 None => return Ok(None),
@@ -702,16 +676,12 @@ impl GroundingContext {
             }
         };
         if let Some(set) = self.compiled.as_mut() {
-            // Compiled append: update the touched units' columns (all
-            // columns under the rebuild-encoding ablation), advance the
+            // Compiled append (production, folded — so `w` was
+            // patched): update the touched units' columns, advance the
             // active units by table lookup, read the verdict off the
             // unsat counter. No progression, no phase 2.
             let t = Timer::start();
-            if used_patch {
-                set.patch_cols(self.g.patched_letters(), &w);
-            } else {
-                set.recompute_cols(&w);
-            }
+            set.patch_cols(self.g.patched_letters(), &w);
             set.step_active(stats);
             stats.automaton_appends += 1;
             let status = if set.n_unsat > 0 {
@@ -724,7 +694,7 @@ impl GroundingContext {
             return Ok(Some(status));
         }
         let mut miss_key = None;
-        if opts.transition_cache {
+        if opts.pipeline == Pipeline::Production {
             let support = self.g.arena.atoms_of_cached(self.residue);
             let key = (self.residue, support_fingerprint(&w, &support));
             if let Some(&hit) = self.transition_cache.get(&key) {
@@ -794,7 +764,6 @@ impl GroundingContext {
     fn delta_append(
         &mut self,
         tx: &Transaction,
-        state: &State,
         opts: &CheckOptions,
         cold: Option<(&HistoryPager, usize)>,
         stats: &mut EngineStats,
@@ -815,21 +784,14 @@ impl GroundingContext {
         stats.new_conjuncts += dg.new_mappings;
 
         let t = Timer::start();
-        let mut used_patch = false;
-        let w = if opts.encoding == Encoding::Incremental {
-            // ground_delta has just extended the known set, so every
-            // element the transaction mentions now has letters to
-            // patch against.
-            let w = self
-                .g
-                .patch_state(tx)
-                .expect("delta re-ground covers every element the transaction mentions");
-            stats.encode_patched_atoms += self.g.patched_letters().len() as u64;
-            used_patch = true;
-            w
-        } else {
-            self.g.encode_state(state)
-        };
+        // ground_delta has just extended the known set, so every
+        // element the transaction mentions now has letters to patch
+        // against.
+        let w = self
+            .g
+            .patch_state(tx)
+            .expect("delta re-ground covers every element the transaction mentions");
+        stats.encode_patched_atoms += self.g.patched_letters().len() as u64;
         self.g.trace.push(w.clone());
         // Old trace states need no re-encoding: letters mentioning a
         // delta element are false there, which PropState's default
@@ -845,11 +807,7 @@ impl GroundingContext {
             // column.
             {
                 let set = self.compiled.as_mut().expect("checked above");
-                if used_patch {
-                    set.patch_cols(self.g.patched_letters(), &w);
-                } else {
-                    set.recompute_cols(&w);
-                }
+                set.patch_cols(self.g.patched_letters(), &w);
                 set.step_active(stats);
             }
             let block = simplify(&mut self.g.arena, replayed);
@@ -1132,8 +1090,8 @@ impl Engine {
     /// history and every context's trace in lockstep.
     ///
     /// Truncation is gated on the configurations whose slow paths can
-    /// rebase onto (pager, suffix) offsets — folded grounding with
-    /// delta re-grounding, the defaults — and, with a store attached,
+    /// rebase onto (pager, suffix) offsets — folded grounding on the
+    /// production pipeline (delta re-grounding) — and, with a store attached,
     /// on the newest checkpoint already covering the dropped instants,
     /// so crash recovery always finds a snapshot holding the full
     /// horizon it needs. A residue with unbounded past-depth (the
@@ -1143,7 +1101,7 @@ impl Engine {
         if self.opts.history_budget == HistoryBudget::Unbounded {
             return Ok(());
         }
-        if self.opts.mode != GroundMode::Folded || self.opts.regrounding != Regrounding::Delta {
+        if self.opts.mode != GroundMode::Folded || self.opts.pipeline == Pipeline::Reference {
             return Ok(());
         }
         let Some(window) = self.budget_window() else {
@@ -1311,8 +1269,8 @@ impl Engine {
     }
 
     /// One append step for one constraint: the incremental fast path,
-    /// else delta re-grounding (when enabled and applicable), else a
-    /// full rebuild; then the violation decision. Factored out of
+    /// else delta re-grounding (production pipeline, folded grounding),
+    /// else a full rebuild; then the violation decision. Factored out of
     /// [`Engine::append`] so the sequential loop, the pooled constraint
     /// sweep, and the batched sweep share one body.
     ///
@@ -1346,8 +1304,8 @@ impl Engine {
             stats.fast_appends += 1;
             return Ok(status);
         }
-        if opts.regrounding == Regrounding::Delta && opts.mode == GroundMode::Folded {
-            entry.ctx.delta_append(tx, state, opts, cold, stats)?;
+        if opts.pipeline == Pipeline::Production && opts.mode == GroundMode::Folded {
+            entry.ctx.delta_append(tx, opts, cold, stats)?;
         } else {
             // Full rebuild over the enlarged history (prefix view when
             // stepping mid-batch).
@@ -1804,7 +1762,7 @@ pub(crate) fn check_once(
         history,
         phi,
         opts.mode,
-        opts.grounding,
+        opts.ground_strategy(),
         opts.threads,
         &mut par,
     )?;
@@ -1835,17 +1793,13 @@ mod tests {
         Schema::builder().pred("Sub", 1).pred("Fill", 1).build()
     }
 
-    fn opts(regrounding: Regrounding) -> CheckOptions {
-        CheckOptions::builder().regrounding(regrounding).build()
-    }
-
     #[test]
     fn delta_and_full_agree_on_growing_domain() {
         let sc = order_schema();
         let sub = sc.pred("Sub").unwrap();
         let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-        let mut delta = Engine::new(sc.clone(), opts(Regrounding::Delta));
-        let mut full = Engine::new(sc.clone(), opts(Regrounding::Full));
+        let mut delta = Engine::new(sc.clone(), CheckOptions::default());
+        let mut full = Engine::new(sc.clone(), CheckOptions::reference());
         let d_id = delta.add_constraint("once", phi.clone()).unwrap();
         let f_id = full.add_constraint("once", phi).unwrap();
         // Each append clears the previous submission and introduces a
@@ -1884,7 +1838,7 @@ mod tests {
         let sc = order_schema();
         let sub = sc.pred("Sub").unwrap();
         let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-        let mut e = Engine::new(sc.clone(), opts(Regrounding::Delta));
+        let mut e = Engine::new(sc.clone(), CheckOptions::default());
         e.add_constraint("once", phi).unwrap();
         let n = 6u64;
         for i in 0..n {
@@ -1911,10 +1865,7 @@ mod tests {
         let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
         let mut e = Engine::new(
             sc.clone(),
-            CheckOptions::builder()
-                .mode(GroundMode::Full)
-                .regrounding(Regrounding::Delta)
-                .build(),
+            CheckOptions::builder().mode(GroundMode::Full).build(),
         );
         e.add_constraint("once", phi).unwrap();
         e.append(&Transaction::new().insert(sub, vec![1])).unwrap();
@@ -1933,11 +1884,12 @@ mod tests {
         let sub = sc.pred("Sub").unwrap();
         let fill = sc.pred("Fill").unwrap();
         let phi = parse(&sc, "forall x. G (Sub(x) -> Fill(x))").unwrap();
-        // Template automata off: this test exercises the transition
-        // cache specifically (the compiled path bypasses it).
+        // No template fits a one-state budget, so the context stays
+        // on production's symbolic path: this test exercises the
+        // transition cache specifically (the compiled path bypasses it).
         let mut e = Engine::new(
             sc.clone(),
-            CheckOptions::builder().template_automata(false).build(),
+            CheckOptions::builder().automaton_state_budget(1).build(),
         );
         e.add_constraint("covered", phi).unwrap();
         e.append(
@@ -1973,20 +1925,14 @@ mod tests {
     #[test]
     fn hot_path_matches_rebuild_encoding() {
         // The same workload — including a mid-stream new element and a
-        // final violation — through the hot configuration and through
-        // the ablation (full re-encode, no transition cache) must
+        // final violation — through the production pipeline and through
+        // the reference (full re-encode, no transition cache) must
         // produce identical events and statuses.
         let sc = order_schema();
         let sub = sc.pred("Sub").unwrap();
         let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
         let mut hot = Engine::new(sc.clone(), CheckOptions::default());
-        let mut cold = Engine::new(
-            sc.clone(),
-            CheckOptions::builder()
-                .encoding(Encoding::Rebuild)
-                .transition_cache(false)
-                .build(),
-        );
+        let mut cold = Engine::new(sc.clone(), CheckOptions::reference());
         let h_id = hot.add_constraint("once", phi.clone()).unwrap();
         let c_id = cold.add_constraint("once", phi).unwrap();
         let txs = [
@@ -2043,17 +1989,14 @@ mod tests {
     #[test]
     fn compiled_and_symbolic_paths_agree_end_to_end() {
         // The compiled path must be observationally identical to the
-        // symbolic ablation on a workload that exercises violation,
+        // symbolic reference on a workload that exercises violation,
         // delta re-grounding, and the steady state — and must actually
         // share templates across instantiations.
         let sc = order_schema();
         let sub = sc.pred("Sub").unwrap();
         let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
         let mut auto = Engine::new(sc.clone(), CheckOptions::default());
-        let mut sym = Engine::new(
-            sc.clone(),
-            CheckOptions::builder().template_automata(false).build(),
-        );
+        let mut sym = Engine::new(sc.clone(), CheckOptions::reference());
         let a_id = auto.add_constraint("once", phi.clone()).unwrap();
         let s_id = sym.add_constraint("once", phi).unwrap();
         let txs = [
@@ -2186,10 +2129,10 @@ mod tests {
         let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
         let mut e = Engine::new(
             sc.clone(),
-            CheckOptions::builder()
-                .threads(Threads::Fixed(4))
-                .regrounding(Regrounding::Full)
-                .build(),
+            CheckOptions {
+                threads: Threads::Fixed(4),
+                ..CheckOptions::reference()
+            },
         );
         for name in ["a", "b", "c"] {
             e.add_constraint(name, phi.clone()).unwrap();

@@ -1,13 +1,11 @@
 //! The unified error type of the core crate.
 //!
-//! Earlier revisions grew one error enum per entry point
-//! (`MonitorError`, `CheckError`, `TriggerError`, `PastError`), all
-//! wrapping the same two underlying failures — grounding rejection
-//! (Theorem 4.1's fragment check) and propositional-engine failure —
-//! plus a couple of caller-specific shapes. They are now collapsed
-//! into one [`Error`], marked `#[non_exhaustive]` so future failure
-//! modes are not breaking changes. The old names remain as deprecated
-//! type aliases for one release.
+//! Every entry point — engine, monitor, extension checker, trigger
+//! engine, history-less monitor — fails through one [`Error`]: the
+//! same two underlying failures — grounding rejection (Theorem 4.1's
+//! fragment check) and propositional-engine failure — plus a couple of
+//! caller-specific shapes. It is marked `#[non_exhaustive]` so future
+//! failure modes are not breaking changes.
 
 use crate::ground::GroundError;
 use ticc_ptl::sat::SatError;
@@ -122,15 +120,5 @@ mod tests {
         assert!(matches!(g, Error::Ground(_)));
         let s: Error = SatError::Past.into();
         assert!(matches!(s, Error::Sat(_)));
-    }
-
-    #[test]
-    fn deprecated_aliases_still_name_the_unified_type() {
-        #[allow(deprecated)]
-        fn takes_alias(e: crate::engine::MonitorError) -> Error {
-            e
-        }
-        let e = takes_alias(Error::Sat(SatError::Past));
-        assert!(matches!(e, Error::Sat(_)));
     }
 }

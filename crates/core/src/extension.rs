@@ -8,7 +8,7 @@
 //! ultimately-periodic propositional witness is decoded back to database
 //! states (the decoding direction in the proof of Theorem 4.1).
 
-use crate::engine::{check_once, Regrounding};
+use crate::engine::check_once;
 use crate::error::Error;
 use crate::ground::{GroundMode, GroundStats, GroundStrategy, Grounding};
 use crate::par::Threads;
@@ -16,23 +16,6 @@ use std::time::Duration;
 use ticc_fotl::Formula;
 use ticc_ptl::sat::{SatSolver, SatStats};
 use ticc_tdb::{History, State};
-
-/// How the engine derives the propositional valuation of an appended
-/// state on the fast path (the E13 ablation axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Encoding {
-    /// Re-derive the full valuation over `L_D` by walking every tuple
-    /// of the state (the paper-shaped construction; the rebuild
-    /// baseline of experiment E13).
-    Rebuild,
-    /// Patch the previous valuation in place from the transaction's
-    /// inserts and deletes — `O(|Δtx|)` letter flips through the
-    /// grounding's letter index. Bit-identical to [`Encoding::Rebuild`]
-    /// (property-tested); folded groundings only — [`GroundMode::Full`]
-    /// always rebuilds.
-    #[default]
-    Incremental,
-}
 
 /// How eagerly the engine hardens appended transactions when a durable
 /// store is attached (no store attached ⇒ no logging regardless).
@@ -115,13 +98,30 @@ impl std::fmt::Display for HistoryBudget {
     }
 }
 
+/// Which pipeline the engine runs. Crate-private: production is the
+/// only pipeline reachable through the public API; the paper-shaped
+/// reference exists for the equivalence suites and experiments (see
+/// [`CheckOptions::reference`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum Pipeline {
+    /// Indexed grounding, delta re-grounding, incremental encoding,
+    /// compiled template automata with the symbolic path plus
+    /// transition cache as their fallback.
+    #[default]
+    Production,
+    /// The paper-shaped oracle: odometer grounding, a full re-ground
+    /// whenever the domain grows, a full re-encode of every state, and
+    /// symbolic progression plus phase-2 satisfiability on every
+    /// append — no transition cache, no compiled automata.
+    Reference,
+}
+
 /// Options for [`check_potential_satisfaction`] and the
 /// [`Engine`](crate::engine::Engine) layer.
 ///
 /// Marked `#[non_exhaustive]`: construct through
 /// [`CheckOptions::default()`] or [`CheckOptions::builder()`] so that
-/// future knobs (like this revision's `encoding` and
-/// `transition_cache`) are not breaking changes.
+/// future knobs are not breaking changes.
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct CheckOptions {
@@ -129,54 +129,24 @@ pub struct CheckOptions {
     pub mode: GroundMode,
     /// Phase-2 satisfiability engine.
     pub solver: SatSolver,
-    /// Re-grounding policy when the relevant domain grows (engine /
-    /// monitor path; one-shot checks always ground from scratch).
-    pub regrounding: Regrounding,
     /// Worker-thread policy for the sharded grounding and the
     /// per-constraint fan-out (deterministic: results are identical to
     /// [`Threads::Off`]).
     pub threads: Threads,
-    /// Fast-path state encoding (incremental patching vs full rebuild).
-    pub encoding: Encoding,
-    /// Whether to memoise `(residue, letter) → (next residue, verdict)`
-    /// transitions of the lazily materialised safety automaton. A hit
-    /// skips progression and phase-2 satisfiability. On by default;
-    /// deterministic either way (the E13 ablation toggles it off).
-    pub transition_cache: bool,
-    /// Whether to compile residues into explicit per-template safety
-    /// automata (the E16 layer): the residue is split into
-    /// support-disjoint units, each unit's progression graph is
-    /// subset-constructed once per *template* (shape modulo letter
-    /// renaming) with per-state sat verdicts precomputed, and every
-    /// instantiation then steps as a dense `u32` table lookup. Falls
-    /// back transparently to the symbolic path (and the transition
-    /// cache) whenever compilation exceeds the state budget, a unit's
-    /// support is too wide, or units stop being disjoint. On by
-    /// default; results are bit-identical either way (the E16 ablation
-    /// toggles it off). [`Notion::Potential`](crate::engine::Notion)
-    /// and folded groundings only.
-    pub template_automata: bool,
     /// Maximum explicit states per compiled template automaton; a
     /// template exceeding the budget leaves the whole context on the
-    /// symbolic path.
+    /// symbolic path (progression plus the transition cache).
     pub automaton_state_budget: usize,
     /// WAL write policy when a durable store is attached to the engine.
     pub durability: Durability,
-    /// Instantiation enumeration — the Grounding knob. The default
-    /// [`GroundStrategy::Indexed`] walks the join of per-atom candidate
-    /// sets derived from the history's occurrence index and skips
-    /// instantiations whose flexible atoms never occur;
-    /// [`GroundStrategy::Odometer`] sweeps all `|M|^k` maps (kept for
-    /// the E15 ablation). Check results are identical either way on
-    /// the indexed class; outside it the engine falls back to the
-    /// odometer transparently.
-    pub grounding: GroundStrategy,
     /// Memory budget for the history and per-constraint traces.
     /// Bounded budgets truncate the in-memory prefix behind a
     /// checkpoint-covered horizon and page cold states to a spill
     /// segment; results are bit-identical to
     /// [`HistoryBudget::Unbounded`].
     pub history_budget: HistoryBudget,
+    /// Production unless built by [`CheckOptions::reference`].
+    pub(crate) pipeline: Pipeline,
 }
 
 impl Default for CheckOptions {
@@ -184,15 +154,11 @@ impl Default for CheckOptions {
         Self {
             mode: GroundMode::default(),
             solver: SatSolver::default(),
-            regrounding: Regrounding::default(),
             threads: Threads::default(),
-            encoding: Encoding::default(),
-            transition_cache: true,
-            template_automata: true,
             automaton_state_budget: 64,
             durability: Durability::default(),
-            grounding: GroundStrategy::default(),
             history_budget: HistoryBudget::default(),
+            pipeline: Pipeline::default(),
         }
     }
 }
@@ -202,6 +168,31 @@ impl CheckOptions {
     pub fn builder() -> CheckOptionsBuilder {
         CheckOptionsBuilder {
             opts: CheckOptions::default(),
+        }
+    }
+
+    /// The instantiation enumeration the pipeline grounds with: the
+    /// indexed join in production (which itself falls back to the
+    /// odometer outside the indexed class), the odometer in the
+    /// reference.
+    pub(crate) fn ground_strategy(&self) -> GroundStrategy {
+        match self.pipeline {
+            Pipeline::Production => GroundStrategy::Indexed,
+            Pipeline::Reference => GroundStrategy::Odometer,
+        }
+    }
+
+    /// The paper-shaped reference pipeline: odometer grounding, a full
+    /// re-ground whenever the domain grows, a full re-encode of every
+    /// state, and symbolic progression plus phase-2 satisfiability on
+    /// every append — the oracle every production-vs-reference
+    /// equivalence suite and experiment compares against. Compiled only for tests and under
+    /// the `reference` feature, so no production build can select it.
+    #[cfg(any(test, feature = "reference"))]
+    pub fn reference() -> CheckOptions {
+        CheckOptions {
+            pipeline: Pipeline::Reference,
+            ..CheckOptions::default()
         }
     }
 }
@@ -235,34 +226,9 @@ impl CheckOptionsBuilder {
         self
     }
 
-    /// Re-grounding policy when the relevant domain grows.
-    pub fn regrounding(mut self, regrounding: Regrounding) -> Self {
-        self.opts.regrounding = regrounding;
-        self
-    }
-
     /// Worker-thread policy.
     pub fn threads(mut self, threads: Threads) -> Self {
         self.opts.threads = threads;
-        self
-    }
-
-    /// Fast-path state encoding.
-    pub fn encoding(mut self, encoding: Encoding) -> Self {
-        self.opts.encoding = encoding;
-        self
-    }
-
-    /// Enables or disables the safety-automaton transition cache.
-    pub fn transition_cache(mut self, on: bool) -> Self {
-        self.opts.transition_cache = on;
-        self
-    }
-
-    /// Enables or disables compiled template automata (the E16
-    /// ablation knob).
-    pub fn template_automata(mut self, on: bool) -> Self {
-        self.opts.template_automata = on;
         self
     }
 
@@ -275,12 +241,6 @@ impl CheckOptionsBuilder {
     /// WAL write policy when a durable store is attached.
     pub fn durability(mut self, durability: Durability) -> Self {
         self.opts.durability = durability;
-        self
-    }
-
-    /// Instantiation enumeration strategy (the Grounding knob).
-    pub fn grounding(mut self, grounding: GroundStrategy) -> Self {
-        self.opts.grounding = grounding;
         self
     }
 
@@ -343,10 +303,6 @@ pub struct CheckOutcome {
     /// The grounding, for reuse (e.g. incremental monitoring).
     pub grounding: Grounding,
 }
-
-/// Former error type of this module.
-#[deprecated(since = "0.2.0", note = "use the unified `ticc_core::Error`")]
-pub type CheckError = Error;
 
 /// Decides whether `history` can be extended to an infinite temporal
 /// database satisfying the universal safety sentence `phi`

@@ -46,11 +46,11 @@ pub enum GroundMode {
     Full,
 }
 
-/// Which enumeration strategy builds `Ψ_D` — the `Grounding` knob of
-/// [`CheckOptions`](crate::extension::CheckOptions).
+/// Which enumeration strategy built `Ψ_D`, as reported by
+/// [`Grounding::strategy`].
 ///
-/// [`GroundStrategy::Indexed`] walks the instantiations *the data
-/// supports* instead of the full `|M|^k` cross product: an
+/// [`GroundStrategy::Indexed`] (production) walks the instantiations
+/// *the data supports* instead of the full `|M|^k` cross product: an
 /// atom-occurrence index maps each flexible atom pattern of the matrix
 /// to the ground tuples actually appearing in the history, and only
 /// instantiations with at least one such supported atom are grounded.
@@ -58,13 +58,13 @@ pub enum GroundMode {
 /// all-atoms-rigid-false residue, which the strategy requires to fold
 /// to `⊤` (see DESIGN.md §"Indexed grounding"); matrices outside that
 /// class fall back to the odometer transparently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroundStrategy {
     /// Blind odometer sweep over all `|M|^k` instantiations (the
-    /// paper's construction verbatim; kept for the E15 ablation).
+    /// paper's construction verbatim: the reference pipeline, and
+    /// production's fallback outside the indexed class).
     Odometer,
     /// Relevance-pruned, index-driven enumeration (production).
-    #[default]
     Indexed,
 }
 
@@ -666,16 +666,23 @@ pub fn ground(
     ground_with(history, phi, mode, Threads::Off)
 }
 
-/// Grounds `(history, phi)` with an explicit enumeration strategy —
-/// the entry point behind the `Grounding` knob of `CheckOptions`.
-pub fn ground_opts(
+/// Grounds `(history, phi)` with production's indexed enumeration
+/// (see [`GroundStrategy::Indexed`]), falling back to the odometer
+/// transparently outside the indexed class.
+pub fn ground_indexed(
     history: &History,
     phi: &Formula,
     mode: GroundMode,
-    strategy: GroundStrategy,
     threads: Threads,
 ) -> Result<Grounding, GroundError> {
-    ground_metered(history, phi, mode, strategy, threads, &mut ParMeter::new())
+    ground_metered(
+        history,
+        phi,
+        mode,
+        GroundStrategy::Indexed,
+        threads,
+        &mut ParMeter::new(),
+    )
 }
 
 /// Grounds `(history, phi)` per Theorem 4.1, sharding the `|M|^k`
@@ -2506,7 +2513,7 @@ mod tests {
     }
 
     fn ground_indexed(h: &History, phi: &Formula, threads: Threads) -> Grounding {
-        ground_opts(h, phi, GroundMode::Folded, GroundStrategy::Indexed, threads).unwrap()
+        super::ground_indexed(h, phi, GroundMode::Folded, threads).unwrap()
     }
 
     #[test]

@@ -57,15 +57,15 @@ pub mod trigger;
 pub mod window;
 
 pub use diagnostics::earliest_violation;
-pub use engine::{Engine, GroundingContext, Notion, OpenReport, Regrounding};
+pub use engine::{Engine, GroundingContext, Notion, OpenReport};
 pub use error::Error;
 pub use explain::explain;
 pub use extension::{
     check_potential_satisfaction, CheckOptions, CheckOptionsBuilder, CheckOutcome, CheckStats,
-    Durability, Encoding, HistoryBudget,
+    Durability, HistoryBudget,
 };
 pub use ground::{
-    ground, ground_opts, ground_with, GroundError, GroundMode, GroundStats, GroundStrategy,
+    ground, ground_indexed, ground_with, GroundError, GroundMode, GroundStats, GroundStrategy,
     Grounding, LetterKey,
 };
 pub use monitor::{ConstraintId, Monitor, MonitorEvent, MonitorStats, Status};
@@ -73,7 +73,7 @@ pub use obs::{CacheStats, EngineStats, HistoryStats};
 pub use par::{Threads, WorkerPool};
 pub use session::{
     stats_json_with, Committed, OpenSummary, ParkedSession, Session, SessionBuilder, SessionStats,
-    STATS_SCHEMA, STATS_SCHEMA_V1,
+    STATS_SCHEMA,
 };
 pub use ticc_store::{GroupStats, GroupWal, Store, StoreError, StoreStats};
 pub use trigger::{Action, FiredTrigger, Trigger, TriggerEngine};

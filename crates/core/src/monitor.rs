@@ -12,8 +12,7 @@
 //! new relevant element reuse the existing grounding (encode one
 //! state, progress the residue, memoised satisfiability); appends that
 //! do grow `R_D` are handled by delta re-grounding — or a full rebuild
-//! under [`Regrounding::Full`](crate::engine::Regrounding) or the full
-//! (paper-literal) grounding construction. The monitor only translates
+//! under the full (paper-literal) grounding construction. The monitor only translates
 //! the engine's counters into its historical [`MonitorStats`] shape.
 
 use crate::engine::Engine;
@@ -25,8 +24,6 @@ use ticc_tdb::{History, Schema, Transaction};
 
 use crate::error::Error;
 
-#[allow(deprecated)]
-pub use crate::engine::MonitorError;
 pub use crate::engine::{ConstraintId, MonitorEvent, Notion, Status};
 
 /// Cumulative monitor statistics (the engine's counters folded into
@@ -224,11 +221,12 @@ mod tests {
     #[test]
     fn fast_path_used_when_domain_stable() {
         let sc = order_schema();
-        // Exercises the symbolic sat cache specifically; the compiled
-        // default performs no per-append phase-2 checks at all.
+        // Exercises the symbolic sat cache specifically (no template
+        // fits a one-state budget); the compiled default performs no
+        // per-append phase-2 checks at all.
         let mut m = Monitor::new(
             sc.clone(),
-            CheckOptions::builder().template_automata(false).build(),
+            CheckOptions::builder().automaton_state_budget(1).build(),
         );
         let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
         m.add_constraint("once-only", phi).unwrap();

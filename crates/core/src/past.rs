@@ -36,10 +36,6 @@ enum GElem {
     Fresh(usize),
 }
 
-/// Former error type of the history-less monitor.
-#[deprecated(since = "0.2.0", note = "use the unified `ticc_core::Error`")]
-pub type PastError = Error;
-
 /// Status of the monitored constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PastStatus {

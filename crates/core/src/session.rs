@@ -53,12 +53,8 @@ const APP_VERSION: u32 = 1;
 
 /// The JSON schema tag emitted by [`Session::stats_json`] and the
 /// server's `stats` frames. v2 folds the `automata` object into the
-/// documented schema and adds the `session` and `server` objects; v1
-/// readers should upgrade by treating both as absent.
+/// documented schema and adds the `session` and `server` objects.
 pub const STATS_SCHEMA: &str = "ticc-engine-stats-v2";
-
-/// The JSON schema tag v1 emitters used (accepted by upgrade readers).
-pub const STATS_SCHEMA_V1: &str = "ticc-engine-stats-v1";
 
 /// One committed state: where it landed and everything that fired.
 #[derive(Debug, Clone, PartialEq, Eq)]

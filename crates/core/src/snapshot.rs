@@ -35,12 +35,8 @@ use ticc_store::{Dec, Enc, StoreError};
 use ticc_tdb::{ConstId, History, PredId, State};
 
 /// Version of the snapshot payload layout. Bump on any change to the
-/// byte format. [`restore_engine`] accepts the current version, v3,
-/// and v2: a v2 payload has no compiled-automaton section, so a v2
-/// restore recompiles template automata from the symbolic residue on
-/// load; v3 predates bounded-memory histories, so it decodes with a
-/// zero truncation base. A v4 payload stays fully self-contained under
-/// truncation — the distinct-state table leads with the spill tier's
+/// byte format; [`restore_engine`] accepts only the current version.
+/// A v4 payload stays fully self-contained under truncation — the distinct-state table leads with the spill tier's
 /// pages (in page-id order, so cold per-instant indices are page ids)
 /// followed by resident states deduped against them, and the history
 /// section carries the truncation base plus the frozen active-domain
@@ -57,18 +53,8 @@ fn corrupt(msg: &str) -> Error {
 /// blob (the shell stores its trigger definitions there). The result
 /// is what [`Engine::checkpoint`] writes as a snapshot frame.
 pub fn snapshot_engine(engine: &Engine, app: &[u8]) -> Vec<u8> {
-    snapshot_engine_at(engine, app, SNAP_VERSION)
-}
-
-/// Version-parameterised encoder. Only the current version is written
-/// in production; the v2 layout (no compiled section, no automaton
-/// stats tail) is kept encodable so the restore path's backward
-/// compatibility stays testable against real v2 bytes. A v2 encode of
-/// a compiled context would lose its state (the symbolic residue is
-/// held at `⊤` while compiled), hence the debug assertion.
-fn snapshot_engine_at(engine: &Engine, app: &[u8], version: u32) -> Vec<u8> {
     let mut e = Enc::new();
-    e.u32(version);
+    e.u32(SNAP_VERSION);
     let history = engine.history();
     let schema = history.schema();
     schema_encode(&mut e, schema);
@@ -89,14 +75,10 @@ fn snapshot_engine_at(engine: &Engine, app: &[u8], version: u32) -> Vec<u8> {
     // then the resident states deduped against them — the snapshot is
     // fully self-contained regardless of budget, and the spill segment
     // itself never needs to survive a crash.
-    debug_assert!(
-        version >= 4 || history.base() == 0,
-        "pre-v4 layouts cannot carry a truncated history"
-    );
     let mut distinct: Vec<State> = Vec::new();
     let mut index_of: std::collections::HashMap<Vec<u8>, usize> = std::collections::HashMap::new();
     let mut indices: Vec<usize> = Vec::with_capacity(history.len());
-    if version >= 4 && history.base() > 0 {
+    if history.base() > 0 {
         let pager = engine
             .pager
             .as_ref()
@@ -131,19 +113,17 @@ fn snapshot_engine_at(engine: &Engine, app: &[u8], version: u32) -> Vec<u8> {
     for idx in indices {
         e.usize(idx);
     }
-    if version >= 4 {
-        e.usize(history.base());
-        let frozen = history.frozen();
-        e.usize(frozen.len());
-        for &v in frozen {
-            e.u64(v);
-        }
+    e.usize(history.base());
+    let frozen = history.frozen();
+    e.usize(frozen.len());
+    for &v in frozen {
+        e.u64(v);
     }
     let mut stats = engine.stats;
     if let Some(p) = engine.pager.as_ref() {
         stats.history.page_loads += p.loads();
     }
-    stats_encode(&mut e, &stats, version);
+    stats_encode(&mut e, &stats);
     e.usize(engine.entries.len());
     for entry in &engine.entries {
         e.str(&entry.name);
@@ -159,23 +139,15 @@ fn snapshot_engine_at(engine: &Engine, app: &[u8], version: u32) -> Vec<u8> {
         // compiled context's `residue()` is held at `⊤`; its live
         // state is the template/unit section, persisted so a restore
         // resumes u32-state stepping without replaying the prefix.
-        if version >= 3 {
-            match entry.ctx.compiled.as_ref() {
-                None => {
-                    e.u8(0);
-                    e.u32(entry.ctx.residue().0);
-                }
-                Some(set) => {
-                    e.u8(1);
-                    compiled_encode(&mut e, set);
-                }
+        match entry.ctx.compiled.as_ref() {
+            None => {
+                e.u8(0);
+                e.u32(entry.ctx.residue().0);
             }
-        } else {
-            debug_assert!(
-                entry.ctx.compiled.is_none(),
-                "v2 layout cannot carry compiled-automaton state"
-            );
-            e.u32(entry.ctx.residue().0);
+            Some(set) => {
+                e.u8(1);
+                compiled_encode(&mut e, set);
+            }
         }
         dump_encode(&mut e, &entry.ctx.grounding().dump());
     }
@@ -191,9 +163,9 @@ fn snapshot_engine_at(engine: &Engine, app: &[u8], version: u32) -> Vec<u8> {
 pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u8>), Error> {
     let mut d = Dec::new(bytes);
     let version = d.u32()?;
-    if version != SNAP_VERSION && version != 3 && version != 2 {
+    if version != SNAP_VERSION {
         return Err(corrupt(&format!(
-            "unsupported snapshot version {version} (expected {SNAP_VERSION}, 3, or 2)"
+            "unsupported snapshot version {version} (expected {SNAP_VERSION})"
         )));
     }
     let schema = schema_decode(&mut d)?;
@@ -220,20 +192,15 @@ pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u
         }
         state_idxs.push(idx);
     }
-    let (base, frozen) = if version >= 4 {
-        let base = d.usize()?;
-        if base > state_idxs.len() {
-            return Err(corrupt("truncation base out of range"));
-        }
-        let n = d.usize()?;
-        let mut frozen = BTreeSet::new();
-        for _ in 0..n {
-            frozen.insert(d.u64()?);
-        }
-        (base, frozen)
-    } else {
-        (0, BTreeSet::new())
-    };
+    let base = d.usize()?;
+    if base > state_idxs.len() {
+        return Err(corrupt("truncation base out of range"));
+    }
+    let n_frozen = d.usize()?;
+    let mut frozen = BTreeSet::new();
+    for _ in 0..n_frozen {
+        frozen.insert(d.u64()?);
+    }
     // Rebuild the writer's tiered shape: cold instants are re-spilled
     // to a fresh pager (deduped pages, not materialised states), the
     // resident suffix becomes the in-memory history. A restart's
@@ -254,7 +221,7 @@ pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u
         .map(|&idx| distinct[idx].clone())
         .collect();
     let history = History::from_parts(schema.clone(), consts, base, frozen, resident);
-    let stats = stats_decode(&mut d, version)?;
+    let stats = stats_decode(&mut d)?;
     let n_entries = d.usize()?;
     let mut entries = Vec::new();
     enum Persisted {
@@ -269,14 +236,10 @@ pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u
             1 => Status::Violated { at: d.usize()? },
             n => return Err(corrupt(&format!("unknown status tag {n}"))),
         };
-        let persisted = if version >= 3 {
-            match d.u8()? {
-                0 => Persisted::Symbolic(FormulaId(d.u32()?)),
-                1 => Persisted::Compiled(compiled_decode(&mut d)?),
-                n => return Err(corrupt(&format!("unknown residue kind tag {n}"))),
-            }
-        } else {
-            Persisted::Symbolic(FormulaId(d.u32()?))
+        let persisted = match d.u8()? {
+            0 => Persisted::Symbolic(FormulaId(d.u32()?)),
+            1 => Persisted::Compiled(compiled_decode(&mut d)?),
+            n => return Err(corrupt(&format!("unknown residue kind tag {n}"))),
         };
         let dump = dump_decode(&mut d, &schema)?;
         let mut g = Grounding::restore(schema.clone(), dump)
@@ -286,25 +249,21 @@ pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u
                 if residue.index() >= g.arena.dag_len() {
                     return Err(corrupt("residue id out of range"));
                 }
-                let mut ctx = GroundingContext::from_parts(g, residue);
-                if version < 3 {
-                    // v2 payloads predate compiled automata: recompile
-                    // on load so old snapshots pick up the strategy.
-                    // A v3 symbolic entry stays symbolic — the writer
-                    // already decided (budget bail, notion, knob).
-                    ctx.try_compile(notion, &opts);
-                }
-                ctx
+                // A symbolic entry stays symbolic: the writer already
+                // decided (budget bail, notion, support overlap).
+                GroundingContext::from_parts(g, residue)
             }
             Persisted::Compiled(raw) => {
+                if g.mode() != GroundMode::Folded {
+                    return Err(corrupt("compiled section on a full-mode grounding"));
+                }
                 let set = rebind_compiled(raw, &mut g, &opts)?;
                 let tru = g.arena.tru();
                 let mut ctx = GroundingContext::from_parts(g, tru);
                 ctx.compiled = Some(set);
-                if !opts.template_automata || notion == Notion::BadPrefix {
-                    // Run options are the caller's: with the knob off
-                    // (or under the bad-prefix notion) the restored
-                    // state decompiles to the symbolic residue now.
+                if notion == Notion::BadPrefix {
+                    // The bad-prefix notion's `⊥`-check needs the
+                    // symbolic residue: decompile now.
                     ctx.decompile();
                 }
                 ctx
@@ -390,7 +349,7 @@ fn duration_decode(d: &mut Dec<'_>) -> Result<Duration, StoreError> {
     Ok(Duration::from_nanos(d.u64()?))
 }
 
-fn stats_encode(e: &mut Enc, s: &EngineStats, version: u32) {
+fn stats_encode(e: &mut Enc, s: &EngineStats) {
     for v in [
         s.appends,
         s.fast_appends,
@@ -417,24 +376,20 @@ fn stats_encode(e: &mut Enc, s: &EngineStats, version: u32) {
     duration_encode(e, s.sat_time);
     duration_encode(e, s.par_time);
     duration_encode(e, s.par_busy_time);
-    // v3 tail: automaton lifetime counters. The automaton gauges
-    // (templates, states, bound instantiations, compile time) are
-    // recomputed by `Engine::stats` from the restored contexts.
-    if version >= 3 {
-        e.u64(s.automaton_appends);
-        e.u64(s.automaton_steps);
-    }
-    // v4 tail: history-tier lifetime counters. The tier gauges
-    // (resident/spilled sizes) are recomputed by `Engine::stats` from
-    // the restored history and pager.
-    if version >= 4 {
-        e.u64(s.history.truncations);
-        e.u64(s.history.page_loads);
-        e.u64(s.history.reclaimed_bytes);
-    }
+    // Automaton lifetime counters. The automaton gauges (templates,
+    // states, bound instantiations, compile time) are recomputed by
+    // `Engine::stats` from the restored contexts.
+    e.u64(s.automaton_appends);
+    e.u64(s.automaton_steps);
+    // History-tier lifetime counters. The tier gauges (resident/spilled
+    // sizes) are recomputed by `Engine::stats` from the restored
+    // history and pager.
+    e.u64(s.history.truncations);
+    e.u64(s.history.page_loads);
+    e.u64(s.history.reclaimed_bytes);
 }
 
-fn stats_decode(d: &mut Dec<'_>, version: u32) -> Result<EngineStats, StoreError> {
+fn stats_decode(d: &mut Dec<'_>) -> Result<EngineStats, StoreError> {
     // Gauges (letters, arena nodes, mappings, letter index) and the
     // store mirror are refreshed by `Engine::stats`, so only the
     // lifetime counters and timers persist. Struct-literal fields
@@ -465,20 +420,13 @@ fn stats_decode(d: &mut Dec<'_>, version: u32) -> Result<EngineStats, StoreError
         sat_time: duration_decode(d)?,
         par_time: duration_decode(d)?,
         par_busy_time: duration_decode(d)?,
-        // Struct-literal fields evaluate in written order, so these
-        // version-gated reads consume the v3 tail exactly after the
-        // timers (a v2 payload simply has no tail).
-        automaton_appends: if version >= 3 { d.u64()? } else { 0 },
-        automaton_steps: if version >= 3 { d.u64()? } else { 0 },
-        history: if version >= 4 {
-            HistoryStats {
-                truncations: d.u64()?,
-                page_loads: d.u64()?,
-                reclaimed_bytes: d.u64()?,
-                ..HistoryStats::default()
-            }
-        } else {
-            HistoryStats::default()
+        automaton_appends: d.u64()?,
+        automaton_steps: d.u64()?,
+        history: HistoryStats {
+            truncations: d.u64()?,
+            page_loads: d.u64()?,
+            reclaimed_bytes: d.u64()?,
+            ..HistoryStats::default()
         },
         ..EngineStats::default()
     })
@@ -994,7 +942,6 @@ fn dump_decode(d: &mut Dec<'_>, schema: &ticc_tdb::Schema) -> Result<GroundingDu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Regrounding;
     use std::sync::Arc;
     use ticc_fotl::parser::parse;
     use ticc_tdb::{Schema, Transaction};
@@ -1072,26 +1019,45 @@ mod tests {
 
     #[test]
     fn restore_respects_caller_options() {
+        // Run options are the caller's: a production snapshot restored
+        // under the reference pipeline decompiles on its first append
+        // and still lands the violation.
         let engine = engine_with_appends();
+        assert!(engine.stats().templates_compiled >= 1);
         let bytes = snapshot_engine(&engine, &[]);
-        let opts = CheckOptions::builder()
-            .regrounding(Regrounding::Full)
-            .build();
-        let (back, _) = restore_engine(&bytes, opts).unwrap();
-        assert_eq!(back.opts().regrounding, Regrounding::Full);
+        let (mut back, _) = restore_engine(&bytes, CheckOptions::reference()).unwrap();
+        assert_eq!(back.opts().pipeline, crate::extension::Pipeline::Reference);
+        let sub = back.history().schema().pred("Sub").unwrap();
+        back.append(&Transaction::new().insert(sub, vec![2]))
+            .unwrap();
+        assert_eq!(back.stats().templates_compiled, 0, "{:?}", back.stats());
+        let id = back.constraints().next().unwrap();
+        assert!(matches!(back.status(id), Status::Violated { .. }));
     }
 
     #[test]
     fn corrupt_snapshots_error_instead_of_panicking() {
         let engine = engine_with_appends();
         let bytes = snapshot_engine(&engine, b"x");
-        // Wrong version.
-        let mut v = bytes.clone();
-        v[0] ^= 0x7f;
-        assert!(matches!(
-            restore_engine(&v, CheckOptions::default()),
-            Err(Error::Store(_))
-        ));
+        // Wrong version: only v4 restores.
+        let mut head = Enc::new();
+        head.u32(SNAP_VERSION);
+        let body = &bytes[head.into_bytes().len()..];
+        for version in [2u32, 3, 5] {
+            let mut e = Enc::new();
+            e.u32(version);
+            let mut v = e.into_bytes();
+            v.extend_from_slice(body);
+            match restore_engine(&v, CheckOptions::default()) {
+                Err(Error::Store(m)) => assert!(
+                    m.contains(&format!(
+                        "unsupported snapshot version {version} (expected 4)"
+                    )),
+                    "{m}"
+                ),
+                other => panic!("v{version} payload restored: {:?}", other.map(|_| ())),
+            }
+        }
         // Truncations at every prefix length must error, never panic.
         for cut in 0..bytes.len() {
             assert!(
@@ -1162,34 +1128,12 @@ mod tests {
     }
 
     #[test]
-    fn v2_restore_recompiles_on_load() {
-        // A v2-layout snapshot (written before template automata
-        // existed) restores symbolically and then picks up the
-        // compiled strategy, exactly like a fresh add_constraint.
+    fn symbolic_entries_stay_symbolic() {
+        // The writer recorded a symbolic entry (here: no template fits
+        // a one-state budget); restore must not second-guess it.
         let sc = order_schema();
         let sub = sc.pred("Sub").unwrap();
-        let opts = CheckOptions::builder().template_automata(false).build();
-        let mut e = Engine::new(sc.clone(), opts);
-        let phi = parse(e.history().schema(), "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-        let id = e.add_constraint("once", phi).unwrap();
-        e.append(&Transaction::new().insert(sub, vec![1])).unwrap();
-        let bytes = snapshot_engine_at(&e, &[], 2);
-        let (mut back, _) = restore_engine(&bytes, CheckOptions::default()).unwrap();
-        assert!(back.stats().templates_compiled >= 1, "{:?}", back.stats());
-        // …and the recompiled state is live: the re-submission still
-        // violates.
-        back.append(&Transaction::new().insert(sub, vec![1]))
-            .unwrap();
-        assert!(matches!(back.status(id), Status::Violated { .. }));
-    }
-
-    #[test]
-    fn v3_symbolic_entries_stay_symbolic() {
-        // The v3 writer recorded a deliberate symbolic strategy (knob
-        // off, budget bail, …); restore must not second-guess it.
-        let sc = order_schema();
-        let sub = sc.pred("Sub").unwrap();
-        let opts = CheckOptions::builder().template_automata(false).build();
+        let opts = CheckOptions::builder().automaton_state_budget(1).build();
         let mut e = Engine::new(sc.clone(), opts);
         let phi = parse(e.history().schema(), "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
         e.add_constraint("once", phi).unwrap();
@@ -1200,12 +1144,14 @@ mod tests {
     }
 
     #[test]
-    fn restore_with_knob_off_decompiles_compiled_entries() {
-        let engine = engine_with_appends();
+    fn bad_prefix_restore_decompiles_compiled_entries() {
+        let mut engine = engine_with_appends();
         assert!(engine.stats().templates_compiled >= 1);
+        // The notion persists; the compiled section was written under
+        // Potential and must come back symbolic under BadPrefix.
+        engine.set_notion(Notion::BadPrefix);
         let bytes = snapshot_engine(&engine, &[]);
-        let opts = CheckOptions::builder().template_automata(false).build();
-        let (mut back, _) = restore_engine(&bytes, opts).unwrap();
+        let (mut back, _) = restore_engine(&bytes, CheckOptions::default()).unwrap();
         assert_eq!(back.stats().templates_compiled, 0, "{:?}", back.stats());
         // The decompiled residue is the exact symbolic state: the
         // violation still lands on re-submission.

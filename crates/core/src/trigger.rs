@@ -71,10 +71,6 @@ pub struct FiredTrigger {
     pub substitution: BTreeMap<String, Value>,
 }
 
-/// Former error type of the trigger engine.
-#[deprecated(since = "0.2.0", note = "use the unified `ticc_core::Error`")]
-pub type TriggerError = Error;
-
 /// Evaluates triggers against histories by the duality with potential
 /// satisfaction.
 #[derive(Default)]

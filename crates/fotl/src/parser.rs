@@ -224,10 +224,19 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// Deepest nesting [`parse`] accepts, counting parentheses, quantifier
+/// bodies, prefix connectives, and right-nested binary connectives.
+/// Constraints written by hand nest a few dozen levels; the bound turns
+/// hostile input (a server `open` carrying 5 000 `(`) into an ordinary
+/// parse error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     lexer: Lexer<'a>,
     look: (usize, Tok),
     schema: &'a Schema,
+    /// Nesting levels currently open (bounded by [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -238,7 +247,22 @@ impl<'a> Parser<'a> {
             lexer,
             look,
             schema,
+            depth: 0,
         })
+    }
+
+    /// Runs `f` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<Formula, ParseError>,
+    ) -> Result<Formula, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err_here(format!("formula nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let f = f(self);
+        self.depth -= 1;
+        f
     }
 
     fn bump(&mut self) -> Result<Tok, ParseError> {
@@ -301,7 +325,7 @@ impl<'a> Parser<'a> {
                 return Err(self.err_here("expected variable name or '.'"));
             }
         }
-        let body = self.formula()?;
+        let body = self.nested(Self::formula)?;
         Ok(vars.into_iter().rev().fold(body, |acc, v| {
             if universal {
                 Formula::forall(v, acc)
@@ -315,7 +339,7 @@ impl<'a> Parser<'a> {
         let left = self.or()?;
         if self.look.1 == Tok::Implies {
             self.bump()?;
-            let right = self.implication()?;
+            let right = self.nested(Self::implication)?;
             return Ok(left.implies(right));
         }
         Ok(left)
@@ -346,18 +370,18 @@ impl<'a> Parser<'a> {
         match self.look.1 {
             Tok::Until => {
                 self.bump()?;
-                let right = self.temporal()?;
+                let right = self.nested(Self::temporal)?;
                 Ok(left.until(right))
             }
             Tok::Release => {
                 // a R b ≡ ¬(¬a U ¬b)
                 self.bump()?;
-                let right = self.temporal()?;
+                let right = self.nested(Self::temporal)?;
                 Ok(left.not().until(right.not()).not())
             }
             Tok::Since => {
                 self.bump()?;
-                let right = self.temporal()?;
+                let right = self.nested(Self::temporal)?;
                 Ok(left.since(right))
             }
             _ => Ok(left),
@@ -368,31 +392,31 @@ impl<'a> Parser<'a> {
         match self.look.1 {
             Tok::Not => {
                 self.bump()?;
-                Ok(self.unary()?.not())
+                Ok(self.nested(Self::unary)?.not())
             }
             Tok::Next => {
                 self.bump()?;
-                Ok(self.unary()?.next())
+                Ok(self.nested(Self::unary)?.next())
             }
             Tok::Finally => {
                 self.bump()?;
-                Ok(self.unary()?.eventually())
+                Ok(self.nested(Self::unary)?.eventually())
             }
             Tok::Globally => {
                 self.bump()?;
-                Ok(self.unary()?.always())
+                Ok(self.nested(Self::unary)?.always())
             }
             Tok::Prev => {
                 self.bump()?;
-                Ok(self.unary()?.prev())
+                Ok(self.nested(Self::unary)?.prev())
             }
             Tok::Once => {
                 self.bump()?;
-                Ok(self.unary()?.once())
+                Ok(self.nested(Self::unary)?.once())
             }
             Tok::Hist => {
                 self.bump()?;
-                Ok(self.unary()?.historically())
+                Ok(self.nested(Self::unary)?.historically())
             }
             Tok::Forall | Tok::Exists => self.quantified(),
             _ => self.primary(),
@@ -404,7 +428,7 @@ impl<'a> Parser<'a> {
             Tok::True => Ok(Formula::True),
             Tok::False => Ok(Formula::False),
             Tok::LParen => {
-                let f = self.formula()?;
+                let f = self.nested(Self::formula)?;
                 self.expect(Tok::RParen, "')'")?;
                 Ok(f)
             }
@@ -588,6 +612,18 @@ mod tests {
             let f2 = parse(&sc, &printed).unwrap();
             assert_eq!(f1, f2, "roundtrip failed: {src} -> {printed}");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_parse_error() {
+        let sc = schema();
+        let ok = "(".repeat(MAX_DEPTH - 1) + "Sub(x)" + &")".repeat(MAX_DEPTH - 1);
+        assert!(parse(&sc, &ok).is_ok());
+        let deep = "(".repeat(100_000) + "Sub(x)" + &")".repeat(100_000);
+        let err = parse(&sc, &deep).unwrap_err();
+        assert!(err.message.contains("nests deeper"), "{err}");
+        assert!(parse(&sc, &("!".repeat(100_000) + "Sub(x)")).is_err());
+        assert!(parse(&sc, &"Sub(x) -> ".repeat(100_000)).is_err());
     }
 
     #[test]

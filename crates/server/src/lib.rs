@@ -35,8 +35,7 @@
 //!   all.
 //!
 //! Stats are the `ticc-engine-stats-v2` schema with the `server`
-//! object filled in; [`upgrade_stats`] adapts v1 documents for readers
-//! that migrated.
+//! object filled in.
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
@@ -49,7 +48,7 @@ use std::time::{Duration, Instant};
 use ticc_core::par::set_pool_peers;
 use ticc_core::{
     stats_json_with, CheckOptions, Committed, GroupWal, HistoryBudget, ParkedSession, Session,
-    Status, STATS_SCHEMA, STATS_SCHEMA_V1,
+    Status,
 };
 use ticc_fotl::parser::parse as parse_formula;
 use ticc_store::codec::parse_fact;
@@ -1377,44 +1376,11 @@ fn register_formulas(session: &mut Session, req: &Json) -> Result<(), Json> {
     Ok(())
 }
 
-/// Accept-and-upgrade reader for engine stats documents: v2 passes
-/// through, v1 (`ticc-engine-stats-v1`, which predates the `session`
-/// and `server` objects) is upgraded in place — schema rewritten,
-/// missing objects added as `null`. Anything else is refused.
-pub fn upgrade_stats(doc: &Json) -> Result<Json, String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "stats document has no \"schema\" field".to_owned())?;
-    match schema {
-        s if s == STATS_SCHEMA => Ok(doc.clone()),
-        s if s == STATS_SCHEMA_V1 => {
-            let Json::Obj(pairs) = doc else {
-                return Err("stats document is not an object".to_owned());
-            };
-            let mut pairs = pairs.clone();
-            for (k, v) in &mut pairs {
-                if k == "schema" {
-                    *v = json::s(STATS_SCHEMA);
-                }
-            }
-            for key in ["session", "server"] {
-                if doc.get(key).is_none() {
-                    pairs.push((key.to_owned(), Json::Null));
-                }
-            }
-            Ok(Json::Obj(pairs))
-        }
-        other => Err(format!(
-            "unknown stats schema '{other}' (this reader speaks {STATS_SCHEMA} and upgrades {STATS_SCHEMA_V1})"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{BufReader, BufWriter};
+    use ticc_core::STATS_SCHEMA;
 
     fn request(server: &Server, hello: &mut bool, src: &str) -> Json {
         let req = json::parse(src).unwrap();
@@ -1745,22 +1711,6 @@ mod tests {
         assert_eq!(sv.get("sessions").unwrap().as_u64(), Some(1));
         assert_eq!(sv.get("schema").unwrap().as_str(), Some(wire::WIRE_SCHEMA));
         assert_eq!(sv.get("group"), Some(&Json::Null), "ephemeral server");
-    }
-
-    #[test]
-    fn v1_stats_documents_upgrade() {
-        let v1 =
-            json::parse(r#"{"schema":"ticc-engine-stats-v1","appends":7,"store":{"tx_frames":1}}"#)
-                .unwrap();
-        let up = upgrade_stats(&v1).unwrap();
-        assert_eq!(up.get("schema").unwrap().as_str(), Some(STATS_SCHEMA));
-        assert_eq!(up.get("appends").unwrap().as_u64(), Some(7));
-        assert_eq!(up.get("session"), Some(&Json::Null));
-        assert_eq!(up.get("server"), Some(&Json::Null));
-        // v2 passes through untouched; unknown schemas are refused.
-        assert_eq!(upgrade_stats(&up).unwrap(), up);
-        let v9 = json::parse(r#"{"schema":"ticc-engine-stats-v9"}"#).unwrap();
-        assert!(upgrade_stats(&v9).is_err());
     }
 
     #[test]

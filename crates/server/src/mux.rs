@@ -507,6 +507,33 @@ mod tests {
     }
 
     #[test]
+    fn mux_survives_a_maximally_nested_frame() {
+        // A frame at the 1 MiB default limit made of nothing but `[`
+        // must be one `parse` error, after which the same server keeps
+        // serving: unbounded parser recursion would overflow the io
+        // thread's stack and abort every tenant.
+        let running = serve_mux(Limits::default());
+        let mut stream = TcpStream::connect(running.addr).expect("connect");
+        let hello = format!("{{\"op\":\"hello\",\"schema\":\"{}\"}}", wire::WIRE_SCHEMA);
+        assert!(frame_roundtrip(&mut stream, &hello).contains("\"ok\":true"));
+        let hostile = "[".repeat(Limits::default().max_frame_bytes);
+        let resp = frame_roundtrip(&mut stream, &hostile);
+        assert!(resp.contains("\"code\":\"parse\""), "{resp}");
+        let resp = frame_roundtrip(
+            &mut stream,
+            "{\"op\":\"open\",\"session\":\"s\",\"preds\":[[\"P\",1]]}",
+        );
+        assert!(resp.contains("\"ok\":true"), "open failed: {resp}");
+        let resp = frame_roundtrip(
+            &mut stream,
+            "{\"op\":\"append\",\"session\":\"s\",\"insert\":[\"P(1)\"]}",
+        );
+        assert!(resp.contains("\"t\":0"), "append failed: {resp}");
+        let _ = frame_roundtrip(&mut stream, "{\"op\":\"shutdown\"}");
+        running.join();
+    }
+
+    #[test]
     fn mux_answers_many_idle_connections() {
         let limits = Limits {
             io_threads: 2,

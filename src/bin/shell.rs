@@ -7,19 +7,9 @@
 //! `--threads off|auto|<n>` selects the worker-pool policy for every
 //! monitor, trigger, and ad-hoc check in the session (default: off).
 //!
-//! `--no-transition-cache` disables the safety-automaton transition
-//! cache on the append hot path (the ablation knob; results are
-//! identical either way, only the per-append cost changes).
-//!
-//! `--no-template-automata` disables compiling residues into shared
-//! explicit template automata, keeping every constraint on the
-//! symbolic progression path (the E16 ablation knob; results are
-//! identical either way, only the per-append cost changes).
-//!
-//! `--grounding indexed|odometer` selects the instantiation
-//! enumeration strategy (default: indexed — the relevance-pruned join;
-//! odometer is the blind `|M|^k` sweep kept for the E15 ablation).
-//! Check events are identical under both.
+//! `--history-window unbounded|<n>|<n>kb|<n>mb` bounds the resident
+//! history (default: unbounded); replies are identical under every
+//! budget.
 //!
 //! `--store <path>` backs the session with a durable write-ahead log:
 //! committed states are logged, `checkpoint`/`compact` snapshot the
@@ -29,10 +19,17 @@
 //! flags, 3 store cannot be opened or recovered.
 
 use std::io::{BufRead, Write};
-use ticc::core::{CheckOptions, GroundStrategy, HistoryBudget, Threads};
+use ticc::core::{CheckOptions, HistoryBudget, Threads};
+
+const USAGE: &str = "usage: ticc-shell [--threads off|auto|<n>] \
+[--history-window unbounded|<n>|<n>kb|<n>mb] [--store <path>] [script]";
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return;
+    }
     let mut threads = Threads::Off;
     if let Some(i) = args.iter().position(|a| a == "--threads") {
         let Some(v) = args.get(i + 1) else {
@@ -43,32 +40,6 @@ fn main() {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("{e}");
-                std::process::exit(2);
-            }
-        };
-        args.drain(i..=i + 1);
-    }
-    let mut transition_cache = true;
-    if let Some(i) = args.iter().position(|a| a == "--no-transition-cache") {
-        transition_cache = false;
-        args.remove(i);
-    }
-    let mut template_automata = true;
-    if let Some(i) = args.iter().position(|a| a == "--no-template-automata") {
-        template_automata = false;
-        args.remove(i);
-    }
-    let mut grounding = GroundStrategy::default();
-    if let Some(i) = args.iter().position(|a| a == "--grounding") {
-        let Some(v) = args.get(i + 1) else {
-            eprintln!("--grounding needs a value (indexed|odometer)");
-            std::process::exit(2);
-        };
-        grounding = match v.as_str() {
-            "indexed" => GroundStrategy::Indexed,
-            "odometer" => GroundStrategy::Odometer,
-            other => {
-                eprintln!("unknown grounding strategy {other:?} (indexed|odometer)");
                 std::process::exit(2);
             }
         };
@@ -100,9 +71,6 @@ fn main() {
     }
     let opts = CheckOptions::builder()
         .threads(threads)
-        .transition_cache(transition_cache)
-        .template_automata(template_automata)
-        .grounding(grounding)
         .history_budget(history_budget)
         .build();
     let mut shell = match &store_path {

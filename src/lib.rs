@@ -87,31 +87,19 @@ pub mod shell;
 /// [`History`](ticc_tdb::History)), and the constraint
 /// [`parse`](ticc_fotl::parser::parse)r.
 ///
-/// Direct engine construction from the prelude is deprecated:
+/// The prelude carries no raw engine:
 /// [`Session::builder()`](ticc_core::Session::builder) owns the
-/// schema/constraint/durability lifecycle that callers previously
-/// re-derived around a raw engine. Embedders that really want the
-/// shared core (custom persistence, no session semantics) should take
-/// it from [`ticc_core::Engine`] explicitly.
+/// schema/constraint/durability lifecycle. Embedders that really want
+/// the shared core (custom persistence, no session semantics) take it
+/// from [`ticc_core::Engine`] explicitly.
 pub mod prelude {
     pub use ticc_core::{
         check_potential_satisfaction, earliest_violation, explain, Action, CheckOptions,
-        CheckOptionsBuilder, CheckOutcome, Committed, ConstraintId, Durability, Encoding, Error,
-        GroundMode, GroundStrategy, GroupWal, Monitor, MonitorEvent, Notion, OpenReport,
-        OpenSummary, Regrounding, Session, SessionBuilder, SessionStats, Status, Store, StoreStats,
-        Threads, Trigger, TriggerEngine,
+        CheckOptionsBuilder, CheckOutcome, Committed, ConstraintId, Durability, Error, GroundMode,
+        GroupWal, Monitor, MonitorEvent, Notion, OpenReport, OpenSummary, Session, SessionBuilder,
+        SessionStats, Status, Store, StoreStats, Threads, Trigger, TriggerEngine,
     };
     pub use ticc_fotl::parser::parse;
     pub use ticc_fotl::Formula;
     pub use ticc_tdb::{History, Schema, State, Transaction, Value};
-
-    /// Deprecated prelude alias (the PR 2 `MonitorError` pattern): the
-    /// prelude path now steers to [`Session::builder()`]. The type
-    /// itself is unchanged and fully supported at [`ticc_core::Engine`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "open a `Session` via `Session::builder()`; embedders wanting the raw shared \
-                core should import `ticc_core::Engine` directly"
-    )]
-    pub type Engine = ticc_core::Engine;
 }

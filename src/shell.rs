@@ -607,31 +607,62 @@ mod tests {
 
     #[test]
     fn uncached_session_matches_default() {
-        // The transition cache is a pure performance knob: a session
-        // run with it disabled (ticc-shell --no-transition-cache)
-        // replies identically, line for line.
-        let opts = ticc_core::CheckOptions::builder()
-            .transition_cache(false)
-            .encoding(ticc_core::Encoding::Rebuild)
-            .build();
-        let script = [
+        // Every production shortcut — the transition cache, compiled
+        // template automata, indexed grounding, incremental encoding,
+        // delta re-grounding — is a pure performance strategy: each
+        // script replies line for line as under the paper-shaped
+        // reference pipeline, which runs none of them.
+        let transition_cache = [
             "schema pred Sub 1",
             "constraint once: forall x. G (Sub(x) -> X G !Sub(x))",
-            "constraint cap: G !Sub(9)",
             "trigger dup: F (Sub(x) & X F Sub(x))",
             "insert Sub(1)",
-            "commit",
-            "delete Sub(1)",
-            "commit",
             "commit",
             "insert Sub(1)",
             "commit",
             "status",
         ];
-        let mut hot = Shell::new();
-        let mut cold = Shell::with_options(opts);
-        for line in script {
-            assert_eq!(hot.exec(line), cold.exec(line), "diverged at '{line}'");
+        // Walks an obligation across two instantiations, so the
+        // compiled default binds, steps, and reports the violation
+        // from u32 state.
+        let template_automata = [
+            "schema pred Sub 1",
+            "schema pred Fill 1",
+            "constraint response: forall x. G (Sub(x) -> X Fill(x))",
+            "insert Sub(1)",
+            "commit",
+            "delete Sub(1)",
+            "insert Fill(1)",
+            "insert Sub(2)",
+            "commit",
+            "delete Fill(1)",
+            "commit",
+            "status",
+        ];
+        // k = 2, so the odometer's instantiation space is real.
+        let grounding = [
+            "schema pred Sub 1",
+            "schema pred Rep 2",
+            "constraint pair: forall x y. G (Rep(x, y) -> X G !Rep(x, y))",
+            "insert Sub(1)",
+            "insert Rep(1, 2)",
+            "commit",
+            "insert Rep(3, 4)",
+            "commit",
+            "insert Rep(1, 2)",
+            "commit",
+            "status",
+        ];
+        for script in [&transition_cache[..], &template_automata, &grounding] {
+            let mut production = Shell::new();
+            let mut reference = Shell::with_options(CheckOptions::reference());
+            let mut violated = false;
+            for line in script {
+                let reply = production.exec(line);
+                assert_eq!(reply, reference.exec(line), "diverged at '{line}'");
+                violated |= reply.is_ok_and(|r| r.contains("VIOLATION"));
+            }
+            assert!(violated, "script must reach a violation: {script:?}");
         }
     }
 

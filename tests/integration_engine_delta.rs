@@ -1,19 +1,22 @@
-//! Delta re-grounding vs full re-grounding — randomized equivalence.
+//! Delta re-grounding vs the reference's full re-grounding —
+//! randomized equivalence.
 //!
-//! The engine's delta path grounds only the instantiations mentioning
+//! Production's delta path grounds only the instantiations mentioning
 //! new relevant elements and replays them through the stored
-//! propositional trace; the full path rebuilds the grounding over the
+//! propositional trace; the reference rebuilds the grounding over the
 //! whole history. Progression distributes over conjunction and old
 //! trace states assign `false` to every letter mentioning a new
 //! element, so the two must produce *identical* observable behaviour:
 //! the same violation events at the same instants, the same statuses,
 //! and the same earliest-violation time. This suite streams staggered
 //! new-element appends over randomized workloads and checks exactly
-//! that, plus the `O(|Δ-part|)` complexity claim on the stats spine.
+//! that, plus the `O(|Δ-part|)` complexity claim on the stats spine,
+//! and the same agreement under the progression-only bad-prefix
+//! notion.
 
 use std::sync::Arc;
 use ticc::core::engine::Engine;
-use ticc::core::{CheckOptions, Regrounding, Status};
+use ticc::core::{CheckOptions, Status};
 use ticc::fotl::parser::parse;
 use ticc::tdb::rng::Rng;
 use ticc::tdb::{Schema, Transaction, Value};
@@ -22,10 +25,6 @@ const ONCE_ONLY: &str = "forall x. G (Sub(x) -> X G !Sub(x))";
 
 fn schema() -> Arc<Schema> {
     Schema::builder().pred("Sub", 1).pred("Fill", 1).build()
-}
-
-fn opts(regrounding: Regrounding) -> CheckOptions {
-    CheckOptions::builder().regrounding(regrounding).build()
 }
 
 /// One randomized streaming session: elements arrive staggered (each
@@ -51,8 +50,8 @@ impl Session {
     fn new() -> Self {
         let sc = schema();
         let phi = parse(&sc, ONCE_ONLY).unwrap();
-        let mut delta = Engine::new(sc.clone(), opts(Regrounding::Delta));
-        let mut full = Engine::new(sc.clone(), opts(Regrounding::Full));
+        let mut delta = Engine::new(sc.clone(), CheckOptions::default());
+        let mut full = Engine::new(sc.clone(), CheckOptions::reference());
         let id_delta = delta.add_constraint("once", phi.clone()).unwrap();
         let id_full = full.add_constraint("once", phi).unwrap();
         Session {
@@ -180,9 +179,9 @@ fn bad_prefix_notion_agrees_between_delta_and_full() {
         let mut rng = Rng::seed_from_u64(0xbad ^ seed);
         let sc = schema();
         let phi = parse(&sc, ONCE_ONLY).unwrap();
-        let mut delta = Engine::new(sc.clone(), opts(Regrounding::Delta));
+        let mut delta = Engine::new(sc.clone(), CheckOptions::default());
         delta.set_notion(Notion::BadPrefix);
-        let mut full = Engine::new(sc.clone(), opts(Regrounding::Full));
+        let mut full = Engine::new(sc.clone(), CheckOptions::reference());
         full.set_notion(Notion::BadPrefix);
         let d = delta.add_constraint("once", phi.clone()).unwrap();
         let f = full.add_constraint("once", phi.clone()).unwrap();

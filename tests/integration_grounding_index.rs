@@ -1,6 +1,6 @@
-//! Grounding-strategy equivalence — `Indexed` vs `Odometer` vs
-//! `Indexed` under `Threads::Fixed(4)` must produce identical check
-//! results on every workload.
+//! Grounding-strategy equivalence — production's indexed grounding,
+//! sequential and under `Threads::Fixed(4)`, must produce identical
+//! check results to the reference's odometer on every workload.
 //!
 //! The indexed strategy enumerates instantiations from the occurrence
 //! index instead of sweeping the `|M|^k` cross product; everything it
@@ -8,158 +8,35 @@
 //! observable outcome — event streams, statuses, earliest-violation
 //! instants — is the same as the blind odometer, and the sharded
 //! indexed path merges in chunk order so it is *bit-identical* to the
-//! sequential indexed path. This suite sweeps randomized staggered
+//! sequential indexed path. The randomized sweep covers staggered
 //! sessions (fresh elements mid-stream, deletions, re-submissions)
-//! over 120 seeds and asserts exactly that, plus a directed sparse
-//! case where the pruning must actually engage (`inst_pruned > 0`).
+//! over 120 seeds; a directed sparse case checks that the pruning
+//! actually engages (`inst_pruned > 0`).
 
-use std::sync::Arc;
-use ticc::core::{earliest_violation, CheckOptions, ConstraintId, Engine, GroundStrategy, Threads};
-use ticc::fotl::parser::parse;
+mod common;
+
+use common::sweep;
+use ticc::core::{CheckOptions, Engine, GroundStrategy, Threads};
 use ticc::fotl::{Formula, Term};
 use ticc::tdb::rng::Rng;
 use ticc::tdb::{Schema, Transaction, Value};
 
-/// k = 1: the paper's once-only constraint.
-const ONCE_ONLY: &str = "forall x. G (Sub(x) -> X G !Sub(x))";
-/// k = 2: once-only per pair — the occurrence index holds actual
-/// pairs only, a vanishing fraction of `|M|^2`, so pruning engages.
-const PAIR_ONCE: &str = "forall x y. G (Rep(x, y) -> X G !Rep(x, y))";
-/// k = 0: outside the indexed gate (no external quantifiers), so this
-/// one also exercises the transparent odometer fallback inline.
-const CAP: &str = "G !Sub(999)";
-
-fn schema() -> Arc<Schema> {
-    Schema::builder().pred("Sub", 1).pred("Rep", 2).build()
-}
-
-fn opts(grounding: GroundStrategy, threads: Threads) -> CheckOptions {
-    CheckOptions::builder()
-        .grounding(grounding)
-        .threads(threads)
-        .build()
-}
-
-/// Random staggered workload: fresh elements arrive mid-stream,
-/// present facts may be deleted, old elements may be re-submitted.
-/// Every engine always sees the identical transaction.
-struct Driver {
-    seen: Vec<Value>,
-    sub_present: Vec<Value>,
-    rep_present: Vec<(Value, Value)>,
-    next_fresh: Value,
-    max_elements: usize,
-}
-
-impl Driver {
-    fn new(max_elements: usize) -> Self {
-        Driver {
-            seen: Vec::new(),
-            sub_present: Vec::new(),
-            rep_present: Vec::new(),
-            next_fresh: 10,
-            max_elements,
-        }
-    }
-
-    fn pick(&mut self, rng: &mut Rng) -> Value {
-        if self.seen.is_empty() || (self.seen.len() < self.max_elements && rng.gen_bool(0.4)) {
-            let v = self.next_fresh;
-            self.next_fresh += 1;
-            self.seen.push(v);
-            v
-        } else {
-            self.seen[rng.gen_range_usize(0..self.seen.len())]
-        }
-    }
-
-    fn step(&mut self, sc: &Schema, rng: &mut Rng) -> Transaction {
-        let sub = sc.pred("Sub").unwrap();
-        let rep = sc.pred("Rep").unwrap();
-        let mut tx = Transaction::new();
-        self.sub_present.retain(|&v| {
-            if rng.gen_bool(0.4) {
-                tx = std::mem::take(&mut tx).delete(sub, vec![v]);
-                false
-            } else {
-                true
-            }
-        });
-        self.rep_present.retain(|&(a, b)| {
-            if rng.gen_bool(0.4) {
-                tx = std::mem::take(&mut tx).delete(rep, vec![a, b]);
-                false
-            } else {
-                true
-            }
-        });
-        for _ in 0..rng.gen_range_usize(0..3) {
-            let v = self.pick(rng);
-            tx = std::mem::take(&mut tx).insert(sub, vec![v]);
-            if !self.sub_present.contains(&v) {
-                self.sub_present.push(v);
-            }
-        }
-        for _ in 0..rng.gen_range_usize(0..2) {
-            let a = self.pick(rng);
-            let b = self.pick(rng);
-            tx = std::mem::take(&mut tx).insert(rep, vec![a, b]);
-            if !self.rep_present.contains(&(a, b)) {
-                self.rep_present.push((a, b));
-            }
-        }
-        tx
-    }
-}
-
 #[test]
 fn indexed_odometer_and_sharded_agree_on_randomized_sessions() {
-    let sc = schema();
+    let configs = [
+        CheckOptions::default(),
+        CheckOptions::reference(),
+        CheckOptions::builder().threads(Threads::Fixed(4)).build(),
+    ];
     let mut pruning_runs = 0usize;
-    let mut violating_runs = 0usize;
-    for seed in 0..120u64 {
-        let mut rng = Rng::seed_from_u64(0xe15a ^ seed);
-        let phis = [
-            parse(&sc, ONCE_ONLY).unwrap(),
-            parse(&sc, PAIR_ONCE).unwrap(),
-            parse(&sc, CAP).unwrap(),
-        ];
-        let mut idx = Engine::new(sc.clone(), opts(GroundStrategy::Indexed, Threads::Off));
-        let mut odo = Engine::new(sc.clone(), opts(GroundStrategy::Odometer, Threads::Off));
-        let mut par = Engine::new(sc.clone(), opts(GroundStrategy::Indexed, Threads::Fixed(4)));
-        let mut ids: Vec<ConstraintId> = Vec::new();
-        for (i, phi) in phis.iter().enumerate() {
-            let a = idx.add_constraint(format!("c{i}"), phi.clone()).unwrap();
-            let b = odo.add_constraint(format!("c{i}"), phi.clone()).unwrap();
-            let c = par.add_constraint(format!("c{i}"), phi.clone()).unwrap();
-            assert_eq!(a, b, "constraint ids must assign identically");
-            assert_eq!(a, c, "constraint ids must assign identically");
-            ids.push(a);
-        }
-
-        let mut drv = Driver::new(8);
-        let mut events = 0usize;
-        for _ in 0..rng.gen_range_usize(4..9) {
-            let tx = drv.step(&sc, &mut rng);
-            let ev_idx = idx.append(&tx).unwrap();
-            let ev_odo = odo.append(&tx).unwrap();
-            let ev_par = par.append(&tx).unwrap();
-            assert_eq!(ev_idx, ev_odo, "seed {seed}: indexed vs odometer diverge");
-            assert_eq!(ev_idx, ev_par, "seed {seed}: sequential vs sharded diverge");
-            events += ev_idx.len();
-            for id in &ids {
-                assert_eq!(idx.status(*id), odo.status(*id), "seed {seed}: status");
-                assert_eq!(idx.status(*id), par.status(*id), "seed {seed}: status");
-            }
-        }
-        if events > 0 {
-            violating_runs += 1;
-        }
-
+    let violating_runs = sweep(0xe15a, &configs, 8, 0.4, 4..9, |seed, engines, ids| {
+        let [idx, odo, par] = engines else {
+            unreachable!()
+        };
         // The strategies must agree on everything semantic: same |M|,
         // same instantiation-space size. The indexed/sharded pair must
         // be bit-identical down to the enumeration counters.
-        for id in &ids {
+        for id in ids {
             let gi = idx.context(*id).grounding().stats;
             let go = odo.context(*id).grounding().stats;
             assert_eq!(gi.m_size, go.m_size, "seed {seed}: |M| diverges");
@@ -175,13 +52,7 @@ fn indexed_odometer_and_sharded_agree_on_randomized_sessions() {
             );
         }
 
-        // Semantic engine counters agree across strategies. (Not
-        // `sat_checks`: an occurrence activation changes the indexed
-        // residue mid-stream, so the two engines' transition caches hit
-        // on different appends and skip different phase-2 checks.)
-        let si = idx.stats();
-        let so = odo.stats();
-        let sp = par.stats();
+        let (si, so, sp) = (idx.stats(), odo.stats(), par.stats());
         assert_eq!(si.appends, so.appends, "seed {seed}");
         assert_eq!(si.grounds, so.grounds, "seed {seed}");
         assert_eq!(so.inst_pruned, 0, "seed {seed}: odometer must not prune");
@@ -191,35 +62,10 @@ fn indexed_odometer_and_sharded_agree_on_randomized_sessions() {
         assert_eq!(si.fast_appends, sp.fast_appends, "seed {seed}");
         assert_eq!(si.delta_grounds, sp.delta_grounds, "seed {seed}");
         assert_eq!(si.inst_pruned, sp.inst_pruned, "seed {seed}");
-
-        // Earliest-violation instants agree under all three configs.
-        for phi in &phis {
-            let a = earliest_violation(
-                idx.history(),
-                phi,
-                &opts(GroundStrategy::Indexed, Threads::Off),
-            )
-            .unwrap();
-            let b = earliest_violation(
-                odo.history(),
-                phi,
-                &opts(GroundStrategy::Odometer, Threads::Off),
-            )
-            .unwrap();
-            let c = earliest_violation(
-                par.history(),
-                phi,
-                &opts(GroundStrategy::Indexed, Threads::Fixed(4)),
-            )
-            .unwrap();
-            assert_eq!(a, b, "seed {seed}: earliest violation diverges");
-            assert_eq!(a, c, "seed {seed}: earliest violation diverges");
-        }
-
         if si.inst_pruned > 0 {
             pruning_runs += 1;
         }
-    }
+    });
     // The sweep must actually exercise the index and produce real
     // violations, or the equalities above are vacuous.
     assert!(pruning_runs >= 100, "only {pruning_runs}/120 runs pruned");
@@ -242,9 +88,12 @@ fn sparse_chain_prunes_and_matches_the_odometer() {
     let phi = Formula::forall_many((1..=3).map(|i| format!("x{i}")), body.not().always());
 
     let mut rng = Rng::seed_from_u64(0xe15b);
-    let mut idx = Engine::new(sc.clone(), opts(GroundStrategy::Indexed, Threads::Off));
-    let mut odo = Engine::new(sc.clone(), opts(GroundStrategy::Odometer, Threads::Off));
-    let mut par = Engine::new(sc.clone(), opts(GroundStrategy::Indexed, Threads::Fixed(4)));
+    let mut idx = Engine::new(sc.clone(), CheckOptions::default());
+    let mut odo = Engine::new(sc.clone(), CheckOptions::reference());
+    let mut par = Engine::new(
+        sc.clone(),
+        CheckOptions::builder().threads(Threads::Fixed(4)).build(),
+    );
     let id = idx.add_constraint("chain", phi.clone()).unwrap();
     odo.add_constraint("chain", phi.clone()).unwrap();
     par.add_constraint("chain", phi).unwrap();

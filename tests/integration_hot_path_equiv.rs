@@ -1,231 +1,83 @@
 //! Append hot path equivalence — incremental letter encoding plus the
 //! safety-automaton transition cache must be observationally
-//! *identical* to the rebuild-everything ablation, not merely
-//! equivalent.
+//! *identical* to the reference's full re-encode and re-progression,
+//! not merely equivalent.
 //!
-//! The hot configuration (the default: [`Encoding::Incremental`] with
-//! the transition cache on) patches the previous propositional state
-//! in place from the transaction and skips progression (and usually
-//! phase 2) whenever a `(residue, support-fingerprint)` pair recurs.
-//! Both are pure shortcuts: the patched state must equal a full
-//! re-encode, and a cached transition must land on the same residue
-//! and verdict the progression pipeline would compute. This suite
-//! sweeps 120 randomized staggered sessions (fresh elements arriving
-//! mid-stream — so delta re-grounding interleaves with the hot path —
-//! plus deletions and re-submissions) through three engines fed
-//! identical transactions:
+//! Production patches the previous propositional state in place from
+//! the transaction and skips progression (and usually phase 2)
+//! whenever a `(residue, support-fingerprint)` pair recurs. Both are
+//! pure shortcuts: the patched state must equal a full re-encode, and
+//! a cached transition must land on the same residue and verdict the
+//! progression pipeline would compute. A one-state
+//! `automaton_state_budget` compiles no template, so every context
+//! takes this symbolic hot path instead of a compiled automaton. This
+//! suite sweeps 120 randomized staggered sessions (fresh elements
+//! arriving mid-stream — so delta re-grounding interleaves with the
+//! hot path — plus deletions and re-submissions) through three engines
+//! fed identical transactions:
 //!
-//! - **hot** — `Encoding::Incremental`, transition cache on (default),
-//! - **cold** — `Encoding::Rebuild`, transition cache off (ablation),
+//! - **hot** — production at a one-state automaton budget,
+//! - **reference** — `CheckOptions::reference()`,
 //! - **hot ∥ 4** — the hot configuration under `Threads::Fixed(4)`,
 //!
 //! and asserts bit-identical event streams, per-append statuses,
-//! instantiation-level [`GroundStats`], earliest-violation instants,
-//! and trigger firings — plus non-vacuity: the sweep must actually
-//! take transition hits, patch letters incrementally, and delta
-//! re-ground.
+//! earliest-violation instants, and trigger firings — plus
+//! non-vacuity: the sweep must actually take transition hits, patch
+//! letters incrementally, and delta re-ground.
 
-use std::sync::Arc;
-use ticc::core::{
-    earliest_violation, Action, CheckOptions, ConstraintId, Encoding, Engine, Threads, Trigger,
-    TriggerEngine,
-};
-use ticc::fotl::parser::parse;
-use ticc::tdb::rng::Rng;
-use ticc::tdb::{History, Schema, Transaction, Value};
+mod common;
 
-/// k = 1: the paper's once-only constraint.
-const ONCE_ONLY: &str = "forall x. G (Sub(x) -> X G !Sub(x))";
-/// k = 2: once-only per pair (instantiation space `|M|^2`).
-const PAIR_ONCE: &str = "forall x y. G (Rep(x, y) -> X G !Rep(x, y))";
-/// k = 0: never violated here (elements stay far below 999), so at
-/// least one constraint stays live all session — its residue is
-/// eventually stable, which is exactly the steady state the
-/// transition cache exists for.
-const CAP: &str = "G !Sub(999)";
+use common::{sweep, triggers_agree_with_reference};
+use ticc::core::{CheckOptions, Threads};
 
-fn schema() -> Arc<Schema> {
-    Schema::builder().pred("Sub", 1).pred("Rep", 2).build()
-}
-
-// Template automata are off on both sides: this suite pins down the
-// symbolic hot path (transition cache + incremental encoding), whose
-// non-vacuity assertions — `total_hits > 0` — would be starved by the
-// compiled path. The compiled-vs-symbolic equivalence has its own
-// 120-seed suite in `integration_template_automata.rs`.
-fn hot_opts(threads: Threads) -> CheckOptions {
+fn hot(threads: Threads) -> CheckOptions {
     CheckOptions::builder()
         .threads(threads)
-        .template_automata(false)
+        .automaton_state_budget(1)
         .build()
-}
-
-fn cold_opts() -> CheckOptions {
-    CheckOptions::builder()
-        .encoding(Encoding::Rebuild)
-        .transition_cache(false)
-        .template_automata(false)
-        .build()
-}
-
-/// Random staggered workload: fresh elements arrive mid-stream,
-/// present facts may be deleted, old elements may be re-submitted.
-/// Every engine always sees the identical transaction.
-struct Driver {
-    seen: Vec<Value>,
-    sub_present: Vec<Value>,
-    rep_present: Vec<(Value, Value)>,
-    next_fresh: Value,
-    max_elements: usize,
-}
-
-impl Driver {
-    fn new(max_elements: usize) -> Self {
-        Driver {
-            seen: Vec::new(),
-            sub_present: Vec::new(),
-            rep_present: Vec::new(),
-            next_fresh: 10,
-            max_elements,
-        }
-    }
-
-    fn pick(&mut self, rng: &mut Rng) -> Value {
-        if self.seen.is_empty() || (self.seen.len() < self.max_elements && rng.gen_bool(0.3)) {
-            let v = self.next_fresh;
-            self.next_fresh += 1;
-            self.seen.push(v);
-            v
-        } else {
-            self.seen[rng.gen_range_usize(0..self.seen.len())]
-        }
-    }
-
-    fn step(&mut self, sc: &Schema, rng: &mut Rng) -> Transaction {
-        let sub = sc.pred("Sub").unwrap();
-        let rep = sc.pred("Rep").unwrap();
-        let mut tx = Transaction::new();
-        self.sub_present.retain(|&v| {
-            if rng.gen_bool(0.4) {
-                tx = std::mem::take(&mut tx).delete(sub, vec![v]);
-                false
-            } else {
-                true
-            }
-        });
-        self.rep_present.retain(|&(a, b)| {
-            if rng.gen_bool(0.4) {
-                tx = std::mem::take(&mut tx).delete(rep, vec![a, b]);
-                false
-            } else {
-                true
-            }
-        });
-        for _ in 0..rng.gen_range_usize(0..3) {
-            let v = self.pick(rng);
-            tx = std::mem::take(&mut tx).insert(sub, vec![v]);
-            if !self.sub_present.contains(&v) {
-                self.sub_present.push(v);
-            }
-        }
-        for _ in 0..rng.gen_range_usize(0..2) {
-            let a = self.pick(rng);
-            let b = self.pick(rng);
-            tx = std::mem::take(&mut tx).insert(rep, vec![a, b]);
-            if !self.rep_present.contains(&(a, b)) {
-                self.rep_present.push((a, b));
-            }
-        }
-        tx
-    }
 }
 
 #[test]
 fn hot_and_rebuild_agree_on_randomized_sessions() {
-    let sc = schema();
+    let configs = [
+        hot(Threads::Off),
+        CheckOptions::reference(),
+        hot(Threads::Fixed(4)),
+    ];
     let mut total_hits = 0u64;
     let mut total_patched = 0u64;
     let mut total_delta = 0u64;
-    let mut violating_runs = 0usize;
-    for seed in 0..120u64 {
-        let mut rng = Rng::seed_from_u64(0x5d07 ^ seed);
-        let phis = [
-            parse(&sc, ONCE_ONLY).unwrap(),
-            parse(&sc, PAIR_ONCE).unwrap(),
-            parse(&sc, CAP).unwrap(),
-        ];
-        let mut hot = Engine::new(sc.clone(), hot_opts(Threads::Off));
-        let mut cold = Engine::new(sc.clone(), cold_opts());
-        let mut par = Engine::new(sc.clone(), hot_opts(Threads::Fixed(4)));
-        let mut ids: Vec<ConstraintId> = Vec::new();
-        for (i, phi) in phis.iter().enumerate() {
-            let a = hot.add_constraint(format!("c{i}"), phi.clone()).unwrap();
-            let b = cold.add_constraint(format!("c{i}"), phi.clone()).unwrap();
-            let c = par.add_constraint(format!("c{i}"), phi.clone()).unwrap();
-            assert_eq!(a, b);
-            assert_eq!(a, c);
-            ids.push(a);
+    let violating_runs = sweep(0x5d07, &configs, 6, 0.3, 6..14, |seed, engines, ids| {
+        let [hot, reference, par] = engines else {
+            unreachable!()
+        };
+        // Incremental letter patching interns exactly the letters a
+        // rebuild would: the pooled engine grounds bit-identically, and
+        // the reference's odometer covers the same `|M|` and `|M|^k`.
+        for id in ids {
+            let gh = hot.context(*id).grounding().stats;
+            assert_eq!(gh, par.context(*id).grounding().stats, "seed {seed}");
+            let gr = reference.context(*id).grounding().stats;
+            assert_eq!(gh.m_size, gr.m_size, "seed {seed}: |M| for {id:?}");
+            assert_eq!(gh.mappings, gr.mappings, "seed {seed}: |M|^k for {id:?}");
         }
 
-        let mut drv = Driver::new(6);
-        let mut events = 0usize;
-        for step in 0..rng.gen_range_usize(6..14) {
-            let tx = drv.step(&sc, &mut rng);
-            let ev_hot = hot.append(&tx).unwrap();
-            let ev_cold = cold.append(&tx).unwrap();
-            let ev_par = par.append(&tx).unwrap();
-            assert_eq!(
-                ev_hot, ev_cold,
-                "seed {seed} step {step}: hot vs rebuild events diverge"
-            );
-            assert_eq!(
-                ev_hot, ev_par,
-                "seed {seed} step {step}: hot vs hot∥4 events diverge"
-            );
-            events += ev_hot.len();
-            for id in &ids {
-                assert_eq!(
-                    hot.status(*id),
-                    cold.status(*id),
-                    "seed {seed} step {step}: status diverges"
-                );
-                assert_eq!(hot.status(*id), par.status(*id), "seed {seed} step {step}");
-            }
-        }
-        if events > 0 {
-            violating_runs += 1;
-        }
-
-        // The groundings must come out bit-identical: incremental
-        // letter patching interns exactly the letters a rebuild would.
-        for id in &ids {
-            assert_eq!(
-                hot.context(*id).grounding().stats,
-                cold.context(*id).grounding().stats,
-                "seed {seed}: GroundStats diverge for {id:?}"
-            );
-            assert_eq!(
-                hot.context(*id).grounding().stats,
-                par.context(*id).grounding().stats,
-                "seed {seed}: GroundStats diverge (parallel) for {id:?}"
-            );
-        }
-
-        // Semantic counters agree wherever the configurations share
-        // work; the caches only ever *remove* work from the hot side.
-        let sh = hot.stats();
-        let sc2 = cold.stats();
-        let sp = par.stats();
-        assert_eq!(sh.appends, sc2.appends, "seed {seed}");
-        assert_eq!(sh.grounds, sc2.grounds, "seed {seed}");
-        assert_eq!(sh.delta_grounds, sc2.delta_grounds, "seed {seed}");
-        assert_eq!(sh.fast_appends, sc2.fast_appends, "seed {seed}");
-        assert_eq!(sh.letters, sc2.letters, "seed {seed}");
-        assert_eq!(sh.mappings, sc2.mappings, "seed {seed}");
-        assert!(sh.sat_checks <= sc2.sat_checks, "seed {seed}");
-        assert_eq!(sc2.encode_patched_atoms, 0, "seed {seed}: rebuild patches");
+        // The caches only ever *remove* work from the hot side.
+        let (sh, sr, sp) = (hot.stats(), reference.stats(), par.stats());
+        assert_eq!(sh.appends, sr.appends, "seed {seed}");
+        assert_eq!(sh.grounds, sr.grounds, "seed {seed}");
+        assert!(sh.sat_checks <= sr.sat_checks, "seed {seed}");
+        assert_eq!(sr.encode_patched_atoms, 0, "seed {seed}: reference patches");
+        assert_eq!(
+            sr.cache.transition_hits + sr.cache.transition_misses,
+            0,
+            "seed {seed}: reference consults the cache"
+        );
+        // No template fits a one-state budget.
+        assert_eq!(sh.templates_compiled, 0, "seed {seed}");
+        assert_eq!(sh.automaton_steps, 0, "seed {seed}");
         // Worker-local caches: the parallel hot engine behaves exactly
-        // like the sequential hot engine, hit for hit.
+        // like the sequential one, hit for hit.
         assert_eq!(
             sh.cache.transition_hits, sp.cache.transition_hits,
             "seed {seed}"
@@ -238,14 +90,7 @@ fn hot_and_rebuild_agree_on_randomized_sessions() {
         total_hits += sh.cache.transition_hits;
         total_patched += sh.encode_patched_atoms;
         total_delta += sh.delta_grounds;
-
-        // Earliest-violation instants agree under both configurations.
-        for phi in &phis {
-            let a = earliest_violation(hot.history(), phi, &hot_opts(Threads::Off)).unwrap();
-            let b = earliest_violation(cold.history(), phi, &cold_opts()).unwrap();
-            assert_eq!(a, b, "seed {seed}: earliest violation diverges");
-        }
-    }
+    });
     // Non-vacuity: the sweep must exercise every shortcut it claims to
     // verify, and produce real violations.
     assert!(total_hits > 0, "no transition cache hits across the sweep");
@@ -259,43 +104,5 @@ fn hot_and_rebuild_agree_on_randomized_sessions() {
 
 #[test]
 fn trigger_engine_agrees_hot_vs_rebuild() {
-    let sc = schema();
-    for seed in 0..25u64 {
-        let mut rng = Rng::seed_from_u64(0x30c1 ^ seed);
-        let mut hot = TriggerEngine::new(hot_opts(Threads::Off));
-        let mut cold = TriggerEngine::new(cold_opts());
-        for (i, cond) in ["F (Sub(x) & X F Sub(x))", "F Rep(x, y)"]
-            .iter()
-            .enumerate()
-        {
-            let c = parse(&sc, cond).unwrap();
-            hot.add(Trigger {
-                name: format!("t{i}"),
-                condition: c.clone(),
-                action: Action::Log,
-            })
-            .unwrap();
-            cold.add(Trigger {
-                name: format!("t{i}"),
-                condition: c,
-                action: Action::Log,
-            })
-            .unwrap();
-        }
-
-        let mut h = History::new(sc.clone());
-        let mut drv = Driver::new(5);
-        for _ in 0..4 {
-            let tx = drv.step(&sc, &mut rng);
-            h.apply(&tx).unwrap();
-            let f_hot = hot.evaluate(&h).unwrap();
-            let f_cold = cold.evaluate(&h).unwrap();
-            assert_eq!(f_hot, f_cold, "seed {seed}: fired lists diverge");
-        }
-
-        let sh = hot.stats();
-        let sc2 = cold.stats();
-        assert_eq!(sh.grounds, sc2.grounds, "seed {seed}");
-        assert_eq!(sh.sat_checks, sc2.sat_checks, "seed {seed}");
-    }
+    triggers_agree_with_reference(0x30c1, hot(Threads::Off));
 }

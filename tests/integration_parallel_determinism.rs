@@ -15,101 +15,18 @@
 //! the earliest-violation instants, plus the trigger engine's fired
 //! lists under the same two policies.
 
-use std::sync::Arc;
+mod common;
+
+use common::{schema, Driver, CAP, ONCE_ONLY, PAIR_ONCE};
 use ticc::core::{
     earliest_violation, Action, CheckOptions, ConstraintId, Engine, Threads, Trigger, TriggerEngine,
 };
 use ticc::fotl::parser::parse;
 use ticc::tdb::rng::Rng;
-use ticc::tdb::{History, Schema, Transaction, Value};
-
-/// k = 1: the paper's once-only constraint.
-const ONCE_ONLY: &str = "forall x. G (Sub(x) -> X G !Sub(x))";
-/// k = 2: once-only per pair, so the instantiation space is `|M|^2`
-/// and the sharded grounding path engages as soon as `|R_D| ≥ 1`.
-const PAIR_ONCE: &str = "forall x y. G (Rep(x, y) -> X G !Rep(x, y))";
-/// k = 0: never violated here (elements stay far below 999), which
-/// keeps at least two constraints live so appends keep fanning out.
-const CAP: &str = "G !Sub(999)";
-
-fn schema() -> Arc<Schema> {
-    Schema::builder().pred("Sub", 1).pred("Rep", 2).build()
-}
+use ticc::tdb::{History, Transaction};
 
 fn opts(threads: Threads) -> CheckOptions {
     CheckOptions::builder().threads(threads).build()
-}
-
-/// Random staggered workload: fresh elements arrive mid-stream,
-/// present facts may be deleted, old elements may be re-submitted.
-/// Both engines always see the identical transaction.
-struct Driver {
-    seen: Vec<Value>,
-    sub_present: Vec<Value>,
-    rep_present: Vec<(Value, Value)>,
-    next_fresh: Value,
-    max_elements: usize,
-}
-
-impl Driver {
-    fn new(max_elements: usize) -> Self {
-        Driver {
-            seen: Vec::new(),
-            sub_present: Vec::new(),
-            rep_present: Vec::new(),
-            next_fresh: 10,
-            max_elements,
-        }
-    }
-
-    fn pick(&mut self, rng: &mut Rng) -> Value {
-        if self.seen.is_empty() || (self.seen.len() < self.max_elements && rng.gen_bool(0.4)) {
-            let v = self.next_fresh;
-            self.next_fresh += 1;
-            self.seen.push(v);
-            v
-        } else {
-            self.seen[rng.gen_range_usize(0..self.seen.len())]
-        }
-    }
-
-    fn step(&mut self, sc: &Schema, rng: &mut Rng) -> Transaction {
-        let sub = sc.pred("Sub").unwrap();
-        let rep = sc.pred("Rep").unwrap();
-        let mut tx = Transaction::new();
-        self.sub_present.retain(|&v| {
-            if rng.gen_bool(0.4) {
-                tx = std::mem::take(&mut tx).delete(sub, vec![v]);
-                false
-            } else {
-                true
-            }
-        });
-        self.rep_present.retain(|&(a, b)| {
-            if rng.gen_bool(0.4) {
-                tx = std::mem::take(&mut tx).delete(rep, vec![a, b]);
-                false
-            } else {
-                true
-            }
-        });
-        for _ in 0..rng.gen_range_usize(0..3) {
-            let v = self.pick(rng);
-            tx = std::mem::take(&mut tx).insert(sub, vec![v]);
-            if !self.sub_present.contains(&v) {
-                self.sub_present.push(v);
-            }
-        }
-        for _ in 0..rng.gen_range_usize(0..2) {
-            let a = self.pick(rng);
-            let b = self.pick(rng);
-            tx = std::mem::take(&mut tx).insert(rep, vec![a, b]);
-            if !self.rep_present.contains(&(a, b)) {
-                self.rep_present.push((a, b));
-            }
-        }
-        tx
-    }
 }
 
 #[test]
@@ -135,7 +52,7 @@ fn off_and_fixed4_agree_on_randomized_sessions() {
             ids.push(a);
         }
 
-        let mut drv = Driver::new(8);
+        let mut drv = Driver::new(8, 0.4);
         let mut events = 0usize;
         for _ in 0..rng.gen_range_usize(4..9) {
             let tx = drv.step(&sc, &mut rng);
@@ -240,7 +157,7 @@ fn append_batch_agrees_with_serial_appends_off_vs_fixed4() {
         }
 
         // One transaction stream, three consumers.
-        let mut drv = Driver::new(8);
+        let mut drv = Driver::new(8, 0.4);
         let total = rng.gen_range_usize(5..12);
         let txs: Vec<Transaction> = (0..total).map(|_| drv.step(&sc, &mut rng)).collect();
 
@@ -339,7 +256,7 @@ fn trigger_engine_agrees_off_vs_fixed4() {
         }
 
         let mut h = History::new(sc.clone());
-        let mut drv = Driver::new(5);
+        let mut drv = Driver::new(5, 0.4);
         let mut fired_total = 0usize;
         for _ in 0..4 {
             let tx = drv.step(&sc, &mut rng);

@@ -1,220 +1,73 @@
 //! Compiled template automata — u32-state stepping through shared
-//! explicit machines must be observationally *identical* to symbolic
-//! progression, not merely equivalent.
+//! explicit machines must be observationally *identical* to the
+//! reference's symbolic progression, not merely equivalent.
 //!
-//! The compiled configuration (the default) subset-constructs each
-//! residue's progression graph over support-restricted valuations at
-//! build time, hash-conses isomorphic residues onto one template
-//! machine, and thereafter advances every instantiation by a dense
-//! table lookup with the phase-2 verdict precomputed per state. Both
-//! halves are pure shortcuts: the automaton state must denote exactly
-//! the residue progression would compute, and the per-state verdict
-//! must equal what phase 2 would decide. This suite sweeps 120
-//! randomized staggered sessions (fresh elements arriving mid-stream —
-//! so delta re-grounding binds new units into live compiled sets —
-//! plus deletions and re-submissions) through three engines fed
-//! identical transactions:
+//! Production subset-constructs each residue's progression graph over
+//! support-restricted valuations at build time, hash-conses isomorphic
+//! residues onto one template machine, and thereafter advances every
+//! instantiation by a dense table lookup with the phase-2 verdict
+//! precomputed per state. Both halves are pure shortcuts: the
+//! automaton state must denote exactly the residue progression would
+//! compute, and the per-state verdict must equal what phase 2 would
+//! decide. The randomized sweep feeds 120 staggered sessions (fresh
+//! elements arriving mid-stream — so delta re-grounding binds new
+//! units into live compiled sets — plus deletions and re-submissions)
+//! to three engines:
 //!
-//! - **compiled** — template automata on (the default),
-//! - **symbolic** — `template_automata(false)` (the ablation),
-//! - **compiled ∥ 4** — the compiled configuration under
-//!   `Threads::Fixed(4)`,
+//! - **compiled** — production (the default options),
+//! - **reference** — `CheckOptions::reference()`,
+//! - **compiled ∥ 4** — production under `Threads::Fixed(4)`,
 //!
 //! and asserts bit-identical event streams, per-append statuses,
-//! instantiation-level [`GroundStats`], earliest-violation instants,
-//! and trigger firings — plus non-vacuity: the sweep must actually
-//! take automaton appends and produce real violations. Directed cases
-//! pin down template sharing (`templates_compiled < instantiations`),
-//! the state-budget fallback, decompilation when a delta block's
-//! support overlaps a bound unit, and snapshot round-trip lockstep.
+//! earliest-violation instants, and trigger firings — plus
+//! non-vacuity: the sweep must actually take automaton appends and
+//! produce real violations. Directed cases pin down template sharing
+//! (`templates_compiled < instantiations`), the state-budget fallback,
+//! decompilation when a delta block's support overlaps a bound unit,
+//! and snapshot round-trip lockstep.
 
-use std::sync::Arc;
-use ticc::core::{
-    earliest_violation, Action, CheckOptions, ConstraintId, Engine, Threads, Trigger, TriggerEngine,
-};
+mod common;
+
+use common::{schema, sweep, triggers_agree_with_reference, Driver, CAP, ONCE_ONLY, PAIR_ONCE};
+use ticc::core::{CheckOptions, Engine, Threads};
 use ticc::fotl::parser::parse;
 use ticc::tdb::rng::Rng;
-use ticc::tdb::{History, Schema, Transaction, Value};
+use ticc::tdb::Transaction;
 
-/// k = 1: the paper's once-only constraint.
-const ONCE_ONLY: &str = "forall x. G (Sub(x) -> X G !Sub(x))";
-/// k = 2: once-only per pair (instantiation space `|M|^2`).
-const PAIR_ONCE: &str = "forall x y. G (Rep(x, y) -> X G !Rep(x, y))";
-/// k = 0: never violated here (elements stay far below 999), so at
-/// least one constraint stays live all session — its single-unit
-/// automaton goes dormant, which is exactly the steady state the
-/// active-set bookkeeping exists for.
-const CAP: &str = "G !Sub(999)";
-
-fn schema() -> Arc<Schema> {
-    Schema::builder().pred("Sub", 1).pred("Rep", 2).build()
-}
-
-fn compiled_opts(threads: Threads) -> CheckOptions {
+fn compiled(threads: Threads) -> CheckOptions {
     CheckOptions::builder().threads(threads).build()
-}
-
-fn symbolic_opts() -> CheckOptions {
-    CheckOptions::builder().template_automata(false).build()
-}
-
-/// Random staggered workload: fresh elements arrive mid-stream,
-/// present facts may be deleted, old elements may be re-submitted.
-/// Every engine always sees the identical transaction.
-struct Driver {
-    seen: Vec<Value>,
-    sub_present: Vec<Value>,
-    rep_present: Vec<(Value, Value)>,
-    next_fresh: Value,
-    max_elements: usize,
-}
-
-impl Driver {
-    fn new(max_elements: usize) -> Self {
-        Driver {
-            seen: Vec::new(),
-            sub_present: Vec::new(),
-            rep_present: Vec::new(),
-            next_fresh: 10,
-            max_elements,
-        }
-    }
-
-    fn pick(&mut self, rng: &mut Rng) -> Value {
-        if self.seen.is_empty() || (self.seen.len() < self.max_elements && rng.gen_bool(0.3)) {
-            let v = self.next_fresh;
-            self.next_fresh += 1;
-            self.seen.push(v);
-            v
-        } else {
-            self.seen[rng.gen_range_usize(0..self.seen.len())]
-        }
-    }
-
-    fn step(&mut self, sc: &Schema, rng: &mut Rng) -> Transaction {
-        let sub = sc.pred("Sub").unwrap();
-        let rep = sc.pred("Rep").unwrap();
-        let mut tx = Transaction::new();
-        self.sub_present.retain(|&v| {
-            if rng.gen_bool(0.4) {
-                tx = std::mem::take(&mut tx).delete(sub, vec![v]);
-                false
-            } else {
-                true
-            }
-        });
-        self.rep_present.retain(|&(a, b)| {
-            if rng.gen_bool(0.4) {
-                tx = std::mem::take(&mut tx).delete(rep, vec![a, b]);
-                false
-            } else {
-                true
-            }
-        });
-        for _ in 0..rng.gen_range_usize(0..3) {
-            let v = self.pick(rng);
-            tx = std::mem::take(&mut tx).insert(sub, vec![v]);
-            if !self.sub_present.contains(&v) {
-                self.sub_present.push(v);
-            }
-        }
-        for _ in 0..rng.gen_range_usize(0..2) {
-            let a = self.pick(rng);
-            let b = self.pick(rng);
-            tx = std::mem::take(&mut tx).insert(rep, vec![a, b]);
-            if !self.rep_present.contains(&(a, b)) {
-                self.rep_present.push((a, b));
-            }
-        }
-        tx
-    }
 }
 
 #[test]
 fn compiled_and_symbolic_agree_on_randomized_sessions() {
-    let sc = schema();
+    let configs = [
+        compiled(Threads::Off),
+        CheckOptions::reference(),
+        compiled(Threads::Fixed(4)),
+    ];
     let mut total_auto_appends = 0u64;
     let mut total_auto_steps = 0u64;
-    let mut violating_runs = 0usize;
-    for seed in 0..120u64 {
-        let mut rng = Rng::seed_from_u64(0xe16a ^ seed);
-        let phis = [
-            parse(&sc, ONCE_ONLY).unwrap(),
-            parse(&sc, PAIR_ONCE).unwrap(),
-            parse(&sc, CAP).unwrap(),
-        ];
-        let mut auto = Engine::new(sc.clone(), compiled_opts(Threads::Off));
-        let mut sym = Engine::new(sc.clone(), symbolic_opts());
-        let mut par = Engine::new(sc.clone(), compiled_opts(Threads::Fixed(4)));
-        let mut ids: Vec<ConstraintId> = Vec::new();
-        for (i, phi) in phis.iter().enumerate() {
-            let a = auto.add_constraint(format!("c{i}"), phi.clone()).unwrap();
-            let b = sym.add_constraint(format!("c{i}"), phi.clone()).unwrap();
-            let c = par.add_constraint(format!("c{i}"), phi.clone()).unwrap();
-            assert_eq!(a, b);
-            assert_eq!(a, c);
-            ids.push(a);
+    let violating_runs = sweep(0xe16a, &configs, 6, 0.3, 6..14, |seed, engines, ids| {
+        let [auto, reference, par] = engines else {
+            unreachable!()
+        };
+        // Compiling the residue never changes which letters and
+        // instantiations the grounding interns.
+        for id in ids {
+            let ga = auto.context(*id).grounding().stats;
+            assert_eq!(ga, par.context(*id).grounding().stats, "seed {seed}");
+            let gr = reference.context(*id).grounding().stats;
+            assert_eq!(ga.m_size, gr.m_size, "seed {seed}: |M| for {id:?}");
+            assert_eq!(ga.mappings, gr.mappings, "seed {seed}: |M|^k for {id:?}");
         }
 
-        let mut drv = Driver::new(6);
-        let mut events = 0usize;
-        for step in 0..rng.gen_range_usize(6..14) {
-            let tx = drv.step(&sc, &mut rng);
-            let ev_auto = auto.append(&tx).unwrap();
-            let ev_sym = sym.append(&tx).unwrap();
-            let ev_par = par.append(&tx).unwrap();
-            assert_eq!(
-                ev_auto, ev_sym,
-                "seed {seed} step {step}: compiled vs symbolic events diverge"
-            );
-            assert_eq!(
-                ev_auto, ev_par,
-                "seed {seed} step {step}: compiled vs compiled∥4 events diverge"
-            );
-            events += ev_auto.len();
-            for id in &ids {
-                assert_eq!(
-                    auto.status(*id),
-                    sym.status(*id),
-                    "seed {seed} step {step}: status diverges"
-                );
-                assert_eq!(auto.status(*id), par.status(*id), "seed {seed} step {step}");
-            }
-        }
-        if events > 0 {
-            violating_runs += 1;
-        }
-
-        // The groundings must come out bit-identical: compiling the
-        // residue never changes which letters and instantiations the
-        // grounding interns.
-        for id in &ids {
-            assert_eq!(
-                auto.context(*id).grounding().stats,
-                sym.context(*id).grounding().stats,
-                "seed {seed}: GroundStats diverge for {id:?}"
-            );
-            assert_eq!(
-                auto.context(*id).grounding().stats,
-                par.context(*id).grounding().stats,
-                "seed {seed}: GroundStats diverge (parallel) for {id:?}"
-            );
-        }
-
-        // Semantic counters agree wherever the configurations share
-        // work; the automaton only ever *removes* work (progression,
-        // phase 2) from the compiled side.
-        let sa = auto.stats();
-        let ss = sym.stats();
-        let sp = par.stats();
-        assert_eq!(sa.appends, ss.appends, "seed {seed}");
-        assert_eq!(sa.grounds, ss.grounds, "seed {seed}");
-        assert_eq!(sa.delta_grounds, ss.delta_grounds, "seed {seed}");
-        assert_eq!(sa.fast_appends, ss.fast_appends, "seed {seed}");
-        assert_eq!(sa.letters, ss.letters, "seed {seed}");
-        assert_eq!(sa.mappings, ss.mappings, "seed {seed}");
-        assert!(sa.sat_checks <= ss.sat_checks, "seed {seed}");
-        assert_eq!(ss.automaton_appends, 0, "seed {seed}: ablation compiled");
+        // The automaton only ever *removes* work (progression, phase 2)
+        // from the compiled side.
+        let (sa, sr, sp) = (auto.stats(), reference.stats(), par.stats());
+        assert_eq!(sa.appends, sr.appends, "seed {seed}");
+        assert_eq!(sa.grounds, sr.grounds, "seed {seed}");
+        assert!(sa.sat_checks <= sr.sat_checks, "seed {seed}");
+        assert_eq!(sr.automaton_appends, 0, "seed {seed}: reference compiled");
         // The parallel compiled engine behaves exactly like the
         // sequential compiled engine, append for append, step for step.
         assert_eq!(sa.automaton_appends, sp.automaton_appends, "seed {seed}");
@@ -226,14 +79,7 @@ fn compiled_and_symbolic_agree_on_randomized_sessions() {
         assert_eq!(sa.templates_compiled, sp.templates_compiled, "seed {seed}");
         total_auto_appends += sa.automaton_appends;
         total_auto_steps += sa.automaton_steps;
-
-        // Earliest-violation instants agree under both configurations.
-        for phi in &phis {
-            let a = earliest_violation(auto.history(), phi, &compiled_opts(Threads::Off)).unwrap();
-            let b = earliest_violation(sym.history(), phi, &symbolic_opts()).unwrap();
-            assert_eq!(a, b, "seed {seed}: earliest violation diverges");
-        }
-    }
+    });
     // Non-vacuity: the sweep must exercise the compiled path it claims
     // to verify, and produce real violations.
     assert!(total_auto_appends > 0, "no automaton appends in the sweep");
@@ -246,44 +92,7 @@ fn compiled_and_symbolic_agree_on_randomized_sessions() {
 
 #[test]
 fn trigger_engine_agrees_compiled_vs_symbolic() {
-    let sc = schema();
-    for seed in 0..25u64 {
-        let mut rng = Rng::seed_from_u64(0x7e41 ^ seed);
-        let mut auto = TriggerEngine::new(compiled_opts(Threads::Off));
-        let mut sym = TriggerEngine::new(symbolic_opts());
-        for (i, cond) in ["F (Sub(x) & X F Sub(x))", "F Rep(x, y)"]
-            .iter()
-            .enumerate()
-        {
-            let c = parse(&sc, cond).unwrap();
-            auto.add(Trigger {
-                name: format!("t{i}"),
-                condition: c.clone(),
-                action: Action::Log,
-            })
-            .unwrap();
-            sym.add(Trigger {
-                name: format!("t{i}"),
-                condition: c,
-                action: Action::Log,
-            })
-            .unwrap();
-        }
-
-        let mut h = History::new(sc.clone());
-        let mut drv = Driver::new(5);
-        for _ in 0..4 {
-            let tx = drv.step(&sc, &mut rng);
-            h.apply(&tx).unwrap();
-            let f_auto = auto.evaluate(&h).unwrap();
-            let f_sym = sym.evaluate(&h).unwrap();
-            assert_eq!(f_auto, f_sym, "seed {seed}: fired lists diverge");
-        }
-
-        let sa = auto.stats();
-        let ss = sym.stats();
-        assert_eq!(sa.grounds, ss.grounds, "seed {seed}");
-    }
+    triggers_agree_with_reference(0x7e41, compiled(Threads::Off));
 }
 
 /// All instantiations of one constraint are isomorphic modulo letter
@@ -317,20 +126,21 @@ fn isomorphic_instantiations_share_one_template() {
 }
 
 /// With a state budget too small for any machine the engine silently
-/// stays symbolic — identical events, zero automaton appends.
+/// stays symbolic — events identical to the reference, zero automaton
+/// steps.
 #[test]
 fn state_budget_fallback_is_equivalent() {
     let sc = schema();
     let mut rng = Rng::seed_from_u64(0xb4d6e7);
     let tiny = CheckOptions::builder().automaton_state_budget(1).build();
     let mut small = Engine::new(sc.clone(), tiny);
-    let mut def = Engine::new(sc.clone(), CheckOptions::default());
+    let mut def = Engine::new(sc.clone(), CheckOptions::reference());
     for (i, phi) in [ONCE_ONLY, PAIR_ONCE].iter().enumerate() {
         let p = parse(&sc, phi).unwrap();
         small.add_constraint(format!("c{i}"), p.clone()).unwrap();
         def.add_constraint(format!("c{i}"), p).unwrap();
     }
-    let mut drv = Driver::new(5);
+    let mut drv = Driver::new(5, 0.3);
     for step in 0..10 {
         let tx = drv.step(&sc, &mut rng);
         let a = small.append(&tx).unwrap();
@@ -356,7 +166,7 @@ fn support_overlap_decompiles_and_stays_exact() {
     // Instantiations (x, y) and (x, y') share the letter Sub(x).
     let phi = parse(&sc, "forall x y. G (Rep(x, y) -> X G !Sub(x))").unwrap();
     let mut auto = Engine::new(sc.clone(), CheckOptions::default());
-    let mut sym = Engine::new(sc.clone(), symbolic_opts());
+    let mut sym = Engine::new(sc.clone(), CheckOptions::reference());
     let a = auto.add_constraint("guard", phi.clone()).unwrap();
     let b = sym.add_constraint("guard", phi).unwrap();
     assert_eq!(a, b);
@@ -387,19 +197,23 @@ fn support_overlap_decompiles_and_stays_exact() {
 }
 
 /// Snapshot round trip under the compiled default: the restored engine
-/// resumes u32-state stepping and stays in lockstep with the writer.
+/// resumes u32-state stepping and stays in lockstep with the writer
+/// and with a never-snapshotted reference twin.
 #[test]
 fn snapshot_roundtrip_stays_in_lockstep() {
     let sc = schema();
     let mut rng = Rng::seed_from_u64(0x54a9);
     let mut fwd = Engine::new(sc.clone(), CheckOptions::default());
+    let mut reference = Engine::new(sc.clone(), CheckOptions::reference());
     for (i, phi) in [ONCE_ONLY, PAIR_ONCE, CAP].iter().enumerate() {
-        fwd.add_constraint(format!("c{i}"), parse(&sc, phi).unwrap())
-            .unwrap();
+        let phi = parse(&sc, phi).unwrap();
+        fwd.add_constraint(format!("c{i}"), phi.clone()).unwrap();
+        reference.add_constraint(format!("c{i}"), phi).unwrap();
     }
-    let mut drv = Driver::new(6);
+    let mut drv = Driver::new(6, 0.3);
     for _ in 0..6 {
-        fwd.append(&drv.step(&sc, &mut rng)).unwrap();
+        let tx = drv.step(&sc, &mut rng);
+        assert_eq!(fwd.append(&tx).unwrap(), reference.append(&tx).unwrap());
     }
     let bytes = fwd.snapshot_bytes(&[]);
     let (mut back, _) = Engine::restore_bytes(&bytes, CheckOptions::default()).unwrap();
@@ -413,9 +227,11 @@ fn snapshot_roundtrip_stays_in_lockstep() {
         let a = fwd.append(&tx).unwrap();
         let b = back.append(&tx).unwrap();
         assert_eq!(a, b, "step {step}: restored engine diverges");
+        assert_eq!(a, reference.append(&tx).unwrap(), "step {step}: reference");
     }
     for id in fwd.constraints() {
         assert_eq!(fwd.status(id), back.status(id));
+        assert_eq!(fwd.status(id), reference.status(id));
     }
     assert_eq!(
         fwd.stats().automaton_appends,
