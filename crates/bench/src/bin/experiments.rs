@@ -29,9 +29,11 @@ use ticc_core::counter::counter_instance;
 use ticc_core::{
     check_potential_satisfaction, CheckOptions, EngineStats, GroundMode, Monitor, Threads,
 };
+use ticc_fotl::Formula;
 use ticc_ptl::arena::Arena;
-use ticc_ptl::sat::{is_satisfiable_with, SatSolver};
+use ticc_ptl::sat::{extends_with, is_satisfiable_with, SatResult, SatSolver};
 use ticc_tdb::workload::OrderWorkload;
+use ticc_tdb::History;
 use ticc_tdb::Transaction;
 
 /// Machine-readable headline numbers, written by `--json`.
@@ -359,27 +361,22 @@ fn e2_relevant_elements(threads: Threads) {
         let h = unsubmitted_history(&sc, m);
         let mut exh = None;
         let d_exh = ticc_bench::time_best_of(2, || {
-            exh = Some(
-                check_potential_satisfaction(
-                    &h,
-                    &phi_once,
-                    &CheckOptions::builder()
-                        .mode(GroundMode::Folded)
-                        .solver(ticc_ptl::sat::SatSolver::BuchiExhaustive)
-                        .build(),
-                )
-                .unwrap(),
-            );
+            exh = Some(decide_with(
+                &h,
+                &phi_once,
+                GroundMode::Folded,
+                SatSolver::BuchiExhaustive,
+            ));
         });
         let d_probe = ticc_bench::time_best_of(2, || {
             let out =
                 check_potential_satisfaction(&h, &phi_once, &CheckOptions::default()).unwrap();
             assert!(out.potentially_satisfied);
         });
-        let exh = exh.unwrap();
+        let (_, exh) = exh.unwrap();
         tc.row([
             m.to_string(),
-            exh.stats.sat.states.to_string(),
+            exh.stats.states.to_string(),
             fmt_duration(d_exh),
             fmt_duration(d_probe),
         ]);
@@ -481,6 +478,21 @@ fn e5_phase_split() {
     t.print();
 }
 
+/// The oracle route of E2 and E6: ground with Theorem 4.1's
+/// construction verbatim (all `|M|^k` instantiations, in `mode`) and
+/// decide extendability with `solver` directly — the two choices the
+/// engine fixes to folded grounding and the Büchi probe.
+fn decide_with(
+    h: &History,
+    phi: &Formula,
+    mode: GroundMode,
+    solver: SatSolver,
+) -> (ticc_core::GroundStats, SatResult) {
+    let mut g = ticc_core::ground(h, phi, mode).unwrap();
+    let r = extends_with(&mut g.arena, &g.trace, g.formula, solver).unwrap();
+    (g.stats, r)
+}
+
 /// E6: ablation — the literal `Axiom_D` construction vs rigid-atom
 /// folding.
 fn e6_grounding_ablation() {
@@ -504,33 +516,23 @@ fn e6_grounding_ablation() {
         let h = spread_history(&sc, m);
         let mut full_out = None;
         let d_full = ticc_bench::time_best_of(2, || {
-            full_out = Some(
-                check_potential_satisfaction(
-                    &h,
-                    &phi,
-                    &CheckOptions::builder()
-                        .mode(GroundMode::Full)
-                        .solver(SatSolver::Buchi)
-                        .build(),
-                )
-                .unwrap(),
-            );
+            full_out = Some(decide_with(&h, &phi, GroundMode::Full, SatSolver::Buchi));
         });
         let mut folded_out = None;
         let d_folded = ticc_bench::time_best_of(2, || {
             folded_out =
                 Some(check_potential_satisfaction(&h, &phi, &CheckOptions::default()).unwrap());
         });
-        let full = full_out.unwrap();
+        let (full_ground, full) = full_out.unwrap();
         let folded = folded_out.unwrap();
         t.row([
             m.to_string(),
-            full.stats.ground.formula_tree_size.to_string(),
-            full.stats.ground.axiom_conjuncts.to_string(),
+            full_ground.formula_tree_size.to_string(),
+            full_ground.axiom_conjuncts.to_string(),
             fmt_duration(d_full),
             folded.stats.ground.formula_tree_size.to_string(),
             fmt_duration(d_folded),
-            (full.potentially_satisfied == folded.potentially_satisfied).to_string(),
+            (full.satisfiable == folded.potentially_satisfied).to_string(),
         ]);
     }
     t.print();
@@ -711,19 +713,20 @@ fn e9_tm_encoding() {
 }
 
 /// E11: the Section 5 comparison — potential satisfaction (earliest
-/// detection, phase-2 satisfiability per update) vs the weaker
-/// bad-prefix notion of Lipeck–Saake / Sistla–Wolfson (progression
-/// only, detection possibly delayed).
+/// detection, phase-2 satisfiability per update; the engine's notion)
+/// vs the weaker bad-prefix notion of Lipeck–Saake / Sistla–Wolfson
+/// (progression only, detection possibly delayed), run by the
+/// [`BadPrefixMonitor`](ticc_bench::bad_prefix::BadPrefixMonitor)
+/// baseline.
 fn e11_notion_latency() {
-    use ticc_core::monitor::Notion;
+    use ticc_bench::bad_prefix::BadPrefixMonitor;
     use ticc_fotl::parser::parse;
     let sc = order_schema();
     let sub = sc.pred("Sub").unwrap();
     let mut t = Table::new(
         "E11: violation notions (Section 5)",
         "Potential satisfaction detects latent violations w instants \
-         earlier than bad-prefix-only monitoring, at the cost of the \
-         phase-2 satisfiability test per update",
+         earlier than bad-prefix-only monitoring",
         &[
             "lookahead w",
             "potential detects at",
@@ -741,32 +744,37 @@ fn e11_notion_latency() {
             ahead = format!("X ({ahead})");
         }
         let phi = parse(&sc, &format!("G (Sub(1) -> {ahead}) & G !Fill(1)")).unwrap();
-        let run = |notion: Notion| {
-            let mut m = Monitor::new(sc.clone(), CheckOptions::default()).with_notion(notion);
-            let id = m.add_constraint("latent", phi.clone()).unwrap();
-            let mut detected = None;
-            let t0 = std::time::Instant::now();
-            let tx = Transaction::new().insert(sub, vec![1]);
-            m.append(&tx).unwrap();
-            let clear = Transaction::new().delete(sub, vec![1]);
-            for _ in 0..(w + 3) {
-                m.append(&clear).unwrap();
-                if detected.is_none() {
-                    if let ticc_core::Status::Violated { at } = m.status(id) {
-                        detected = Some(at);
-                    }
-                }
-            }
-            let elapsed = t0.elapsed();
-            if detected.is_none() {
-                if let ticc_core::Status::Violated { at } = m.status(id) {
-                    detected = Some(at);
-                }
-            }
-            (detected, elapsed)
+        // Sub(1), then w + 3 states clearing it.
+        let txs: Vec<Transaction> = std::iter::once(Transaction::new().insert(sub, vec![1]))
+            .chain(std::iter::repeat_n(
+                Transaction::new().delete(sub, vec![1]),
+                w + 3,
+            ))
+            .collect();
+
+        // Both columns time the appends only, not the set-up.
+        let mut m = Monitor::new(sc.clone(), CheckOptions::default());
+        let id = m.add_constraint("latent", phi.clone()).unwrap();
+        let t0 = std::time::Instant::now();
+        for tx in &txs {
+            m.append(tx).unwrap();
+        }
+        let strong_d = t0.elapsed();
+        let strong_at = match m.status(id) {
+            ticc_core::Status::Violated { at } => Some(at),
+            ticc_core::Status::Satisfied => None,
         };
-        let (strong_at, strong_d) = run(Notion::Potential);
-        let (weak_at, weak_d) = run(Notion::BadPrefix);
+
+        let mut bad_prefix = BadPrefixMonitor::new(sc.clone(), &phi).unwrap();
+        let mut history = History::new(sc.clone());
+        let mut weak_at = None;
+        let t0 = std::time::Instant::now();
+        for tx in &txs {
+            history.apply(tx).unwrap();
+            weak_at = bad_prefix.append(history.last().unwrap());
+        }
+        let weak_d = t0.elapsed();
+
         let (sa, wa) = (
             strong_at.unwrap_or(usize::MAX),
             weak_at.unwrap_or(usize::MAX),
@@ -1318,16 +1326,16 @@ struct E17Result {
 /// configuration drives the same group WAL through the real TCP
 /// server, so wire + dispatch overhead is measured, not assumed.
 ///
-/// Honest caveat (the E12 precedent, see `EXPERIMENTS.md` §E17): this
-/// box has one CPU and a ~90µs virtio flush, and ext4's journal
-/// already group-commits concurrent per-file `fdatasync`s, so the
-/// baseline gets kernel-level batching for free while the single CPU
-/// starves our commit windows. The ≥5× wall-clock win expected on
+/// Honest caveat (the E12 precedent, see `EXPERIMENTS.md` §E17): the
+/// measuring VM has 1–2 CPUs and a ~90µs virtio flush, and ext4's
+/// journal already group-commits concurrent per-file `fdatasync`s, so
+/// the baseline gets kernel-level batching for free while the few CPUs
+/// starve our commit windows. The ≥5× wall-clock win expected on
 /// flush-bound storage cannot materialise here; the fsyncs-per-append
 /// ratio and the median-latency column carry the comparison instead.
 fn e17_server(smoke: bool, rate: Option<f64>) -> E17Result {
     use ticc_bench::server_load::{
-        run_group_commit, run_per_session_fsync, run_served, run_served_open_loop, ServeMode,
+        run_group_commit, run_per_session_fsync, run_served, run_served_open_loop,
     };
     let (sessions, appends) = if smoke { (8, 16) } else { (64, 32) };
     let rate = rate.unwrap_or(if smoke { 400.0 } else { 1000.0 });
@@ -1339,13 +1347,13 @@ fn e17_server(smoke: bool, rate: Option<f64>) -> E17Result {
     let base = run_per_session_fsync(&dir, sessions, appends, opts);
     let group = run_group_commit(&dir, sessions, appends, opts);
     let served = run_served(&dir, sessions, appends, opts);
-    let open_loop = run_served_open_loop(&dir, sessions, appends, rate, opts, ServeMode::Mux);
+    let open_loop = run_served_open_loop(&dir, sessions, appends, rate, opts);
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut t = Table::new(
         format!("E17: multi-tenant WalFsync appends ({sessions} sessions × {appends})"),
         "one fsync per window acknowledges every queued session \
-         (single-CPU + journal-merged baseline: see the fsync and p50 \
+         (few-CPU + journal-merged baseline: see the fsync and p50 \
          columns, not wall-clock — E12-style caveat)",
         &["config", "appends/s", "p50", "p99", "fsyncs", "speedup"],
     );
@@ -1375,7 +1383,7 @@ fn e17_server(smoke: bool, rate: Option<f64>) -> E17Result {
     // round trip of an actually-violating append issued under load.
     let mut ol = Table::new(
         format!(
-            "E17 (open loop): {} clients, {:.0} appends/s scheduled, mux core",
+            "E17 (open loop): {} clients, {:.0} appends/s scheduled",
             open_loop.sessions, open_loop.target_rate
         ),
         "latency measured from each append's scheduled arrival — a \
@@ -1442,13 +1450,14 @@ fn e17_json(e17: &E17Result) -> String {
          \"configs\": [\n{},\n{},\n{}\n    ],\n    \
          \"speedup_group_vs_per_session\": {:.2},\n    \
          \"p50_latency_ratio_base_vs_group\": {:.2},\n    \
-         \"open_loop\": {{\"mode\": \"mux\", \"target_rate\": {:.1}, \
+         \"open_loop\": {{\"target_rate\": {:.1}, \
          \"achieved_rate\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
          \"p999_us\": {:.1}, \"violation_lag_us\": {:.1}}},\n    \
-         \"note\": \"E12-style caveat: 1-CPU box with ~90us virtio \
-         flush; ext4's journal merges the baseline's concurrent \
-         per-file fdatasyncs while the lone CPU starves our commit \
-         windows, so wall-clock favours the baseline here. The \
+         \"note\": \"E12-style caveat: a small VM (1-2 CPUs, see \
+         host; ~90us virtio flush); ext4's journal merges the \
+         baseline's concurrent per-file fdatasyncs while the few CPUs \
+         starve our commit windows, so wall-clock favours the baseline \
+         here. The \
          device-independent comparison is fsyncs per acknowledged \
          append (baseline exactly 1.0) and the p50 append latency. \
          Open-loop latency is measured from each append's scheduled \
@@ -1474,53 +1483,27 @@ fn e17_json(e17: &E17Result) -> String {
 struct E20Result {
     conns: usize,
     io_threads: usize,
-    /// Idle-connection cost under the event-driven core.
-    mux_idle: ticc_bench::server_load::IdleConnReport,
-    /// Idle-connection cost under the legacy thread-per-conn core.
-    legacy_idle: ticc_bench::server_load::IdleConnReport,
-    /// Legacy resident bytes per idle connection over mux's (floored —
-    /// see [`e20_server_mux`]).
-    idle_rss_ratio: f64,
+    /// Idle-connection cost of the serving core.
+    idle: ticc_bench::server_load::IdleConnReport,
     parity_sessions: usize,
     parity_appends: usize,
-    /// Closed-loop append run on the mux core, parity-sized.
-    mux_parity: ticc_bench::server_load::LoadReport,
-    /// The same run on the legacy core.
-    legacy_parity: ticc_bench::server_load::LoadReport,
-    /// Mux p99 over legacy p99 (≤1 means mux is no worse).
-    p99_ratio: f64,
+    /// Closed-loop append run, parity-sized.
+    parity: ticc_bench::server_load::LoadReport,
 }
 
-/// E20: the event-driven server core vs thread-per-connection.
+/// E20: the event-driven server core's connection economy.
 ///
 /// Two device-independent claims: (a) idle connections are cheap — N
-/// handshaken-then-silent sockets cost the mux pollfds and empty
-/// buffers where the legacy core pays a parked thread (stack pages)
-/// plus two 8 KiB stream buffers each, measured as `Threads:` and
-/// `VmRSS:` deltas from `/proc/self/status`; (b) the economy is not
-/// bought with tail latency — a closed-loop 8-session append run has
-/// mux p99 no worse than legacy.
-///
-/// Honest caveat (the E12/E17 precedent): this box has one CPU, so the
-/// parity run cannot show the mux overlapping I/O with checking — both
-/// cores timeshare the same core and the poll/wake syscalls are fully
-/// visible instead of hidden under parallel work. The idle-memory and
-/// thread-count deltas are scheduling-independent and carry the
-/// comparison; the parity run only has to not regress.
+/// handshaken-then-silent sockets cost the core pollfds and empty
+/// buffers, no threads, measured as `Threads:` and `VmRSS:` deltas
+/// from `/proc/self/status`; (b) the economy is not bought with tail
+/// latency — the closed-loop 8-session append run reports p99 and
+/// p999 alongside the median.
 fn e20_server_mux(smoke: bool) -> E20Result {
-    use ticc_bench::server_load::{run_idle_connections, run_served_with, ServeMode};
+    use ticc_bench::server_load::{run_idle_connections, run_served};
     let conns = if smoke { 64 } else { 512 };
     let io_threads = 4usize;
-    // Mux first: its (small) allocations are measured against a fresh
-    // heap rather than absorbed by memory the legacy run freed.
-    let mux_idle = run_idle_connections(conns, io_threads, ServeMode::Mux);
-    let legacy_idle = run_idle_connections(conns, io_threads, ServeMode::ThreadPerConn);
-    // The mux side can legitimately measure zero RSS growth (pollfds
-    // and Vec headers hide inside already-resident pages). Floor its
-    // per-connection cost at 64 bytes — roughly one pollfd plus the
-    // decoder/write-buffer headers — so the ratio stays finite and
-    // conservative instead of dividing by zero.
-    let idle_rss_ratio = legacy_idle.rss_per_conn_bytes / mux_idle.rss_per_conn_bytes.max(64.0);
+    let idle = run_idle_connections(conns, io_threads);
 
     let (parity_sessions, parity_appends) = if smoke { (8, 16) } else { (8, 64) };
     let opts = CheckOptions::builder()
@@ -1528,16 +1511,8 @@ fn e20_server_mux(smoke: bool) -> E20Result {
         .build();
     let dir = std::env::temp_dir().join(format!("ticc-bench-e20-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench dir");
-    let legacy_parity = run_served_with(
-        &dir,
-        parity_sessions,
-        parity_appends,
-        opts,
-        ServeMode::ThreadPerConn,
-    );
-    let mux_parity = run_served_with(&dir, parity_sessions, parity_appends, opts, ServeMode::Mux);
+    let parity = run_served(&dir, parity_sessions, parity_appends, opts);
     let _ = std::fs::remove_dir_all(&dir);
-    let p99_ratio = mux_parity.p99.as_secs_f64() / legacy_parity.p99.as_secs_f64();
 
     let mut t = Table::new(
         format!(
@@ -1546,103 +1521,66 @@ fn e20_server_mux(smoke: bool) -> E20Result {
         "server-process deltas while the connections are up; every \
          socket re-pinged before shutdown to prove it is served, not \
          merely held",
-        &["core", "threads Δ", "RSS Δ", "RSS/conn"],
+        &["threads Δ", "RSS Δ", "RSS/conn"],
     );
-    for (label, r) in [("mux", &mux_idle), ("thread-per-conn", &legacy_idle)] {
-        t.row([
-            label.to_owned(),
-            format!("{:+}", r.threads_delta),
-            format!("{} KiB", r.rss_delta_kb),
-            format!("{:.0} B", r.rss_per_conn_bytes),
-        ]);
-    }
+    t.row([
+        format!("{:+}", idle.threads_delta),
+        format!("{} KiB", idle.rss_delta_kb),
+        format!("{:.0} B", idle.rss_per_conn_bytes),
+    ]);
     t.print();
 
     let mut p = Table::new(
-        format!("E20: append-latency parity ({parity_sessions} sessions × {parity_appends}, closed loop)"),
-        "the idle economy must not cost tail latency: mux p99 vs \
-         legacy p99 on the same WalFsync group-commit workload \
-         (1-CPU box: see the E12-style caveat in BENCH_server_mux.json)",
-        &["core", "appends/s", "p50", "p99", "p999"],
+        format!("E20: append latency ({parity_sessions} sessions × {parity_appends}, closed loop)"),
+        "the idle economy must not cost tail latency, on a WalFsync \
+         group-commit workload",
+        &["appends/s", "p50", "p99", "p999"],
     );
-    for (label, r) in [("mux", &mux_parity), ("thread-per-conn", &legacy_parity)] {
-        p.row([
-            label.to_owned(),
-            format!("{:.0}", r.appends_per_sec),
-            fmt_duration(r.p50),
-            fmt_duration(r.p99),
-            fmt_duration(r.latency.p999),
-        ]);
-    }
+    p.row([
+        format!("{:.0}", parity.appends_per_sec),
+        fmt_duration(parity.p50),
+        fmt_duration(parity.p99),
+        fmt_duration(parity.latency.p999),
+    ]);
     p.print();
-    println!(
-        "  idle RSS ratio (legacy/mux) = {idle_rss_ratio:.1}x, \
-         p99 ratio (mux/legacy) = {p99_ratio:.2}x"
-    );
 
     E20Result {
         conns,
         io_threads,
-        mux_idle,
-        legacy_idle,
-        idle_rss_ratio,
+        idle,
         parity_sessions,
         parity_appends,
-        mux_parity,
-        legacy_parity,
-        p99_ratio,
+        parity,
     }
 }
 
-/// Renders the E20 comparison as a JSON object (the
-/// `BENCH_server_mux.json` payload).
+/// Renders E20 as a JSON object (the `BENCH_server_mux.json` payload).
 fn e20_json(e20: &E20Result) -> String {
-    let idle = |r: &ticc_bench::server_load::IdleConnReport| -> String {
-        format!(
-            "{{\"threads_delta\": {}, \"rss_delta_kb\": {}, \
-             \"rss_per_conn_bytes\": {:.1}}}",
-            r.threads_delta, r.rss_delta_kb, r.rss_per_conn_bytes
-        )
-    };
-    let parity = |r: &ticc_bench::server_load::LoadReport| -> String {
-        format!(
-            "{{\"appends_per_sec\": {:.1}, \"p50_us\": {:.1}, \
-             \"p99_us\": {:.1}, \"p999_us\": {:.1}}}",
-            r.appends_per_sec,
-            r.p50.as_secs_f64() * 1e6,
-            r.p99.as_secs_f64() * 1e6,
-            r.latency.p999.as_secs_f64() * 1e6,
-        )
-    };
+    let (i, r) = (&e20.idle, &e20.parity);
     format!(
         "{{\n    \"conns\": {},\n    \"io_threads\": {},\n    \
-         \"idle\": {{\"mux\": {}, \"thread_per_conn\": {}}},\n    \
-         \"idle_rss_ratio_legacy_vs_mux\": {:.2},\n    \
+         \"idle\": {{\"threads_delta\": {}, \"rss_delta_kb\": {}, \
+         \"rss_per_conn_bytes\": {:.1}}},\n    \
          \"parity_sessions\": {},\n    \"parity_appends\": {},\n    \
-         \"parity\": {{\"mux\": {}, \"thread_per_conn\": {}}},\n    \
-         \"p99_ratio_mux_vs_legacy\": {:.3},\n    \
-         \"note\": \"E12-style caveat: 1-CPU box, so the parity run \
-         cannot show I/O overlapping constraint checking — poll/wake \
-         syscalls are fully visible instead of hidden under parallel \
-         work, and the target is only that mux p99 does not regress. \
-         The idle-connection deltas (threads, VmRSS from \
-         /proc/self/status, both cores measured in the same process \
-         with identical raw-TcpStream clients) are \
-         scheduling-independent: the legacy core pays a parked thread \
-         plus two 8 KiB buffers per socket, the mux a pollfd plus \
-         empty byte vectors. Mux RSS/conn is floored at 64 bytes \
-         before the ratio so a zero-growth measurement stays \
-         finite.\"\n  }}",
+         \"parity\": {{\"appends_per_sec\": {:.1}, \"p50_us\": {:.1}, \
+         \"p99_us\": {:.1}, \"p999_us\": {:.1}}},\n    \
+         \"note\": \"The idle-connection deltas (threads, VmRSS from \
+         /proc/self/status, raw-TcpStream clients in the same process) \
+         are scheduling-independent: each socket costs the core a \
+         pollfd plus empty byte vectors and no thread. The parity run \
+         is closed loop, latency per append including its group-commit \
+         wait.\"\n  }}",
         e20.conns,
         e20.io_threads,
-        idle(&e20.mux_idle),
-        idle(&e20.legacy_idle),
-        e20.idle_rss_ratio,
+        i.threads_delta,
+        i.rss_delta_kb,
+        i.rss_per_conn_bytes,
         e20.parity_sessions,
         e20.parity_appends,
-        parity(&e20.mux_parity),
-        parity(&e20.legacy_parity),
-        e20.p99_ratio,
+        r.appends_per_sec,
+        r.p50.as_secs_f64() * 1e6,
+        r.p99.as_secs_f64() * 1e6,
+        r.latency.p999.as_secs_f64() * 1e6,
     )
 }
 

@@ -3,9 +3,10 @@
 //!
 //! The paper has no empirical evaluation; the experiments regenerate its
 //! *complexity claims* (see `DESIGN.md` §6 and `EXPERIMENTS.md`). Each
-//! experiment lives both as a Criterion bench (`benches/`) and as a row
-//! generator for the table-printing `experiments` binary.
+//! experiment is a row generator of the table-printing `experiments`
+//! binary.
 
+pub mod bad_prefix;
 pub mod families;
 pub mod json;
 pub mod latency;

@@ -15,7 +15,8 @@
 //!   the next window commits them all with one sync.
 //! * **served** — same group WAL, but the appends travel as
 //!   `ticc-wire-v1` frames through a real `ticc_server::Server` on a
-//!   loopback socket, so the wire + dispatch overhead is visible.
+//!   loopback socket (the `poll(2)` serving core, so unix only), so
+//!   the wire + dispatch overhead is visible.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
@@ -25,35 +26,10 @@ use std::time::{Duration, Instant};
 
 use ticc_core::{CheckOptions, GroupStats, GroupWal, Session};
 use ticc_fotl::parser::parse;
-use ticc_server::{wire, Limits, Running, Server};
+use ticc_server::{mux, wire, Limits, Running, Server};
 use ticc_tdb::Transaction;
 
 use crate::latency::{self, LatencySummary};
-
-/// Which connection-handling core the served configurations run on.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// One OS thread per accepted connection (the legacy loop).
-    ThreadPerConn,
-    /// The event-driven core: `io_threads` poll loops own all sockets.
-    Mux,
-}
-
-impl ServeMode {
-    pub fn label(self) -> &'static str {
-        match self {
-            ServeMode::ThreadPerConn => "thread-per-conn",
-            ServeMode::Mux => "mux",
-        }
-    }
-
-    fn start(self, server: Arc<Server>, listener: TcpListener) -> std::io::Result<Running> {
-        match self {
-            ServeMode::ThreadPerConn => Server::start(server, listener),
-            ServeMode::Mux => ticc_server::mux::start_mux(server, listener),
-        }
-    }
-}
 
 /// The invariant every load session carries: cheap to check, never
 /// violated by the churn workload (values are session indices).
@@ -202,14 +178,13 @@ pub fn run_group_commit(
 }
 
 /// Starts a loopback server over a fresh group WAL in `dir`, sized for
-/// `sessions` concurrent clients, running on `mode`'s connection core.
+/// `sessions` concurrent clients.
 fn served_fixture(
     dir: &Path,
     sessions: usize,
     opts: CheckOptions,
-    mode: ServeMode,
 ) -> (Running, std::net::SocketAddr) {
-    let path = dir.join(format!("served-{}.gwal", mode.label()));
+    let path = dir.join("served.gwal");
     let _ = std::fs::remove_file(&path);
     let limits = Limits {
         max_sessions: sessions + 8,
@@ -218,18 +193,15 @@ fn served_fixture(
         // Dispatch blocks its io thread while an append waits in a
         // group-commit window, so the mux needs as many io threads as
         // concurrently-appending clients (capped) or a sleeping commit
-        // head-of-line-blocks its shard siblings. Sized so the mux/
-        // legacy A/B isolates readiness-loop overhead, not shard
-        // starvation; idle-connection economy is measured separately
-        // with the deployment default (see `run_idle_connections`).
+        // head-of-line-blocks its shard siblings. Idle-connection
+        // economy is measured separately with the deployment default
+        // (see `run_idle_connections`).
         io_threads: sessions.clamp(1, 16),
         ..Limits::default()
     };
     let server = Server::with_wal(opts, limits, &path).expect("open served WAL");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let running = mode
-        .start(Arc::new(server), listener)
-        .expect("start server");
+    let running = mux::start_mux(Arc::new(server), listener).expect("start server");
     let addr = running.addr;
     (running, addr)
 }
@@ -288,22 +260,9 @@ fn shutdown_served(running: Running) -> Option<GroupStats> {
 
 /// Served: the same group WAL behind a real `ticc-server` on loopback,
 /// appends as `ticc-wire-v1` frames. Measures the full stack including
-/// dispatch and wire round-trips. The legacy thread-per-connection
-/// core, so the E17 series stays comparable across revisions; see
-/// [`run_served_with`] for the mode-parameterised variant.
+/// dispatch and wire round-trips.
 pub fn run_served(dir: &Path, sessions: usize, appends: usize, opts: CheckOptions) -> LoadReport {
-    run_served_with(dir, sessions, appends, opts, ServeMode::ThreadPerConn)
-}
-
-/// [`run_served`], but on an explicit connection-handling core.
-pub fn run_served_with(
-    dir: &Path,
-    sessions: usize,
-    appends: usize,
-    opts: CheckOptions,
-    mode: ServeMode,
-) -> LoadReport {
-    let (running, addr) = served_fixture(dir, sessions, opts, mode);
+    let (running, addr) = served_fixture(dir, sessions, opts);
 
     let barrier = Arc::new(Barrier::new(sessions + 1));
     let (elapsed, lat) = std::thread::scope(|scope| {
@@ -377,10 +336,9 @@ pub fn run_served_open_loop(
     appends: usize,
     rate: f64,
     opts: CheckOptions,
-    mode: ServeMode,
 ) -> OpenLoopReport {
     assert!(rate > 0.0, "open-loop rate must be positive");
-    let (running, addr) = served_fixture(dir, sessions, opts, mode);
+    let (running, addr) = served_fixture(dir, sessions, opts);
 
     let barrier = Arc::new(Barrier::new(sessions + 1));
     let (elapsed, lat, violation_lag) = std::thread::scope(|scope| {
@@ -488,13 +446,11 @@ fn proc_status() -> (i64, i64) {
 }
 
 /// Measures what `conns` idle (handshaken, then silent) connections
-/// cost the server process in threads and resident memory, under the
-/// given connection core. Both modes pay the same *client*-side cost —
-/// raw unbuffered `TcpStream`s — so the delta isolates the server's
-/// per-connection economy: a parked thread plus two 8 KiB buffers per
-/// socket on the legacy core, a pollfd plus empty byte vectors on the
-/// event-driven one.
-pub fn run_idle_connections(conns: usize, io_threads: usize, mode: ServeMode) -> IdleConnReport {
+/// cost the server process in threads and resident memory: a pollfd
+/// plus empty byte vectors each, on the fixed `io_threads` pool. The
+/// clients are raw unbuffered `TcpStream`s in the same process — an fd
+/// each, no userspace buffers — so the delta is the server's.
+pub fn run_idle_connections(conns: usize, io_threads: usize) -> IdleConnReport {
     let opts = CheckOptions::builder().build();
     let limits = Limits {
         max_sessions: 8,
@@ -503,9 +459,7 @@ pub fn run_idle_connections(conns: usize, io_threads: usize, mode: ServeMode) ->
     };
     let server = Server::new(opts, limits);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let running = mode
-        .start(Arc::new(server), listener)
-        .expect("start server");
+    let running = mux::start_mux(Arc::new(server), listener).expect("start server");
     let addr = running.addr;
 
     let hello = format!(r#"{{"op":"hello","schema":"{}"}}"#, wire::WIRE_SCHEMA);
@@ -540,8 +494,7 @@ pub fn run_idle_connections(conns: usize, io_threads: usize, mode: ServeMode) ->
         assert!(!resp.is_empty());
     }
 
-    // Shut down over a control connection, then close the idle clients
-    // so legacy per-connection threads observe EOF and exit.
+    // Shut down over a control connection, then close the idle clients.
     let mut ctl = TcpStream::connect(addr).expect("connect for shutdown");
     wire::write_frame(&mut ctl, hello.as_bytes()).unwrap();
     let _ = wire::read_frame(&mut ctl, wire::MAX_FRAME_BYTES);

@@ -9,11 +9,11 @@
 
 use crate::error::Error;
 use crate::extension::CheckOptions;
-use crate::ground::ground_with;
+use crate::ground::{ground_with, GroundMode};
 use std::collections::HashMap;
 use ticc_fotl::Formula;
 use ticc_ptl::progression::progress;
-use ticc_ptl::sat::is_satisfiable_with;
+use ticc_ptl::sat::is_satisfiable;
 use ticc_tdb::History;
 
 /// Returns the smallest number of states `n ≥ 0` such that the prefix
@@ -25,15 +25,14 @@ pub fn earliest_violation(
     phi: &Formula,
     opts: &CheckOptions,
 ) -> Result<Option<usize>, Error> {
-    let mut g = ground_with(history, phi, opts.mode, opts.threads)?;
+    let mut g = ground_with(history, phi, GroundMode::Folded, opts.threads)?;
     let mut residue = g.formula;
     let mut cache: HashMap<ticc_ptl::arena::FormulaId, bool> = HashMap::new();
     for n in 0..=history.len() {
         let sat = match cache.get(&residue) {
             Some(&s) => s,
             None => {
-                let r =
-                    is_satisfiable_with(&mut g.arena, residue, opts.solver).map_err(Error::Sat)?;
+                let r = is_satisfiable(&mut g.arena, residue).map_err(Error::Sat)?;
                 cache.insert(residue, r.satisfiable);
                 r.satisfiable
             }

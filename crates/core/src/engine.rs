@@ -22,11 +22,12 @@
 //! makes the two routes equivalent; a property test checks delta
 //! against full re-grounding on randomized workloads.
 //!
-//! The full (paper-literal) construction re-encodes rigid equality
-//! letters over all of `M` into every trace state, so an enlarged `M`
-//! invalidates the stored trace: under [`GroundMode::Full`] the engine
-//! always rebuilds, as the paper-shaped reference pipeline does on
-//! every domain growth.
+//! The engine always grounds with the folded construction
+//! ([`GroundMode::Folded`]) and decides phase 2 with the Büchi solver.
+//! The paper-literal [`GroundMode::Full`] construction and the other
+//! solvers stay reachable through [`crate::ground::ground`] and
+//! [`ticc_ptl::sat::extends_with`], where the equivalence tests and
+//! experiments use them as oracles.
 
 use crate::error::Error;
 use crate::extension::{CheckOptions, Durability, HistoryBudget, Pipeline};
@@ -43,7 +44,7 @@ use ticc_fotl::Formula;
 use ticc_ptl::arena::{AtomId, FormulaId};
 use ticc_ptl::automaton::{self, CompileLimits, SafetyAutomaton, TemplateKey};
 use ticc_ptl::progression::{progress, progress_trace};
-use ticc_ptl::sat::{extends_with, is_satisfiable_with, SatError, SatResult};
+use ticc_ptl::sat::{extends, is_satisfiable, SatError, SatResult, SatSolver};
 use ticc_ptl::simplify::simplify;
 use ticc_ptl::trace::PropState;
 use ticc_store::{Store, StoreStats};
@@ -53,31 +54,6 @@ use ticc_tdb::{History, Schema, State, Transaction};
 /// Handle to a registered constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConstraintId(pub usize);
-
-/// Which notion of violation the engine implements.
-///
-/// Section 5 of the paper contrasts *potential constraint satisfaction*
-/// (violations detected at the earliest possible time — requires the
-/// phase-2 satisfiability test after every update) with the **weaker
-/// notion** that Lipeck & Saake's and Sistla & Wolfson's methods
-/// implement by necessity: violations are always detected eventually,
-/// but possibly later. The weaker notion corresponds to running
-/// progression only and reporting when the residue collapses to `⊥` —
-/// much cheaper per update, but a constraint that has already become
-/// unsatisfiable can linger undetected until enough further states
-/// arrive to fold the residue away. Experiment E11 measures both the
-/// cost gap and the detection latency gap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Notion {
-    /// Potential satisfaction: progression **and** satisfiability of the
-    /// residue after every update (earliest detection; the paper's
-    /// notion).
-    #[default]
-    Potential,
-    /// Sistla–Wolfson-style: progression only; report when the residue
-    /// reaches `⊥` (detection possibly delayed).
-    BadPrefix,
-}
 
 /// Status of a constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,14 +91,12 @@ const TRANSITION_CACHE_CAP: usize = 1 << 16;
 const SAT_CACHE_CAP: usize = 1 << 16;
 
 /// A memoised edge of the lazily materialised safety automaton: where
-/// progression takes the residue under one letter, and (once phase 2
-/// has run) whether that successor is satisfiable.
+/// progression takes the residue under one letter, and whether that
+/// successor is satisfiable.
 #[derive(Clone, Copy)]
 struct Transition {
     next: FormulaId,
-    /// `None` until a [`Notion::Potential`] decision backfills it (the
-    /// bad-prefix notion never runs phase 2).
-    verdict: Option<bool>,
+    verdict: bool,
 }
 
 /// Fingerprint of `w` restricted to `support`, folding the true atoms
@@ -354,7 +328,7 @@ impl GroundingContext {
         let mut g = ground_metered(
             history,
             phi,
-            opts.mode,
+            GroundMode::Folded,
             opts.ground_strategy(),
             opts.threads,
             &mut meter,
@@ -408,18 +382,13 @@ impl GroundingContext {
     }
 
     /// Attempts to compile the current symbolic residue into per-unit
-    /// template automata. Applicable only to the production pipeline,
-    /// under [`Notion::Potential`] (the bad-prefix notion's `⊥`-check is
-    /// syntax-dependent), and for folded groundings. On any obstacle —
-    /// past connectives, support too wide, state budget exceeded — the
-    /// context simply stays symbolic. The wall-clock spent (including
+    /// template automata. Applicable only to the production pipeline.
+    /// On any obstacle — past connectives, support too wide, state
+    /// budget exceeded — the context simply stays symbolic. The wall-clock spent (including
     /// failed attempts) accrues to the build-phase `compile_time`
     /// gauge, never to append latency.
-    pub(crate) fn try_compile(&mut self, notion: Notion, opts: &CheckOptions) {
-        if opts.pipeline == Pipeline::Reference
-            || notion != Notion::Potential
-            || self.g.mode() != GroundMode::Folded
-        {
+    pub(crate) fn try_compile(&mut self, opts: &CheckOptions) {
+        if opts.pipeline == Pipeline::Reference {
             return;
         }
         let t = Timer::start();
@@ -479,7 +448,7 @@ impl GroundingContext {
             } else if let Some(&i) = new_keys.get(&key) {
                 Tmpl::New(i)
             } else {
-                match automaton::compile(&key, opts.solver, limits) {
+                match automaton::compile(&key, SatSolver::Buchi, limits) {
                     Ok(Some(auto)) => {
                         new_templates.push(Arc::new(auto));
                         new_keys.insert(key, new_templates.len() - 1);
@@ -597,31 +566,23 @@ impl GroundingContext {
 
     /// Fast path: the state mentions no element outside `M`. Encodes
     /// the next propositional state — patched in place from the
-    /// previous trace state in `O(|Δtx|)` on the production pipeline's
-    /// folded groundings, else via a full re-encode — then advances the
-    /// residue one letter, consulting the transition cache first
-    /// (production only). On a cache hit both progression and (when
-    /// the memoised verdict is present) the phase-2 satisfiability test
-    /// are skipped: a steady-state append is the encoding patch plus
-    /// one hash lookup. Returns `Ok(None)` (doing nothing) if a new
+    /// previous trace state in `O(|Δtx|)` on the production pipeline,
+    /// else via a full re-encode — then advances the residue one
+    /// letter, consulting the transition cache first (production only).
+    /// On a cache hit both progression and the phase-2 satisfiability
+    /// test are skipped: a steady-state append is the encoding patch
+    /// plus one hash lookup. Returns `Ok(None)` (doing nothing) if a new
     /// relevant element blocks the fast path.
-    #[allow(clippy::too_many_arguments)]
     fn fast_append(
         &mut self,
         tx: &Transaction,
         state: &State,
         opts: &CheckOptions,
-        notion: Notion,
         history_len: usize,
         cold: Option<(&HistoryPager, usize)>,
         stats: &mut EngineStats,
     ) -> Result<Option<Status>, Error> {
-        if self.compiled.is_some()
-            && (notion == Notion::BadPrefix || opts.pipeline == Pipeline::Reference)
-        {
-            // Compiled state decides potential satisfaction; the
-            // bad-prefix notion's `⊥`-check is syntax-dependent, so a
-            // mid-run notion flip falls back to the symbolic residue.
+        if self.compiled.is_some() && opts.pipeline == Pipeline::Reference {
             // The reference pipeline never steps automata, so a context
             // restored compiled from a production snapshot decompiles.
             self.decompile();
@@ -661,7 +622,7 @@ impl GroundingContext {
                 stats.replayed_conjuncts += dg.new_mappings;
             }
         }
-        let w = if opts.pipeline == Pipeline::Production && self.g.mode() == GroundMode::Folded {
+        let w = if opts.pipeline == Pipeline::Production {
             match self.g.patch_state(tx) {
                 Some(w) => {
                     stats.encode_patched_atoms += self.g.patched_letters().len() as u64;
@@ -676,10 +637,10 @@ impl GroundingContext {
             }
         };
         if let Some(set) = self.compiled.as_mut() {
-            // Compiled append (production, folded — so `w` was
-            // patched): update the touched units' columns, advance the
-            // active units by table lookup, read the verdict off the
-            // unsat counter. No progression, no phase 2.
+            // Compiled append (production, so `w` was patched): update
+            // the touched units' columns, advance the active units by
+            // table lookup, read the verdict off the unsat counter. No
+            // progression, no phase 2.
             let t = Timer::start();
             set.patch_cols(self.g.patched_letters(), &w);
             set.step_active(stats);
@@ -701,29 +662,11 @@ impl GroundingContext {
                 stats.cache.transition_hits += 1;
                 self.residue = hit.next;
                 self.g.trace.push(w);
-                if notion == Notion::BadPrefix {
-                    let fls = self.g.arena.fls();
-                    return Ok(Some(if self.residue == fls {
-                        Status::Violated { at: history_len }
-                    } else {
-                        Status::Satisfied
-                    }));
-                }
-                if let Some(sat) = hit.verdict {
-                    return Ok(Some(if sat {
-                        Status::Satisfied
-                    } else {
-                        Status::Violated { at: history_len }
-                    }));
-                }
-                // The edge was recorded under the bad-prefix notion;
-                // run phase 2 now and backfill the verdict.
-                let status = self.decide(notion, opts, history_len, stats)?;
-                let sat = matches!(status, Status::Satisfied);
-                if let Some(entry) = self.transition_cache.get_mut(&key) {
-                    entry.verdict = Some(sat);
-                }
-                return Ok(Some(status));
+                return Ok(Some(if hit.verdict {
+                    Status::Satisfied
+                } else {
+                    Status::Violated { at: history_len }
+                }));
             }
             stats.cache.transition_misses += 1;
             miss_key = Some(key);
@@ -737,21 +680,17 @@ impl GroundingContext {
         self.g.trace.push(w);
         t.finish(&mut stats.progress_time);
         stats.progress_steps += 1;
-        let status = self.decide(notion, opts, history_len, stats)?;
+        let status = self.decide(history_len, stats)?;
         if let Some(key) = miss_key {
             if self.transition_cache.len() >= TRANSITION_CACHE_CAP {
                 stats.cache.transition_evictions += self.transition_cache.len() as u64;
                 self.transition_cache.clear();
             }
-            let verdict = match notion {
-                Notion::Potential => Some(matches!(status, Status::Satisfied)),
-                Notion::BadPrefix => None,
-            };
             self.transition_cache.insert(
                 key,
                 Transition {
                     next: self.residue,
-                    verdict,
+                    verdict: matches!(status, Status::Satisfied),
                 },
             );
         }
@@ -831,35 +770,13 @@ impl GroundingContext {
         Ok(())
     }
 
-    /// Phase 2 on the residue, with memoisation. Under
-    /// [`Notion::BadPrefix`] phase 2 is skipped entirely: only a
-    /// residue of `⊥` counts as a violation.
-    fn decide(
-        &mut self,
-        notion: Notion,
-        opts: &CheckOptions,
-        history_len: usize,
-        stats: &mut EngineStats,
-    ) -> Result<Status, Error> {
-        if self.compiled.is_some() {
-            if notion == Notion::Potential {
-                // Per-state verdicts were precomputed at compile time;
-                // the residue (a conjunction of support-disjoint
-                // units) is satisfiable iff every unit is.
-                let n_unsat = self.compiled.as_ref().expect("checked").n_unsat;
-                return Ok(if n_unsat > 0 {
-                    Status::Violated { at: history_len }
-                } else {
-                    Status::Satisfied
-                });
-            }
-            // Notion flipped mid-run: the `⊥`-check below needs the
-            // symbolic residue.
-            self.decompile();
-        }
-        if notion == Notion::BadPrefix {
-            let fls = self.g.arena.fls();
-            return Ok(if self.residue == fls {
+    /// Phase 2 on the residue, with memoisation.
+    fn decide(&mut self, history_len: usize, stats: &mut EngineStats) -> Result<Status, Error> {
+        if let Some(set) = &self.compiled {
+            // Per-state verdicts were precomputed at compile time; the
+            // residue (a conjunction of support-disjoint units) is
+            // satisfiable iff every unit is.
+            return Ok(if set.n_unsat > 0 {
                 Status::Violated { at: history_len }
             } else {
                 Status::Satisfied
@@ -871,7 +788,7 @@ impl GroundingContext {
         } else {
             stats.sat_checks += 1;
             let t = Timer::start();
-            let r = is_satisfiable_with(&mut self.g.arena, self.residue, opts.solver)?;
+            let r = is_satisfiable(&mut self.g.arena, self.residue)?;
             t.finish(&mut stats.sat_time);
             if self.sat_cache.len() >= SAT_CACHE_CAP {
                 stats.cache.sat_evictions += self.sat_cache.len() as u64;
@@ -903,7 +820,6 @@ pub struct Engine {
     history: History,
     pub(crate) entries: Vec<Entry>,
     opts: CheckOptions,
-    notion: Notion,
     pub(crate) stats: EngineStats,
     store: Option<Store>,
     /// The persistent constraint-sweep worker pool, created lazily on
@@ -974,7 +890,6 @@ impl Engine {
             history,
             entries: Vec::new(),
             opts,
-            notion: Notion::default(),
             stats: EngineStats::default(),
             store: None,
             pool: None,
@@ -982,17 +897,6 @@ impl Engine {
             checkpointed_len: 0,
             outcome_bufs: Vec::new(),
         }
-    }
-
-    /// Selects the violation notion (see [`Notion`]). Applies to
-    /// constraints registered and updates applied afterwards.
-    pub fn set_notion(&mut self, notion: Notion) {
-        self.notion = notion;
-    }
-
-    /// The active violation notion.
-    pub fn notion(&self) -> Notion {
-        self.notion
     }
 
     /// The engine's options.
@@ -1089,19 +993,18 @@ impl Engine {
     /// retention horizon to the pager and drops it from the in-memory
     /// history and every context's trace in lockstep.
     ///
-    /// Truncation is gated on the configurations whose slow paths can
-    /// rebase onto (pager, suffix) offsets — folded grounding on the
-    /// production pipeline (delta re-grounding) — and, with a store attached,
-    /// on the newest checkpoint already covering the dropped instants,
-    /// so crash recovery always finds a snapshot holding the full
-    /// horizon it needs. A residue with unbounded past-depth (the
+    /// Truncation is gated on the pipeline whose slow paths can rebase
+    /// onto (pager, suffix) offsets — production (delta re-grounding) —
+    /// and, with a store attached, on the newest checkpoint already
+    /// covering the dropped instants, so crash recovery always finds a
+    /// snapshot holding the full horizon it needs. A residue with unbounded past-depth (the
     /// `□past` side of the paper's §3 separation) blocks truncation
     /// entirely.
     fn enforce_budget(&mut self) -> Result<(), Error> {
         if self.opts.history_budget == HistoryBudget::Unbounded {
             return Ok(());
         }
-        if self.opts.mode != GroundMode::Folded || self.opts.pipeline == Pipeline::Reference {
+        if self.opts.pipeline == Pipeline::Reference {
             return Ok(());
         }
         let Some(window) = self.budget_window() else {
@@ -1229,9 +1132,9 @@ impl Engine {
         if base > 0 {
             ctx.g.truncate_trace(base);
         }
-        ctx.try_compile(self.notion, &self.opts);
+        ctx.try_compile(&self.opts);
         let len = self.history.len();
-        let status = ctx.decide(self.notion, &self.opts, len, &mut self.stats)?;
+        let status = ctx.decide(len, &mut self.stats)?;
         self.entries.push(Entry {
             name,
             phi,
@@ -1269,10 +1172,10 @@ impl Engine {
     }
 
     /// One append step for one constraint: the incremental fast path,
-    /// else delta re-grounding (production pipeline, folded grounding),
-    /// else a full rebuild; then the violation decision. Factored out of
-    /// [`Engine::append`] so the sequential loop, the pooled constraint
-    /// sweep, and the batched sweep share one body.
+    /// else delta re-grounding (production pipeline), else a full
+    /// rebuild (reference pipeline); then the violation decision.
+    /// Factored out of [`Engine::append`] so the sequential loop, the
+    /// pooled constraint sweep, and the batched sweep share one body.
     ///
     /// `upto` is the history length *after* `tx`: the step reasons over
     /// the prefix `history[..upto]`. During a batched append the
@@ -1280,13 +1183,11 @@ impl Engine {
     /// stepped through the batch one transaction at a time with
     /// `upto` advancing — only the (rare) full-rebuild branch needs to
     /// materialise the prefix.
-    #[allow(clippy::too_many_arguments)]
     fn step_entry(
         history: &History,
         tx: &Transaction,
         entry: &mut Entry,
         opts: &CheckOptions,
-        notion: Notion,
         upto: usize,
         cold: Option<(&HistoryPager, usize)>,
         stats: &mut EngineStats,
@@ -1296,15 +1197,13 @@ impl Engine {
         // no-alloc budget as the pool's outcome buffers: after warm-up
         // a steady-state append must leave `pool_buf_allocs` flat.
         let scratch0 = entry.ctx.g.scratch_allocs();
-        let fast = entry
-            .ctx
-            .fast_append(tx, state, opts, notion, upto, cold, stats);
+        let fast = entry.ctx.fast_append(tx, state, opts, upto, cold, stats);
         stats.pool_buf_allocs += entry.ctx.g.scratch_allocs() - scratch0;
         if let Some(status) = fast? {
             stats.fast_appends += 1;
             return Ok(status);
         }
-        if opts.pipeline == Pipeline::Production && opts.mode == GroundMode::Folded {
+        if opts.pipeline == Pipeline::Production {
             entry.ctx.delta_append(tx, opts, cold, stats)?;
         } else {
             // Full rebuild over the enlarged history (prefix view when
@@ -1316,9 +1215,9 @@ impl Engine {
                 let prefix = history.prefix(upto);
                 GroundingContext::build(&prefix, &entry.phi, opts, stats)?
             };
-            entry.ctx.try_compile(notion, opts);
+            entry.ctx.try_compile(opts);
         }
-        entry.ctx.decide(notion, opts, upto, stats)
+        entry.ctx.decide(upto, stats)
     }
 
     /// Applies a transaction, producing the next state, and re-checks
@@ -1390,7 +1289,6 @@ impl Engine {
                 tx,
                 &mut self.entries[i],
                 &self.opts,
-                self.notion,
                 upto,
                 cold,
                 &mut self.stats,
@@ -1478,7 +1376,6 @@ impl Engine {
                     tx,
                     &mut self.entries[i],
                     &self.opts,
-                    self.notion,
                     base + t + 1,
                     cold,
                     &mut self.stats,
@@ -1535,7 +1432,6 @@ impl Engine {
         } else {
             None
         };
-        let notion = self.notion;
         let bufs = &self.outcome_bufs;
         let mut meter = ParMeter::new();
         let pool_size = self.opts.threads.worker_count();
@@ -1558,7 +1454,6 @@ impl Engine {
                             tx,
                             entry,
                             &inner,
-                            notion,
                             base + t + 1,
                             cold,
                             &mut stats,
@@ -1761,7 +1656,7 @@ pub(crate) fn check_once(
     let mut grounding = ground_metered(
         history,
         phi,
-        opts.mode,
+        GroundMode::Folded,
         opts.ground_strategy(),
         opts.threads,
         &mut par,
@@ -1771,7 +1666,7 @@ pub(crate) fn check_once(
     let t1 = Timer::start();
     let mut decide_time = Duration::ZERO;
     let trace = std::mem::take(&mut grounding.trace);
-    let result = extends_with(&mut grounding.arena, &trace, grounding.formula, opts.solver)?;
+    let result = extends(&mut grounding.arena, &trace, grounding.formula)?;
     grounding.trace = trace;
     t1.finish(&mut decide_time);
 
@@ -1856,22 +1751,6 @@ mod tests {
         // A full re-ground at step i would have re-derived i+2
         // instantiations; the delta path replays far fewer in total.
         assert!(s.replayed_conjuncts < s.mappings, "{s:?}");
-    }
-
-    #[test]
-    fn full_mode_forces_rebuild_even_under_delta_policy() {
-        let sc = order_schema();
-        let sub = sc.pred("Sub").unwrap();
-        let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-        let mut e = Engine::new(
-            sc.clone(),
-            CheckOptions::builder().mode(GroundMode::Full).build(),
-        );
-        e.add_constraint("once", phi).unwrap();
-        e.append(&Transaction::new().insert(sub, vec![1])).unwrap();
-        let s = e.stats();
-        assert_eq!(s.delta_grounds, 0, "full construction cannot delta-ground");
-        assert_eq!(s.regrounds, 1);
     }
 
     #[test]
@@ -2456,25 +2335,5 @@ mod tests {
             e.append(&churn_tx(i)).unwrap();
         }
         assert!(e.history().base() > 0);
-    }
-
-    #[test]
-    fn notion_flip_decompiles_transparently() {
-        // A context compiled under Potential must fall back to the
-        // symbolic residue when the notion flips to BadPrefix, and
-        // still detect the (delayed) violation.
-        let sc = order_schema();
-        let sub = sc.pred("Sub").unwrap();
-        let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-        let mut e = Engine::new(sc.clone(), CheckOptions::default());
-        let id = e.add_constraint("once", phi).unwrap();
-        e.append(&Transaction::new().insert(sub, vec![1])).unwrap();
-        assert!(e.stats().templates_compiled >= 1);
-        e.set_notion(Notion::BadPrefix);
-        e.append(&Transaction::new().insert(sub, vec![1])).unwrap();
-        assert_eq!(e.stats().templates_compiled, 0, "decompiled on flip");
-        // Under bad-prefix the duplicate makes the residue collapse to
-        // ⊥ at this very step (G !Sub(1) progressed under Sub(1)).
-        assert!(matches!(e.status(id), Status::Violated { .. }));
     }
 }

@@ -10,11 +10,11 @@
 
 use crate::engine::check_once;
 use crate::error::Error;
-use crate::ground::{GroundMode, GroundStats, GroundStrategy, Grounding};
+use crate::ground::{GroundStats, GroundStrategy, Grounding};
 use crate::par::Threads;
 use std::time::Duration;
 use ticc_fotl::Formula;
-use ticc_ptl::sat::{SatSolver, SatStats};
+use ticc_ptl::sat::SatStats;
 use ticc_tdb::{History, State};
 
 /// How eagerly the engine hardens appended transactions when a durable
@@ -74,13 +74,17 @@ impl HistoryBudget {
             return Ok(HistoryBudget::Unbounded);
         }
         let (digits, unit) = s.split_at(s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len()));
-        let n: usize = digits.parse().map_err(|_| {
-            format!("invalid history budget '{s}' (want unbounded|<n>|<n>kb|<n>mb)")
-        })?;
+        let invalid = || format!("invalid history budget '{s}' (want unbounded|<n>|<n>kb|<n>mb)");
+        let n: usize = digits.parse().map_err(|_| invalid())?;
+        let bytes = |scale: usize| {
+            n.checked_mul(scale)
+                .map(HistoryBudget::Bytes)
+                .ok_or_else(invalid)
+        };
         match unit {
             "" => Ok(HistoryBudget::Window(n)),
-            "kb" => Ok(HistoryBudget::Bytes(n << 10)),
-            "mb" => Ok(HistoryBudget::Bytes(n << 20)),
+            "kb" => bytes(1 << 10),
+            "mb" => bytes(1 << 20),
             other => Err(format!(
                 "invalid history budget unit '{other}' (want kb|mb)"
             )),
@@ -125,18 +129,10 @@ pub(crate) enum Pipeline {
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct CheckOptions {
-    /// Grounding construction.
-    pub mode: GroundMode,
-    /// Phase-2 satisfiability engine.
-    pub solver: SatSolver,
     /// Worker-thread policy for the sharded grounding and the
     /// per-constraint fan-out (deterministic: results are identical to
     /// [`Threads::Off`]).
     pub threads: Threads,
-    /// Maximum explicit states per compiled template automaton; a
-    /// template exceeding the budget leaves the whole context on the
-    /// symbolic path (progression plus the transition cache).
-    pub automaton_state_budget: usize,
     /// WAL write policy when a durable store is attached to the engine.
     pub durability: Durability,
     /// Memory budget for the history and per-constraint traces.
@@ -145,6 +141,11 @@ pub struct CheckOptions {
     /// segment; results are bit-identical to
     /// [`HistoryBudget::Unbounded`].
     pub history_budget: HistoryBudget,
+    /// Maximum explicit states per compiled template automaton; a
+    /// template exceeding the budget leaves the whole context on the
+    /// symbolic path (progression plus the transition cache). Fixed at
+    /// 64 outside tests.
+    pub(crate) automaton_state_budget: usize,
     /// Production unless built by [`CheckOptions::reference`].
     pub(crate) pipeline: Pipeline,
 }
@@ -152,12 +153,10 @@ pub struct CheckOptions {
 impl Default for CheckOptions {
     fn default() -> Self {
         Self {
-            mode: GroundMode::default(),
-            solver: SatSolver::default(),
             threads: Threads::default(),
-            automaton_state_budget: 64,
             durability: Durability::default(),
             history_budget: HistoryBudget::default(),
+            automaton_state_budget: 64,
             pipeline: Pipeline::default(),
         }
     }
@@ -201,10 +200,10 @@ impl CheckOptions {
 /// non-default options outside this crate.
 ///
 /// ```
-/// use ticc_core::{CheckOptions, GroundMode, Threads};
+/// use ticc_core::{CheckOptions, HistoryBudget, Threads};
 /// let opts = CheckOptions::builder()
-///     .mode(GroundMode::Folded)
 ///     .threads(Threads::Fixed(4))
+///     .history_budget(HistoryBudget::Window(1024))
 ///     .build();
 /// assert_eq!(opts.threads, Threads::Fixed(4));
 /// ```
@@ -214,25 +213,18 @@ pub struct CheckOptionsBuilder {
 }
 
 impl CheckOptionsBuilder {
-    /// Grounding construction.
-    pub fn mode(mut self, mode: GroundMode) -> Self {
-        self.opts.mode = mode;
-        self
-    }
-
-    /// Phase-2 satisfiability engine.
-    pub fn solver(mut self, solver: SatSolver) -> Self {
-        self.opts.solver = solver;
-        self
-    }
-
     /// Worker-thread policy.
     pub fn threads(mut self, threads: Threads) -> Self {
         self.opts.threads = threads;
         self
     }
 
-    /// Maximum explicit states per compiled template automaton.
+    /// Maximum explicit states per compiled template automaton. Tests
+    /// set it to 1 to reach production's symbolic path (progression
+    /// plus the transition cache), the fallback for templates that do
+    /// not compile. Compiled only for tests and under the `reference`
+    /// feature, like [`CheckOptions::reference`].
+    #[cfg(any(test, feature = "reference"))]
     pub fn automaton_state_budget(mut self, budget: usize) -> Self {
         self.opts.automaton_state_budget = budget;
         self
@@ -348,9 +340,18 @@ pub fn check_potential_satisfaction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ground::{ground, GroundMode};
     use std::sync::Arc;
     use ticc_fotl::parser::parse;
+    use ticc_ptl::sat::{extends_with, SatResult, SatSolver};
     use ticc_tdb::{Schema, Value};
+
+    /// The oracle route: ground with `mode`, then decide extendability
+    /// with `solver` directly — no engine, no options.
+    fn oracle(h: &History, phi: &Formula, mode: GroundMode, solver: SatSolver) -> SatResult {
+        let mut g = ground(h, phi, mode).unwrap();
+        extends_with(&mut g.arena, &g.trace, g.formula, solver).unwrap()
+    }
 
     fn order_schema() -> Arc<Schema> {
         Schema::builder().pred("Sub", 1).pred("Fill", 1).build()
@@ -410,6 +411,28 @@ mod tests {
     }
 
     #[test]
+    fn history_budget_parse_accepts_units_and_rejects_overflow() {
+        assert_eq!(
+            HistoryBudget::parse("unbounded"),
+            Ok(HistoryBudget::Unbounded)
+        );
+        assert_eq!(HistoryBudget::parse("128"), Ok(HistoryBudget::Window(128)));
+        assert_eq!(HistoryBudget::parse("4kb"), Ok(HistoryBudget::Bytes(4096)));
+        assert_eq!(
+            HistoryBudget::parse(" 64MB "),
+            Ok(HistoryBudget::Bytes(64 << 20))
+        );
+        let unit = HistoryBudget::parse("8gb").unwrap_err();
+        assert!(unit.contains("unit 'gb'"), "{unit}");
+        // 2^44 MiB is 2^64 bytes: the shift used to wrap it to 0.
+        for huge in ["17592186044416mb", "18014398509481984kb"] {
+            let err = HistoryBudget::parse(huge).unwrap_err();
+            assert!(err.contains("invalid history budget"), "{huge}: {err}");
+        }
+        assert!(HistoryBudget::parse("99999999999999999999").is_err());
+    }
+
+    #[test]
     fn full_and_folded_modes_agree() {
         let sc = order_schema();
         let phi = once_only(&sc);
@@ -418,27 +441,11 @@ mod tests {
             history(&[(&[1], &[]), (&[1], &[])]),
             history(&[(&[1], &[]), (&[2], &[1]), (&[], &[2])]),
         ] {
-            let folded = check_potential_satisfaction(
-                &h,
-                &phi,
-                &CheckOptions::builder()
-                    .mode(GroundMode::Folded)
-                    .solver(SatSolver::Buchi)
-                    .build(),
-            )
-            .unwrap();
-            let full = check_potential_satisfaction(
-                &h,
-                &phi,
-                &CheckOptions::builder()
-                    .mode(GroundMode::Full)
-                    .solver(SatSolver::Buchi)
-                    .build(),
-            )
-            .unwrap();
+            let folded = check_potential_satisfaction(&h, &phi, &CheckOptions::default()).unwrap();
+            let full = oracle(&h, &phi, GroundMode::Full, SatSolver::Buchi);
             assert_eq!(
                 folded.potentially_satisfied,
-                full.potentially_satisfied,
+                full.satisfiable,
                 "modes disagree on history of length {}",
                 h.len()
             );
@@ -523,16 +530,8 @@ mod tests {
         // The constant-word safety probe may answer without building the
         // automaton (states == 0); the exhaustive engine must not.
         assert_eq!(out.stats.sat.prefix_len, 2);
-        let exhaustive = check_potential_satisfaction(
-            &h,
-            &phi,
-            &CheckOptions::builder()
-                .mode(crate::ground::GroundMode::Folded)
-                .solver(ticc_ptl::sat::SatSolver::BuchiExhaustive)
-                .build(),
-        )
-        .unwrap();
-        assert!(exhaustive.stats.sat.states > 0);
-        assert_eq!(exhaustive.potentially_satisfied, out.potentially_satisfied);
+        let exhaustive = oracle(&h, &phi, GroundMode::Folded, SatSolver::BuchiExhaustive);
+        assert!(exhaustive.stats.states > 0);
+        assert_eq!(exhaustive.satisfiable, out.potentially_satisfied);
     }
 }

@@ -22,8 +22,9 @@
 //! * [`GroundMode::Folded`] — every *rigid* letter (all equalities, and
 //!   `p(…z…)` letters, whose truth values `Axiom_D` fixes for all time)
 //!   is constant-folded at construction. The two modes are equivalent
-//!   for the extension problem (property-tested); `Folded` is the
-//!   production path and ablation E6 measures the gap.
+//!   for the extension problem (property-tested); `Folded` is the only
+//!   mode the engine runs, and `Full` is kept as the oracle the tests
+//!   and ablation E6 call through [`ground`].
 
 use crate::par::{self, ParMeter, Threads};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -2123,13 +2124,15 @@ impl Grounding {
     }
 
     /// Dumps everything a durable snapshot needs to rebuild this
-    /// grounding bit-identically (see [`Grounding::restore`]).
+    /// grounding bit-identically (see [`Grounding::restore`]). Only
+    /// folded groundings are persisted: the engine grounds no other
+    /// way.
     pub(crate) fn dump(&self) -> GroundingDump {
+        debug_assert_eq!(self.mode, GroundMode::Folded);
         let mut letters: Vec<(LetterKey, AtomId)> =
             self.letters.iter().map(|(k, a)| (k.clone(), a)).collect();
         letters.sort_by_key(|&(_, a)| a);
         GroundingDump {
-            mode: self.mode,
             consts: self.consts.clone(),
             letters,
             external: self.external.clone(),
@@ -2234,7 +2237,7 @@ impl Grounding {
             trace: d.trace,
             m: d.m,
             stats: d.stats,
-            mode: d.mode,
+            mode: GroundMode::Folded,
             schema,
             consts: d.consts,
             letters,
@@ -2255,7 +2258,6 @@ impl Grounding {
 /// the durability layer serialises per constraint. Produced by
 /// [`Grounding::dump`], consumed by [`Grounding::restore`].
 pub(crate) struct GroundingDump {
-    pub mode: GroundMode,
     pub consts: Vec<Value>,
     /// `(key, id)` pairs in id order.
     pub letters: Vec<(LetterKey, AtomId)>,

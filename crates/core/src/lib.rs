@@ -57,7 +57,7 @@ pub mod trigger;
 pub mod window;
 
 pub use diagnostics::earliest_violation;
-pub use engine::{Engine, GroundingContext, Notion, OpenReport};
+pub use engine::{Engine, GroundingContext, OpenReport};
 pub use error::Error;
 pub use explain::explain;
 pub use extension::{

@@ -11,9 +11,9 @@
 //! Incrementality lives in the engine layer: appends that introduce no
 //! new relevant element reuse the existing grounding (encode one
 //! state, progress the residue, memoised satisfiability); appends that
-//! do grow `R_D` are handled by delta re-grounding — or a full rebuild
-//! under the full (paper-literal) grounding construction. The monitor only translates
-//! the engine's counters into its historical [`MonitorStats`] shape.
+//! do grow `R_D` are handled by delta re-grounding. The monitor only
+//! translates the engine's counters into its historical
+//! [`MonitorStats`] shape.
 
 use crate::engine::Engine;
 use crate::extension::CheckOptions;
@@ -24,7 +24,7 @@ use ticc_tdb::{History, Schema, Transaction};
 
 use crate::error::Error;
 
-pub use crate::engine::{ConstraintId, MonitorEvent, Notion, Status};
+pub use crate::engine::{ConstraintId, MonitorEvent, Status};
 
 /// Cumulative monitor statistics (the engine's counters folded into
 /// the monitor's historical shape; see [`Monitor::engine_stats`] for
@@ -78,13 +78,6 @@ impl Monitor {
     /// compaction, store attachment).
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
-    }
-
-    /// Selects the violation notion (see [`Notion`]). Applies to
-    /// constraints registered and updates applied afterwards.
-    pub fn with_notion(mut self, notion: Notion) -> Self {
-        self.engine.set_notion(notion);
-        self
     }
 
     /// The current history.
@@ -200,6 +193,17 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].at, 3);
         assert_eq!(m.status(id), Status::Violated { at: 3 });
+
+        // A latent violation: after Sub(1) the obligation X Fill(1)
+        // clashes with G !Fill(1), so no extension exists — though the
+        // residue is not yet ⊥ (progression alone would only see it
+        // one state later). Potential satisfaction detects at once.
+        let phi = parse(&sc, "G (Sub(1) -> X Fill(1)) & G !Fill(1)").unwrap();
+        let mut m = Monitor::new(sc.clone(), CheckOptions::default());
+        let id = m.add_constraint("latent", phi).unwrap();
+        let events = m.append(&sub_tx(&sc, &[1])).unwrap();
+        assert_eq!(events.len(), 1, "potential notion detects at once");
+        assert_eq!(m.status(id), Status::Violated { at: 1 });
     }
 
     #[test]
@@ -296,82 +300,5 @@ mod tests {
         // The facade's stats are a projection of the spine.
         let ms = m.stats();
         assert_eq!(ms.regrounds as u64, es.regrounds + es.delta_grounds);
-    }
-}
-
-#[cfg(test)]
-mod notion_tests {
-    use super::*;
-    use ticc_fotl::parser::parse;
-
-    fn schema() -> Arc<Schema> {
-        Schema::builder().pred("Sub", 1).pred("Fill", 1).build()
-    }
-
-    /// A constraint whose violation is *not* immediately visible to
-    /// progression: Sub(x) must be followed by Fill(x) at the very next
-    /// instant. After `Sub(1)` + next state without `Fill(1)`, the
-    /// residue is ⊥ — both notions catch that. But the unsatisfiable
-    /// combination `Sub(x) ∧ ○(Sub(x) ∧ ¬Fill(x))`-style conflicts can
-    /// be latent: we build one below via two clashing constraints in one
-    /// formula.
-    #[test]
-    fn bad_prefix_notion_detects_later_than_potential() {
-        let sc = schema();
-        // □(Sub(1) → ○Fill(1)) ∧ □¬Fill(1): once Sub(1) happens, no
-        // extension exists (the obligation ○Fill(1) clashes with
-        // □¬Fill(1)) — but the residue only folds to ⊥ one state later,
-        // when the missing Fill(1) becomes a fact.
-        let phi = parse(&sc, "G (Sub(1) -> X Fill(1)) & G !Fill(1)").unwrap();
-        let sub = sc.pred("Sub").unwrap();
-
-        let mut strong = Monitor::new(sc.clone(), CheckOptions::default());
-        let s_id = strong.add_constraint("c", phi.clone()).unwrap();
-        let mut weak =
-            Monitor::new(sc.clone(), CheckOptions::default()).with_notion(Notion::BadPrefix);
-        let w_id = weak.add_constraint("c", phi).unwrap();
-
-        let tx1 = Transaction::new().insert(sub, vec![1]);
-        let strong_ev = strong.append(&tx1).unwrap();
-        let weak_ev = weak.append(&tx1).unwrap();
-        assert_eq!(strong_ev.len(), 1, "potential notion detects at once");
-        assert!(weak_ev.is_empty(), "bad-prefix notion does not see it yet");
-        assert_eq!(strong.status(s_id), Status::Violated { at: 1 });
-        assert_eq!(weak.status(w_id), Status::Satisfied);
-
-        // One more (empty) state folds the residue to ⊥: the weak
-        // notion catches up, one instant late.
-        let weak_ev2 = weak
-            .append(&Transaction::new().delete(sub, vec![1]))
-            .unwrap();
-        assert_eq!(weak_ev2.len(), 1);
-        assert_eq!(weak.status(w_id), Status::Violated { at: 2 });
-    }
-
-    #[test]
-    fn both_notions_agree_on_directly_visible_violations() {
-        let sc = schema();
-        let phi = parse(&sc, "G !Sub(3)").unwrap();
-        let sub = sc.pred("Sub").unwrap();
-        for notion in [Notion::Potential, Notion::BadPrefix] {
-            let mut m = Monitor::new(sc.clone(), CheckOptions::default()).with_notion(notion);
-            let id = m.add_constraint("never3", phi.clone()).unwrap();
-            let ev = m.append(&Transaction::new().insert(sub, vec![3])).unwrap();
-            assert_eq!(ev.len(), 1, "{notion:?}");
-            assert_eq!(m.status(id), Status::Violated { at: 1 });
-        }
-    }
-
-    #[test]
-    fn bad_prefix_notion_runs_no_sat_checks() {
-        let sc = schema();
-        let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-        let mut m =
-            Monitor::new(sc.clone(), CheckOptions::default()).with_notion(Notion::BadPrefix);
-        m.add_constraint("once", phi).unwrap();
-        let sub = sc.pred("Sub").unwrap();
-        m.append(&Transaction::new().insert(sub, vec![1])).unwrap();
-        m.append(&Transaction::new().delete(sub, vec![1])).unwrap();
-        assert_eq!(m.stats().sat_checks, 0, "progression only");
     }
 }

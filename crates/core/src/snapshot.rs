@@ -18,10 +18,10 @@
 //! table it references, so corrupt snapshot bytes surface as
 //! [`Error::Store`] instead of a panic or an out-of-bounds index.
 
-use crate::engine::{CompiledSet, Engine, Entry, GroundingContext, Notion, Status, Unit};
+use crate::engine::{CompiledSet, Engine, Entry, GroundingContext, Status, Unit};
 use crate::error::Error;
 use crate::extension::CheckOptions;
-use crate::ground::{GArg, GroundMode, GroundStats, Grounding, GroundingDump, LetterKey};
+use crate::ground::{GArg, GroundStats, Grounding, GroundingDump, LetterKey};
 use crate::obs::{CacheStats, EngineStats, HistoryStats};
 use crate::spill::HistoryPager;
 use std::collections::BTreeSet;
@@ -29,6 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use ticc_ptl::arena::{AtomId, FormulaId, Node};
 use ticc_ptl::automaton::{self, CanonNode, CompileLimits, TemplateKey};
+use ticc_ptl::sat::SatSolver;
 use ticc_ptl::trace::PropState;
 use ticc_store::codec::{formula_decode, formula_encode, schema_decode, schema_encode};
 use ticc_store::{Dec, Enc, StoreError};
@@ -43,7 +44,25 @@ use ticc_tdb::{ConstId, History, PredId, State};
 /// set. Restore rebuilds the same tiered shape it wrote: cold instants
 /// are re-spilled to a fresh pager instead of being materialised, so a
 /// restart's resident footprint matches the writer's.
+///
+/// Two v4 bytes are fixed tags: the violation-notion tag after the
+/// constants and the ground-mode tag leading each grounding dump. The
+/// engine decides one notion (potential satisfaction) over folded
+/// groundings, so both are always written as `0` and any other value
+/// is rejected as corrupt.
 pub const SNAP_VERSION: u32 = 4;
+
+/// The fixed value of the notion and ground-mode tags (see
+/// [`SNAP_VERSION`]).
+const FIXED_TAG: u8 = 0;
+
+/// Reads one fixed tag, rejecting any other value as corrupt.
+fn fixed_tag(d: &mut Dec<'_>, what: &str) -> Result<(), Error> {
+    match d.u8()? {
+        FIXED_TAG => Ok(()),
+        n => Err(corrupt(&format!("unsupported {what} tag {n}"))),
+    }
+}
 
 fn corrupt(msg: &str) -> Error {
     Error::Store(format!("snapshot: {msg}"))
@@ -61,10 +80,8 @@ pub fn snapshot_engine(engine: &Engine, app: &[u8]) -> Vec<u8> {
     for c in schema.consts() {
         e.u64(history.const_value(c));
     }
-    e.u8(match engine.notion() {
-        Notion::Potential => 0,
-        Notion::BadPrefix => 1,
-    });
+    // Notion tag: always potential satisfaction.
+    e.u8(FIXED_TAG);
     // Distinct-state table + per-instant indices: long histories repeat
     // states heavily (churn workloads cycle through a handful of
     // databases), so both the wire size and the decode cost of the
@@ -173,11 +190,7 @@ pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u
     for _ in schema.consts() {
         consts.push(d.u64()?);
     }
-    let notion = match d.u8()? {
-        0 => Notion::Potential,
-        1 => Notion::BadPrefix,
-        n => return Err(corrupt(&format!("unknown notion tag {n}"))),
-    };
+    fixed_tag(&mut d, "notion")?;
     let n_distinct = d.usize()?;
     let mut distinct: Vec<State> = Vec::with_capacity(n_distinct.min(65536));
     for _ in 0..n_distinct {
@@ -250,22 +263,14 @@ pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u
                     return Err(corrupt("residue id out of range"));
                 }
                 // A symbolic entry stays symbolic: the writer already
-                // decided (budget bail, notion, support overlap).
+                // decided (budget bail, support overlap).
                 GroundingContext::from_parts(g, residue)
             }
             Persisted::Compiled(raw) => {
-                if g.mode() != GroundMode::Folded {
-                    return Err(corrupt("compiled section on a full-mode grounding"));
-                }
-                let set = rebind_compiled(raw, &mut g, &opts)?;
+                let set = rebind_compiled(raw, &mut g)?;
                 let tru = g.arena.tru();
                 let mut ctx = GroundingContext::from_parts(g, tru);
                 ctx.compiled = Some(set);
-                if notion == Notion::BadPrefix {
-                    // The bad-prefix notion's `⊥`-check needs the
-                    // symbolic residue: decompile now.
-                    ctx.decompile();
-                }
                 ctx
             }
         };
@@ -284,7 +289,6 @@ pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u
     let app = d.bytes()?.to_vec();
     d.finish()?;
     let mut engine = Engine::with_history(history, opts);
-    engine.set_notion(notion);
     engine.entries = entries;
     engine.stats = stats;
     engine.pager = pager;
@@ -559,18 +563,14 @@ fn compiled_decode(d: &mut Dec<'_>) -> Result<RawCompiled, Error> {
 /// canonical root, columns ascending), so the recompiled machine is
 /// bit-identical to the writer's; a state-count mismatch therefore
 /// means the payload is corrupt, not that the environment differs.
-fn rebind_compiled(
-    raw: RawCompiled,
-    g: &mut Grounding,
-    opts: &CheckOptions,
-) -> Result<CompiledSet, Error> {
+fn rebind_compiled(raw: RawCompiled, g: &mut Grounding) -> Result<CompiledSet, Error> {
     let mut templates = Vec::with_capacity(raw.templates.len());
     for (key, states) in raw.templates {
         let limits = CompileLimits {
             max_support: CompileLimits::default().max_support,
             max_states: states,
         };
-        let auto = automaton::compile(&key, opts.solver, limits)
+        let auto = automaton::compile(&key, SatSolver::Buchi, limits)
             .map_err(|_| corrupt("template recompile failed"))?
             .ok_or_else(|| corrupt("template exceeds its persisted state count"))?;
         if auto.state_count() != states {
@@ -700,10 +700,8 @@ fn node_decode(d: &mut Dec<'_>) -> Result<Node, Error> {
 }
 
 fn dump_encode(e: &mut Enc, d: &GroundingDump) {
-    e.u8(match d.mode {
-        GroundMode::Folded => 0,
-        GroundMode::Full => 1,
-    });
+    // Ground-mode tag: always folded.
+    e.u8(FIXED_TAG);
     e.usize(d.consts.len());
     for &v in &d.consts {
         e.u64(v);
@@ -800,11 +798,7 @@ fn dump_encode(e: &mut Enc, d: &GroundingDump) {
 }
 
 fn dump_decode(d: &mut Dec<'_>, schema: &ticc_tdb::Schema) -> Result<GroundingDump, Error> {
-    let mode = match d.u8()? {
-        0 => GroundMode::Folded,
-        1 => GroundMode::Full,
-        n => return Err(corrupt(&format!("unknown ground-mode tag {n}"))),
-    };
+    fixed_tag(d, "ground-mode")?;
     let n = d.usize()?;
     let mut consts = Vec::new();
     for _ in 0..n {
@@ -922,7 +916,6 @@ fn dump_decode(d: &mut Dec<'_>, schema: &ticc_tdb::Schema) -> Result<GroundingDu
         occ.push((p, tuples));
     }
     Ok(GroundingDump {
-        mode,
         consts,
         letters,
         external,
@@ -1058,6 +1051,36 @@ mod tests {
                 other => panic!("v{version} payload restored: {:?}", other.map(|_| ())),
             }
         }
+        // The notion and ground-mode tags are fixed at 0; a 1 in either
+        // (an older writer's bad-prefix notion or full-mode grounding)
+        // is corrupt.
+        let mut prefix = Enc::new();
+        prefix.u32(SNAP_VERSION);
+        let history = engine.history();
+        schema_encode(&mut prefix, history.schema());
+        for c in history.schema().consts() {
+            prefix.u64(history.const_value(c));
+        }
+        let notion_at = prefix.into_bytes().len();
+        let id = engine.constraints().next().unwrap();
+        let mut dump = Enc::new();
+        dump_encode(&mut dump, &engine.context(id).grounding().dump());
+        let dump = dump.into_bytes();
+        let mode_at = bytes
+            .windows(dump.len())
+            .position(|w| w == dump.as_slice())
+            .expect("the grounding dump is inside the payload");
+        for (at, what) in [(notion_at, "notion"), (mode_at, "ground-mode")] {
+            assert_eq!(bytes[at], 0, "{what} tag");
+            let mut b = bytes.clone();
+            b[at] = 1;
+            match restore_engine(&b, CheckOptions::default()) {
+                Err(Error::Store(m)) => {
+                    assert!(m.contains(&format!("unsupported {what} tag 1")), "{m}")
+                }
+                other => panic!("{what} tag 1 restored: {:?}", other.map(|_| ())),
+            }
+        }
         // Truncations at every prefix length must error, never panic.
         for cut in 0..bytes.len() {
             assert!(
@@ -1141,26 +1164,6 @@ mod tests {
         let bytes = snapshot_engine(&e, &[]);
         let (back, _) = restore_engine(&bytes, CheckOptions::default()).unwrap();
         assert_eq!(back.stats().templates_compiled, 0, "{:?}", back.stats());
-    }
-
-    #[test]
-    fn bad_prefix_restore_decompiles_compiled_entries() {
-        let mut engine = engine_with_appends();
-        assert!(engine.stats().templates_compiled >= 1);
-        // The notion persists; the compiled section was written under
-        // Potential and must come back symbolic under BadPrefix.
-        engine.set_notion(Notion::BadPrefix);
-        let bytes = snapshot_engine(&engine, &[]);
-        let (mut back, _) = restore_engine(&bytes, CheckOptions::default()).unwrap();
-        assert_eq!(back.stats().templates_compiled, 0, "{:?}", back.stats());
-        // The decompiled residue is the exact symbolic state: the
-        // violation still lands on re-submission.
-        let sc = back.history().schema().clone();
-        let sub = sc.pred("Sub").unwrap();
-        back.append(&Transaction::new().insert(sub, vec![2]))
-            .unwrap();
-        let id = back.constraints().next().unwrap();
-        assert!(matches!(back.status(id), Status::Violated { .. }));
     }
 
     #[test]

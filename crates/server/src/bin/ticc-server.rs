@@ -4,15 +4,15 @@
 //! ```text
 //! ticc-server serve --addr 127.0.0.1:7171 [--wal sessions.gwal]
 //!                   [--max-sessions N] [--workers N] [--threads auto|off|N]
-//!                   [--io-threads N] [--threads-per-conn]
+//!                   [--io-threads N]
 //!                   [--idle-park-ms MS] [--session-inflight N] [--session-bytes N]
 //! ticc-server client --addr 127.0.0.1:7171          # JSON lines on stdin
 //! ticc-server soak --addr 127.0.0.1:7171 --conns N  # hold N idle connections
 //! ```
 //!
-//! Serving defaults to the event-driven core (`--io-threads` poll
-//! loops multiplexing all connections); `--threads-per-conn` selects
-//! the legacy loop for A/B comparison. `--idle-park-ms` checkpoints
+//! Serving runs the event-driven core (`--io-threads` `poll(2)` loops
+//! multiplexing all connections), so `serve` needs a unix host; the
+//! client and soak modes are portable. `--idle-park-ms` checkpoints
 //! sessions idle past the deadline into parked snapshot bytes —
 //! transparently resumed by their next op. `--session-inflight` /
 //! `--session-bytes` set the default per-tenant quotas (wire error
@@ -25,7 +25,7 @@
 //! | 0    | clean exit (`shutdown` op received, or client EOF) |
 //! | 2    | bad flags / usage |
 //! | 3    | the group WAL could not be opened or recovered |
-//! | 4    | the listen address could not be bound |
+//! | 4    | the listen address could not be bound, or serving is unsupported (non-unix host) |
 //! | 5    | client: connection or protocol failure |
 //!
 //! The client sends the `ticc-wire-v1` handshake itself, then frames
@@ -49,7 +49,7 @@ fn main() -> ExitCode {
         Some("soak") => soak(&args[1..]),
         _ => {
             eprintln!("usage: ticc-server serve --addr <ip:port> [--wal <path>] [--max-sessions N] [--workers N] [--threads auto|off|N]");
-            eprintln!("                         [--io-threads N] [--threads-per-conn] [--idle-park-ms MS] [--session-inflight N] [--session-bytes N]");
+            eprintln!("                         [--io-threads N] [--idle-park-ms MS] [--session-inflight N] [--session-bytes N]");
             eprintln!("       ticc-server client --addr <ip:port>   (JSON requests on stdin, one per line)");
             eprintln!("       ticc-server soak --addr <ip:port> --conns N   (hold N handshaken idle connections)");
             ExitCode::from(2)
@@ -62,7 +62,6 @@ struct Flags {
     wal: Option<String>,
     limits: Limits,
     threads: Threads,
-    threads_per_conn: bool,
     conns: usize,
 }
 
@@ -72,7 +71,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         wal: None,
         limits: Limits::default(),
         threads: Threads::Auto,
-        threads_per_conn: false,
         conns: 64,
     };
     let mut it = args.iter();
@@ -101,7 +99,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .parse()
                     .map_err(|_| "--io-threads needs an integer".to_owned())?;
             }
-            "--threads-per-conn" => flags.threads_per_conn = true,
             "--idle-park-ms" => {
                 flags.limits.idle_park_ms = value("--idle-park-ms")?
                     .parse()
@@ -162,12 +159,7 @@ fn serve(args: &[String]) -> ExitCode {
             return ExitCode::from(4);
         }
     };
-    let start = if flags.threads_per_conn {
-        Server::start
-    } else {
-        ticc_server::mux::start_mux
-    };
-    let running = match start(Arc::new(server), listener) {
+    let running = match ticc_server::mux::start_mux(Arc::new(server), listener) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ticc-server: cannot start: {e}");

@@ -4,11 +4,11 @@
 //! set of constraints and triggers each) in one long-lived process,
 //! spoken to over the [`wire`] protocol (`ticc-wire-v1`: length-
 //! prefixed JSON frames over TCP). Connections are served by the
-//! event-driven [`mux`] core by default — a fixed pool of I/O threads
-//! multiplexing nonblocking sockets over `poll(2)` — with the legacy
-//! thread-per-connection loop ([`Server::start`]) kept for A/B
-//! benching. Several properties distinguish it from "a shell per
-//! client":
+//! event-driven [`mux`] core — a fixed pool of I/O threads
+//! multiplexing nonblocking sockets over `poll(2)`, so serving
+//! requires a unix host (the session layer, [`Server::dispatch`] and
+//! the wire codec are portable). Several properties distinguish it
+//! from "a shell per client":
 //!
 //! - **Group-commit durability.** All sessions log into one shared
 //!   [`GroupWal`]; a `Durability::WalFsync` append waits for its
@@ -22,7 +22,7 @@
 //!   instead of buffering unboundedly. Clients retry; memory stays
 //!   bounded.
 //! - **Fair parallelism.** Worker threads register the pool size via
-//!   [`set_pool_peers`], so a session running `Threads::Auto` claims
+//!   [`set_pool_peers`](ticc_core::par::set_pool_peers), so a session running `Threads::Auto` claims
 //!   its share of `available_parallelism`, not the whole machine
 //!   multiplied by every concurrent connection.
 //! - **Per-tenant quotas.** Beyond the global ceilings, each session
@@ -38,14 +38,12 @@
 //! object filled in.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ticc_core::par::set_pool_peers;
 use ticc_core::{
     stats_json_with, CheckOptions, Committed, GroupWal, HistoryBudget, ParkedSession, Session,
     Status,
@@ -76,7 +74,7 @@ pub struct Limits {
     /// Largest request frame accepted.
     pub max_frame_bytes: usize,
     /// Expected concurrently-working connections; feeds
-    /// [`set_pool_peers`] so `Threads::Auto` engines split the machine
+    /// [`set_pool_peers`](ticc_core::par::set_pool_peers) so `Threads::Auto` engines split the machine
     /// instead of each assuming all of it.
     pub workers: usize,
     /// I/O threads multiplexing connections in the event-driven core
@@ -1078,70 +1076,6 @@ impl Server {
         }
         wire::ok(vec![("stopping", Json::Bool(true))])
     }
-
-    /// Serves connections until a `shutdown` op arrives. Returns the
-    /// bound address immediately; join the handle to wait for exit.
-    pub fn start(server: Arc<Server>, listener: TcpListener) -> std::io::Result<Running> {
-        let addr = listener.local_addr()?;
-        let _ = server.addr.set(addr);
-        let accept_server = Arc::clone(&server);
-        let handle = std::thread::spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            for stream in listener.incoming() {
-                if accept_server.is_shutting_down() {
-                    break;
-                }
-                // Reap finished connection threads so a long-lived
-                // server's handle list tracks live connections, not
-                // every connection it ever accepted.
-                conns.retain(|c| !c.is_finished());
-                let Ok(stream) = stream else { continue };
-                let conn_server = Arc::clone(&accept_server);
-                conns.push(std::thread::spawn(move || conn_server.handle_conn(stream)));
-            }
-            for c in conns {
-                let _ = c.join();
-            }
-        });
-        Ok(Running {
-            addr,
-            server,
-            handle,
-        })
-    }
-
-    fn handle_conn(self: Arc<Self>, stream: TcpStream) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
-        // This thread is one worker of a pool of `limits.workers`:
-        // clamp Threads::Auto engines to their share of the machine.
-        set_pool_peers(self.limits.workers);
-        let Ok(read_half) = stream.try_clone() else {
-            return;
-        };
-        let mut reader = BufReader::new(read_half);
-        let mut writer = BufWriter::new(stream);
-        let mut hello_done = false;
-        loop {
-            let req = match wire::read_json(&mut reader, self.limits.max_frame_bytes) {
-                Ok(Some(Ok(req))) => req,
-                Ok(Some(Err(parse_err))) => {
-                    let resp = wire::err("parse", parse_err);
-                    if wire::write_json(&mut writer, &resp).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                Ok(None) | Err(_) => return,
-            };
-            let (resp, stop) = self.dispatch(&req, &mut hello_done);
-            if wire::write_frame(&mut writer, resp.as_bytes()).is_err() {
-                return;
-            }
-            if stop {
-                return;
-            }
-        }
-    }
 }
 
 /// A started server: its bound address plus the accept-loop handle.
@@ -1379,7 +1313,6 @@ fn register_formulas(session: &mut Session, req: &Json) -> Result<(), Json> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufReader, BufWriter};
     use ticc_core::STATS_SCHEMA;
 
     fn request(server: &Server, hello: &mut bool, src: &str) -> Json {
@@ -1855,11 +1788,14 @@ mod tests {
         assert_eq!(r.get("states").unwrap().as_u64(), Some(1));
     }
 
+    #[cfg(unix)]
     #[test]
     fn served_over_tcp_end_to_end() {
+        use std::io::{BufReader, BufWriter};
+        use std::net::TcpListener;
         let server = Arc::new(Server::new(CheckOptions::default(), Limits::default()));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let running = Server::start(Arc::clone(&server), listener).unwrap();
+        let running = mux::start_mux(Arc::clone(&server), listener).unwrap();
         let stream = TcpStream::connect(running.addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);

@@ -1,7 +1,7 @@
-//! The event-driven serving core: a fixed pool of I/O threads
-//! multiplexing nonblocking connections over `poll(2)`.
+//! The serving core: a fixed pool of I/O threads multiplexing
+//! nonblocking connections over `poll(2)`.
 //!
-//! The legacy loop ([`Server::start`]) spends one OS thread (and its
+//! A thread-per-connection loop would spend one OS thread (and its
 //! stack) per connection, almost all of it blocked in `read`. Here,
 //! [`start_mux`] spends `Limits::io_threads` threads total: each owns
 //! a *shard* of connections, sleeps in one `poll(2)` call over all of
@@ -88,10 +88,10 @@ mod sys {
     }
 }
 
-/// Serves connections on the event-driven core until a `shutdown` op
-/// arrives: `Limits::io_threads` I/O threads, each multiplexing its
-/// shard of nonblocking connections over `poll(2)`. Drop-in for
-/// [`Server::start`] — same wire behaviour, same [`Running`] handle.
+/// Serves connections until a `shutdown` op arrives:
+/// `Limits::io_threads` I/O threads, each multiplexing its shard of
+/// nonblocking connections over `poll(2)`. Returns the bound address
+/// immediately in the [`Running`] handle; join it to wait for exit.
 #[cfg(unix)]
 pub fn start_mux(server: Arc<Server>, listener: TcpListener) -> io::Result<Running> {
     let addr = listener.local_addr()?;
@@ -146,11 +146,13 @@ pub fn start_mux(server: Arc<Server>, listener: TcpListener) -> io::Result<Runni
     })
 }
 
-/// Non-unix hosts have no `poll(2)`: fall back to the legacy
-/// thread-per-connection loop so the server still serves.
+/// Non-unix hosts have no `poll(2)`: serving is unsupported there.
 #[cfg(not(unix))]
-pub fn start_mux(server: Arc<Server>, listener: TcpListener) -> io::Result<Running> {
-    Server::start(server, listener)
+pub fn start_mux(_server: Arc<Server>, _listener: TcpListener) -> io::Result<Running> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "serving requires unix poll(2)",
+    ))
 }
 
 #[cfg(unix)]

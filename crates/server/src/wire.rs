@@ -77,23 +77,6 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Writes a JSON document as one frame.
-pub fn write_json(w: &mut impl Write, v: &Json) -> io::Result<()> {
-    write_frame(w, v.render().as_bytes())
-}
-
-/// Reads one frame and parses it as JSON.
-pub fn read_json(r: &mut impl Read, max_bytes: usize) -> io::Result<Option<Result<Json, String>>> {
-    let Some(payload) = read_frame(r, max_bytes)? else {
-        return Ok(None);
-    };
-    let text = match std::str::from_utf8(&payload) {
-        Ok(t) => t,
-        Err(_) => return Ok(Some(Err("frame is not UTF-8".to_owned()))),
-    };
-    Ok(Some(json::parse(text)))
-}
-
 /// Incremental frame decoder for the event-driven serving core:
 /// nonblocking reads deliver bytes in arbitrary chunks (a frame can
 /// arrive split across reads, or many frames in one read), so the

@@ -7,6 +7,9 @@
 //! random workloads check exactly that. And a crash mid-commit-window
 //! must honour the store layer's ack contract end to end: no
 //! acknowledged append may be lost, unacknowledged ones may be.
+//!
+//! Serving requires unix `poll(2)` (see `ticc_server::mux`).
+#![cfg(unix)]
 
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
@@ -143,24 +146,14 @@ fn step_json(t: usize, events: &[(String, usize)], fired: &[(String, Vec<(String
     ])
 }
 
-/// How the determinism suite serves its connections.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    /// Legacy thread-per-connection loop.
-    Legacy,
-    /// Event-driven `poll(2)` multiplexer.
-    Mux,
-    /// Multiplexer, with every session force-parked mid-stream after
-    /// its second commit — the suite then also proves transparent
-    /// resume preserves the event stream bit for bit.
-    MuxForcedParking,
-}
-
 /// The served-vs-in-process determinism suite: 120 seeded workloads,
 /// each driven over the wire and through an in-process [`Session`],
 /// asserting bit-identical event streams (and, when no forced parking
-/// perturbs engine counters, bit-identical stats documents).
-fn determinism_suite(tag: &str, mode: Mode) {
+/// perturbs engine counters, bit-identical stats documents). With
+/// `force_parking`, every session is force-parked mid-stream after its
+/// second commit — the suite then also proves transparent resume
+/// preserves the event stream bit for bit.
+fn determinism_suite(tag: &str, force_parking: bool) {
     let wal_path = std::env::temp_dir().join(format!(
         "ticc-served-determinism-{tag}-{}.gwal",
         std::process::id()
@@ -171,12 +164,7 @@ fn determinism_suite(tag: &str, mode: Mode) {
         .build();
     let server = Arc::new(Server::with_wal(opts, Limits::default(), &wal_path).unwrap());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let running = match mode {
-        Mode::Legacy => Server::start(Arc::clone(&server), listener).unwrap(),
-        Mode::Mux | Mode::MuxForcedParking => {
-            ticc_server::mux::start_mux(Arc::clone(&server), listener).unwrap()
-        }
-    };
+    let running = ticc_server::mux::start_mux(Arc::clone(&server), listener).unwrap();
     let mut client = Client::connect(running.addr);
 
     for seed in 0..120u64 {
@@ -190,7 +178,7 @@ fn determinism_suite(tag: &str, mode: Mode) {
         client.ok(&open);
         let mut served_steps = Vec::new();
         for (i, commit) in script.iter().enumerate() {
-            if mode == Mode::MuxForcedParking && i == 2 {
+            if force_parking && i == 2 {
                 // Force the idle sweep mid-stream: the session leaves
                 // memory as parked snapshot bytes, and the next append
                 // below must revive it with nothing observably
@@ -276,7 +264,7 @@ fn determinism_suite(tag: &str, mode: Mode) {
             local_violated,
             "seed {seed}: served and in-process verdicts diverge"
         );
-        if mode != Mode::MuxForcedParking {
+        if !force_parking {
             // A park/resume cycle legitimately resets *engine*-level
             // counters (the resumed engine starts from its snapshot),
             // so the full stats document is only compared when no
@@ -315,18 +303,13 @@ fn determinism_suite(tag: &str, mode: Mode) {
 }
 
 #[test]
-fn served_sessions_match_in_process_across_120_seeds() {
-    determinism_suite("legacy", Mode::Legacy);
-}
-
-#[test]
 fn served_sessions_match_in_process_across_120_seeds_mux() {
-    determinism_suite("mux", Mode::Mux);
+    determinism_suite("mux", false);
 }
 
 #[test]
 fn served_sessions_match_in_process_with_parking_forced_mid_stream() {
-    determinism_suite("mux-park", Mode::MuxForcedParking);
+    determinism_suite("mux-park", true);
 }
 
 #[test]

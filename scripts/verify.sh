@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Full local verification gate, offline-safe (no registry access needed):
-#   fmt check -> clippy (warnings are errors) -> release build -> tests.
+#   fmt check -> clippy (warnings are errors) -> reference-feature guard
+#   -> release build -> tests (incl. the bench crate's unit tests).
 # Run from anywhere inside the repo. Pass --release to additionally run
 # the E13 append-hot-path smoke row (builds the bench crate in release).
 set -eu
@@ -13,11 +14,23 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> production builds do not enable ticc-core's \"reference\" feature"
+# The paper-shaped reference pipeline and the test-only knobs compile
+# only under that feature; the shipped binaries must not select it.
+tree="$(cargo tree -e normal,features -p ticc -p ticc-server --offline)"
+if echo "$tree" | grep -q 'ticc-core feature "reference"'; then
+    echo "reference guard: a production crate enables ticc-core/reference"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
 echo "==> cargo test -q"
 cargo test -q --offline
+
+echo "==> cargo test -q -p ticc-bench (outside default-members)"
+cargo test -q --offline -p ticc-bench
 
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline

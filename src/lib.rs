@@ -95,9 +95,9 @@ pub mod shell;
 pub mod prelude {
     pub use ticc_core::{
         check_potential_satisfaction, earliest_violation, explain, Action, CheckOptions,
-        CheckOptionsBuilder, CheckOutcome, Committed, ConstraintId, Durability, Error, GroundMode,
-        GroupWal, Monitor, MonitorEvent, Notion, OpenReport, OpenSummary, Session, SessionBuilder,
-        SessionStats, Status, Store, StoreStats, Threads, Trigger, TriggerEngine,
+        CheckOptionsBuilder, CheckOutcome, Committed, ConstraintId, Durability, Error, GroupWal,
+        Monitor, MonitorEvent, OpenReport, OpenSummary, Session, SessionBuilder, SessionStats,
+        Status, Store, StoreStats, Threads, Trigger, TriggerEngine,
     };
     pub use ticc_fotl::parser::parse;
     pub use ticc_fotl::Formula;

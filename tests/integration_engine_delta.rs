@@ -10,9 +10,7 @@
 //! the same violation events at the same instants, the same statuses,
 //! and the same earliest-violation time. This suite streams staggered
 //! new-element appends over randomized workloads and checks exactly
-//! that, plus the `O(|Δ-part|)` complexity claim on the stats spine,
-//! and the same agreement under the progression-only bad-prefix
-//! notion.
+//! that, plus the `O(|Δ-part|)` complexity claim on the stats spine.
 
 use std::sync::Arc;
 use ticc::core::engine::Engine;
@@ -170,48 +168,4 @@ fn delta_equals_full_on_randomized_staggered_histories() {
         violating_runs >= 20,
         "only {violating_runs}/120 runs violate"
     );
-}
-
-#[test]
-fn bad_prefix_notion_agrees_between_delta_and_full() {
-    use ticc::core::engine::Notion;
-    for seed in 0..30u64 {
-        let mut rng = Rng::seed_from_u64(0xbad ^ seed);
-        let sc = schema();
-        let phi = parse(&sc, ONCE_ONLY).unwrap();
-        let mut delta = Engine::new(sc.clone(), CheckOptions::default());
-        delta.set_notion(Notion::BadPrefix);
-        let mut full = Engine::new(sc.clone(), CheckOptions::reference());
-        full.set_notion(Notion::BadPrefix);
-        let d = delta.add_constraint("once", phi.clone()).unwrap();
-        let f = full.add_constraint("once", phi.clone()).unwrap();
-        let sub = sc.pred("Sub").unwrap();
-        let mut pool = Vec::new();
-        let mut next = 100;
-        for _ in 0..6 {
-            let mut tx = Transaction::new();
-            for &v in &pool {
-                if rng.gen_bool(0.5) {
-                    tx = tx.delete(sub, vec![v]);
-                }
-            }
-            let v = if pool.is_empty() || rng.gen_bool(0.4) {
-                next += 1;
-                next
-            } else {
-                pool[rng.gen_range_usize(0..pool.len())]
-            };
-            if !pool.contains(&v) {
-                pool.push(v);
-            }
-            tx = tx.insert(sub, vec![v]);
-            let de = delta.append(&tx).unwrap();
-            let fe = full.append(&tx).unwrap();
-            assert_eq!(de, fe, "seed {seed}");
-            assert_eq!(delta.status(d), full.status(f), "seed {seed}");
-        }
-        // Progression-only notion runs no phase-2 checks on either path.
-        assert_eq!(delta.stats().sat_checks, 0);
-        assert_eq!(full.stats().sat_checks, 0);
-    }
 }
