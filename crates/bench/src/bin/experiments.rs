@@ -809,10 +809,10 @@ struct E13Result {
 }
 
 /// E13: the append hot path — steady-state appends cost `O(|Δtx|)`
-/// plus (usually) one transition-cache lookup. Compares the production
-/// pipeline (incremental letter patching, transition cache, compiled
-/// automata) against the reference (full re-encode, progression plus
-/// phase 2 on every append).
+/// plus one table lookup per stepped unit. Compares the production
+/// pipeline (incremental letter patching, compiled template automata
+/// for both constraints) against the reference (full re-encode,
+/// progression plus phase 2 on every append).
 fn e13_append_hot_path(smoke: bool) -> E13Result {
     use ticc_fotl::parser::parse;
     let sc = order_schema();
@@ -821,9 +821,9 @@ fn e13_append_hot_path(smoke: bool) -> E13Result {
     let warmup = 2 * domain; // one full lap: the domain is stable after it
     let mut t = Table::new(
         format!("E13: append hot path (steady churn, |R_D| = {domain}, FIFO + cap, t = {total})"),
-        "steady-state appends cost O(|Δtx|) + one hash lookup: \
-         production's incremental patching skips the re-encode, its \
-         transition cache skips progression and phase 2",
+        "steady-state appends cost O(|Δtx|): production's incremental \
+         patching skips the re-encode, its template automata skip \
+         progression and phase 2",
         &[
             "config",
             "appends/s",
@@ -870,6 +870,14 @@ fn e13_append_hot_path(smoke: bool) -> E13Result {
             stats,
         });
     }
+    // Both constraints run as template automata on every production
+    // append; a fall-back to the symbolic path fails the smoke run.
+    let prod = &configs[1].stats;
+    assert_eq!(
+        prod.automaton_appends,
+        2 * prod.appends,
+        "E13 production left the compiled path: {prod:?}"
+    );
     let baseline = configs[0].appends_per_sec;
     for c in &configs {
         t.row([

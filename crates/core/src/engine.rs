@@ -116,49 +116,124 @@ fn support_fingerprint(w: &PropState, support: &[AtomId]) -> u64 {
     h
 }
 
-/// One instantiation bound to a compiled template automaton: which
-/// template, the current `u32` state, the cached column (the valuation
-/// of the unit's support letters in the latest trace state), and the
-/// concrete support letters themselves — `support[i]` instantiates the
-/// template's canonical atom `i`.
+/// One conjunct of a compiled residue bound to a template automaton:
+/// which template, the current `u32` state, the cached column (the
+/// valuation of the unit's support letters in the latest trace state),
+/// and the concrete support letters themselves — `support()[i]`
+/// instantiates the template's canonical atom `i`. The support is
+/// stored inline: no unit is wider than [`automaton::MAX_SUPPORT`].
 pub(crate) struct Unit {
     pub(crate) tmpl: u32,
     pub(crate) state: u32,
     pub(crate) col: u32,
-    pub(crate) support: Vec<AtomId>,
+    support: [AtomId; automaton::MAX_SUPPORT as usize],
+    len: u8,
+    /// Some support letter also belongs to another unit, so this
+    /// unit's verdict does not compose on its own (see [`CompiledSet`]).
+    shared: bool,
+}
+
+impl Unit {
+    /// An unshared unit at `state`; `None` if `support` is wider than
+    /// the inline capacity.
+    pub(crate) fn new(tmpl: u32, state: u32, support: &[AtomId]) -> Option<Self> {
+        let mut inline = [AtomId(0); automaton::MAX_SUPPORT as usize];
+        inline.get_mut(..support.len())?.copy_from_slice(support);
+        Some(Unit {
+            tmpl,
+            state,
+            col: 0,
+            support: inline,
+            len: support.len() as u8,
+            shared: false,
+        })
+    }
+
+    /// The concrete support letters, in canonical-atom order.
+    pub(crate) fn support(&self) -> &[AtomId] {
+        &self.support[..self.len as usize]
+    }
+}
+
+/// One entry of the letter → units multimap: a unit holding the
+/// letter, the letter's bit position in that unit's column, and the
+/// next entry for the same letter ([`NO_OWNER`] ends the chain).
+#[derive(Clone, Copy)]
+struct Owner {
+    unit: u32,
+    bit: u8,
+    next: u32,
+}
+
+const NO_OWNER: u32 = u32::MAX;
+
+/// `CompiledSet::active_at` of a unit outside the active set.
+const DORMANT: u32 = u32::MAX;
+
+/// Whether a unit at `state` keeps the verdict open: satisfiable, but
+/// not by `∅^ω`.
+fn is_open(auto: &SafetyAutomaton, state: u32) -> bool {
+    auto.sat(state) && !auto.holds_on_empty(state)
 }
 
 /// The compiled-automaton runtime of one grounding context: the
-/// residue, split into support-disjoint units, each stepping through a
-/// shared explicit [`SafetyAutomaton`]. Replaces the symbolic residue
+/// residue, split into its `∧`-parts, each stepping through a shared
+/// explicit [`SafetyAutomaton`]. Replaces the symbolic residue
 /// entirely while bound (the context's `residue` is held at `⊤`);
 /// [`GroundingContext::decompile`] reconstructs the exact symbolic
 /// residue at any time, so the engine can fall back transparently.
 ///
-/// The units partition the support letters (pairwise disjoint by
-/// construction, invariant under progression since supports only ever
-/// shrink), so the residue is satisfiable iff `n_unsat == 0` — the
-/// phase-2 verdict is a counter read, precomputed per state at compile
-/// time.
+/// Units may share letters: progression distributes over `∧`, so each
+/// unit steps exactly on its own. The phase-2 verdict is read off two
+/// counters in the common case. If a unit is unsatisfiable
+/// (`n_unsat > 0`) so is the residue. If no *shared* unit is open
+/// (`n_open == 0`: every shared unit holds on `∅^ω`), the residue is
+/// satisfiable — the units over unshared letters combine pointwise
+/// with any model of the rest, and `∅^ω` satisfies every shared unit
+/// at once. Otherwise the engine reconstructs the shared units and
+/// runs one joint phase-2 test, memoised like a symbolic residue's.
 pub(crate) struct CompiledSet {
     pub(crate) templates: Vec<Arc<SafetyAutomaton>>,
     /// Canonical key → index into `templates` (the hash-consing that
     /// makes isomorphic instantiations share one machine).
     pub(crate) keys: HashMap<TemplateKey, u32>,
     pub(crate) units: Vec<Unit>,
-    /// Letter → (unit, bit position in its column). Total: each letter
-    /// belongs to at most one unit.
-    pub(crate) atom_index: HashMap<AtomId, (u32, u8)>,
+    /// Letter → its latest entry in `owners`, the head of the chain of
+    /// units whose support holds it. Chains in one vector keep the
+    /// multimap to one allocation however many units share a letter.
+    atom_index: HashMap<AtomId, u32>,
+    owners: Vec<Owner>,
     /// Units whose transition under their current column is *not* a
-    /// self-loop. Everything else is dormant: stepping it is the
-    /// identity, so the append loop touches only this set — `O(|Δtx|)`
-    /// in steady state.
-    pub(crate) active: BTreeSet<u32>,
+    /// self-loop, in no particular order (units step independently).
+    /// Everything else is dormant: stepping it is the identity, so the
+    /// append loop touches only this set — `O(|Δtx|)` in steady state.
+    active: Vec<u32>,
+    /// Per unit, its index in `active`, or [`DORMANT`].
+    active_at: Vec<u32>,
     /// Units whose current state is unsatisfiable.
     pub(crate) n_unsat: usize,
+    /// Shared units whose current state is open ([`is_open`]).
+    n_open: usize,
+    /// Reused by [`CompiledSet::step_active`] to walk the active set.
+    step_buf: Vec<u32>,
 }
 
 impl CompiledSet {
+    fn new(templates: Vec<Arc<SafetyAutomaton>>, keys: HashMap<TemplateKey, u32>) -> Self {
+        Self {
+            templates,
+            keys,
+            units: Vec::new(),
+            atom_index: HashMap::new(),
+            owners: Vec::new(),
+            active: Vec::new(),
+            active_at: Vec::new(),
+            n_unsat: 0,
+            n_open: 0,
+            step_buf: Vec::new(),
+        }
+    }
+
     /// The column of `w` restricted to `support` (bit `i` = letter
     /// `support[i]`).
     fn col_of(w: Option<&PropState>, support: &[AtomId]) -> u32 {
@@ -176,10 +251,17 @@ impl CompiledSet {
     /// column (or state) changed.
     fn refresh_active(&mut self, u: u32) {
         let unit = &self.units[u as usize];
-        if self.templates[unit.tmpl as usize].step(unit.state, unit.col) != unit.state {
-            self.active.insert(u);
-        } else {
-            self.active.remove(&u);
+        let live = self.templates[unit.tmpl as usize].step(unit.state, unit.col) != unit.state;
+        let at = self.active_at[u as usize];
+        if live && at == DORMANT {
+            self.active_at[u as usize] = self.active.len() as u32;
+            self.active.push(u);
+        } else if !live && at != DORMANT {
+            self.active.swap_remove(at as usize);
+            if let Some(&moved) = self.active.get(at as usize) {
+                self.active_at[moved as usize] = at;
+            }
+            self.active_at[u as usize] = DORMANT;
         }
     }
 
@@ -188,16 +270,22 @@ impl CompiledSet {
     /// letters of a just-delta-ground block — are ignored).
     fn patch_cols(&mut self, patched: &[AtomId], w: &PropState) {
         for &a in patched {
-            let Some(&(u, bit)) = self.atom_index.get(&a) else {
+            let Some(&head) = self.atom_index.get(&a) else {
                 continue;
             };
-            let unit = &mut self.units[u as usize];
-            if w.get(a) {
-                unit.col |= 1 << bit;
-            } else {
-                unit.col &= !(1 << bit);
+            let on = w.get(a);
+            let mut at = head;
+            while at != NO_OWNER {
+                let Owner { unit: u, bit, next } = self.owners[at as usize];
+                let unit = &mut self.units[u as usize];
+                if on {
+                    unit.col |= 1 << bit;
+                } else {
+                    unit.col &= !(1 << bit);
+                }
+                self.refresh_active(u);
+                at = next;
             }
-            self.refresh_active(u);
         }
     }
 
@@ -205,8 +293,10 @@ impl CompiledSet {
     /// unit, no progression, no phase 2. Units whose new state
     /// self-loops under the (already updated) column go dormant.
     fn step_active(&mut self, stats: &mut EngineStats) {
-        let active: Vec<u32> = self.active.iter().copied().collect();
-        for u in active {
+        let mut active = std::mem::take(&mut self.step_buf);
+        active.clear();
+        active.extend_from_slice(&self.active);
+        for &u in &active {
             let unit = &mut self.units[u as usize];
             let auto = &self.templates[unit.tmpl as usize];
             let next = auto.step(unit.state, unit.col);
@@ -217,10 +307,75 @@ impl CompiledSet {
                     (false, true) => self.n_unsat -= 1,
                     _ => {}
                 }
+                if unit.shared {
+                    match (is_open(auto, unit.state), is_open(auto, next)) {
+                        (false, true) => self.n_open += 1,
+                        (true, false) => self.n_open -= 1,
+                        _ => {}
+                    }
+                }
                 unit.state = next;
             }
             self.refresh_active(u);
         }
+        self.step_buf = active;
+    }
+
+    /// Marks unit `u` as sharing a letter with another unit.
+    fn mark_shared(&mut self, u: u32) {
+        let unit = &mut self.units[u as usize];
+        if !unit.shared {
+            unit.shared = true;
+            if is_open(&self.templates[unit.tmpl as usize], unit.state) {
+                self.n_open += 1;
+            }
+        }
+    }
+
+    /// Appends `unit` (its template already in `templates`), indexing
+    /// its letters and marking it and every unit it overlaps as shared.
+    /// Its column is taken from `last`.
+    fn push_unit(&mut self, mut unit: Unit, last: Option<&PropState>) {
+        let u = self.units.len() as u32;
+        unit.col = Self::col_of(last, unit.support());
+        if !self.templates[unit.tmpl as usize].sat(unit.state) {
+            self.n_unsat += 1;
+        }
+        let support = unit.support;
+        let len = unit.len as usize;
+        self.units.push(unit);
+        self.active_at.push(DORMANT);
+        for (bit, &a) in support[..len].iter().enumerate() {
+            let entry = self.owners.len() as u32;
+            let next = self.atom_index.insert(a, entry).unwrap_or(NO_OWNER);
+            self.owners.push(Owner {
+                unit: u,
+                bit: bit as u8,
+                next,
+            });
+            if next != NO_OWNER {
+                self.mark_shared(u);
+                // The previous head is the letter's only other owner,
+                // or shares it with an earlier one and is marked.
+                self.mark_shared(self.owners[next as usize].unit);
+            }
+        }
+        self.refresh_active(u);
+    }
+
+    /// The conjunction of the current residues of the units `pick`
+    /// selects, rebuilt in the grounding's `arena` and simplified.
+    fn rebuild(&self, arena: &mut ticc_ptl::Arena, pick: impl Fn(&Unit) -> bool) -> FormulaId {
+        let mut parts = Vec::new();
+        for unit in self.units.iter().filter(|u| pick(u)) {
+            // Fresh memo per unit: the template arena is shared, but
+            // each unit maps its canonical atoms to different letters.
+            let mut memo = HashMap::new();
+            let auto = &self.templates[unit.tmpl as usize];
+            parts.push(auto.reconstruct(arena, unit.state, unit.support(), &mut memo));
+        }
+        let combined = arena.and_all(parts);
+        simplify(arena, combined)
     }
 
     /// Sum of explicit states over all templates (the
@@ -230,11 +385,12 @@ impl CompiledSet {
     }
 
     /// Reassembles a compiled set from persisted parts — the decode
-    /// half of a v3 snapshot. Validates every id against the table it
-    /// references (states, template indices, support arities, letter
-    /// disjointness) and rebuilds all derived state: the key map, the
-    /// atom index, the unsat counter, and per-unit columns/activity
-    /// from the last trace state.
+    /// half of a snapshot's compiled section. Validates every id against the table it
+    /// references (states, template indices, support arities, no
+    /// letter repeated within one unit's support) and rebuilds all
+    /// derived state: the key map, the atom index, the shared flags,
+    /// the unsat and open counters, and per-unit columns/activity from
+    /// the last trace state.
     pub(crate) fn from_restored(
         templates: Vec<Arc<SafetyAutomaton>>,
         units: Vec<Unit>,
@@ -246,39 +402,28 @@ impl CompiledSet {
                 return Err("duplicate template key".into());
             }
         }
-        let mut atom_index = HashMap::new();
-        let mut n_unsat = 0usize;
-        for (u, unit) in units.iter().enumerate() {
+        for unit in &units {
             let auto = templates
                 .get(unit.tmpl as usize)
                 .ok_or("unit template out of range")?;
             if unit.state as usize >= auto.state_count() {
                 return Err("unit state out of range".into());
             }
-            if unit.support.len() != auto.support_len() {
+            let support = unit.support();
+            if support.len() != auto.support_len() {
                 return Err("unit support does not match template arity".into());
             }
-            for (bit, &a) in unit.support.iter().enumerate() {
-                if atom_index.insert(a, (u as u32, bit as u8)).is_some() {
-                    return Err("unit supports overlap".into());
-                }
-            }
-            if !auto.sat(unit.state) {
-                n_unsat += 1;
+            if (1..support.len()).any(|i| support[..i].contains(&support[i])) {
+                return Err("unit support repeats a letter".into());
             }
         }
-        let mut set = Self {
-            templates,
-            keys,
-            units,
-            atom_index,
-            active: BTreeSet::new(),
-            n_unsat,
-        };
-        for u in 0..set.units.len() as u32 {
-            let unit = &mut set.units[u as usize];
-            unit.col = Self::col_of(last, &unit.support);
-            set.refresh_active(u);
+        let mut set = Self::new(templates, keys);
+        set.units.reserve_exact(units.len());
+        set.active_at.reserve_exact(units.len());
+        set.owners
+            .reserve_exact(units.iter().map(|u| u.support().len()).sum());
+        for unit in units {
+            set.push_unit(unit, last);
         }
         Ok(set)
     }
@@ -393,14 +538,7 @@ impl GroundingContext {
         }
         let t = Timer::start();
         let units = automaton::split_units(&mut self.g.arena, self.residue);
-        let mut set = CompiledSet {
-            templates: Vec::new(),
-            keys: HashMap::new(),
-            units: Vec::new(),
-            atom_index: HashMap::new(),
-            active: BTreeSet::new(),
-            n_unsat: 0,
-        };
+        let mut set = CompiledSet::new(Vec::new(), HashMap::new());
         if Self::bind_units(&mut set, &self.g.arena, self.g.trace.last(), &units, opts) {
             self.residue = self.g.arena.tru();
             self.compiled = Some(set);
@@ -408,12 +546,11 @@ impl GroundingContext {
         t.finish(&mut self.compile_time);
     }
 
-    /// Binds `units` (support-disjoint conjuncts over the grounding's
-    /// arena) into `set`, compiling new templates as needed and reusing
-    /// compiled ones via the canonical key. Transactional: on any
-    /// failure — past connectives, a support overlapping an existing
-    /// unit's (disjointness would break, making per-unit verdicts
-    /// unsound), or a compile bailing at its budget — `set` is left
+    /// Binds `units` (conjuncts over the grounding's arena, supports
+    /// possibly overlapping each other and the bound units') into
+    /// `set`, compiling new templates as needed and reusing compiled
+    /// ones via the canonical key. Transactional: on any failure — past
+    /// connectives, or a compile bailing at its budget — `set` is left
     /// exactly as it was and `false` is returned.
     fn bind_units(
         set: &mut CompiledSet,
@@ -433,16 +570,10 @@ impl GroundingContext {
         let mut new_templates: Vec<Arc<SafetyAutomaton>> = Vec::new();
         let mut new_keys: HashMap<TemplateKey, usize> = HashMap::new();
         let mut staged: Vec<(Tmpl, Vec<AtomId>)> = Vec::new();
-        let mut staged_atoms: std::collections::HashSet<AtomId> = std::collections::HashSet::new();
         for &u in units {
             let Some((key, support)) = automaton::canonicalize(arena, u) else {
                 return false;
             };
-            for &a in &support {
-                if set.atom_index.contains_key(&a) || !staged_atoms.insert(a) {
-                    return false;
-                }
-            }
             let tmpl = if let Some(&i) = set.keys.get(&key) {
                 Tmpl::Existing(i)
             } else if let Some(&i) = new_keys.get(&key) {
@@ -471,30 +602,20 @@ impl GroundingContext {
                 Tmpl::Existing(i) => i,
                 Tmpl::New(i) => base + i as u32,
             };
-            let u = set.units.len() as u32;
-            let col = CompiledSet::col_of(last, &support);
-            for (bit, &a) in support.iter().enumerate() {
-                set.atom_index.insert(a, (u, bit as u8));
-            }
-            if !set.templates[tmpl as usize].sat(0) {
-                set.n_unsat += 1;
-            }
-            set.units.push(Unit {
-                tmpl,
-                state: 0,
-                col,
-                support,
-            });
-            set.refresh_active(u);
+            let unit = Unit::new(tmpl, 0, &support)
+                .expect("a compiled template's arity is within the support cap");
+            set.push_unit(unit, last);
         }
         true
     }
 
     /// Splits an already-simplified replayed conjunct block (a delta
     /// re-ground or an occurrence activation) into units and binds them
-    /// into the live compiled set. When the block cannot be bound the
-    /// whole context decompiles and the block is conjoined symbolically
-    /// — the two routes are semantically identical.
+    /// into the live compiled set, sharing letters with the bound units
+    /// as needed. When a part does not compile (budget, past
+    /// connectives) the whole context decompiles and the block is
+    /// conjoined symbolically — the two routes are semantically
+    /// identical.
     fn bind_block_or_decompile(&mut self, block: FormulaId, opts: &CheckOptions) {
         let t = Timer::start();
         let units = automaton::split_units(&mut self.g.arena, block);
@@ -518,16 +639,7 @@ impl GroundingContext {
         let Some(set) = self.compiled.take() else {
             return;
         };
-        let mut parts = Vec::with_capacity(set.units.len());
-        for unit in &set.units {
-            // Fresh memo per unit: the template arena is shared, but
-            // each unit maps its canonical atoms to different letters.
-            let mut memo = HashMap::new();
-            let auto = &set.templates[unit.tmpl as usize];
-            parts.push(auto.reconstruct(&mut self.g.arena, unit.state, &unit.support, &mut memo));
-        }
-        let combined = self.g.arena.and_all(parts);
-        self.residue = simplify(&mut self.g.arena, combined);
+        self.residue = set.rebuild(&mut self.g.arena, |_| true);
     }
 
     /// Progresses a fresh conjunct block through the full stored
@@ -639,20 +751,15 @@ impl GroundingContext {
         if let Some(set) = self.compiled.as_mut() {
             // Compiled append (production, so `w` was patched): update
             // the touched units' columns, advance the active units by
-            // table lookup, read the verdict off the unsat counter. No
-            // progression, no phase 2.
+            // table lookup, read the verdict off the counters. No
+            // progression; phase 2 only if a shared unit is open.
             let t = Timer::start();
             set.patch_cols(self.g.patched_letters(), &w);
             set.step_active(stats);
             stats.automaton_appends += 1;
-            let status = if set.n_unsat > 0 {
-                Status::Violated { at: history_len }
-            } else {
-                Status::Satisfied
-            };
             self.g.trace.push(w);
             t.finish(&mut stats.progress_time);
-            return Ok(Some(status));
+            return self.decide(history_len, stats).map(Some);
         }
         let mut miss_key = None;
         if opts.pipeline == Pipeline::Production {
@@ -770,31 +877,31 @@ impl GroundingContext {
         Ok(())
     }
 
-    /// Phase 2 on the residue, with memoisation.
+    /// Phase 2 on the residue, with memoisation. A compiled context
+    /// reads its verdict off its counters unless a shared unit is open.
     fn decide(&mut self, history_len: usize, stats: &mut EngineStats) -> Result<Status, Error> {
-        if let Some(set) = &self.compiled {
-            // Per-state verdicts were precomputed at compile time; the
-            // residue (a conjunction of support-disjoint units) is
-            // satisfiable iff every unit is.
-            return Ok(if set.n_unsat > 0 {
-                Status::Violated { at: history_len }
-            } else {
-                Status::Satisfied
-            });
-        }
-        let sat = if let Some(&cached) = self.sat_cache.get(&self.residue) {
+        let f = match &self.compiled {
+            Some(set) if set.n_unsat > 0 => return Ok(Status::Violated { at: history_len }),
+            Some(set) if set.n_open == 0 => return Ok(Status::Satisfied),
+            // Units over unshared letters are satisfiable on their own
+            // and independent of the rest; only the shared ones need
+            // the joint test.
+            Some(set) => set.rebuild(&mut self.g.arena, |u| u.shared),
+            None => self.residue,
+        };
+        let sat = if let Some(&cached) = self.sat_cache.get(&f) {
             stats.cache.sat_hits += 1;
             cached
         } else {
             stats.sat_checks += 1;
             let t = Timer::start();
-            let r = is_satisfiable(&mut self.g.arena, self.residue)?;
+            let r = is_satisfiable(&mut self.g.arena, f)?;
             t.finish(&mut stats.sat_time);
             if self.sat_cache.len() >= SAT_CACHE_CAP {
                 stats.cache.sat_evictions += self.sat_cache.len() as u64;
                 self.sat_cache.clear();
             }
-            self.sat_cache.insert(self.residue, r.satisfiable);
+            self.sat_cache.insert(f, r.satisfiable);
             r.satisfiable
         };
         Ok(if sat {
@@ -1751,6 +1858,35 @@ mod tests {
         // A full re-ground at step i would have re-derived i+2
         // instantiations; the delta path replays far fewer in total.
         assert!(s.replayed_conjuncts < s.mappings, "{s:?}");
+    }
+
+    /// FIFO over the order schema, as the benchmark suites state it.
+    const FIFO: &str = "forall x y. G !(x != y & Sub(x) & \
+                        ((!Fill(x)) U (Sub(y) & ((!Fill(x)) U (Fill(y) & !Fill(x))))))";
+
+    #[test]
+    fn reference_fifo_residue_stays_flat_under_unfilled_submissions() {
+        // Each instant with Sub(1) true and Fill(1) false opens another
+        // copy of the same `Fill(1) R (…)` obligation; only ACI
+        // normalisation of the residue identifies the copies, so the
+        // residue's size must not depend on how many instants passed.
+        let sc = order_schema();
+        let sub = sc.pred("Sub").unwrap();
+        let mut e = Engine::new(sc.clone(), CheckOptions::reference());
+        let id = e.add_constraint("fifo", parse(&sc, FIFO).unwrap()).unwrap();
+        e.append(&Transaction::new().insert(sub, vec![2])).unwrap();
+        let size_at = |e: &mut Engine, n: usize| {
+            while e.history().len() < n {
+                let tx = Transaction::new().insert(sub, vec![1]);
+                assert!(e.append(&tx).unwrap().is_empty());
+            }
+            let ctx = e.context(id);
+            ctx.grounding().arena.tree_size(ctx.residue())
+        };
+        let early = size_at(&mut e, 100);
+        let late = size_at(&mut e, 2000);
+        assert_eq!(early, late, "the FIFO residue grows with t");
+        assert_eq!(e.status(id), Status::Satisfied);
     }
 
     #[test]

@@ -263,7 +263,8 @@ pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u
                     return Err(corrupt("residue id out of range"));
                 }
                 // A symbolic entry stays symbolic: the writer already
-                // decided (budget bail, support overlap).
+                // decided (a part past its compile budget, or past
+                // connectives).
                 GroundingContext::from_parts(g, residue)
             }
             Persisted::Compiled(raw) => {
@@ -495,8 +496,8 @@ fn compiled_encode(e: &mut Enc, set: &CompiledSet) {
     for u in &set.units {
         e.u32(u.tmpl);
         e.u32(u.state);
-        e.usize(u.support.len());
-        for &a in &u.support {
+        e.usize(u.support().len());
+        for &a in u.support() {
             e.u32(a.0);
         }
     }
@@ -506,7 +507,7 @@ fn compiled_encode(e: &mut Enc, set: &CompiledSet) {
 /// recompiled (and cross-checked) only once the grounding is restored.
 struct RawCompiled {
     templates: Vec<(TemplateKey, usize)>,
-    units: Vec<(u32, u32, Vec<AtomId>)>,
+    units: Vec<Unit>,
 }
 
 fn compiled_decode(d: &mut Dec<'_>) -> Result<RawCompiled, Error> {
@@ -549,11 +550,13 @@ fn compiled_decode(d: &mut Dec<'_>) -> Result<RawCompiled, Error> {
         if k > max_support as usize {
             return Err(corrupt("unit support too wide"));
         }
-        let mut support = Vec::with_capacity(k);
-        for _ in 0..k {
-            support.push(AtomId(d.u32()?));
+        let mut support = [AtomId(0); automaton::MAX_SUPPORT as usize];
+        for a in support.iter_mut().take(k) {
+            *a = AtomId(d.u32()?);
         }
-        units.push((tmpl, state, support));
+        let unit = Unit::new(tmpl, state, &support[..k])
+            .ok_or_else(|| corrupt("unit support too wide"))?;
+        units.push(unit);
     }
     Ok(RawCompiled { templates, units })
 }
@@ -579,19 +582,12 @@ fn rebind_compiled(raw: RawCompiled, g: &mut Grounding) -> Result<CompiledSet, E
         templates.push(Arc::new(auto));
     }
     let n_atoms = g.arena.atom_count();
-    let mut units = Vec::with_capacity(raw.units.len());
-    for (tmpl, state, support) in raw.units {
-        if support.iter().any(|a| a.index() >= n_atoms) {
+    for unit in &raw.units {
+        if unit.support().iter().any(|a| a.index() >= n_atoms) {
             return Err(corrupt("unit support letter out of range"));
         }
-        units.push(Unit {
-            tmpl,
-            state,
-            col: 0,
-            support,
-        });
     }
-    CompiledSet::from_restored(templates, units, g.trace.last())
+    CompiledSet::from_restored(templates, raw.units, g.trace.last())
         .map_err(|m| corrupt(&format!("compiled section: {m}")))
 }
 
@@ -1080,6 +1076,47 @@ mod tests {
                 }
                 other => panic!("{what} tag 1 restored: {:?}", other.map(|_| ())),
             }
+        }
+        // Units may share letters with each other, but a unit whose own
+        // support names one letter twice is corrupt.
+        let sc = order_schema();
+        let sub = sc.pred("Sub").unwrap();
+        let mut resp = Engine::new(sc.clone(), CheckOptions::default());
+        let phi = parse(&sc, "forall x. G (Sub(x) -> X Fill(x))").unwrap();
+        resp.add_constraint("resp", phi).unwrap();
+        resp.append(&Transaction::new().insert(sub, vec![1]))
+            .unwrap();
+        let set = resp.entries[0]
+            .ctx
+            .compiled
+            .as_ref()
+            .expect("resp compiles");
+        let unit = set
+            .units
+            .iter()
+            .find(|u| u.support().len() == 2)
+            .expect("a two-letter unit");
+        let unit_bytes = |support: [AtomId; 2]| {
+            let mut e = Enc::new();
+            e.u32(unit.tmpl);
+            e.u32(unit.state);
+            e.usize(2);
+            support.iter().for_each(|a| e.u32(a.0));
+            e.into_bytes()
+        };
+        let (a0, a1) = (unit.support()[0], unit.support()[1]);
+        let (good, bad) = (unit_bytes([a0, a1]), unit_bytes([a0, a0]));
+        assert_eq!(good.len(), bad.len());
+        let resp_bytes = snapshot_engine(&resp, b"x");
+        let at = resp_bytes
+            .windows(good.len())
+            .position(|w| w == good.as_slice())
+            .expect("the unit is inside the payload");
+        let mut b = resp_bytes.clone();
+        b[at..at + bad.len()].copy_from_slice(&bad);
+        match restore_engine(&b, CheckOptions::default()) {
+            Err(Error::Store(m)) => assert!(m.contains("unit support repeats a letter"), "{m}"),
+            other => panic!("repeated unit letter restored: {:?}", other.map(|_| ())),
         }
         // Truncations at every prefix length must error, never panic.
         for cut in 0..bytes.len() {

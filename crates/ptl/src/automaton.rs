@@ -6,10 +6,11 @@
 //! precomputes the whole machine once per *template*: the residue's
 //! progression graph is subset-constructed over all valuations of its
 //! support letters (the only letters progression can read), each state
-//! is labelled with its phase-2 satisfiability verdict up front, and
-//! the result is a dense `u32` transition table — an append becomes one
-//! array lookup, with no formula construction and no satisfiability
-//! run at all.
+//! is labelled up front with whether its residue holds on `∅^ω` (every
+//! letter false forever) and with its phase-2 satisfiability verdict,
+//! and the result is a dense `u32` transition table — an append
+//! becomes one array lookup, with no formula construction and no
+//! satisfiability run at all.
 //!
 //! Two residues that differ only by a renaming of their support letters
 //! progress in lockstep, so the machine is compiled from a *canonical*
@@ -17,23 +18,30 @@
 //! occurrence: all isomorphic instantiations of one constraint share a
 //! single compiled automaton, each carrying only a `u32` state.
 //!
-//! Soundness leans on two facts. Determinization commutes with
+//! Soundness leans on three facts. Determinization commutes with
 //! progression on support-restricted valuations: `progress` only reads
 //! the letters in the residue's support, so quotienting the alphabet to
 //! `2^support` loses nothing ([`compile`] enumerates exactly those
-//! columns). And satisfiability distributes over conjunctions with
-//! pairwise-disjoint supports — models over disjoint alphabets combine
-//! pointwise — which is what lets [`split_units`] decompose a
-//! constraint's residue into independently steppable units and decide
-//! the conjunction as the AND of per-state verdicts.
+//! columns). Progression distributes over `∧`, so the conjuncts
+//! [`split_units`] returns can each step their own automaton, even
+//! when their supports overlap, and their conjunction is the residue.
+//! And the conjunction's phase-2 verdict follows from the per-state
+//! labels in the common case: it is unsatisfiable if one unit is, and
+//! satisfiable if every unit holds on `∅^ω` (one word satisfies them
+//! all), or if the units that fail `∅^ω` share no letter with another
+//! unit (models over disjoint alphabets combine pointwise). Only a
+//! unit that shares letters, is satisfiable and fails `∅^ω` needs a
+//! joint satisfiability test, which the engine runs on the
+//! reconstructed residue.
 
 use crate::arena::{Arena, AtomId, FormulaId, Node};
 use crate::closure::Closure;
+use crate::lasso::Lasso;
 use crate::progression::progress;
 use crate::sat::{is_satisfiable_with, SatError, SatSolver};
 use crate::simplify::simplify;
 use crate::trace::PropState;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A node of a canonical (alpha-renamed) formula template. Child
 /// references are indices into [`TemplateKey::nodes`] (strictly
@@ -194,10 +202,14 @@ pub struct CompileLimits {
     pub max_states: usize,
 }
 
+/// The default [`CompileLimits::max_support`]: no compiled unit has a
+/// wider support, so callers may store supports inline at this width.
+pub const MAX_SUPPORT: u32 = 8;
+
 impl Default for CompileLimits {
     fn default() -> Self {
         CompileLimits {
-            max_support: 8,
+            max_support: MAX_SUPPORT,
             max_states: 64,
         }
     }
@@ -210,16 +222,18 @@ const MAX_CLOSURE: usize = 64;
 
 struct TState {
     residue: FormulaId,
+    /// The residue holds on `∅^ω`.
+    holds_on_empty: bool,
     sat: bool,
 }
 
 /// An explicit safety automaton for one residue template: every
 /// reachable progression state over the support-restricted valuations,
-/// a dense `state × column → state` table, and the phase-2
-/// satisfiability verdict per state. States are numbered in BFS
-/// discovery order (columns ascending), so compilation is a pure
-/// function of the key — recompiling after a snapshot restore yields
-/// bit-identical state numbering.
+/// a dense `state × column → state` table, and per state whether its
+/// residue holds on `∅^ω` and its phase-2 satisfiability verdict.
+/// States are numbered in BFS discovery order (columns ascending), so
+/// compilation is a pure function of the key — recompiling after a
+/// snapshot restore yields bit-identical state numbering.
 pub struct SafetyAutomaton {
     key: TemplateKey,
     /// Private arena holding the template's residues; atoms `0..arity`
@@ -260,6 +274,14 @@ impl SafetyAutomaton {
     #[inline]
     pub fn sat(&self, state: u32) -> bool {
         self.states[state as usize].sat
+    }
+
+    /// Whether `state`'s residue holds on `∅^ω`, the word with every
+    /// letter false forever (precomputed at compile time; implies
+    /// [`SafetyAutomaton::sat`]).
+    #[inline]
+    pub fn holds_on_empty(&self, state: u32) -> bool {
+        self.states[state as usize].holds_on_empty
     }
 
     /// Rebuilds the concrete residue of `state` inside `dst`, mapping
@@ -344,12 +366,21 @@ pub fn compile(
     let mut state_ix: HashMap<FormulaId, u32> = HashMap::new();
     let mut states: Vec<TState> = Vec::new();
     let mut table: Vec<u32> = Vec::new();
-    let root_sat = is_satisfiable_with(&mut arena, root, solver)?.satisfiable;
+    // A residue that holds on ∅^ω is satisfiable; the lasso test is
+    // cheap and decides most states of a safety template, so the
+    // solver runs only where it fails.
+    let empty = Lasso::new(Vec::new(), vec![PropState::new()]);
+    let label = |arena: &mut Arena, residue: FormulaId| -> Result<TState, SatError> {
+        let holds_on_empty = empty.eval(arena, residue).map_err(|_| SatError::Past)?;
+        let sat = holds_on_empty || is_satisfiable_with(arena, residue, solver)?.satisfiable;
+        Ok(TState {
+            residue,
+            holds_on_empty,
+            sat,
+        })
+    };
     state_ix.insert(root, 0);
-    states.push(TState {
-        residue: root,
-        sat: root_sat,
-    });
+    states.push(label(&mut arena, root)?);
     let mut i = 0usize;
     while i < states.len() {
         let residue = states[i].residue;
@@ -369,10 +400,9 @@ pub fn compile(
                     if states.len() >= limits.max_states {
                         return Ok(None);
                     }
-                    let sat = is_satisfiable_with(&mut arena, next, solver)?.satisfiable;
                     let j = states.len() as u32;
                     state_ix.insert(next, j);
-                    states.push(TState { residue: next, sat });
+                    states.push(label(&mut arena, next)?);
                     j
                 }
             };
@@ -380,72 +410,41 @@ pub fn compile(
         }
         i += 1;
     }
+    // Keep only the states' residues: the build arena also holds every
+    // intermediate progression step, which the machine never reads
+    // again, and a template lives as long as its engine.
+    let mut kept = Arena::new();
+    for i in 0..key.arity {
+        kept.intern_atom(&format!("t{i}"));
+    }
+    let mut memo = HashMap::new();
+    for s in &mut states {
+        s.residue = kept.translate_from(&arena, s.residue, &atoms, &mut memo);
+    }
     Ok(Some(SafetyAutomaton {
         key: key.clone(),
-        arena,
+        arena: kept,
         states,
         table,
     }))
 }
 
-/// Splits a residue into independently steppable *units*: conjuncts
-/// grouped into connected components of shared support letters, so
-/// distinct units are pairwise atom-disjoint. Progression never grows
-/// a support, so disjointness is invariant along every run, and the
-/// residue is satisfiable iff every unit is.
+/// Splits a residue into independently steppable *units*: the
+/// deduplicated conjuncts of its `∧`-spine, in first-occurrence order.
+/// Units may share letters; progression distributes over `∧`, so each
+/// steps exactly on its own, and their conjunction is the residue.
 ///
-/// The split walks the `∧`-spine and additionally distributes `□` and
-/// `○` back over `∧` (`□(x∧y) ≡ □x∧□y`, `○(x∧y) ≡ ○x∧○y`) — undoing
-/// the box aggregation [`simplify`] applies across instantiations —
-/// before merging components. Returns the units in deterministic
-/// first-occurrence order; `⊤` yields no units.
+/// The split additionally distributes `□` and `○` back over `∧`
+/// (`□(x∧y) ≡ □x∧□y`, `○(x∧y) ≡ ○x∧○y`) — undoing the box aggregation
+/// [`simplify`] applies across instantiations — so a unit stays one
+/// instantiation's obligation and its template stays small. `⊤` yields
+/// no units.
 pub fn split_units(arena: &mut Arena, f: FormulaId) -> Vec<FormulaId> {
     let mut parts = Vec::new();
     collect_parts(arena, f, &mut parts);
-    if parts.len() <= 1 {
-        return parts;
-    }
-    // Union-find over parts, merging any two that share a letter.
-    let mut parent: Vec<usize> = (0..parts.len()).collect();
-    fn find(parent: &mut [usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        i
-    }
-    let mut owner: HashMap<AtomId, usize> = HashMap::new();
-    for (i, &p) in parts.iter().enumerate() {
-        for a in arena.atoms_of(p) {
-            match owner.get(&a) {
-                Some(&j) => {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        // Union toward the earlier part: groups keep
-                        // first-occurrence identity.
-                        parent[ri.max(rj)] = ri.min(rj);
-                    }
-                }
-                None => {
-                    owner.insert(a, i);
-                }
-            }
-        }
-    }
-    let mut group_of: HashMap<usize, usize> = HashMap::new();
-    let mut groups: Vec<Vec<FormulaId>> = Vec::new();
-    for (i, &p) in parts.iter().enumerate() {
-        let r = find(&mut parent, i);
-        let g = *group_of.entry(r).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[g].push(p);
-    }
-    groups
-        .into_iter()
-        .map(|g| if g.len() == 1 { g[0] } else { arena.and_all(g) })
-        .collect()
+    let mut seen = HashSet::with_capacity(parts.len());
+    parts.retain(|p| seen.insert(*p));
+    parts
 }
 
 /// Collects the atomic parts of `f`'s conjunctive spine, distributing
@@ -593,6 +592,7 @@ mod tests {
             residue = simplify(&mut ar, p);
             let mut memo = HashMap::new();
             let back = auto.reconstruct(&mut ar, state, &support, &mut memo);
+            let back = simplify(&mut ar, back);
             assert_eq!(back, residue, "edge under column {col} diverges");
         }
     }
@@ -650,8 +650,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_letters_merge_into_one_unit() {
-        // □¬p ∧ □(p → ○□¬p) ∧ □¬q: the p-parts merge, q stays apart.
+    fn shared_letters_stay_separate_units() {
+        // □¬p ∧ □(p → ○□¬p) ∧ □¬q: one unit per part, p shared by two.
         let mut ar = Arena::new();
         let f = once_only(&mut ar, "p");
         let p = ar.atom("p");
@@ -661,14 +661,76 @@ mod tests {
         let nq = ar.not(q);
         let bnq = ar.always(nq);
         let all = ar.and_all([bnp, f, bnq]);
-        let folded = simplify(&mut ar, all);
-        let units = split_units(&mut ar, folded);
-        assert_eq!(units.len(), 2, "{units:?}");
+        let units = split_units(&mut ar, all);
+        assert_eq!(units.len(), 3, "{units:?}");
         let pa = ar.find_atom("p").unwrap();
         let qa = ar.find_atom("q").unwrap();
         let supports: Vec<Vec<AtomId>> = units.iter().map(|&u| ar.atoms_of(u)).collect();
-        assert!(supports.contains(&vec![pa]));
+        assert_eq!(supports.iter().filter(|s| **s == vec![pa]).count(), 2);
         assert!(supports.contains(&vec![qa]));
+        assert!(units.contains(&bnp) && units.contains(&f) && units.contains(&bnq));
+    }
+
+    #[test]
+    fn split_deduplicates_parts() {
+        // □a ∧ ○b ∧ □a, with the duplicate under a second ○-free spine.
+        let mut ar = Arena::new();
+        let a = ar.atom("a");
+        let ga = ar.always(a);
+        let b = ar.atom("b");
+        let xb = ar.next(b);
+        let left = ar.and(ga, xb);
+        let both = ar.and(left, ga);
+        assert_eq!(split_units(&mut ar, both), vec![ga, xb]);
+    }
+
+    /// One instance of the FIFO constraint, in negation normal form:
+    /// `□(¬s ∨ f R (¬t ∨ f R (¬g ∨ f)))` over Sub(x), Fill(x), Sub(y),
+    /// Fill(y).
+    fn fifo_instance(ar: &mut Arena) -> FormulaId {
+        let f = crate::parser::parse(ar, "G !(s & (!f U (t & (!f U (g & !f)))))").unwrap();
+        crate::nnf::nnf(ar, f).unwrap()
+    }
+
+    #[test]
+    fn fifo_instance_compiles_within_default_limits() {
+        let mut ar = Arena::new();
+        let f = fifo_instance(&mut ar);
+        let (key, support) = canonicalize(&ar, f).unwrap();
+        assert_eq!(support.len(), 4);
+        let auto = compile(&key, SatSolver::default(), CompileLimits::default())
+            .unwrap()
+            .expect("ACI-normal residues keep the FIFO progression graph finite");
+        assert!(auto.state_count() <= 8, "{} states", auto.state_count());
+        // FIFO has no eventualities: every satisfiable state holds on
+        // the empty word, so the engine never needs a joint test.
+        for q in 0..auto.state_count() as u32 {
+            assert_eq!(auto.sat(q), auto.holds_on_empty(q), "state {q}");
+        }
+    }
+
+    #[test]
+    fn holds_on_empty_labels_pending_obligations() {
+        // □(a → ○b): the state after `a` owes `b` next, which fails on
+        // ∅^ω but is satisfiable.
+        let mut ar = Arena::new();
+        let f = crate::parser::parse(&mut ar, "G (a -> X b)").unwrap();
+        let f = crate::nnf::nnf(&mut ar, f).unwrap();
+        let (key, support) = canonicalize(&ar, f).unwrap();
+        let auto = compile(&key, SatSolver::default(), CompileLimits::default())
+            .unwrap()
+            .unwrap();
+        assert!(auto.holds_on_empty(0) && auto.sat(0));
+        let a_bit = 1
+            << support
+                .iter()
+                .position(|&x| ar.atom_name(x) == "a")
+                .unwrap();
+        let owing = auto.step(0, a_bit);
+        assert!(auto.sat(owing));
+        assert!(!auto.holds_on_empty(owing));
+        let dead = auto.step(owing, 0);
+        assert!(!auto.sat(dead) && !auto.holds_on_empty(dead));
     }
 
     #[test]

@@ -265,14 +265,48 @@ fn finite_eval_agrees_with_lasso_on_safety_violations() {
 #[test]
 fn simplify_preserves_semantics_and_size() {
     let mut rng = Rng::seed_from_u64(9);
-    for _ in 0..200 {
+    for i in 0..400 {
         let mut ar = Arena::new();
         let atoms = register_atoms(&mut ar);
-        let f = gen_formula(&mut rng, &mut ar, 4);
+        let mut f = gen_formula(&mut rng, &mut ar, 4);
+        if i % 2 == 1 {
+            // A duplicate operand nested in two different junction
+            // trees, `(d ∧ x) ∧ (y ∧ d)` or its `∨` dual, optionally
+            // under a temporal operator — the shape progression
+            // residues take.
+            let d = gen_formula(&mut rng, &mut ar, 2);
+            let x = gen_formula(&mut rng, &mut ar, 2);
+            let y = gen_formula(&mut rng, &mut ar, 2);
+            let (l, r) = if rng.gen_bool(0.5) {
+                let l = ar.and(d, x);
+                let r = ar.and(y, d);
+                (l, r)
+            } else {
+                let l = ar.or(d, x);
+                let r = ar.or(y, d);
+                (l, r)
+            };
+            let j = if rng.gen_bool(0.5) {
+                ar.and(l, r)
+            } else {
+                ar.or(l, r)
+            };
+            f = match rng.gen_range(0..3) {
+                0 => j,
+                1 => ar.always(j),
+                _ => ar.and(f, j),
+            };
+        }
         let g = ticc_ptl::simplify::simplify(&mut ar, f);
         assert!(
             ar.tree_size(g) <= ar.tree_size(f),
             "simplify must not grow the formula"
+        );
+        assert_eq!(
+            ticc_ptl::simplify::simplify(&mut ar, g),
+            g,
+            "simplify is not idempotent on {}",
+            ar.display(f)
         );
         let l = gen_lasso(&mut rng, &atoms);
         assert_eq!(

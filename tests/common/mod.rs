@@ -1,5 +1,5 @@
 //! Shared workload of the randomized equivalence suites: the schema,
-//! the three constraints they monitor, a staggered transaction driver,
+//! the five constraints they monitor, a staggered transaction driver,
 //! and the production-vs-reference sweep loops built on them. Each
 //! suite compiles this module separately and uses a subset of it.
 #![allow(dead_code)]
@@ -24,6 +24,13 @@ pub const PAIR_ONCE: &str = "forall x y. G (Rep(x, y) -> X G !Rep(x, y))";
 /// units exist for. Outside the indexed gate (no external
 /// quantifiers), so it also exercises the odometer fallback inline.
 pub const CAP: &str = "G !Sub(999)";
+/// k = 2 over shared letters: the instances (x, y) and (x, y') both
+/// read `Sub(x)`, so their compiled units overlap.
+pub const PAIR_GUARD: &str = "forall x y. G (Rep(x, y) -> X G !Sub(x))";
+/// k = 2 over shared letters, with a pending obligation: after
+/// `Rep(x, y)` a unit owes `Sub(x) | Sub(y)` at the next instant, which
+/// `∅^ω` fails, so the compiled path runs its joint phase-2 test.
+pub const PAIR_NEXT: &str = "forall x y. G ((Rep(x, y) & x != y) -> X (Sub(x) | Sub(y)))";
 
 pub fn schema() -> Arc<Schema> {
     Schema::builder().pred("Sub", 1).pred("Rep", 2).build()
@@ -108,8 +115,9 @@ impl Driver {
 
 /// Sweeps 120 randomized staggered sessions (salted by `salt`) through
 /// one engine per entry of `configs`, each monitoring [`ONCE_ONLY`],
-/// [`PAIR_ONCE`] and [`CAP`] and fed identical transactions from a
-/// `Driver::new(max_elements, fresh)` for a random number of `steps`.
+/// [`PAIR_ONCE`], [`CAP`], [`PAIR_GUARD`] and [`PAIR_NEXT`] and fed
+/// identical transactions from a `Driver::new(max_elements, fresh)`
+/// for a random number of `steps`.
 /// Asserts that every engine reproduces `configs[0]`'s event stream and
 /// statuses on every append, and its earliest-violation instants at
 /// the end of the session; `check(seed, engines, ids)` then inspects
@@ -127,6 +135,8 @@ pub fn sweep(
         parse(&sc, ONCE_ONLY).unwrap(),
         parse(&sc, PAIR_ONCE).unwrap(),
         parse(&sc, CAP).unwrap(),
+        parse(&sc, PAIR_GUARD).unwrap(),
+        parse(&sc, PAIR_NEXT).unwrap(),
     ];
     let mut violating_runs = 0;
     for seed in 0..120u64 {

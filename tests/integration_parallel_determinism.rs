@@ -17,7 +17,7 @@
 
 mod common;
 
-use common::{schema, Driver, CAP, ONCE_ONLY, PAIR_ONCE};
+use common::{schema, Driver, CAP, ONCE_ONLY, PAIR_GUARD, PAIR_NEXT, PAIR_ONCE};
 use ticc::core::{
     earliest_violation, Action, CheckOptions, ConstraintId, Engine, Threads, Trigger, TriggerEngine,
 };
@@ -41,6 +41,8 @@ fn off_and_fixed4_agree_on_randomized_sessions() {
             parse(&sc, ONCE_ONLY).unwrap(),
             parse(&sc, PAIR_ONCE).unwrap(),
             parse(&sc, CAP).unwrap(),
+            parse(&sc, PAIR_GUARD).unwrap(),
+            parse(&sc, PAIR_NEXT).unwrap(),
         ];
         let mut off = Engine::new(sc.clone(), opts(Threads::Off));
         let mut par = Engine::new(sc.clone(), opts(Threads::Fixed(4)));
@@ -138,6 +140,8 @@ fn append_batch_agrees_with_serial_appends_off_vs_fixed4() {
             parse(&sc, ONCE_ONLY).unwrap(),
             parse(&sc, PAIR_ONCE).unwrap(),
             parse(&sc, CAP).unwrap(),
+            parse(&sc, PAIR_GUARD).unwrap(),
+            parse(&sc, PAIR_NEXT).unwrap(),
         ];
         let mut serial = Engine::new(sc.clone(), opts(Threads::Off));
         let mut batch_off = Engine::new(sc.clone(), opts(Threads::Off));

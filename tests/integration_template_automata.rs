@@ -23,12 +23,16 @@
 //! non-vacuity: the sweep must actually take automaton appends and
 //! produce real violations. Directed cases pin down template sharing
 //! (`templates_compiled < instantiations`), the state-budget fallback,
-//! decompilation when a delta block's support overlaps a bound unit,
-//! and snapshot round-trip lockstep.
+//! units sharing letters (staying compiled, with the joint phase-2
+//! test deciding an odd cycle no single unit can see), and snapshot
+//! round-trip lockstep.
 
 mod common;
 
-use common::{schema, sweep, triggers_agree_with_reference, Driver, CAP, ONCE_ONLY, PAIR_ONCE};
+use common::{
+    schema, sweep, triggers_agree_with_reference, Driver, CAP, ONCE_ONLY, PAIR_GUARD, PAIR_NEXT,
+    PAIR_ONCE,
+};
 use ticc::core::{CheckOptions, Engine, Threads};
 use ticc::fotl::parser::parse;
 use ticc::tdb::rng::Rng;
@@ -47,6 +51,7 @@ fn compiled_and_symbolic_agree_on_randomized_sessions() {
     ];
     let mut total_auto_appends = 0u64;
     let mut total_auto_steps = 0u64;
+    let mut total_joint_checks = 0u64;
     let violating_runs = sweep(0xe16a, &configs, 6, 0.3, 6..14, |seed, engines, ids| {
         let [auto, reference, par] = engines else {
             unreachable!()
@@ -79,11 +84,22 @@ fn compiled_and_symbolic_agree_on_randomized_sessions() {
         assert_eq!(sa.templates_compiled, sp.templates_compiled, "seed {seed}");
         total_auto_appends += sa.automaton_appends;
         total_auto_steps += sa.automaton_steps;
+        // Shared letters no longer force the symbolic fallback: no
+        // context of the sweep steps through the transition cache.
+        assert_eq!(
+            sa.cache.transition_hits + sa.cache.transition_misses,
+            0,
+            "seed {seed}: a context fell back to the symbolic path"
+        );
+        total_joint_checks += sa.sat_checks;
     });
     // Non-vacuity: the sweep must exercise the compiled path it claims
     // to verify, and produce real violations.
     assert!(total_auto_appends > 0, "no automaton appends in the sweep");
     assert!(total_auto_steps > 0, "no automaton steps in the sweep");
+    // Every constraint compiles, so production's phase-2 runs are the
+    // joint tests on shared units that `PAIR_NEXT` leaves open.
+    assert!(total_joint_checks > 0, "no joint phase-2 test in the sweep");
     assert!(
         violating_runs >= 20,
         "only {violating_runs}/120 runs violate"
@@ -155,11 +171,11 @@ fn state_budget_fallback_is_equivalent() {
 }
 
 /// A delta block whose support letters intersect an already-bound
-/// unit's cannot bind (per-unit verdicts would stop composing), so the
-/// context decompiles — and the reconstructed symbolic residue must
-/// carry the exact state the automaton held.
+/// unit's binds as further units sharing those letters: the context
+/// stays compiled, each unit steps on its own, and the verdict still
+/// matches the reference's at every append.
 #[test]
-fn support_overlap_decompiles_and_stays_exact() {
+fn support_overlap_stays_compiled_and_exact() {
     let sc = schema();
     let sub = sc.pred("Sub").unwrap();
     let rep = sc.pred("Rep").unwrap();
@@ -173,27 +189,68 @@ fn support_overlap_decompiles_and_stays_exact() {
     let txs = [
         Transaction::new().insert(rep, vec![1, 2]),
         // Second pair with the same x: the fresh unit's Sub(1) letter
-        // collides with the bound one — decompile.
+        // is shared with the bound one.
         Transaction::new().insert(rep, vec![1, 3]),
-        // The violation must still land, now on the symbolic path.
+        // The violation must land on the compiled path.
         Transaction::new().insert(sub, vec![1]),
     ];
     for (step, tx) in txs.iter().enumerate() {
         let ea = auto.append(tx).unwrap();
         let es = sym.append(tx).unwrap();
-        assert_eq!(ea, es, "step {step}: events diverge across decompile");
+        assert_eq!(ea, es, "step {step}: events diverge on shared letters");
         assert_eq!(auto.status(a), sym.status(a), "step {step}");
     }
     assert!(matches!(
         auto.status(a),
         ticc::core::Status::Violated { .. }
     ));
-    assert_eq!(
-        auto.stats().templates_compiled,
-        0,
-        "context should have decompiled: {:?}",
-        auto.stats()
-    );
+    let s = auto.stats();
+    assert!(s.templates_compiled >= 1, "context decompiled: {s:?}");
+    assert_eq!(s.automaton_appends, s.appends, "{s:?}");
+}
+
+/// Every instance of a directed odd-cycle constraint is satisfiable on
+/// its own, but the three instances over {1, 2, 3} demand
+/// `Q(1) ↔ ¬Q(2)`, `Q(2) ↔ ¬Q(3)` and `Q(1) ↔ ¬Q(3)` at once. The
+/// units share letters and fail the `∅^ω` test, so only the joint
+/// phase-2 check on their conjunction can see the violation — and it
+/// must land at the same append as the reference's.
+#[test]
+fn joint_phase_two_flags_an_odd_cycle_across_shared_units() {
+    let sc = ticc::tdb::Schema::builder()
+        .pred("P", 1)
+        .pred("Q", 1)
+        .build();
+    let p = sc.pred("P").unwrap();
+    let q = sc.pred("Q").unwrap();
+    let phi = parse(
+        &sc,
+        "forall x y. G ((P(x) & P(y) & x != y) -> X (Q(x) <-> !Q(y)))",
+    )
+    .unwrap();
+    let mut auto = Engine::new(sc.clone(), CheckOptions::default());
+    let mut sym = Engine::new(sc.clone(), CheckOptions::reference());
+    let a = auto.add_constraint("odd", phi.clone()).unwrap();
+    sym.add_constraint("odd", phi).unwrap();
+    let txs = [
+        Transaction::new().insert(q, vec![7]),
+        Transaction::new().delete(q, vec![7]),
+        Transaction::new(),
+        Transaction::new()
+            .insert(p, vec![1])
+            .insert(p, vec![2])
+            .insert(p, vec![3]),
+        Transaction::new().insert(q, vec![1]),
+    ];
+    for (step, tx) in txs.iter().enumerate() {
+        let ea = auto.append(tx).unwrap();
+        assert_eq!(ea, sym.append(tx).unwrap(), "step {step}");
+        assert_eq!(auto.status(a), sym.status(a), "step {step}");
+    }
+    assert_eq!(auto.status(a), ticc::core::Status::Violated { at: 4 });
+    let s = auto.stats();
+    assert!(s.templates_compiled >= 1, "context decompiled: {s:?}");
+    assert!(s.sat_checks >= 1, "the joint test never ran: {s:?}");
 }
 
 /// Snapshot round trip under the compiled default: the restored engine
@@ -205,7 +262,10 @@ fn snapshot_roundtrip_stays_in_lockstep() {
     let mut rng = Rng::seed_from_u64(0x54a9);
     let mut fwd = Engine::new(sc.clone(), CheckOptions::default());
     let mut reference = Engine::new(sc.clone(), CheckOptions::reference());
-    for (i, phi) in [ONCE_ONLY, PAIR_ONCE, CAP].iter().enumerate() {
+    for (i, phi) in [ONCE_ONLY, PAIR_ONCE, CAP, PAIR_GUARD, PAIR_NEXT]
+        .iter()
+        .enumerate()
+    {
         let phi = parse(&sc, phi).unwrap();
         fwd.add_constraint(format!("c{i}"), phi.clone()).unwrap();
         reference.add_constraint(format!("c{i}"), phi).unwrap();
