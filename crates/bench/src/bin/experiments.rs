@@ -300,12 +300,12 @@ fn e2_relevant_elements(threads: Threads) {
         let dp = ticc_bench::time_best_of(3, || {
             ticc_core::ground_with(&h, &phi_once, GroundMode::Folded, threads).unwrap();
         });
-        let g = g.unwrap();
+        let g = g.unwrap().stats();
         ta.row([
             m.to_string(),
-            g.stats.m_size.to_string(),
-            g.stats.mappings.to_string(),
-            g.stats.formula_tree_size.to_string(),
+            g.m_size.to_string(),
+            g.mappings.to_string(),
+            g.formula_tree_size.to_string(),
             fmt_duration(d),
             fmt_duration(dp),
         ]);
@@ -334,11 +334,11 @@ fn e2_relevant_elements(threads: Threads) {
         let dp = ticc_bench::time_best_of(3, || {
             ticc_core::ground_with(&h, &phi2, GroundMode::Folded, threads).unwrap();
         });
-        let g = g.unwrap();
+        let g = g.unwrap().stats();
         tb.row([
             m.to_string(),
-            g.stats.mappings.to_string(),
-            g.stats.formula_tree_size.to_string(),
+            g.mappings.to_string(),
+            g.formula_tree_size.to_string(),
             fmt_duration(d),
             fmt_duration(dp),
         ]);
@@ -438,14 +438,14 @@ fn e4_quantifiers(threads: Threads) {
         let dgp = ticc_bench::time_best_of(3, || {
             ticc_core::ground_with(&h, &phi, GroundMode::Folded, threads).unwrap();
         });
-        let g = g.unwrap();
+        let g = g.unwrap().stats();
         let dc = ticc_bench::time_best_of(2, || {
             let _ = check_potential_satisfaction(&h, &phi, &CheckOptions::default()).unwrap();
         });
         t.row([
             k.to_string(),
-            g.stats.mappings.to_string(),
-            g.stats.formula_tree_size.to_string(),
+            g.mappings.to_string(),
+            g.formula_tree_size.to_string(),
             fmt_duration(dg),
             fmt_duration(dgp),
             fmt_duration(dc),
@@ -490,7 +490,7 @@ fn decide_with(
 ) -> (ticc_core::GroundStats, SatResult) {
     let mut g = ticc_core::ground(h, phi, mode).unwrap();
     let r = extends_with(&mut g.arena, &g.trace, g.formula, solver).unwrap();
-    (g.stats, r)
+    (g.stats(), r)
 }
 
 /// E6: ablation — the literal `Axiom_D` construction vs rigid-atom
@@ -1066,18 +1066,19 @@ fn e15_grounding_index(smoke: bool) -> E15Result {
         });
         let g = g.unwrap();
         assert_eq!(g.strategy(), GroundStrategy::Indexed, "gate must engage");
+        let stats = g.stats();
         let speedup = d_odo.as_secs_f64() / d_idx.as_secs_f64();
         t.row([
             per.to_string(),
-            g.stats.mappings.to_string(),
-            g.stats.inst_enumerated.to_string(),
-            g.stats.inst_pruned.to_string(),
+            stats.mappings.to_string(),
+            stats.inst_enumerated.to_string(),
+            stats.inst_pruned.to_string(),
             fmt_duration(d_odo),
             fmt_duration(d_idx),
             format!("{speedup:.2}x"),
         ]);
         if per == headline_per {
-            headline = Some((g.stats, d_odo, d_idx, speedup));
+            headline = Some((stats, d_odo, d_idx, speedup));
         }
     }
     t.print();
@@ -1092,15 +1093,16 @@ fn e15_grounding_index(smoke: bool) -> E15Result {
     let run = |opts: CheckOptions| {
         let mut m = Monitor::new(esc.clone(), opts);
         m.add_constraint("chain", phi.clone()).unwrap();
+        let built = m.engine_stats();
         let mut events = Vec::new();
         for tx in &txs {
             events.extend(m.append(tx).unwrap());
         }
-        (events, m.engine_stats())
+        (events, built, m.engine_stats())
     };
-    let (ev_idx, s_idx) = run(CheckOptions::default());
-    let (ev_odo, _) = run(CheckOptions::reference());
-    let (ev_par, _) = run(CheckOptions::builder().threads(Threads::Fixed(4)).build());
+    let (ev_idx, built, s_idx) = run(CheckOptions::default());
+    let (ev_odo, _, _) = run(CheckOptions::reference());
+    let (ev_par, _, _) = run(CheckOptions::builder().threads(Threads::Fixed(4)).build());
     let events_identical = ev_idx == ev_odo && ev_idx == ev_par;
     assert!(
         events_identical,
@@ -1109,6 +1111,17 @@ fn e15_grounding_index(smoke: bool) -> E15Result {
     assert!(
         s_idx.inst_pruned > 0,
         "the sparse workload must actually prune"
+    );
+    // The compiled monitor brings new elements and activations up to
+    // date by template replay: after its build, no symbolic
+    // progression. A silent fall-back to symbolic replay fails here.
+    assert!(
+        s_idx.delta_grounds > 0 && s_idx.replay_steps > 0,
+        "the growing domain must re-ground by template replay: {s_idx:?}"
+    );
+    assert_eq!(
+        s_idx.progress_steps, built.progress_steps,
+        "the compiled monitor progressed symbolically after its build"
     );
     println!(
         "  monitor equivalence: {} events identical under production, \

@@ -16,11 +16,19 @@
 //! by definition appears in no earlier state). So instead of
 //! re-grounding all `|M ∪ Δ|^k` instantiations and replaying the whole
 //! history (`O(t·|φ_D|)`), the engine grounds only the instantiations
-//! mentioning `Δ`, replays just that block through the stored
+//! mentioning `Δ`, brings just that block up to date over the stored
 //! propositional trace, and conjoins it with the memoised residue —
 //! `O(t·|Δ-part|)`. Progression distributes over conjunction, which
 //! makes the two routes equivalent; a property test checks delta
 //! against full re-grounding on randomized workloads.
+//!
+//! A compiled context (the production default) brings the block up to
+//! date without symbolic progression: each `∧`-part of the
+//! unprogressed block binds as a unit whose template automaton runs
+//! over the stored prefix's columns, one table lookup per instant
+//! (Lemma 4.2: an instance's state after a prefix is a function of that
+//! prefix alone). Symbolic contexts, the reference pipeline and blocks
+//! that do not compile progress the block symbolically instead.
 //!
 //! The engine always grounds with the folded construction
 //! ([`GroundMode::Folded`]) and decides phase 2 with the Büchi solver.
@@ -429,6 +437,46 @@ impl CompiledSet {
     }
 }
 
+/// The cold tier of a truncated history: the pager holding the spilled
+/// instants `[0, base)`, and `base`. `None` when nothing is truncated.
+type Cold<'a> = Option<(&'a HistoryPager, usize)>;
+
+/// Length of the stored prefix: the cold instants plus the resident
+/// trace.
+fn stored_len(g: &Grounding, cold: Cold<'_>) -> usize {
+    cold.map_or(0, |(_, base)| base) + g.trace.len()
+}
+
+/// Feeds the stored prefix to `step`, one propositional state per
+/// instant: first the cold (truncated and spilled) instants, each
+/// faulted in from the pager and re-encoded via frozen letter lookup —
+/// bit-identical to its original encoding — then the resident trace.
+/// `step` returns `Ok(false)` to stop early. Both replays of a fresh
+/// conjunct block read history through this: symbolic progression
+/// ([`GroundingContext::replay_through`]) and template stepping
+/// ([`GroundingContext::bind_units`]).
+fn for_each_stored_state(
+    g: &mut Grounding,
+    cold: Cold<'_>,
+    mut step: impl FnMut(&mut ticc_ptl::Arena, &PropState) -> Result<bool, Error>,
+) -> Result<(), Error> {
+    if let Some((pager, base)) = cold {
+        for t in 0..base {
+            let s = pager.load(t)?;
+            let w = g.encode_state_frozen(&s);
+            if !step(&mut g.arena, &w)? {
+                return Ok(());
+            }
+        }
+    }
+    for w in &g.trace {
+        if !step(&mut g.arena, w)? {
+            break;
+        }
+    }
+    Ok(())
+}
+
 /// A grounding plus the derived per-constraint runtime state: the
 /// progressed residue, the satisfiability memo, and the transition
 /// cache of the lazily materialised safety automaton. The engine keeps
@@ -529,103 +577,178 @@ impl GroundingContext {
     /// Attempts to compile the current symbolic residue into per-unit
     /// template automata. Applicable only to the production pipeline.
     /// On any obstacle — past connectives, support too wide, state
-    /// budget exceeded — the context simply stays symbolic. The wall-clock spent (including
-    /// failed attempts) accrues to the build-phase `compile_time`
-    /// gauge, never to append latency.
+    /// budget exceeded — the context simply stays symbolic. The
+    /// wall-clock spent compiling (including failed attempts) accrues
+    /// to the build-phase `compile_time` gauge, never to append latency.
     pub(crate) fn try_compile(&mut self, opts: &CheckOptions) {
         if opts.pipeline == Pipeline::Reference {
             return;
         }
-        let t = Timer::start();
         let units = automaton::split_units(&mut self.g.arena, self.residue);
         let mut set = CompiledSet::new(Vec::new(), HashMap::new());
-        if Self::bind_units(&mut set, &self.g.arena, self.g.trace.last(), &units, opts) {
+        let bound = Self::bind_units(
+            &mut set,
+            &mut self.g,
+            &units,
+            None,
+            opts,
+            &mut self.compile_time,
+        );
+        if matches!(bound, Ok(true)) {
             self.residue = self.g.arena.tru();
             self.compiled = Some(set);
         }
-        t.finish(&mut self.compile_time);
     }
 
     /// Binds `units` (conjuncts over the grounding's arena, supports
     /// possibly overlapping each other and the bound units') into
     /// `set`, compiling new templates as needed and reusing compiled
-    /// ones via the canonical key. Transactional: on any failure — past
-    /// connectives, or a compile bailing at its budget — `set` is left
-    /// exactly as it was and `false` is returned.
+    /// ones via the canonical key.
+    ///
+    /// Without `replay` the units are current residues and start in
+    /// their template's state 0. With `replay` they are the parts of an
+    /// *unprogressed* conjunct block, and each starts where its
+    /// template's run over the stored prefix ends (the cold instants
+    /// `replay` names, then the resident trace). That is the block's
+    /// progression, split: Lemma 4.2 makes an instance's state a
+    /// function of the prefix alone, progression distributes over `∧`,
+    /// and a template's states are its instance's (ACI-normal)
+    /// residues. A part whose run ends in `⊤` is dropped, as splitting
+    /// a progressed block drops it.
+    ///
+    /// Transactional: when a part does not compile — past connectives,
+    /// or a compile bailing at its budget — `set` is left exactly as it
+    /// was and `Ok(false)` is returned; an error reading a cold instant
+    /// leaves it untouched too. Compiling accrues to `compile_time`.
     fn bind_units(
         set: &mut CompiledSet,
-        arena: &ticc_ptl::Arena,
-        last: Option<&PropState>,
+        g: &mut Grounding,
         units: &[FormulaId],
+        replay: Option<Cold<'_>>,
         opts: &CheckOptions,
-    ) -> bool {
+        compile_time: &mut Duration,
+    ) -> Result<bool, Error> {
         let limits = CompileLimits {
             max_support: CompileLimits::default().max_support,
             max_states: opts.automaton_state_budget,
         };
-        enum Tmpl {
-            Existing(u32),
-            New(usize),
-        }
+        // Staged units carry their final template index: new templates
+        // are appended after the `base` existing ones on commit.
+        let base = set.templates.len();
         let mut new_templates: Vec<Arc<SafetyAutomaton>> = Vec::new();
-        let mut new_keys: HashMap<TemplateKey, usize> = HashMap::new();
-        let mut staged: Vec<(Tmpl, Vec<AtomId>)> = Vec::new();
-        for &u in units {
-            let Some((key, support)) = automaton::canonicalize(arena, u) else {
-                return false;
+        let mut new_keys: HashMap<TemplateKey, u32> = HashMap::new();
+        let t = Timer::start();
+        let staged: Option<Vec<(u32, Vec<AtomId>)>> = units
+            .iter()
+            .map(|&u| {
+                let (key, support) = automaton::canonicalize(&g.arena, u)?;
+                let tmpl = if let Some(&i) = set.keys.get(&key).or_else(|| new_keys.get(&key)) {
+                    i
+                } else {
+                    let auto = automaton::compile(&key, SatSolver::Buchi, limits).ok()??;
+                    let i = (base + new_templates.len()) as u32;
+                    new_templates.push(Arc::new(auto));
+                    new_keys.insert(key, i);
+                    i
+                };
+                Some((tmpl, support))
+            })
+            .collect();
+        t.finish(compile_time);
+        let Some(staged) = staged else {
+            return Ok(false);
+        };
+        let mut states = vec![0u32; staged.len()];
+        if let Some(cold) = replay {
+            let auto = |i: u32| match (i as usize).checked_sub(base) {
+                Some(j) => &new_templates[j],
+                None => &set.templates[i as usize],
             };
-            let tmpl = if let Some(&i) = set.keys.get(&key) {
-                Tmpl::Existing(i)
-            } else if let Some(&i) = new_keys.get(&key) {
-                Tmpl::New(i)
-            } else {
-                match automaton::compile(&key, SatSolver::Buchi, limits) {
-                    Ok(Some(auto)) => {
-                        new_templates.push(Arc::new(auto));
-                        new_keys.insert(key, new_templates.len() - 1);
-                        Tmpl::New(new_templates.len() - 1)
-                    }
-                    _ => return false,
+            for_each_stored_state(g, cold, |_, w| {
+                for ((tmpl, support), state) in staged.iter().zip(&mut states) {
+                    *state = auto(*tmpl).step(*state, CompiledSet::col_of(Some(w), support));
                 }
-            };
-            staged.push((tmpl, support));
+                Ok(true)
+            })?;
         }
         // Commit.
-        let base = set.templates.len() as u32;
         for auto in new_templates {
             set.keys
                 .insert(auto.key().clone(), set.templates.len() as u32);
             set.templates.push(auto);
         }
-        for (tmpl, support) in staged {
-            let tmpl = match tmpl {
-                Tmpl::Existing(i) => i,
-                Tmpl::New(i) => base + i as u32,
-            };
-            let unit = Unit::new(tmpl, 0, &support)
+        for ((tmpl, support), state) in staged.into_iter().zip(states) {
+            if set.templates[tmpl as usize].is_true(state) {
+                continue;
+            }
+            let unit = Unit::new(tmpl, state, &support)
                 .expect("a compiled template's arity is within the support cap");
-            set.push_unit(unit, last);
+            set.push_unit(unit, g.trace.last());
         }
-        true
+        Ok(true)
     }
 
-    /// Splits an already-simplified replayed conjunct block (a delta
-    /// re-ground or an occurrence activation) into units and binds them
-    /// into the live compiled set, sharing letters with the bound units
-    /// as needed. When a part does not compile (budget, past
-    /// connectives) the whole context decompiles and the block is
-    /// conjoined symbolically — the two routes are semantically
-    /// identical.
-    fn bind_block_or_decompile(&mut self, block: FormulaId, opts: &CheckOptions) {
+    /// Binds a fresh, unprogressed conjunct block (a delta re-ground or
+    /// an occurrence activation) into the live compiled set by template
+    /// replay over the stored prefix ([`GroundingContext::bind_units`]):
+    /// no symbolic progression. If a part does not compile, the block
+    /// takes the symbolic route instead: [`GroundingContext::replay_through`]
+    /// then [`GroundingContext::bind_block_or_decompile`].
+    fn bind_fresh_block(
+        &mut self,
+        psi: FormulaId,
+        cold: Cold<'_>,
+        opts: &CheckOptions,
+        stats: &mut EngineStats,
+    ) -> Result<(), Error> {
+        let t = std::time::Instant::now();
+        let compiled_before = self.compile_time;
+        let units = automaton::split_units(&mut self.g.arena, psi);
+        if units.is_empty() {
+            return Ok(());
+        }
+        let set = self
+            .compiled
+            .as_mut()
+            .expect("caller checked the context is compiled");
+        let bound = Self::bind_units(
+            set,
+            &mut self.g,
+            &units,
+            Some(cold),
+            opts,
+            &mut self.compile_time,
+        )?;
+        stats.progress_time += t
+            .elapsed()
+            .saturating_sub(self.compile_time - compiled_before);
+        if bound {
+            stats.replay_steps += stored_len(&self.g, cold) as u64;
+            return Ok(());
+        }
         let t = Timer::start();
+        let replayed = self.replay_through(psi, cold, stats)?;
+        let block = simplify(&mut self.g.arena, replayed);
+        t.finish(&mut stats.progress_time);
+        self.bind_block_or_decompile(block, opts);
+        Ok(())
+    }
+
+    /// Splits an already-progressed and simplified conjunct block into
+    /// units and binds them into the live compiled set, sharing letters
+    /// with the bound units as needed. When a part does not compile
+    /// (budget, past connectives) the whole context decompiles and the
+    /// block is conjoined symbolically — the two routes are
+    /// semantically identical. Only the symbolic fallback of
+    /// [`GroundingContext::bind_fresh_block`] reaches this.
+    fn bind_block_or_decompile(&mut self, block: FormulaId, opts: &CheckOptions) {
         let units = automaton::split_units(&mut self.g.arena, block);
         let set = self
             .compiled
             .as_mut()
             .expect("caller checked the context is compiled");
-        let bound = Self::bind_units(set, &self.g.arena, self.g.trace.last(), &units, opts);
-        t.finish(&mut self.compile_time);
-        if !bound {
+        let bound = Self::bind_units(set, &mut self.g, &units, None, opts, &mut self.compile_time);
+        if !matches!(bound, Ok(true)) {
             self.decompile();
             let combined = self.g.arena.and(self.residue, block);
             self.residue = simplify(&mut self.g.arena, combined);
@@ -642,38 +765,33 @@ impl GroundingContext {
         self.residue = set.rebuild(&mut self.g.arena, |_| true);
     }
 
-    /// Progresses a fresh conjunct block through the full stored
-    /// prefix: first the cold (truncated and spilled) instants
-    /// `[0, base)`, each faulted in from the pager and re-encoded via
-    /// frozen letter lookup, then the resident trace. Chaining
-    /// single-step progression into the trace fold is exactly
-    /// [`progress_trace`] over the untruncated trace — both fold left
-    /// with early exit at `⊤`/`⊥`, and the frozen re-encode reproduces
-    /// each cold valuation bit-identically — so every budget yields
-    /// the same residue.
+    /// Progresses a fresh conjunct block symbolically through the full
+    /// stored prefix ([`for_each_stored_state`]). Chaining single-step
+    /// progression over the cold instants into the resident trace is
+    /// exactly [`progress_trace`] over the untruncated trace — both fold
+    /// left with early exit at `⊤`/`⊥` — so every budget yields the
+    /// same residue. This is the route of symbolic contexts, of the
+    /// reference pipeline, and of a compiled context whose block does
+    /// not compile; a compiled context otherwise replays templates
+    /// ([`GroundingContext::bind_fresh_block`]).
     fn replay_through(
         &mut self,
         psi: FormulaId,
-        cold: Option<(&HistoryPager, usize)>,
+        cold: Cold<'_>,
         stats: &mut EngineStats,
     ) -> Result<FormulaId, Error> {
+        // Charged at the full prefix length regardless of early exit,
+        // as `GroundingContext::build` charges the whole history.
+        stats.progress_steps += stored_len(&self.g, cold) as u64;
         let mut f = psi;
-        if let Some((pager, base)) = cold {
-            let tru = self.g.arena.tru();
-            let fls = self.g.arena.fls();
-            for t in 0..base {
-                if f == tru || f == fls {
-                    break;
-                }
-                let s = pager.load(t)?;
-                let w = self.g.encode_state_frozen(&s);
-                f = progress(&mut self.g.arena, f, &w).map_err(|_| Error::Sat(SatError::Past))?;
+        for_each_stored_state(&mut self.g, cold, |arena, w| {
+            if f == arena.tru() || f == arena.fls() {
+                return Ok(false);
             }
-            // Counter parity with the untruncated path, which charges
-            // the whole trace length regardless of early exit.
-            stats.progress_steps += base as u64;
-        }
-        progress_trace(&mut self.g.arena, f, &self.g.trace).map_err(|_| Error::Sat(SatError::Past))
+            f = progress(arena, f, w).map_err(|_| Error::Sat(SatError::Past))?;
+            Ok(true)
+        })?;
+        Ok(f)
     }
 
     /// Fast path: the state mentions no element outside `M`. Encodes
@@ -691,7 +809,7 @@ impl GroundingContext {
         state: &State,
         opts: &CheckOptions,
         history_len: usize,
-        cold: Option<(&HistoryPager, usize)>,
+        cold: Cold<'_>,
         stats: &mut EngineStats,
     ) -> Result<Option<Status>, Error> {
         if self.compiled.is_some() && opts.pipeline == Pipeline::Reference {
@@ -710,28 +828,24 @@ impl GroundingContext {
                 // A previously-pruned instantiation just became
                 // relevant: its flexible letters were false in every
                 // past state (the tuples never occurred), so grounding
-                // it now and replaying through the stored trace yields
+                // it now and replaying it over the stored prefix yields
                 // exactly the residue it would have had all along.
                 let t = Timer::start();
                 let dg = self.g.ground_new_active(&[], &inserts)?;
                 t.finish(&mut stats.ground_time);
                 stats.new_conjuncts += dg.new_mappings;
-                let t = Timer::start();
-                let replayed = self.replay_through(dg.psi_new, cold, stats)?;
+                stats.replayed_conjuncts += dg.new_mappings;
                 if self.compiled.is_some() {
-                    // Bind the replayed block as fresh units (their
-                    // next step, under `w` below, happens with
-                    // everyone else's).
-                    let block = simplify(&mut self.g.arena, replayed);
-                    t.finish(&mut stats.progress_time);
-                    self.bind_block_or_decompile(block, opts);
+                    // The new units' next step, under `w` below,
+                    // happens with everyone else's.
+                    self.bind_fresh_block(dg.psi_new, cold, opts, stats)?;
                 } else {
+                    let t = Timer::start();
+                    let replayed = self.replay_through(dg.psi_new, cold, stats)?;
                     let combined = self.g.arena.and(self.residue, replayed);
                     self.residue = simplify(&mut self.g.arena, combined);
                     t.finish(&mut stats.progress_time);
                 }
-                stats.progress_steps += self.g.trace.len() as u64;
-                stats.replayed_conjuncts += dg.new_mappings;
             }
         }
         let w = if opts.pipeline == Pipeline::Production {
@@ -805,13 +919,15 @@ impl GroundingContext {
     }
 
     /// Delta path: ground only the instantiations mentioning the new
-    /// elements, replay that block through the stored trace (plus the
-    /// new state), progress the memoised residue one step, and conjoin.
+    /// elements, bring that block up to date over the stored prefix
+    /// (plus the new state), advance the memoised residue one step, and
+    /// conjoin. A compiled context steps its units and binds the block
+    /// by template replay; a symbolic one progresses both.
     fn delta_append(
         &mut self,
         tx: &Transaction,
         opts: &CheckOptions,
-        cold: Option<(&HistoryPager, usize)>,
+        cold: Cold<'_>,
         stats: &mut EngineStats,
     ) -> Result<(), Error> {
         let t = Timer::start();
@@ -828,6 +944,7 @@ impl GroundingContext {
         t.finish(&mut stats.ground_time);
         stats.delta_grounds += 1;
         stats.new_conjuncts += dg.new_mappings;
+        stats.replayed_conjuncts += dg.new_mappings;
 
         let t = Timer::start();
         // ground_delta has just extended the known set, so every
@@ -842,23 +959,17 @@ impl GroundingContext {
         // Old trace states need no re-encoding: letters mentioning a
         // delta element are false there, which PropState's default
         // already yields. Spilled instants behind the retention
-        // horizon are faulted back in and re-encoded inside
-        // `replay_through` — new letters over old elements can be true
-        // there, so the cold prefix genuinely has to be read.
-        let replayed = self.replay_through(dg.psi_new, cold, stats)?;
-        if self.compiled.is_some() {
+        // horizon are faulted back in and re-encoded by
+        // `for_each_stored_state` — new letters over old elements can
+        // be true there, so the cold prefix genuinely has to be read.
+        if let Some(set) = self.compiled.as_mut() {
             // Existing units advance one letter by table lookup; the
-            // replayed block — already progressed through the trace
-            // including `w` — binds as fresh units at their current
-            // column.
-            {
-                let set = self.compiled.as_mut().expect("checked above");
-                set.patch_cols(self.g.patched_letters(), &w);
-                set.step_active(stats);
-            }
-            let block = simplify(&mut self.g.arena, replayed);
+            // new block's units start where their runs over the prefix
+            // including `w` end, at `w`'s column.
+            set.patch_cols(self.g.patched_letters(), &w);
+            set.step_active(stats);
             t.finish(&mut stats.progress_time);
-            self.bind_block_or_decompile(block, opts);
+            self.bind_fresh_block(dg.psi_new, cold, opts, stats)?;
             // Count the append as automaton-driven only if the bind
             // kept the context compiled; a failed bind decompiles and
             // the append is accounted to the symbolic path.
@@ -866,14 +977,14 @@ impl GroundingContext {
                 stats.automaton_appends += 1;
             }
         } else {
+            let replayed = self.replay_through(dg.psi_new, cold, stats)?;
             let old = progress(&mut self.g.arena, self.residue, &w)
                 .map_err(|_| Error::Sat(SatError::Past))?;
+            stats.progress_steps += 1;
             let combined = self.g.arena.and(old, replayed);
             self.residue = simplify(&mut self.g.arena, combined);
             t.finish(&mut stats.progress_time);
         }
-        stats.progress_steps += 1 + self.g.trace.len() as u64;
-        stats.replayed_conjuncts += dg.new_mappings;
         Ok(())
     }
 
@@ -1296,7 +1407,7 @@ impl Engine {
         entry: &mut Entry,
         opts: &CheckOptions,
         upto: usize,
-        cold: Option<(&HistoryPager, usize)>,
+        cold: Cold<'_>,
         stats: &mut EngineStats,
     ) -> Result<Status, Error> {
         let state = history.state(upto - 1);
@@ -1531,7 +1642,7 @@ impl Engine {
         let history = &self.history;
         let base = history.len() - txs.len();
         let trunc_base = history.base();
-        let cold: Option<(&HistoryPager, usize)> = if trunc_base > 0 {
+        let cold: Cold<'_> = if trunc_base > 0 {
             Some((
                 self.pager.as_ref().expect("truncated history has a pager"),
                 trunc_base,

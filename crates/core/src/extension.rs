@@ -321,7 +321,7 @@ pub fn check_potential_satisfaction(
     });
 
     let stats = CheckStats {
-        ground: grounding.stats,
+        ground: grounding.stats(),
         sat: result.stats,
         timings: PhaseTimings {
             ground: shot.ground_time,

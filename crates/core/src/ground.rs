@@ -126,9 +126,11 @@ pub struct GroundStats {
     pub letters: usize,
     /// Conjuncts emitted for `Axiom_D` (0 in folded mode).
     pub axiom_conjuncts: usize,
-    /// Tree size of `φ_D` (saturating).
+    /// Tree size of `φ_D` (saturating). Computed when read
+    /// ([`Grounding::stats`]): the walk grows with `|Ψ_D|`, so the
+    /// grounding does not maintain it on every delta.
     pub formula_tree_size: usize,
-    /// DAG size of `φ_D`.
+    /// DAG size of `φ_D`, computed when read like `formula_tree_size`.
     pub formula_dag_size: usize,
     /// Instantiations actually grounded. Equals `mappings` under the
     /// odometer; under the indexed strategy it counts the data-supported
@@ -170,8 +172,9 @@ pub struct Grounding {
     /// The set `M` (relevant + fresh), in the order used for mappings.
     /// Delta re-grounding appends further relevant elements at the end.
     pub m: Vec<GArg>,
-    /// Statistics.
-    pub stats: GroundStats,
+    /// Statistics, except the two formula sizes, which stay 0 here:
+    /// read them through [`Grounding::stats`].
+    pub(crate) stats: GroundStats,
     mode: GroundMode,
     schema: Arc<Schema>,
     consts: Vec<Value>,
@@ -930,8 +933,8 @@ pub(crate) fn ground_metered(
         mappings,
         letters: arena.atom_count(),
         axiom_conjuncts,
-        formula_tree_size: arena.tree_size(formula),
-        formula_dag_size: arena.dag_size(formula),
+        formula_tree_size: 0,
+        formula_dag_size: 0,
         inst_enumerated,
         inst_pruned: mappings - inst_enumerated,
         inst_shared,
@@ -1958,8 +1961,6 @@ impl Grounding {
         self.stats.m_size = msize;
         self.stats.mappings = msize.pow(k as u32).max(1);
         self.stats.letters = self.arena.atom_count();
-        self.stats.formula_tree_size = self.arena.tree_size(self.formula);
-        self.stats.formula_dag_size = self.arena.dag_size(self.formula);
         self.stats.inst_enumerated = self.stats.mappings;
         Ok(DeltaGround {
             psi_new,
@@ -2053,14 +2054,23 @@ impl Grounding {
         self.stats.m_size = msize;
         self.stats.mappings = msize.pow(k as u32).max(1);
         self.stats.letters = self.arena.atom_count();
-        self.stats.formula_tree_size = self.arena.tree_size(self.formula);
-        self.stats.formula_dag_size = self.arena.dag_size(self.formula);
         self.stats.inst_enumerated += new_mappings as usize;
         self.stats.inst_pruned = self.stats.mappings - self.stats.inst_enumerated;
         Ok(DeltaGround {
             psi_new,
             new_mappings,
         })
+    }
+
+    /// The grounding's size statistics, with the tree and DAG sizes of
+    /// the current `φ_D` computed now. The walk is `O(|φ_D|)`, so
+    /// append paths do not call this; reports and snapshots do.
+    pub fn stats(&self) -> GroundStats {
+        GroundStats {
+            formula_tree_size: self.arena.tree_size(self.formula),
+            formula_dag_size: self.arena.dag_size(self.formula),
+            ..self.stats
+        }
     }
 
     /// The effective enumeration strategy: [`GroundStrategy::Indexed`]
@@ -2143,7 +2153,7 @@ impl Grounding {
             formula: self.formula,
             trace: self.trace.clone(),
             m: self.m.clone(),
-            stats: self.stats,
+            stats: self.stats(),
             indexed: self.plan.is_some(),
             occ: self
                 .occ
@@ -2236,7 +2246,11 @@ impl Grounding {
             formula: d.formula,
             trace: d.trace,
             m: d.m,
-            stats: d.stats,
+            stats: GroundStats {
+                formula_tree_size: 0,
+                formula_dag_size: 0,
+                ..d.stats
+            },
             mode: GroundMode::Folded,
             schema,
             consts: d.consts,
@@ -2381,7 +2395,7 @@ mod tests {
         assert!(g.stats.axiom_conjuncts > 0);
         assert!(g.stats.letters > 2, "full mode materialises rigid letters");
         let gf = ground(&h, &phi, GroundMode::Folded).unwrap();
-        assert!(gf.stats.formula_tree_size < g.stats.formula_tree_size);
+        assert!(gf.stats().formula_tree_size < g.stats().formula_tree_size);
     }
 
     #[test]
@@ -2544,7 +2558,7 @@ mod tests {
         assert_eq!(g1.strategy(), GroundStrategy::Indexed);
         assert!(g1.stats.inst_pruned > 0);
         assert_eq!(g1.formula, g4.formula);
-        assert_eq!(g1.stats, g4.stats);
+        assert_eq!(g1.stats(), g4.stats());
         assert_eq!(g1.arena.dag_len(), g4.arena.dag_len());
         assert_eq!(g1.letter_index_len(), g4.letter_index_len());
     }
@@ -2567,7 +2581,7 @@ mod tests {
         // The fallback is transparent: same Ψ_D as an explicit odometer
         // grounding, letter for letter.
         let odo = ground(&h, &unguarded, GroundMode::Folded).unwrap();
-        assert_eq!(g.stats, odo.stats);
+        assert_eq!(g.stats(), odo.stats());
         assert_eq!(g.letter_index_len(), odo.letter_index_len());
     }
 
@@ -2592,5 +2606,46 @@ mod tests {
         assert_eq!(g.stats.inst_pruned, 6);
         // Same transaction again: the tuple is indexed now.
         assert!(g.newly_occurring(&tx).is_empty());
+    }
+
+    /// The `Ψ_D` size gauges are computed when read, not maintained by
+    /// the delta paths: after every delta re-ground and activation they
+    /// must equal the sizes of the current formula, and so grow with it.
+    #[test]
+    fn formula_size_gauges_follow_the_current_formula() {
+        fn assert_current(g: &Grounding, prev: &mut GroundStats) {
+            let s = g.stats();
+            assert_eq!(s.formula_tree_size, g.arena.tree_size(g.formula));
+            assert_eq!(s.formula_dag_size, g.arena.dag_size(g.formula));
+            // An activated instance may hash-cons onto existing nodes,
+            // so only the tree size must grow strictly.
+            assert!(s.formula_tree_size > prev.formula_tree_size, "{s:?}");
+            assert!(s.formula_dag_size >= prev.formula_dag_size, "{s:?}");
+            *prev = s;
+        }
+        let h = history(&[&[1, 3]]);
+        let sc = h.schema().clone();
+        let once = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
+        let mut g = ground(&h, &once, GroundMode::Folded).unwrap();
+        let mut prev = GroundStats::default();
+        assert_current(&g, &mut prev);
+        for v in [10, 11, 12] {
+            let dag_before = prev.formula_dag_size;
+            g.ground_delta(&[v]).unwrap();
+            assert_current(&g, &mut prev);
+            assert!(prev.formula_dag_size > dag_before, "{prev:?}");
+        }
+
+        // Fill never occurred, so every instantiation starts pruned, and
+        // Fill(3) activates the maps sending x or y to 3.
+        let phi = parse(&sc, "forall x y. G (Fill(x) -> !Fill(y))").unwrap();
+        let mut g = ground_indexed(&h, &phi, Threads::Off);
+        assert_eq!(g.strategy(), GroundStrategy::Indexed);
+        let mut prev = GroundStats::default();
+        assert_current(&g, &mut prev);
+        let tx = Transaction::new().insert(sc.pred("Fill").unwrap(), vec![3]);
+        let inserts = g.newly_occurring(&tx);
+        assert!(g.ground_new_active(&[], &inserts).unwrap().new_mappings > 0);
+        assert_current(&g, &mut prev);
     }
 }

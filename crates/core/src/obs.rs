@@ -134,12 +134,22 @@ pub struct EngineStats {
     pub delta_grounds: u64,
     /// Ground instantiations added by delta re-groundings.
     pub new_conjuncts: u64,
-    /// Conjunct blocks replayed through a stored trace by delta
-    /// re-groundings — stays `O(|Δ-part|)`, while a full rebuild
-    /// re-derives all `|M|^k` instantiations.
+    /// Ground instantiations brought up to date over the stored prefix
+    /// by delta re-groundings and occurrence activations — stays
+    /// `O(|Δ-part|)`, while a full rebuild re-derives all `|M|^k`
+    /// instantiations. A compiled context replays them by stepping
+    /// their templates (`replay_steps`); a symbolic one, the reference
+    /// pipeline, or a block that does not compile progresses them
+    /// (`progress_steps`).
     pub replayed_conjuncts: u64,
-    /// Single-state progression steps.
+    /// Single-state *symbolic* progression steps: the initial build's
+    /// pass over the history, symbolic appends, and symbolic replays of
+    /// new conjunct blocks. A compiled context's appends add none.
     pub progress_steps: u64,
+    /// Stored-prefix instants over which new units ran their templates
+    /// (template replay of a delta re-ground or an occurrence
+    /// activation): table lookups, no progression.
+    pub replay_steps: u64,
     /// Letters patched in place by the incremental encoding (tuples
     /// inserted/deleted by transactions on the fast path) — the
     /// `O(|Δtx|)` work a full re-encode of the state would hide.
@@ -249,6 +259,7 @@ impl EngineStats {
             self.replayed_conjuncts
         ));
         s.push_str(&format!("  progress steps      {}\n", self.progress_steps));
+        s.push_str(&format!("  replay steps        {}\n", self.replay_steps));
         s.push_str(&format!(
             "  patched atoms       {}\n",
             self.encode_patched_atoms
@@ -375,6 +386,7 @@ impl EngineStats {
         self.new_conjuncts += other.new_conjuncts;
         self.replayed_conjuncts += other.replayed_conjuncts;
         self.progress_steps += other.progress_steps;
+        self.replay_steps += other.replay_steps;
         self.encode_patched_atoms += other.encode_patched_atoms;
         self.sat_checks += other.sat_checks;
         self.automaton_appends += other.automaton_appends;
@@ -456,6 +468,7 @@ mod tests {
             "appends",
             "delta regrounds",
             "replayed conjuncts",
+            "replay steps",
             "patched atoms",
             "ground time",
             "inst enumerated",

@@ -1006,6 +1006,7 @@ pub fn stats_json_with(stats: &SessionStats, server: Option<&str>) -> String {
     let _ = write!(o, ",\"new_conjuncts\":{}", s.new_conjuncts);
     let _ = write!(o, ",\"replayed_conjuncts\":{}", s.replayed_conjuncts);
     let _ = write!(o, ",\"progress_steps\":{}", s.progress_steps);
+    let _ = write!(o, ",\"replay_steps\":{}", s.replay_steps);
     let _ = write!(o, ",\"encode_patched_atoms\":{}", s.encode_patched_atoms);
     let _ = write!(o, ",\"sat_checks\":{}", s.sat_checks);
     let _ = write!(

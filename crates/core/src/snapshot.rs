@@ -397,8 +397,10 @@ fn stats_encode(e: &mut Enc, s: &EngineStats) {
 fn stats_decode(d: &mut Dec<'_>) -> Result<EngineStats, StoreError> {
     // Gauges (letters, arena nodes, mappings, letter index) and the
     // store mirror are refreshed by `Engine::stats`, so only the
-    // lifetime counters and timers persist. Struct-literal fields
-    // evaluate in source order, which matches the encode order.
+    // lifetime counters and timers persist — all but `replay_steps`,
+    // which the v4 layout predates and which restarts at zero.
+    // Struct-literal fields evaluate in source order, which matches the
+    // encode order.
     Ok(EngineStats {
         appends: d.u64()?,
         fast_appends: d.u64()?,

@@ -22,6 +22,11 @@ fn formula_pool(sc: &Schema) -> Vec<Formula> {
         "G !Sub(5)",
         "forall x. G (Fill(x) -> F Sub(x))",
         "forall x. G !(Sub(x) & Fill(x))",
+        // FIFO over two variables: instances share letters, so new
+        // units replay their templates through spilled instants next
+        // to bound units that read the same letters.
+        "forall x y. G !(x != y & Sub(x) & \
+         ((!Fill(x)) U (Sub(y) & ((!Fill(x)) U (Fill(y) & !Fill(x))))))",
     ]
     .iter()
     .map(|src| parse(sc, src).unwrap())
@@ -198,4 +203,47 @@ fn window_budget_bounds_resident_states() {
     for t in 0..txs.len() {
         assert_eq!(full.state(t), unbounded.history().state(t), "instant {t}");
     }
+}
+
+/// An obligation opened in a spilled instant must reach the units of an
+/// element that arrives after the truncation. `fifo`'s instance
+/// `(x, y) = (1, 5)` owes "5 is not filled before 1" from the instant
+/// `Sub(1)` held — which the window has spilled by the time 5 arrives —
+/// so the new units' template replay has to read the cold prefix, or
+/// the out-of-order `Fill(5)` goes unreported.
+#[test]
+fn new_units_replay_obligations_from_spilled_instants() {
+    let sc = schema();
+    let fifo = formula_pool(&sc).pop().unwrap();
+    let (sub, fill) = (sc.pred("Sub").unwrap(), sc.pred("Fill").unwrap());
+    let mut txs = vec![
+        Transaction::new().insert(sub, vec![1]),
+        Transaction::new().delete(sub, vec![1]),
+    ];
+    const ARRIVAL: usize = 8;
+    txs.resize(ARRIVAL, Transaction::new());
+    txs.push(Transaction::new().insert(sub, vec![5]));
+    txs.push(Transaction::new().insert(fill, vec![5]));
+    let run = |budget| {
+        let opts = CheckOptions::builder().history_budget(budget).build();
+        let mut engine = Engine::with_history(History::new(sc.clone()), opts);
+        let id = engine.add_constraint("fifo", fifo.clone()).unwrap();
+        let built = engine.stats();
+        let mut base_at_arrival = 0;
+        for (t, tx) in txs.iter().enumerate() {
+            if t == ARRIVAL {
+                base_at_arrival = engine.history().base();
+            }
+            engine.append(tx).unwrap();
+        }
+        let s = engine.stats();
+        assert!(s.replay_steps > 0, "{s:?}");
+        assert_eq!(s.progress_steps, built.progress_steps, "{s:?}");
+        (engine.status(id), base_at_arrival)
+    };
+    let (unbounded, _) = run(HistoryBudget::Unbounded);
+    assert_eq!(unbounded, Status::Violated { at: txs.len() });
+    let (bounded, base) = run(HistoryBudget::Window(2));
+    assert!(base > 0, "Sub(1) must be spilled before 5 arrives");
+    assert_eq!(bounded, unbounded);
 }

@@ -284,6 +284,16 @@ impl SafetyAutomaton {
         self.states[state as usize].holds_on_empty
     }
 
+    /// Whether `state`'s residue is `⊤`: every continuation satisfies
+    /// it, so a unit there constrains nothing.
+    #[inline]
+    pub fn is_true(&self, state: u32) -> bool {
+        matches!(
+            self.arena.node(self.states[state as usize].residue),
+            Node::True
+        )
+    }
+
     /// Rebuilds the concrete residue of `state` inside `dst`, mapping
     /// canonical atom `i` to `support[i]`. `memo` must not be shared
     /// across different supports.

@@ -141,8 +141,8 @@ fn assert_engines_agree(seed: u64, when: &str, a: &Engine, b: &Engine, ids: &[Co
             "seed {seed} {when}: status diverges for {id:?}"
         );
         assert_eq!(
-            a.context(*id).grounding().stats,
-            b.context(*id).grounding().stats,
+            a.context(*id).grounding().stats(),
+            b.context(*id).grounding().stats(),
             "seed {seed} {when}: GroundStats diverge for {id:?}"
         );
         assert_eq!(

@@ -10,7 +10,11 @@
 //! the same violation events at the same instants, the same statuses,
 //! and the same earliest-violation time. This suite streams staggered
 //! new-element appends over randomized workloads and checks exactly
-//! that, plus the `O(|Δ-part|)` complexity claim on the stats spine.
+//! that, plus the `O(|Δ-part|)` complexity claim on the stats spine,
+//! and that a compiled engine brings new instantiations up to date by
+//! stepping their template automata, with no symbolic progression.
+
+mod common;
 
 use std::sync::Arc;
 use ticc::core::engine::Engine;
@@ -158,6 +162,10 @@ fn delta_equals_full_on_randomized_staggered_histories() {
             ds.replayed_conjuncts, s.expected_delta_conjuncts,
             "seed {seed}: replay must be linear in the delta part"
         );
+        // The compiled engine replays templates, never progression:
+        // built over the empty history, it makes no symbolic step.
+        assert_eq!(ds.progress_steps, 0, "seed {seed}");
+        assert_eq!(ds.replay_steps > 0, ds.delta_grounds > 0, "seed {seed}");
         if ds.delta_grounds > 0 {
             delta_runs += 1;
         }
@@ -167,5 +175,72 @@ fn delta_equals_full_on_randomized_staggered_histories() {
     assert!(
         violating_runs >= 20,
         "only {violating_runs}/120 runs violate"
+    );
+}
+
+/// Floor of the compiled delta path: across delta re-grounds and
+/// occurrence activations of a fully compiled production engine, the
+/// symbolic progression counter stays put, and the template-replay
+/// counter moves instead. The five shared-workload constraints cover
+/// `k` from 0 to 2 and units that share letters; the reference pipeline
+/// runs alongside so the appends checked are ones it agrees with.
+#[test]
+fn compiled_regrounds_step_templates_not_progression() {
+    let sc = common::schema();
+    let phis = [
+        common::ONCE_ONLY,
+        common::PAIR_ONCE,
+        common::CAP,
+        common::PAIR_GUARD,
+        common::PAIR_NEXT,
+    ]
+    .map(|src| parse(&sc, src).unwrap());
+    let (mut deltas, mut activations) = (0, 0);
+    for seed in 0..120u64 {
+        let mut rng = Rng::seed_from_u64(0x5e1f ^ seed);
+        let mut driver = common::Driver::new(6, 0.3);
+        let mut prod = Engine::new(sc.clone(), CheckOptions::default());
+        let mut reference = Engine::new(sc.clone(), CheckOptions::reference());
+        for (i, phi) in phis.iter().enumerate() {
+            prod.add_constraint(format!("c{i}"), phi.clone()).unwrap();
+            reference
+                .add_constraint(format!("c{i}"), phi.clone())
+                .unwrap();
+        }
+        for _ in 0..rng.gen_range_usize(6..14) {
+            let tx = driver.step(&sc, &mut rng);
+            let live = prod
+                .constraints()
+                .filter(|&id| prod.status(id) == Status::Satisfied)
+                .count() as u64;
+            let before = prod.stats();
+            let events = prod.append(&tx).unwrap();
+            assert_eq!(events, reference.append(&tx).unwrap(), "seed {seed}");
+            let after = prod.stats();
+            let compiled = after.automaton_appends - before.automaton_appends == live;
+            if !compiled || after.new_conjuncts == before.new_conjuncts {
+                continue;
+            }
+            assert_eq!(
+                after.progress_steps, before.progress_steps,
+                "seed {seed}: a compiled re-ground progressed symbolically"
+            );
+            // New instantiations can all fold to `⊤` (e.g. `x != y` at
+            // `x = y`), leaving nothing to replay; count the appends
+            // that did replay.
+            if after.replay_steps == before.replay_steps {
+                continue;
+            }
+            if after.delta_grounds > before.delta_grounds {
+                deltas += 1;
+            } else {
+                activations += 1;
+            }
+        }
+    }
+    assert!(deltas >= 200, "only {deltas} compiled delta appends");
+    assert!(
+        activations >= 20,
+        "only {activations} compiled activation appends"
     );
 }

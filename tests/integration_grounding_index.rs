@@ -37,8 +37,8 @@ fn indexed_odometer_and_sharded_agree_on_randomized_sessions() {
         // same instantiation-space size. The indexed/sharded pair must
         // be bit-identical down to the enumeration counters.
         for id in ids {
-            let gi = idx.context(*id).grounding().stats;
-            let go = odo.context(*id).grounding().stats;
+            let gi = idx.context(*id).grounding().stats();
+            let go = odo.context(*id).grounding().stats();
             assert_eq!(gi.m_size, go.m_size, "seed {seed}: |M| diverges");
             assert_eq!(gi.mappings, go.mappings, "seed {seed}: |M|^k diverges");
             assert_eq!(
@@ -47,7 +47,7 @@ fn indexed_odometer_and_sharded_agree_on_randomized_sessions() {
             );
             assert_eq!(
                 gi,
-                par.context(*id).grounding().stats,
+                par.context(*id).grounding().stats(),
                 "seed {seed}: sharded GroundStats diverge"
             );
         }
@@ -127,8 +127,8 @@ fn sparse_chain_prunes_and_matches_the_odometer() {
     assert!(si.inst_enumerated > 0);
     assert_eq!(odo.stats().inst_pruned, 0);
     assert_eq!(
-        idx.context(id).grounding().stats,
-        par.context(id).grounding().stats,
+        idx.context(id).grounding().stats(),
+        par.context(id).grounding().stats(),
         "sharded grounding must be bit-identical"
     );
 }

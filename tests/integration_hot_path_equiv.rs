@@ -55,9 +55,9 @@ fn hot_and_rebuild_agree_on_randomized_sessions() {
         // rebuild would: the pooled engine grounds bit-identically, and
         // the reference's odometer covers the same `|M|` and `|M|^k`.
         for id in ids {
-            let gh = hot.context(*id).grounding().stats;
-            assert_eq!(gh, par.context(*id).grounding().stats, "seed {seed}");
-            let gr = reference.context(*id).grounding().stats;
+            let gh = hot.context(*id).grounding().stats();
+            assert_eq!(gh, par.context(*id).grounding().stats(), "seed {seed}");
+            let gr = reference.context(*id).grounding().stats();
             assert_eq!(gh.m_size, gr.m_size, "seed {seed}: |M| for {id:?}");
             assert_eq!(gh.mappings, gr.mappings, "seed {seed}: |M|^k for {id:?}");
         }

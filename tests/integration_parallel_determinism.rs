@@ -79,8 +79,8 @@ fn off_and_fixed4_agree_on_randomized_sessions() {
         // chunk-ordered intern replay reproduces the sequential arena.
         for id in &ids {
             assert_eq!(
-                off.context(*id).grounding().stats,
-                par.context(*id).grounding().stats,
+                off.context(*id).grounding().stats(),
+                par.context(*id).grounding().stats(),
                 "seed {seed}: GroundStats diverge for {id:?}"
             );
         }
@@ -196,8 +196,8 @@ fn append_batch_agrees_with_serial_appends_off_vs_fixed4() {
             assert_eq!(serial.status(*id), batch_off.status(*id), "seed {seed}");
             assert_eq!(serial.status(*id), batch_par.status(*id), "seed {seed}");
             assert_eq!(
-                serial.context(*id).grounding().stats,
-                batch_par.context(*id).grounding().stats,
+                serial.context(*id).grounding().stats(),
+                batch_par.context(*id).grounding().stats(),
                 "seed {seed}: GroundStats diverge for {id:?}"
             );
         }

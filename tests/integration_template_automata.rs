@@ -59,9 +59,9 @@ fn compiled_and_symbolic_agree_on_randomized_sessions() {
         // Compiling the residue never changes which letters and
         // instantiations the grounding interns.
         for id in ids {
-            let ga = auto.context(*id).grounding().stats;
-            assert_eq!(ga, par.context(*id).grounding().stats, "seed {seed}");
-            let gr = reference.context(*id).grounding().stats;
+            let ga = auto.context(*id).grounding().stats();
+            assert_eq!(ga, par.context(*id).grounding().stats(), "seed {seed}");
+            let gr = reference.context(*id).grounding().stats();
             assert_eq!(ga.m_size, gr.m_size, "seed {seed}: |M| for {id:?}");
             assert_eq!(ga.mappings, gr.mappings, "seed {seed}: |M|^k for {id:?}");
         }
