@@ -58,7 +58,7 @@ impl BadPrefixMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ticc_core::{CheckOptions, Monitor, Status};
+    use ticc_core::{CheckOptions, Engine, Status};
     use ticc_fotl::parser::parse;
     use ticc_tdb::Transaction;
 
@@ -71,7 +71,7 @@ mod tests {
             // folds to ⊥ once the w-step obligation comes due.
             let ahead = (0..w).fold("Fill(1)".to_owned(), |f, _| format!("X ({f})"));
             let phi = parse(&sc, &format!("G (Sub(1) -> {ahead}) & G !Fill(1)")).unwrap();
-            let mut monitor = Monitor::new(sc.clone(), CheckOptions::default());
+            let mut monitor = Engine::new(sc.clone(), CheckOptions::default());
             let id = monitor.add_constraint("latent", phi.clone()).unwrap();
             let mut baseline = BadPrefixMonitor::new(sc.clone(), &phi).unwrap();
             let mut history = History::new(sc.clone());

@@ -27,7 +27,7 @@ use ticc_bench::table::{fmt_duration, Table};
 use ticc_bench::*;
 use ticc_core::counter::counter_instance;
 use ticc_core::{
-    check_potential_satisfaction, CheckOptions, EngineStats, GroundMode, Monitor, Threads,
+    check_potential_satisfaction, CheckOptions, Engine, EngineStats, GroundMode, Threads,
 };
 use ticc_fotl::Formula;
 use ticc_ptl::arena::Arena;
@@ -571,7 +571,7 @@ fn e7_trigger_throughput(threads: Threads) -> (usize, f64) {
         let mut stats = None;
         let mut run = |thr: Threads| {
             ticc_bench::time_best_of(1, || {
-                let mut m = Monitor::new(sc.clone(), CheckOptions::builder().threads(thr).build());
+                let mut m = Engine::new(sc.clone(), CheckOptions::builder().threads(thr).build());
                 m.add_constraint("once", once_only(&sc)).unwrap();
                 m.add_constraint("fifo", fifo(&sc)).unwrap();
                 violations = 0;
@@ -603,7 +603,7 @@ fn e7_trigger_throughput(threads: Threads) -> (usize, f64) {
             h.relevant().len().to_string(),
             instants.to_string(),
             violations.to_string(),
-            format!("{}/{}", s.fast_appends, s.regrounds),
+            format!("{}/{}", s.fast_appends, s.regrounds + s.delta_grounds),
             fmt_duration(d),
             fmt_duration(dp),
             format!("{rate:.0}"),
@@ -753,7 +753,7 @@ fn e11_notion_latency() {
             .collect();
 
         // Both columns time the appends only, not the set-up.
-        let mut m = Monitor::new(sc.clone(), CheckOptions::default());
+        let mut m = Engine::new(sc.clone(), CheckOptions::default());
         let id = m.add_constraint("latent", phi.clone()).unwrap();
         let t0 = std::time::Instant::now();
         for tx in &txs {
@@ -834,7 +834,7 @@ fn e13_append_hot_path(smoke: bool) -> E13Result {
         ],
     );
     let run = |opts: CheckOptions| -> (f64, EngineStats) {
-        let mut m = Monitor::new(sc.clone(), opts);
+        let mut m = Engine::new(sc.clone(), opts);
         m.add_constraint("fifo", fifo(&sc)).unwrap();
         m.add_constraint("cap", parse(&sc, "G !Sub(999)").unwrap())
             .unwrap();
@@ -852,10 +852,7 @@ fn e13_append_hot_path(smoke: bool) -> E13Result {
                 .is_empty());
         }
         let elapsed = t0.elapsed();
-        (
-            (total - warmup) as f64 / elapsed.as_secs_f64(),
-            m.engine_stats(),
-        )
+        ((total - warmup) as f64 / elapsed.as_secs_f64(), m.stats())
     };
     let spec = [
         ("reference", CheckOptions::reference()),
@@ -1091,14 +1088,14 @@ fn e15_grounding_index(smoke: bool) -> E15Result {
     // bit-identical check events under all three configurations.
     let txs = sparse_edge_txs(&esc, domain, headline_per, states, seed);
     let run = |opts: CheckOptions| {
-        let mut m = Monitor::new(esc.clone(), opts);
+        let mut m = Engine::new(esc.clone(), opts);
         m.add_constraint("chain", phi.clone()).unwrap();
-        let built = m.engine_stats();
+        let built = m.stats();
         let mut events = Vec::new();
         for tx in &txs {
             events.extend(m.append(tx).unwrap());
         }
-        (events, built, m.engine_stats())
+        (events, built, m.stats())
     };
     let (ev_idx, built, s_idx) = run(CheckOptions::default());
     let (ev_odo, _, _) = run(CheckOptions::reference());
@@ -1246,7 +1243,7 @@ fn e16_template_automata(smoke: bool) -> E16Result {
     let mut events_identical = true;
     for &n in sweep {
         let run = |opts: CheckOptions| {
-            let mut m = Monitor::new(sc.clone(), opts);
+            let mut m = Engine::new(sc.clone(), opts);
             m.add_constraint("response", phi.clone()).unwrap();
             let mut events = Vec::new();
             for tx in response_setup_txs(&sc, n) {
@@ -1257,7 +1254,7 @@ fn e16_template_automata(smoke: bool) -> E16Result {
                 events.extend(m.append(&response_steady_tx(&sc, n, i)).unwrap());
             }
             let steady = start.elapsed();
-            let stats = m.engine_stats();
+            let stats = m.stats();
             let ns = steady.as_secs_f64() * 1e9 / measured as f64;
             (
                 E16Config {

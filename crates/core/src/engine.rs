@@ -1,4 +1,4 @@
-//! The persistent incremental engine.
+//! The persistent incremental engine — the online integrity monitor.
 //!
 //! One layer owns what the online monitor, the trigger engine, and the
 //! one-shot extension checker previously each re-derived for
@@ -6,29 +6,30 @@
 //! (Lemma 4.2 phase 1), satisfiability memoisation (phase 2), and the
 //! observability counters ([`EngineStats`]).
 //!
-//! The engine's distinctive capability is **delta re-grounding**. The
-//! grounding depends on the history only through `R_D` and `w_D`; when
-//! an update enlarges `R_D` by `Δ`, the old ground conjuncts — whose
-//! letters mention only old elements — are untouched, and their
-//! progressed residue remains valid as-is (old trace states assign
-//! `false` to every letter mentioning a `Δ` element, which is exactly
-//! what re-encoding them would produce, since a new relevant element
-//! by definition appears in no earlier state). So instead of
+//! Every production append takes one route per live constraint
+//! (`GroundingContext::step`): grow, encode, step, absorb, decide.
+//! The grounding depends on the history only through `R_D` and the
+//! occurrence index, and `Ψ_D` only grows with them: a new relevant
+//! element, or a first-occurring tuple, adds the conjunct block of the
+//! instantiations it makes data-supported. The old conjuncts' letters
+//! mention only old elements, so their progressed residue stays valid
+//! (old trace states assign `false` to every letter mentioning a new
+//! element, exactly what re-encoding them would produce). So an append
+//! that grows `Ψ_D` grounds only the new block, steps the memoised
+//! residue like any other append, then brings the block up to date
+//! over the stored prefix and conjoins it — `O(t·|Δ-part|)` instead of
 //! re-grounding all `|M ∪ Δ|^k` instantiations and replaying the whole
-//! history (`O(t·|φ_D|)`), the engine grounds only the instantiations
-//! mentioning `Δ`, brings just that block up to date over the stored
-//! propositional trace, and conjoins it with the memoised residue —
-//! `O(t·|Δ-part|)`. Progression distributes over conjunction, which
-//! makes the two routes equivalent; a property test checks delta
-//! against full re-grounding on randomized workloads.
+//! history (`O(t·|φ_D|)`). Progression distributes over conjunction,
+//! which makes the two equivalent; the 120-seed suites check the
+//! route against the reference pipeline's full rebuilds.
 //!
 //! A compiled context (the production default) brings the block up to
 //! date without symbolic progression: each `∧`-part of the
 //! unprogressed block binds as a unit whose template automaton runs
 //! over the stored prefix's columns, one table lookup per instant
 //! (Lemma 4.2: an instance's state after a prefix is a function of that
-//! prefix alone). Symbolic contexts, the reference pipeline and blocks
-//! that do not compile progress the block symbolically instead.
+//! prefix alone). Symbolic contexts and blocks that do not compile
+//! progress the block symbolically instead.
 //!
 //! The engine always grounds with the folded construction
 //! ([`GroundMode::Folded`]) and decides phase 2 with the Büchi solver.
@@ -39,7 +40,7 @@
 
 use crate::error::Error;
 use crate::extension::{CheckOptions, Durability, HistoryBudget, Pipeline};
-use crate::ground::{ground_metered, GroundMode, GroundStrategy, Grounding};
+use crate::ground::{ground_metered, GroundMode, Grounding};
 use crate::obs::{EngineStats, Timer};
 use crate::par::{ParMeter, Threads, WorkerPool};
 use crate::spill::HistoryPager;
@@ -441,6 +442,13 @@ impl CompiledSet {
 /// instants `[0, base)`, and `base`. `None` when nothing is truncated.
 type Cold<'a> = Option<(&'a HistoryPager, usize)>;
 
+/// The cold tier of `history`: the pager and `base` once instants are
+/// truncated, else `None`.
+fn cold<'a>(history: &History, pager: Option<&'a HistoryPager>) -> Cold<'a> {
+    let base = history.base();
+    (base > 0).then(|| (pager.expect("truncated history has a pager"), base))
+}
+
 /// Length of the stored prefix: the cold instants plus the resident
 /// trace.
 fn stored_len(g: &Grounding, cold: Cold<'_>) -> usize {
@@ -576,10 +584,10 @@ impl GroundingContext {
 
     /// Attempts to compile the current symbolic residue into per-unit
     /// template automata. Applicable only to the production pipeline.
-    /// On any obstacle — past connectives, support too wide, state
-    /// budget exceeded — the context simply stays symbolic. The
-    /// wall-clock spent compiling (including failed attempts) accrues
-    /// to the build-phase `compile_time` gauge, never to append latency.
+    /// On any obstacle — support too wide, state budget exceeded — the
+    /// context simply stays symbolic. The wall-clock spent compiling
+    /// (including failed attempts) accrues to the build-phase
+    /// `compile_time` gauge, never to append latency.
     pub(crate) fn try_compile(&mut self, opts: &CheckOptions) {
         if opts.pipeline == Pipeline::Reference {
             return;
@@ -616,7 +624,7 @@ impl GroundingContext {
     /// residues. A part whose run ends in `⊤` is dropped, as splitting
     /// a progressed block drops it.
     ///
-    /// Transactional: when a part does not compile — past connectives,
+    /// Transactional: when a part does not compile — support too wide,
     /// or a compile bailing at its budget — `set` is left exactly as it
     /// was and `Ok(false)` is returned; an error reading a cold instant
     /// leaves it untouched too. Compiling accrues to `compile_time`.
@@ -688,71 +696,55 @@ impl GroundingContext {
         Ok(true)
     }
 
-    /// Binds a fresh, unprogressed conjunct block (a delta re-ground or
-    /// an occurrence activation) into the live compiled set by template
-    /// replay over the stored prefix ([`GroundingContext::bind_units`]):
-    /// no symbolic progression. If a part does not compile, the block
-    /// takes the symbolic route instead: [`GroundingContext::replay_through`]
-    /// then [`GroundingContext::bind_block_or_decompile`].
-    fn bind_fresh_block(
+    /// Absorbs a fresh, unprogressed conjunct block — what
+    /// [`Grounding::grow`] returned — into a context already stepped
+    /// past the prefix's last instant: brings the block up to date over
+    /// the whole stored prefix and conjoins it with the residue.
+    /// Progression distributes over `∧`, so this equals progressing the
+    /// grown `Ψ_D` from the start.
+    ///
+    /// A compiled context binds the block's `∧`-parts as units by
+    /// template replay ([`GroundingContext::bind_units`]): no symbolic
+    /// progression. If a part does not compile, the context decompiles
+    /// and takes the symbolic route, as a symbolic context does:
+    /// [`GroundingContext::replay_through`], then conjunction.
+    fn absorb(
         &mut self,
         psi: FormulaId,
         cold: Cold<'_>,
         opts: &CheckOptions,
         stats: &mut EngineStats,
     ) -> Result<(), Error> {
-        let t = std::time::Instant::now();
-        let compiled_before = self.compile_time;
-        let units = automaton::split_units(&mut self.g.arena, psi);
-        if units.is_empty() {
-            return Ok(());
-        }
-        let set = self
-            .compiled
-            .as_mut()
-            .expect("caller checked the context is compiled");
-        let bound = Self::bind_units(
-            set,
-            &mut self.g,
-            &units,
-            Some(cold),
-            opts,
-            &mut self.compile_time,
-        )?;
-        stats.progress_time += t
-            .elapsed()
-            .saturating_sub(self.compile_time - compiled_before);
-        if bound {
-            stats.replay_steps += stored_len(&self.g, cold) as u64;
-            return Ok(());
+        if let Some(set) = self.compiled.as_mut() {
+            let t = std::time::Instant::now();
+            let compiled_before = self.compile_time;
+            let units = automaton::split_units(&mut self.g.arena, psi);
+            if units.is_empty() {
+                return Ok(());
+            }
+            let bound = Self::bind_units(
+                set,
+                &mut self.g,
+                &units,
+                Some(cold),
+                opts,
+                &mut self.compile_time,
+            )?;
+            stats.progress_time += t
+                .elapsed()
+                .saturating_sub(self.compile_time - compiled_before);
+            if bound {
+                stats.replay_steps += stored_len(&self.g, cold) as u64;
+                return Ok(());
+            }
+            self.decompile();
         }
         let t = Timer::start();
         let replayed = self.replay_through(psi, cold, stats)?;
-        let block = simplify(&mut self.g.arena, replayed);
+        let combined = self.g.arena.and(self.residue, replayed);
+        self.residue = simplify(&mut self.g.arena, combined);
         t.finish(&mut stats.progress_time);
-        self.bind_block_or_decompile(block, opts);
         Ok(())
-    }
-
-    /// Splits an already-progressed and simplified conjunct block into
-    /// units and binds them into the live compiled set, sharing letters
-    /// with the bound units as needed. When a part does not compile
-    /// (budget, past connectives) the whole context decompiles and the
-    /// block is conjoined symbolically — the two routes are
-    /// semantically identical. Only the symbolic fallback of
-    /// [`GroundingContext::bind_fresh_block`] reaches this.
-    fn bind_block_or_decompile(&mut self, block: FormulaId, opts: &CheckOptions) {
-        let units = automaton::split_units(&mut self.g.arena, block);
-        let set = self
-            .compiled
-            .as_mut()
-            .expect("caller checked the context is compiled");
-        let bound = Self::bind_units(set, &mut self.g, &units, None, opts, &mut self.compile_time);
-        if !matches!(bound, Ok(true)) {
-            self.decompile();
-            let combined = self.g.arena.and(self.residue, block);
-            self.residue = simplify(&mut self.g.arena, combined);
-        }
     }
 
     /// Reconstructs the exact symbolic residue from the compiled state
@@ -770,10 +762,9 @@ impl GroundingContext {
     /// progression over the cold instants into the resident trace is
     /// exactly [`progress_trace`] over the untruncated trace — both fold
     /// left with early exit at `⊤`/`⊥` — so every budget yields the
-    /// same residue. This is the route of symbolic contexts, of the
-    /// reference pipeline, and of a compiled context whose block does
-    /// not compile; a compiled context otherwise replays templates
-    /// ([`GroundingContext::bind_fresh_block`]).
+    /// same residue. This is [`GroundingContext::absorb`]'s route for a
+    /// symbolic context and for a block that does not compile; a
+    /// compiled context otherwise replays templates.
     fn replay_through(
         &mut self,
         psi: FormulaId,
@@ -794,16 +785,33 @@ impl GroundingContext {
         Ok(f)
     }
 
-    /// Fast path: the state mentions no element outside `M`. Encodes
-    /// the next propositional state — patched in place from the
-    /// previous trace state in `O(|Δtx|)` on the production pipeline,
-    /// else via a full re-encode — then advances the residue one
-    /// letter, consulting the transition cache first (production only).
-    /// On a cache hit both progression and the phase-2 satisfiability
-    /// test are skipped: a steady-state append is the encoding patch
-    /// plus one hash lookup. Returns `Ok(None)` (doing nothing) if a new
-    /// relevant element blocks the fast path.
-    fn fast_append(
+    /// One append step, the one production route: the state produced by
+    /// `tx` is instant `history_len - 1`.
+    ///
+    /// 1. *Grow* `Ψ_D` ([`Grounding::grow`]): a new relevant element or
+    ///    a first-occurring tuple grounds a fresh conjunct block; any
+    ///    other transaction passes the allocation-free gate.
+    /// 2. *Encode* `w`, patched in place from the previous trace state
+    ///    in `O(|Δtx|)` — after the grow every element `tx` mentions has
+    ///    letters to patch against.
+    /// 3. *Step* the existing residue by `w`. A compiled context updates
+    ///    the touched units' columns and advances the active units by
+    ///    table lookup; a symbolic one consults the transition cache
+    ///    first and progresses only on a miss.
+    /// 4. *Absorb* the fresh block, if any, over the stored prefix
+    ///    including `w` ([`GroundingContext::absorb`]). Old trace states
+    ///    need no re-encoding: letters mentioning a new element are
+    ///    false there, which `PropState`'s default already yields, and
+    ///    progression distributes over `∧`. Spilled instants are still
+    ///    read back: an activated block's letters over old elements can
+    ///    be true there.
+    /// 5. *Decide* — read off the unit counters, or reuse the cached
+    ///    transition's verdict when no block was absorbed.
+    ///
+    /// The reference pipeline re-encodes the whole state, never steps
+    /// automata or consults the cache, and returns `Ok(None)` (doing
+    /// nothing) on a new relevant element: the caller rebuilds.
+    fn step(
         &mut self,
         tx: &Transaction,
         state: &State,
@@ -812,95 +820,81 @@ impl GroundingContext {
         cold: Cold<'_>,
         stats: &mut EngineStats,
     ) -> Result<Option<Status>, Error> {
-        if self.compiled.is_some() && opts.pipeline == Pipeline::Reference {
-            // The reference pipeline never steps automata, so a context
-            // restored compiled from a production snapshot decompiles.
+        let production = opts.pipeline == Pipeline::Production;
+        if !production {
+            // A context restored compiled from a production snapshot
+            // decompiles; a new element is the caller's full rebuild.
             self.decompile();
-        }
-        if self.g.strategy() == GroundStrategy::Indexed {
             if self.g.tx_has_delta(tx) {
-                // New relevant elements force the slow path; the delta
-                // re-ground below handles occurrence activation too.
                 return Ok(None);
             }
-            if self.g.has_newly_occurring(tx) {
-                let inserts = self.g.newly_occurring(tx);
-                // A previously-pruned instantiation just became
-                // relevant: its flexible letters were false in every
-                // past state (the tuples never occurred), so grounding
-                // it now and replaying it over the stored prefix yields
-                // exactly the residue it would have had all along.
-                let t = Timer::start();
-                let dg = self.g.ground_new_active(&[], &inserts)?;
-                t.finish(&mut stats.ground_time);
-                stats.new_conjuncts += dg.new_mappings;
-                stats.replayed_conjuncts += dg.new_mappings;
-                if self.compiled.is_some() {
-                    // The new units' next step, under `w` below,
-                    // happens with everyone else's.
-                    self.bind_fresh_block(dg.psi_new, cold, opts, stats)?;
-                } else {
-                    let t = Timer::start();
-                    let replayed = self.replay_through(dg.psi_new, cold, stats)?;
-                    let combined = self.g.arena.and(self.residue, replayed);
-                    self.residue = simplify(&mut self.g.arena, combined);
-                    t.finish(&mut stats.progress_time);
-                }
-            }
         }
-        let w = if opts.pipeline == Pipeline::Production {
-            match self.g.patch_state(tx) {
-                Some(w) => {
-                    stats.encode_patched_atoms += self.g.patched_letters().len() as u64;
-                    w
-                }
-                None => return Ok(None),
-            }
+        let grown = self.g.grow(tx)?;
+        let w = if production {
+            let w = self
+                .g
+                .patch_state(tx)
+                .expect("the grow covers every element the transaction mentions");
+            stats.encode_patched_atoms += self.g.patched_letters().len() as u64;
+            w
         } else {
-            match self.g.state_to_prop(state) {
-                Some(w) => w,
-                None => return Ok(None),
-            }
+            self.g
+                .state_to_prop(state)
+                .expect("a state with no new element is over M")
         };
+        let mut cached = None;
+        let mut miss_key = None;
+        let t = Timer::start();
         if let Some(set) = self.compiled.as_mut() {
-            // Compiled append (production, so `w` was patched): update
-            // the touched units' columns, advance the active units by
-            // table lookup, read the verdict off the counters. No
-            // progression; phase 2 only if a shared unit is open.
-            let t = Timer::start();
             set.patch_cols(self.g.patched_letters(), &w);
             set.step_active(stats);
-            stats.automaton_appends += 1;
-            self.g.trace.push(w);
-            t.finish(&mut stats.progress_time);
-            return self.decide(history_len, stats).map(Some);
-        }
-        let mut miss_key = None;
-        if opts.pipeline == Pipeline::Production {
-            let support = self.g.arena.atoms_of_cached(self.residue);
-            let key = (self.residue, support_fingerprint(&w, &support));
-            if let Some(&hit) = self.transition_cache.get(&key) {
-                stats.cache.transition_hits += 1;
-                self.residue = hit.next;
-                self.g.trace.push(w);
-                return Ok(Some(if hit.verdict {
-                    Status::Satisfied
+        } else {
+            if production {
+                let support = self.g.arena.atoms_of_cached(self.residue);
+                let key = (self.residue, support_fingerprint(&w, &support));
+                if let Some(&hit) = self.transition_cache.get(&key) {
+                    stats.cache.transition_hits += 1;
+                    self.residue = hit.next;
+                    cached = Some(hit.verdict);
                 } else {
-                    Status::Violated { at: history_len }
-                }));
+                    stats.cache.transition_misses += 1;
+                    miss_key = Some(key);
+                }
             }
-            stats.cache.transition_misses += 1;
-            miss_key = Some(key);
+            if cached.is_none() {
+                let progressed = progress(&mut self.g.arena, self.residue, &w)
+                    .map_err(|_| Error::Sat(SatError::Past))?;
+                // Keep residues compact (□□/◇◇ and duplicate boxes
+                // otherwise accumulate across appends).
+                self.residue = simplify(&mut self.g.arena, progressed);
+                stats.progress_steps += 1;
+            }
         }
-        let t = Timer::start();
-        let progressed = progress(&mut self.g.arena, self.residue, &w)
-            .map_err(|_| Error::Sat(SatError::Past))?;
-        // Keep residues compact (□□/◇◇ and duplicate boxes otherwise
-        // accumulate across appends).
-        self.residue = simplify(&mut self.g.arena, progressed);
         self.g.trace.push(w);
         t.finish(&mut stats.progress_time);
-        stats.progress_steps += 1;
+        match &grown {
+            Some(dg) if dg.new_elements => stats.delta_grounds += 1,
+            _ => stats.fast_appends += 1,
+        }
+        if let Some(dg) = grown {
+            stats.ground_time += dg.time;
+            stats.new_conjuncts += dg.new_mappings;
+            stats.replayed_conjuncts += dg.new_mappings;
+            self.absorb(dg.psi_new, cold, opts, stats)?;
+            // The cached transition describes the old residue alone.
+            cached = None;
+            miss_key = None;
+        }
+        if self.compiled.is_some() {
+            stats.automaton_appends += 1;
+        }
+        if let Some(verdict) = cached {
+            return Ok(Some(if verdict {
+                Status::Satisfied
+            } else {
+                Status::Violated { at: history_len }
+            }));
+        }
         let status = self.decide(history_len, stats)?;
         if let Some(key) = miss_key {
             if self.transition_cache.len() >= TRANSITION_CACHE_CAP {
@@ -916,76 +910,6 @@ impl GroundingContext {
             );
         }
         Ok(Some(status))
-    }
-
-    /// Delta path: ground only the instantiations mentioning the new
-    /// elements, bring that block up to date over the stored prefix
-    /// (plus the new state), advance the memoised residue one step, and
-    /// conjoin. A compiled context steps its units and binds the block
-    /// by template replay; a symbolic one progresses both.
-    fn delta_append(
-        &mut self,
-        tx: &Transaction,
-        opts: &CheckOptions,
-        cold: Cold<'_>,
-        stats: &mut EngineStats,
-    ) -> Result<(), Error> {
-        let t = Timer::start();
-        let delta = self.g.tx_delta(tx);
-        let dg = if self.g.strategy() == GroundStrategy::Indexed {
-            // Index-driven delta: extend M with the new elements, then
-            // ground only the instantiations the enlarged occurrence
-            // index activates (instead of every map touching `delta`).
-            let inserts = self.g.newly_occurring(tx);
-            self.g.ground_new_active(&delta, &inserts)?
-        } else {
-            self.g.ground_delta(&delta)?
-        };
-        t.finish(&mut stats.ground_time);
-        stats.delta_grounds += 1;
-        stats.new_conjuncts += dg.new_mappings;
-        stats.replayed_conjuncts += dg.new_mappings;
-
-        let t = Timer::start();
-        // ground_delta has just extended the known set, so every
-        // element the transaction mentions now has letters to patch
-        // against.
-        let w = self
-            .g
-            .patch_state(tx)
-            .expect("delta re-ground covers every element the transaction mentions");
-        stats.encode_patched_atoms += self.g.patched_letters().len() as u64;
-        self.g.trace.push(w.clone());
-        // Old trace states need no re-encoding: letters mentioning a
-        // delta element are false there, which PropState's default
-        // already yields. Spilled instants behind the retention
-        // horizon are faulted back in and re-encoded by
-        // `for_each_stored_state` — new letters over old elements can
-        // be true there, so the cold prefix genuinely has to be read.
-        if let Some(set) = self.compiled.as_mut() {
-            // Existing units advance one letter by table lookup; the
-            // new block's units start where their runs over the prefix
-            // including `w` end, at `w`'s column.
-            set.patch_cols(self.g.patched_letters(), &w);
-            set.step_active(stats);
-            t.finish(&mut stats.progress_time);
-            self.bind_fresh_block(dg.psi_new, cold, opts, stats)?;
-            // Count the append as automaton-driven only if the bind
-            // kept the context compiled; a failed bind decompiles and
-            // the append is accounted to the symbolic path.
-            if self.compiled.is_some() {
-                stats.automaton_appends += 1;
-            }
-        } else {
-            let replayed = self.replay_through(dg.psi_new, cold, stats)?;
-            let old = progress(&mut self.g.arena, self.residue, &w)
-                .map_err(|_| Error::Sat(SatError::Past))?;
-            stats.progress_steps += 1;
-            let combined = self.g.arena.and(old, replayed);
-            self.residue = simplify(&mut self.g.arena, combined);
-            t.finish(&mut stats.progress_time);
-        }
-        Ok(())
     }
 
     /// Phase 2 on the residue, with memoisation. A compiled context
@@ -1031,9 +955,9 @@ pub(crate) struct Entry {
 }
 
 /// The shared incremental engine: owns the history, the per-constraint
-/// [`GroundingContext`]s, and the observability spine. The online
-/// [`Monitor`](crate::monitor::Monitor) is a thin facade over it; the
-/// trigger engine and the extension checker use its one-shot path.
+/// [`GroundingContext`]s, and the observability spine. It is the
+/// online monitor; the trigger engine and the extension checker use its
+/// one-shot path.
 pub struct Engine {
     history: History,
     pub(crate) entries: Vec<Entry>,
@@ -1389,17 +1313,16 @@ impl Engine {
         (0..self.entries.len()).map(ConstraintId)
     }
 
-    /// One append step for one constraint: the incremental fast path,
-    /// else delta re-grounding (production pipeline), else a full
-    /// rebuild (reference pipeline); then the violation decision.
-    /// Factored out of [`Engine::append`] so the sequential loop, the
-    /// pooled constraint sweep, and the batched sweep share one body.
+    /// One append step for one constraint: [`GroundingContext::step`],
+    /// or on the reference pipeline's new relevant element a full
+    /// rebuild, then the violation decision. Every sweep — sequential,
+    /// pooled, single or batched — steps entries through this.
     ///
     /// `upto` is the history length *after* `tx`: the step reasons over
     /// the prefix `history[..upto]`. During a batched append the
     /// history already holds the whole batch, and each constraint is
     /// stepped through the batch one transaction at a time with
-    /// `upto` advancing — only the (rare) full-rebuild branch needs to
+    /// `upto` advancing — only the reference's rebuild needs to
     /// materialise the prefix.
     fn step_entry(
         history: &History,
@@ -1415,112 +1338,38 @@ impl Engine {
         // no-alloc budget as the pool's outcome buffers: after warm-up
         // a steady-state append must leave `pool_buf_allocs` flat.
         let scratch0 = entry.ctx.g.scratch_allocs();
-        let fast = entry.ctx.fast_append(tx, state, opts, upto, cold, stats);
+        let stepped = entry.ctx.step(tx, state, opts, upto, cold, stats);
         stats.pool_buf_allocs += entry.ctx.g.scratch_allocs() - scratch0;
-        if let Some(status) = fast? {
-            stats.fast_appends += 1;
+        if let Some(status) = stepped? {
             return Ok(status);
         }
-        if opts.pipeline == Pipeline::Production {
-            entry.ctx.delta_append(tx, opts, cold, stats)?;
+        // Full rebuild over the enlarged history (prefix view when
+        // stepping mid-batch).
+        stats.regrounds += 1;
+        entry.ctx = if upto == history.len() {
+            GroundingContext::build(history, &entry.phi, opts, stats)?
         } else {
-            // Full rebuild over the enlarged history (prefix view when
-            // stepping mid-batch).
-            stats.regrounds += 1;
-            entry.ctx = if upto == history.len() {
-                GroundingContext::build(history, &entry.phi, opts, stats)?
-            } else {
-                let prefix = history.prefix(upto);
-                GroundingContext::build(&prefix, &entry.phi, opts, stats)?
-            };
-            entry.ctx.try_compile(opts);
-        }
+            let prefix = history.prefix(upto);
+            GroundingContext::build(&prefix, &entry.phi, opts, stats)?
+        };
         entry.ctx.decide(upto, stats)
     }
 
     /// Applies a transaction, producing the next state, and re-checks
     /// every live constraint. Returns the violations that became
-    /// unavoidable with this update.
+    /// unavoidable with this update, in [`ConstraintId`] order.
     ///
-    /// With [`Threads`] enabled and more than one live constraint, the
-    /// per-constraint checks fan out across a bounded scoped-thread
-    /// pool. Each [`GroundingContext`] is owned by exactly one worker
-    /// for the duration of the sweep, per-worker [`EngineStats`] are
-    /// absorbed in chunk order, and events are emitted in
-    /// [`ConstraintId`] order — observable behaviour is identical to
-    /// the sequential path.
+    /// This is the one-transaction case of [`Engine::append_batch`]'s
+    /// sweep. With [`Threads`] enabled and more than one live
+    /// constraint, the per-constraint checks fan out across the
+    /// engine's worker pool. Each [`GroundingContext`] is owned by
+    /// exactly one worker for the duration of the sweep, per-worker
+    /// [`EngineStats`] are absorbed in chunk order, and events are
+    /// emitted in [`ConstraintId`] order — observable behaviour is
+    /// identical to the sequential path.
     pub fn append(&mut self, tx: &Transaction) -> Result<Vec<MonitorEvent>, Error> {
-        self.append_inner(tx, true)
-    }
-
-    /// [`Engine::append`] with WAL logging controllable: recovery
-    /// replays the suffix through this with `log = false` (the
-    /// transactions are already in the log).
-    ///
-    /// Apply-then-log: `History::apply` validates the transaction
-    /// (arity, predicate range), so nothing unreplayable ever reaches
-    /// the WAL; if this returns `Ok` under
-    /// [`Durability::WalFsync`] the transaction is on disk.
-    fn append_inner(&mut self, tx: &Transaction, log: bool) -> Result<Vec<MonitorEvent>, Error> {
-        self.history.apply(tx)?;
-        if log {
-            if let Some(store) = self.store.as_mut() {
-                match self.opts.durability {
-                    Durability::Off => {}
-                    Durability::Wal => store.append_tx(tx, false)?,
-                    Durability::WalFsync => store.append_tx(tx, true)?,
-                }
-            }
-        }
-        self.stats.appends += 1;
-        let live = self
-            .entries
-            .iter()
-            .filter(|e| !matches!(e.status, Status::Violated { .. }))
-            .count();
-        let workers = self.opts.threads.worker_count();
-        if live > 1 && workers > 1 {
-            let events =
-                self.append_parallel(std::slice::from_ref(tx), workers, |mut per_tx| {
-                    per_tx.pop().unwrap_or_default()
-                })?;
-            self.enforce_budget()?;
-            return Ok(events);
-        }
         let mut events = Vec::new();
-        let upto = self.history.len();
-        let base = self.history.base();
-        let cold = if base > 0 {
-            Some((
-                self.pager.as_ref().expect("truncated history has a pager"),
-                base,
-            ))
-        } else {
-            None
-        };
-        for i in 0..self.entries.len() {
-            if matches!(self.entries[i].status, Status::Violated { .. }) {
-                continue; // safety: violations are permanent
-            }
-            let status = Self::step_entry(
-                &self.history,
-                tx,
-                &mut self.entries[i],
-                &self.opts,
-                upto,
-                cold,
-                &mut self.stats,
-            )?;
-            if let Status::Violated { at } = status {
-                self.entries[i].status = status;
-                events.push(MonitorEvent {
-                    constraint: ConstraintId(i),
-                    name: self.entries[i].name.clone(),
-                    at,
-                });
-            }
-        }
-        self.enforce_budget()?;
+        self.sweep(std::slice::from_ref(tx), true, |_, e| events.push(e))?;
         Ok(events)
     }
 
@@ -1542,26 +1391,44 @@ impl Engine {
     /// skip rule). Statuses, stats, and events are bit-identical to
     /// the sequential path regardless of [`Threads`].
     pub fn append_batch(&mut self, txs: &[Transaction]) -> Result<Vec<Vec<MonitorEvent>>, Error> {
+        let mut events: Vec<Vec<MonitorEvent>> = txs.iter().map(|_| Vec::new()).collect();
+        self.sweep(txs, true, |t, e| events[t].push(e))?;
+        Ok(events)
+    }
+
+    /// The sweep behind [`Engine::append`], [`Engine::append_batch`]
+    /// and recovery. Applies `txs` to the history and, with `log`,
+    /// writes them to the attached store — apply-then-log:
+    /// `History::apply` validates each transaction (arity, predicate
+    /// range), so nothing unreplayable reaches the WAL, and under
+    /// [`Durability::WalFsync`] only the last one syncs. Then steps
+    /// every live constraint through `txs`, passing each violation to
+    /// `emit` with its transaction's index. Recovery replays with `log`
+    /// off: the transactions are already in the log.
+    fn sweep(
+        &mut self,
+        txs: &[Transaction],
+        log: bool,
+        mut emit: impl FnMut(usize, MonitorEvent),
+    ) -> Result<(), Error> {
         if txs.is_empty() {
-            return Ok(Vec::new());
-        }
-        if txs.len() == 1 {
-            return Ok(vec![self.append(&txs[0])?]);
+            return Ok(());
         }
         for (i, tx) in txs.iter().enumerate() {
             self.history.apply(tx)?;
-            if let Some(store) = self.store.as_mut() {
-                let last = i + 1 == txs.len();
+            if let Some(store) = self.store.as_mut().filter(|_| log) {
                 match self.opts.durability {
                     Durability::Off => {}
                     Durability::Wal => store.append_tx(tx, false)?,
-                    Durability::WalFsync => store.append_tx(tx, last)?,
+                    Durability::WalFsync => store.append_tx(tx, i + 1 == txs.len())?,
                 }
             }
             self.stats.appends += 1;
         }
-        self.stats.batches += 1;
-        self.stats.batched_txs += txs.len() as u64;
+        if txs.len() > 1 {
+            self.stats.batches += 1;
+            self.stats.batched_txs += txs.len() as u64;
+        }
         let live = self
             .entries
             .iter()
@@ -1569,21 +1436,11 @@ impl Engine {
             .count();
         let workers = self.opts.threads.worker_count();
         if live > 1 && workers > 1 {
-            let events = self.append_parallel(txs, workers, |per_tx| per_tx)?;
-            self.enforce_budget()?;
-            return Ok(events);
+            self.append_parallel(txs, workers, &mut emit)?;
+            return self.enforce_budget();
         }
         let base = self.history.len() - txs.len();
-        let trunc_base = self.history.base();
-        let cold = if trunc_base > 0 {
-            Some((
-                self.pager.as_ref().expect("truncated history has a pager"),
-                trunc_base,
-            ))
-        } else {
-            None
-        };
-        let mut events: Vec<Vec<MonitorEvent>> = txs.iter().map(|_| Vec::new()).collect();
+        let cold = cold(&self.history, self.pager.as_ref());
         for i in 0..self.entries.len() {
             if matches!(self.entries[i].status, Status::Violated { .. }) {
                 continue; // safety: violations are permanent
@@ -1600,34 +1457,34 @@ impl Engine {
                 )?;
                 if let Status::Violated { at } = status {
                     self.entries[i].status = status;
-                    events[t].push(MonitorEvent {
-                        constraint: ConstraintId(i),
-                        name: self.entries[i].name.clone(),
-                        at,
-                    });
+                    emit(
+                        t,
+                        MonitorEvent {
+                            constraint: ConstraintId(i),
+                            name: self.entries[i].name.clone(),
+                            at,
+                        },
+                    );
                     break; // violations are permanent; stop mid-batch
                 }
             }
         }
-        self.enforce_budget()?;
-        Ok(events)
+        self.enforce_budget()
     }
 
-    /// The pooled constraint sweep behind [`Engine::append`] and
-    /// [`Engine::append_batch`]. Shards the entry list canonically
-    /// over the persistent [`WorkerPool`] (created on first use, sized
-    /// by the [`Threads`] policy), steps every live constraint through
-    /// the whole transaction batch with grounding forced sequential
-    /// (the fan-out budget is spent here), and merges outcomes, stats,
-    /// and the first error in chunk order. Events come back grouped
-    /// per transaction, in [`ConstraintId`] order within each;
-    /// `finish` shapes that into the caller's return type.
-    fn append_parallel<R>(
+    /// The pooled half of [`Engine::sweep`]. Shards the entry list
+    /// canonically over the persistent [`WorkerPool`] (created on first
+    /// use, sized by the [`Threads`] policy), steps every live
+    /// constraint through the whole transaction batch with grounding
+    /// forced sequential (the fan-out budget is spent here), and merges
+    /// outcomes, stats, and the first error in chunk order, passing
+    /// each violation to `emit` in [`ConstraintId`] order.
+    fn append_parallel(
         &mut self,
         txs: &[Transaction],
         workers: usize,
-        finish: impl FnOnce(Vec<Vec<MonitorEvent>>) -> R,
-    ) -> Result<R, Error> {
+        emit: &mut impl FnMut(usize, MonitorEvent),
+    ) -> Result<(), Error> {
         let mut inner = self.opts;
         inner.threads = Threads::Off;
         // Per-chunk outcome buffers are engine-owned and recycled
@@ -1641,15 +1498,7 @@ impl Engine {
         }
         let history = &self.history;
         let base = history.len() - txs.len();
-        let trunc_base = history.base();
-        let cold: Cold<'_> = if trunc_base > 0 {
-            Some((
-                self.pager.as_ref().expect("truncated history has a pager"),
-                trunc_base,
-            ))
-        } else {
-            None
-        };
+        let cold = cold(history, self.pager.as_ref());
         let bufs = &self.outcome_bufs;
         let mut meter = ParMeter::new();
         let pool_size = self.opts.threads.worker_count();
@@ -1691,7 +1540,6 @@ impl Engine {
             },
         );
         self.stats.absorb_par(&meter);
-        let mut events: Vec<Vec<MonitorEvent>> = txs.iter().map(|_| Vec::new()).collect();
         let mut first_err = None;
         for (ci, (worker_stats, result)) in chunk_results.into_iter().enumerate() {
             self.stats.absorb(&worker_stats);
@@ -1703,11 +1551,14 @@ impl Engine {
                     for (i, t, status) in buf.drain(..) {
                         if let Status::Violated { at } = status {
                             self.entries[i].status = status;
-                            events[t].push(MonitorEvent {
-                                constraint: ConstraintId(i),
-                                name: self.entries[i].name.clone(),
-                                at,
-                            });
+                            emit(
+                                t,
+                                MonitorEvent {
+                                    constraint: ConstraintId(i),
+                                    name: self.entries[i].name.clone(),
+                                    at,
+                                },
+                            );
                         }
                     }
                 }
@@ -1720,7 +1571,7 @@ impl Engine {
         }
         match first_err {
             Some(e) => Err(e),
-            None => Ok(finish(events)),
+            None => Ok(()),
         }
     }
 
@@ -1817,7 +1668,7 @@ impl Engine {
         let mut replayed_txs = 0u64;
         for payload in &recovered.suffix {
             let tx = ticc_store::codec::tx_from_bytes(payload, &replay_schema)?;
-            engine.append_inner(&tx, false)?;
+            engine.sweep(std::slice::from_ref(&tx), false, |_, _| {})?;
             replayed_txs += 1;
         }
         Ok((
@@ -1900,6 +1751,8 @@ pub(crate) fn check_once(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ground::GroundError;
+    use ticc_fotl::classify::{FormulaClass, NotBiquantifiedReason};
     use ticc_fotl::parser::parse;
 
     fn order_schema() -> Arc<Schema> {
@@ -1998,6 +1851,33 @@ mod tests {
         let late = size_at(&mut e, 2000);
         assert_eq!(early, late, "the FIFO residue grows with t");
         assert_eq!(e.status(id), Status::Satisfied);
+    }
+
+    #[test]
+    fn past_connectives_are_rejected_at_classification() {
+        // A past connective makes the sentence non-biquantified, so
+        // Theorem 4.1 does not apply: registration fails before any
+        // grounding or compiling, on both pipelines, and leaves the
+        // constraint list as it was.
+        let sc = order_schema();
+        let once = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
+        let past = parse(&sc, "forall x. G (Fill(x) -> Y Sub(x))").unwrap();
+        for opts in [CheckOptions::default(), CheckOptions::reference()] {
+            let mut e = Engine::new(sc.clone(), opts);
+            e.add_constraint("once", once.clone()).unwrap();
+            let err = e.add_constraint("filled-after-sub", past.clone());
+            assert!(
+                matches!(
+                    err,
+                    Err(Error::Ground(GroundError::NotUniversal(
+                        FormulaClass::NotBiquantified(NotBiquantifiedReason::PastConnective)
+                    )))
+                ),
+                "{err:?}"
+            );
+            assert_eq!(e.constraints().count(), 1);
+            assert_eq!(e.name(ConstraintId(0)), "once");
+        }
     }
 
     #[test]

@@ -1612,6 +1612,12 @@ pub(crate) struct DeltaGround {
     pub psi_new: FormulaId,
     /// How many new instantiations were grounded.
     pub new_mappings: u64,
+    /// Whether `R_D` grew (a delta re-ground), not only the occurrence
+    /// index (an activation).
+    pub new_elements: bool,
+    /// Wall-clock spent grounding the block ([`Grounding::grow`] sets
+    /// it).
+    pub time: std::time::Duration,
 }
 
 impl Grounding {
@@ -1696,18 +1702,21 @@ impl Grounding {
         })
     }
 
-    /// Whether `tx` net-inserts a tuple that has never occurred in any
-    /// state — `!newly_occurring(tx).is_empty()` without the
-    /// allocation. Always `false` under the odometer strategy.
-    pub(crate) fn has_newly_occurring(&mut self, tx: &Transaction) -> bool {
-        if self.plan.is_none() {
-            return false;
-        }
+    /// Whether `tx` grows `Ψ_D`: it net-inserts a tuple that mentions
+    /// an element outside the known universe (`tx_has_delta`) or, under
+    /// the indexed strategy, that has never occurred in any state
+    /// (`!newly_occurring(tx).is_empty()`). One pass over the recycled
+    /// net-effect scratch, so allocation-free once warm: the
+    /// steady-state gate of [`Grounding::grow`].
+    fn grows(&mut self, tx: &Transaction) -> bool {
         self.fill_net_scratch(tx);
         let updates = tx.updates();
+        let indexed = self.plan.is_some();
         self.scratch.net.iter().any(|&(i, present)| {
             let (p, tuple) = update_key(&updates[i as usize]);
-            present && !self.occ.get(&p).is_some_and(|s| s.contains(tuple))
+            present
+                && (tuple.iter().any(|v| !self.known.contains(v))
+                    || indexed && !self.occ.get(&p).is_some_and(|s| s.contains(tuple)))
         })
     }
 
@@ -1965,6 +1974,8 @@ impl Grounding {
         Ok(DeltaGround {
             psi_new,
             new_mappings,
+            new_elements: !delta.is_empty(),
+            time: std::time::Duration::ZERO,
         })
     }
 
@@ -2059,7 +2070,34 @@ impl Grounding {
         Ok(DeltaGround {
             psi_new,
             new_mappings,
+            new_elements: !delta.is_empty(),
+            time: std::time::Duration::ZERO,
         })
+    }
+
+    /// Grows `Ψ_D` for `tx`, before `tx` is encoded — the one place an
+    /// append re-grounds. `Ψ_D` only grows with `R_D` and the
+    /// occurrence index: when `tx` brings new relevant elements or (under
+    /// the indexed strategy) first-occurring tuples, this grounds exactly
+    /// the instantiations that just became data-supported —
+    /// [`Grounding::ground_new_active`] when indexed,
+    /// [`Grounding::ground_delta`] under the odometer — and returns that
+    /// block. Any other transaction returns `None` after one
+    /// allocation-free check, the steady-state gate.
+    pub(crate) fn grow(&mut self, tx: &Transaction) -> Result<Option<DeltaGround>, GroundError> {
+        if !self.grows(tx) {
+            return Ok(None);
+        }
+        let t = std::time::Instant::now();
+        let delta = self.tx_delta(tx);
+        let mut dg = if self.plan.is_some() {
+            let inserts = self.newly_occurring(tx);
+            self.ground_new_active(&delta, &inserts)?
+        } else {
+            self.ground_delta(&delta)?
+        };
+        dg.time = t.elapsed();
+        Ok(Some(dg))
     }
 
     /// The grounding's size statistics, with the tree and DAG sizes of

@@ -27,9 +27,7 @@
 //! * [`obs`] — the observability spine: [`EngineStats`] counters,
 //!   gauges, and timers, rendered by the shell's `:stats` command.
 //!
-//! Its consumers:
-//! * [`monitor`] — the online integrity monitor, a thin [`Engine`]
-//!   facade;
+//! The engine is the online integrity monitor. Its other consumers:
 //! * [`trigger`] — condition–action triggers via the paper's duality:
 //!   *"if C then A" fires for θ iff `¬Cθ` is **not** potentially
 //!   satisfied*;
@@ -46,7 +44,8 @@ pub mod error;
 pub mod explain;
 pub mod extension;
 pub mod ground;
-pub mod monitor;
+#[cfg(test)]
+mod monitor;
 pub mod obs;
 pub mod par;
 pub mod past;
@@ -57,7 +56,7 @@ pub mod trigger;
 pub mod window;
 
 pub use diagnostics::earliest_violation;
-pub use engine::{Engine, GroundingContext, OpenReport};
+pub use engine::{ConstraintId, Engine, GroundingContext, MonitorEvent, OpenReport, Status};
 pub use error::Error;
 pub use explain::explain;
 pub use extension::{
@@ -68,7 +67,6 @@ pub use ground::{
     ground, ground_indexed, ground_with, GroundError, GroundMode, GroundStats, GroundStrategy,
     Grounding, LetterKey,
 };
-pub use monitor::{ConstraintId, Monitor, MonitorEvent, MonitorStats, Status};
 pub use obs::{CacheStats, EngineStats, HistoryStats};
 pub use par::{Threads, WorkerPool};
 pub use session::{

@@ -1,144 +1,17 @@
-//! Online incremental integrity monitor — a thin facade over the
-//! shared [`Engine`].
-//!
-//! The intended deployment of the paper's method: constraints are
-//! registered once, and after every update (transaction) the monitor
-//! decides potential satisfaction of each constraint *at the earliest
-//! possible time* — the property that distinguishes this method from the
-//! weaker notions implemented by Lipeck & Saake and Sistla & Wolfson
+//! Online-monitoring tests of [`Engine`](crate::engine::Engine): the
+//! paper's intended deployment, where constraints are registered once
+//! and every update decides potential satisfaction *at the earliest
+//! possible time* — the property that distinguishes the method from
+//! the weaker notions of Lipeck & Saake and Sistla & Wolfson
 //! (Section 5).
-//!
-//! Incrementality lives in the engine layer: appends that introduce no
-//! new relevant element reuse the existing grounding (encode one
-//! state, progress the residue, memoised satisfiability); appends that
-//! do grow `R_D` are handled by delta re-grounding. The monitor only
-//! translates the engine's counters into its historical
-//! [`MonitorStats`] shape.
 
-use crate::engine::Engine;
-use crate::extension::CheckOptions;
-use crate::obs::EngineStats;
-use std::sync::Arc;
-use ticc_fotl::Formula;
-use ticc_tdb::{History, Schema, Transaction};
-
-use crate::error::Error;
-
-pub use crate::engine::{ConstraintId, MonitorEvent, Status};
-
-/// Cumulative monitor statistics (the engine's counters folded into
-/// the monitor's historical shape; see [`Monitor::engine_stats`] for
-/// the full spine).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MonitorStats {
-    /// Appends served by the incremental fast path.
-    pub fast_appends: usize,
-    /// Re-groundings caused by new relevant elements (full rebuilds
-    /// and delta re-grounds combined).
-    pub regrounds: usize,
-    /// Phase-2 satisfiability runs.
-    pub sat_checks: usize,
-    /// Satisfiability results served from the residue cache.
-    pub sat_cache_hits: usize,
-}
-
-/// The online monitor. Owns the history and the registered constraints
-/// (through the engine).
-pub struct Monitor {
-    engine: Engine,
-}
-
-impl Monitor {
-    /// A monitor over an empty history.
-    pub fn new(schema: Arc<Schema>, opts: CheckOptions) -> Self {
-        Self {
-            engine: Engine::new(schema, opts),
-        }
-    }
-
-    /// A monitor taking over an existing history.
-    pub fn with_history(history: History, opts: CheckOptions) -> Self {
-        Self {
-            engine: Engine::with_history(history, opts),
-        }
-    }
-
-    /// A monitor over an existing engine — e.g. one restored from a
-    /// durable snapshot by [`Engine::open`].
-    pub fn from_engine(engine: Engine) -> Self {
-        Self { engine }
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Mutable access to the underlying engine (checkpointing,
-    /// compaction, store attachment).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
-    /// The current history.
-    pub fn history(&self) -> &History {
-        self.engine.history()
-    }
-
-    /// Cumulative statistics in the monitor's historical shape.
-    pub fn stats(&self) -> MonitorStats {
-        let s = self.engine.stats();
-        MonitorStats {
-            fast_appends: s.fast_appends as usize,
-            regrounds: (s.regrounds + s.delta_grounds) as usize,
-            sat_checks: s.sat_checks as usize,
-            sat_cache_hits: s.cache.sat_hits as usize,
-        }
-    }
-
-    /// The full observability spine (counters, timers, gauges).
-    pub fn engine_stats(&self) -> EngineStats {
-        self.engine.stats()
-    }
-
-    /// Registers a universal safety constraint and checks it against the
-    /// current history immediately.
-    pub fn add_constraint(
-        &mut self,
-        name: impl Into<String>,
-        phi: Formula,
-    ) -> Result<ConstraintId, Error> {
-        self.engine.add_constraint(name, phi)
-    }
-
-    /// Status of a constraint.
-    pub fn status(&self, id: ConstraintId) -> Status {
-        self.engine.status(id)
-    }
-
-    /// Name of a constraint.
-    pub fn name(&self, id: ConstraintId) -> &str {
-        self.engine.name(id)
-    }
-
-    /// Ids of all registered constraints.
-    pub fn constraints(&self) -> impl Iterator<Item = ConstraintId> {
-        self.engine.constraints()
-    }
-
-    /// Applies a transaction, producing the next state, and re-checks
-    /// every live constraint. Returns the violations that became
-    /// unavoidable with this update.
-    pub fn append(&mut self, tx: &Transaction) -> Result<Vec<MonitorEvent>, Error> {
-        self.engine.append(tx)
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::engine::{Engine, Status};
+    use crate::error::Error;
+    use crate::extension::CheckOptions;
+    use std::sync::Arc;
     use ticc_fotl::parser::parse;
-    use ticc_tdb::Value;
+    use ticc_tdb::{Schema, Transaction, Value};
 
     fn order_schema() -> Arc<Schema> {
         Schema::builder().pred("Sub", 1).pred("Fill", 1).build()
@@ -166,7 +39,7 @@ mod tests {
     #[test]
     fn detects_violation_online_at_earliest_time() {
         let sc = order_schema();
-        let mut m = Monitor::new(sc.clone(), CheckOptions::default());
+        let mut m = Engine::new(sc.clone(), CheckOptions::default());
         let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
         let id = m.add_constraint("once-only", phi).unwrap();
         assert_eq!(m.status(id), Status::Satisfied);
@@ -199,7 +72,7 @@ mod tests {
         // residue is not yet ⊥ (progression alone would only see it
         // one state later). Potential satisfaction detects at once.
         let phi = parse(&sc, "G (Sub(1) -> X Fill(1)) & G !Fill(1)").unwrap();
-        let mut m = Monitor::new(sc.clone(), CheckOptions::default());
+        let mut m = Engine::new(sc.clone(), CheckOptions::default());
         let id = m.add_constraint("latent", phi).unwrap();
         let events = m.append(&sub_tx(&sc, &[1])).unwrap();
         assert_eq!(events.len(), 1, "potential notion detects at once");
@@ -209,7 +82,7 @@ mod tests {
     #[test]
     fn violations_are_permanent() {
         let sc = order_schema();
-        let mut m = Monitor::new(sc.clone(), CheckOptions::default());
+        let mut m = Engine::new(sc.clone(), CheckOptions::default());
         let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
         let id = m.add_constraint("once-only", phi).unwrap();
         m.append(&sub_tx(&sc, &[1])).unwrap();
@@ -228,7 +101,7 @@ mod tests {
         // Exercises the symbolic sat cache specifically (no template
         // fits a one-state budget); the compiled default performs no
         // per-append phase-2 checks at all.
-        let mut m = Monitor::new(
+        let mut m = Engine::new(
             sc.clone(),
             CheckOptions::builder().automaton_state_budget(1).build(),
         );
@@ -238,15 +111,15 @@ mod tests {
         m.append(&clear_tx(&sc, &[1])).unwrap(); // no new element → fast
         m.append(&Transaction::new()).unwrap(); // fast
         let st = m.stats();
-        assert_eq!(st.regrounds, 1);
+        assert_eq!(st.regrounds + st.delta_grounds, 1);
         assert_eq!(st.fast_appends, 2);
-        assert!(st.sat_cache_hits > 0, "stable residues should hit cache");
+        assert!(st.cache.sat_hits > 0, "stable residues should hit cache");
     }
 
     #[test]
     fn multiple_constraints_tracked_independently() {
         let sc = order_schema();
-        let mut m = Monitor::new(sc.clone(), CheckOptions::default());
+        let mut m = Engine::new(sc.clone(), CheckOptions::default());
         let once = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
         let never3 = parse(&sc, "G !Sub(3)").unwrap();
         let a = m.add_constraint("once-only", once).unwrap();
@@ -265,7 +138,7 @@ mod tests {
     #[test]
     fn unsatisfiable_constraint_violated_at_zero() {
         let sc = order_schema();
-        let mut m = Monitor::new(sc.clone(), CheckOptions::default());
+        let mut m = Engine::new(sc.clone(), CheckOptions::default());
         // Sub(7) must hold now and never hold: unsatisfiable. Note an
         // empty history means instant 0 hasn't happened yet, so the
         // obligation is on the first state; the conjunction is already
@@ -278,27 +151,11 @@ mod tests {
     #[test]
     fn rejects_non_universal_constraints() {
         let sc = order_schema();
-        let mut m = Monitor::new(sc.clone(), CheckOptions::default());
+        let mut m = Engine::new(sc.clone(), CheckOptions::default());
         let phi = parse(&sc, "forall x. G F Sub(x) & (exists y. F Sub(y))").unwrap();
         assert!(matches!(
             m.add_constraint("bad", phi),
             Err(Error::Ground(_))
         ));
-    }
-
-    #[test]
-    fn engine_stats_exposed_through_facade() {
-        let sc = order_schema();
-        let mut m = Monitor::new(sc.clone(), CheckOptions::default());
-        let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-        m.add_constraint("once-only", phi).unwrap();
-        m.append(&sub_tx(&sc, &[1])).unwrap();
-        let es = m.engine_stats();
-        assert_eq!(es.appends, 1);
-        assert_eq!(es.grounds, 1);
-        assert_eq!(es.regrounds + es.delta_grounds, 1);
-        // The facade's stats are a projection of the spine.
-        let ms = m.stats();
-        assert_eq!(ms.regrounds as u64, es.regrounds + es.delta_grounds);
     }
 }

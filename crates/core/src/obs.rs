@@ -12,7 +12,7 @@ use ticc_store::StoreStats;
 
 /// Counters for the engine's bounded memo layers — the residue
 /// satisfiability memo and the safety-automaton transition cache — plus
-/// the letter-index gauge. One sub-struct so the monitor facade, the
+/// the letter-index gauge. One sub-struct so the engine, the
 /// shell's `:stats` view, and the bench columns all read cache activity
 /// from a single source of truth.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -117,20 +117,30 @@ impl HistoryStats {
 /// A machine-readable snapshot of the engine's counters, timers, and
 /// size gauges. Counters are monotonic over the engine's lifetime;
 /// gauges reflect the moment the snapshot was taken.
+///
+/// `appends` counts transactions. `fast_appends`, `regrounds`,
+/// `delta_grounds` and `automaton_appends` count *constraint-steps*:
+/// one per live constraint per transaction, so an append over `n` live
+/// constraints adds `n` to them. Every constraint-step is exactly one
+/// of a fast append, a delta re-ground, or (reference pipeline only) a
+/// full re-ground.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStats {
-    /// Transactions applied (monitor appends / engine steps).
+    /// Transactions applied.
     pub appends: u64,
-    /// Appends served by the incremental fast path (no new relevant
-    /// element: encode one state, progress residues).
+    /// Constraint-steps that brought no new relevant element: encode
+    /// one state and step the residue (an occurrence activation counts
+    /// here too).
     pub fast_appends: u64,
     /// Initial groundings (constraint registration, one-shot checks).
     pub grounds: u64,
-    /// Full re-groundings (grounding rebuilt from scratch over the
-    /// whole history).
+    /// Constraint-steps that rebuilt the grounding from scratch over
+    /// the whole history (the reference pipeline's route for a new
+    /// relevant element).
     pub regrounds: u64,
-    /// Incremental (delta) re-groundings: only the instantiations
-    /// mentioning new relevant elements were ground and replayed.
+    /// Constraint-steps that re-ground incrementally: only the
+    /// instantiations mentioning new relevant elements were ground and
+    /// brought up to date.
     pub delta_grounds: u64,
     /// Ground instantiations added by delta re-groundings.
     pub new_conjuncts: u64,
@@ -151,14 +161,14 @@ pub struct EngineStats {
     /// activation): table lookups, no progression.
     pub replay_steps: u64,
     /// Letters patched in place by the incremental encoding (tuples
-    /// inserted/deleted by transactions on the fast path) — the
+    /// inserted/deleted by transactions) — the
     /// `O(|Δtx|)` work a full re-encode of the state would hide.
     pub encode_patched_atoms: u64,
     /// Phase-2 satisfiability runs.
     pub sat_checks: u64,
-    /// Appends served entirely by compiled template automata: every
-    /// unit advanced by dense table lookup — no progression, no
-    /// phase 2.
+    /// Constraint-steps whose context stayed compiled: every unit
+    /// advanced by dense table lookup, no progression, and phase 2 only
+    /// for an open shared unit.
     pub automaton_appends: u64,
     /// Individual unit state transitions taken inside compiled
     /// template automata (dormant units — self-loops under an

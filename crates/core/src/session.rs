@@ -36,10 +36,9 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::engine::Engine;
+use crate::engine::{ConstraintId, Engine, MonitorEvent, Status};
 use crate::error::Error;
 use crate::extension::{CheckOptions, Durability};
-use crate::monitor::{ConstraintId, MonitorEvent, Status};
 use crate::obs::EngineStats;
 use crate::trigger::{Action, FiredTrigger, Trigger, TriggerEngine};
 use ticc_fotl::Formula;
@@ -364,49 +363,11 @@ impl Session {
 
     /// Appends `tx` directly as the next state (the staged buffer is
     /// untouched): apply + check, log per the durability policy, then
-    /// evaluate triggers.
+    /// evaluate triggers — the one-transaction case of
+    /// [`Session::append_batch`].
     pub fn append(&mut self, tx: &Transaction) -> Result<Committed, Error> {
-        self.freeze()?;
-        let durability = self.opts.durability;
-        let group = &self.group;
-        let Phase::Running(r) = &mut self.phase else {
-            unreachable!("freeze() leaves the session running")
-        };
-        // Apply-then-log, exactly like the engine's own WAL path. A
-        // self-stored session logs inside `Engine::append`; a
-        // group-backed one logs here, mapping WalFsync to a synced
-        // append (whose fsync the commit window shares).
-        let events = r.engine.append(tx)?;
-        if let Some(g) = group {
-            let sync = match durability {
-                Durability::Off => None,
-                Durability::Wal => Some(false),
-                Durability::WalFsync => Some(true),
-            };
-            if let Some(sync) = sync {
-                g.wal
-                    .append_tx(g.id, tx, sync)
-                    .map_err(|e| Error::Store(e.to_string()))?;
-            }
-        }
-        // Triggers ground the history from instant 0, so a budgeted
-        // engine hands them a materialised view (borrowed when nothing
-        // was truncated) — firings are budget-invariant.
-        let fired = if r.trigger_defs.is_empty() {
-            Vec::new()
-        } else {
-            let hist = r.engine.full_history()?;
-            r.triggers.evaluate(hist.as_ref())?
-        };
-        self.counters.commits += 1;
-        self.counters.violations += events.len() as u64;
-        self.counters.trigger_firings += fired.len() as u64;
-        Ok(Committed {
-            t: r.engine.history().len() - 1,
-            events,
-            fired,
-            ops: 0,
-        })
+        let mut out = self.append_batch(std::slice::from_ref(tx))?;
+        Ok(out.pop().expect("one committed state per transaction"))
     }
 
     /// Appends a batch of transactions as consecutive states in one
@@ -426,6 +387,10 @@ impl Session {
             unreachable!("freeze() leaves the session running")
         };
         let base = r.engine.history().len();
+        // Apply-then-log, like the engine's own WAL path: a self-stored
+        // session logs inside `Engine::append_batch`; a group-backed one
+        // logs here, mapping WalFsync to a synced append (whose fsync
+        // the commit window shares).
         let per_tx_events = r.engine.append_batch(txs)?;
         if let Some(g) = group {
             let sync = match durability {
@@ -447,6 +412,10 @@ impl Session {
             let fired = if r.trigger_defs.is_empty() {
                 Vec::new()
             } else if base + t + 1 == r.engine.history().len() {
+                // Triggers ground the history from instant 0, so a
+                // budgeted engine hands them a materialised view
+                // (borrowed when nothing was truncated): firings are
+                // budget-invariant.
                 let hist = r.engine.full_history()?;
                 r.triggers.evaluate(hist.as_ref())?
             } else {

@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use ticc_core::diagnostics::earliest_violation;
-use ticc_core::{check_potential_satisfaction, ground, CheckOptions, GroundMode, Monitor, Status};
+use ticc_core::{check_potential_satisfaction, ground, CheckOptions, Engine, GroundMode, Status};
 use ticc_fotl::{Formula, Term};
 use ticc_ptl::sat::{extends_with, SatSolver};
 use ticc_tdb::{History, Schema, State, Transaction, Value};
@@ -254,7 +254,7 @@ proptest! {
         let h = build_history(&sc, &spec);
         let batch = earliest_violation(&h, &phi, &CheckOptions::default()).unwrap();
 
-        let mut monitor = Monitor::new(sc.clone(), CheckOptions::default());
+        let mut monitor = Engine::new(sc.clone(), CheckOptions::default());
         let id = match monitor.add_constraint("c", phi.clone()) {
             Ok(id) => id,
             Err(e) => return Err(TestCaseError::fail(format!("{e}"))),

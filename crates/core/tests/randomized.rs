@@ -12,7 +12,7 @@
 //!   every prefix — the monitor-vs-batch oracle.
 
 use std::sync::Arc;
-use ticc_core::{check_potential_satisfaction, ground, CheckOptions, GroundMode, Monitor, Status};
+use ticc_core::{check_potential_satisfaction, ground, CheckOptions, Engine, GroundMode, Status};
 use ticc_fotl::parser::parse;
 use ticc_fotl::Formula;
 use ticc_ptl::sat::{extends_with, SatSolver};
@@ -123,7 +123,7 @@ fn incremental_engine_agrees_with_batch_checks() {
     for i in 0..32 {
         let h = gen_history_sized(&mut rng, &sc, 4, 4);
         let phi = &pool[i % pool.len()];
-        let mut m = Monitor::new(sc.clone(), CheckOptions::default());
+        let mut m = Engine::new(sc.clone(), CheckOptions::default());
         let id = match m.add_constraint("c", phi.clone()) {
             Ok(id) => id,
             Err(e) => panic!("constraint rejected: {e}"),

@@ -18,7 +18,7 @@ fn main() {
     let phi = parse(&schema, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
     println!("constraint: forall x. G (Sub(x) -> X G !Sub(x))");
 
-    let mut monitor = Monitor::new(schema.clone(), CheckOptions::default());
+    let mut monitor = Engine::new(schema.clone(), CheckOptions::default());
     let id = monitor.add_constraint("submitted-once", phi).unwrap();
 
     // A little order-processing session. Each transaction produces the
@@ -68,7 +68,7 @@ fn main() {
     }
     let s = monitor.stats();
     println!(
-        "monitor stats: {} fast appends, {} regrounds, {} sat checks ({} cached)",
-        s.fast_appends, s.regrounds, s.sat_checks, s.sat_cache_hits
+        "engine stats: {} fast appends, {} delta regrounds, {} sat checks ({} cached)",
+        s.fast_appends, s.delta_grounds, s.sat_checks, s.cache.sat_hits
     );
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Full local verification gate, offline-safe (no registry access needed):
 #   fmt check -> clippy (warnings are errors) -> reference-feature guard
-#   -> release build -> tests (incl. the bench crate's unit tests).
+#   -> release build -> benchmark harness build -> tests (incl. the
+#   bench crate's unit tests).
 # Run from anywhere inside the repo. Pass --release to additionally run
 # the E13 append-hot-path smoke row (builds the bench crate in release).
 set -eu
@@ -25,6 +26,13 @@ fi
 
 echo "==> cargo build --release"
 cargo build --release --offline
+
+echo "==> benchmark harness build (perfbench/harness, its own workspace)"
+# The harness builds against the public crates by path; building it
+# here catches API changes that would break the benchmark. Its output
+# goes under target/, not perfbench/.
+cargo build --release --offline --manifest-path perfbench/harness/Cargo.toml \
+    --target-dir target/perfbench-harness
 
 echo "==> cargo test -q"
 cargo test -q --offline

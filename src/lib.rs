@@ -22,7 +22,7 @@
 //! // "An order can be submitted only once" (the paper's example).
 //! let phi = parse(&schema, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
 //!
-//! let mut monitor = Monitor::new(schema.clone(), CheckOptions::default());
+//! let mut monitor = Engine::new(schema.clone(), CheckOptions::default());
 //! let id = monitor.add_constraint("once-only", phi).unwrap();
 //!
 //! let sub = schema.pred("Sub").unwrap();
@@ -68,13 +68,13 @@ pub mod shell;
 /// let schema = Schema::builder().pred("Sub", 1).build();
 /// let phi = parse(&schema, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
 /// let opts = CheckOptions::builder().threads(Threads::Auto).build();
-/// let mut monitor = Monitor::new(schema.clone(), opts);
+/// let mut monitor = Engine::new(schema.clone(), opts);
 /// monitor.add_constraint("once-only", phi).unwrap();
 /// ```
 ///
 /// Covers: the lifecycle-owning [`Session`](ticc_core::Session) (opened
-/// via [`Session::builder()`](ticc_core::Session::builder)), the online
-/// [`Monitor`](ticc_core::Monitor), the
+/// via [`Session::builder()`](ticc_core::Session::builder)), the
+/// incremental [`Engine`](ticc_core::Engine) (the online monitor), the
 /// [`TriggerEngine`](ticc_core::TriggerEngine) duality layer, one-shot
 /// [`check_potential_satisfaction`](ticc_core::check_potential_satisfaction),
 /// the unified [`Error`](ticc_core::Error), the
@@ -87,16 +87,15 @@ pub mod shell;
 /// [`History`](ticc_tdb::History)), and the constraint
 /// [`parse`](ticc_fotl::parser::parse)r.
 ///
-/// The prelude carries no raw engine:
 /// [`Session::builder()`](ticc_core::Session::builder) owns the
-/// schema/constraint/durability lifecycle. Embedders that really want
-/// the shared core (custom persistence, no session semantics) take it
-/// from [`ticc_core::Engine`] explicitly.
+/// schema/constraint/trigger/durability lifecycle; the bare
+/// [`Engine`](ticc_core::Engine) suits embedders with their own
+/// persistence and no session semantics.
 pub mod prelude {
     pub use ticc_core::{
         check_potential_satisfaction, earliest_violation, explain, Action, CheckOptions,
-        CheckOptionsBuilder, CheckOutcome, Committed, ConstraintId, Durability, Error, GroupWal,
-        Monitor, MonitorEvent, OpenReport, OpenSummary, Session, SessionBuilder, SessionStats,
+        CheckOptionsBuilder, CheckOutcome, Committed, ConstraintId, Durability, Engine, Error,
+        GroupWal, MonitorEvent, OpenReport, OpenSummary, Session, SessionBuilder, SessionStats,
         Status, Store, StoreStats, Threads, Trigger, TriggerEngine,
     };
     pub use ticc_fotl::parser::parse;

@@ -11,7 +11,7 @@
 //! * no cycles of length 2: `∀x∀y □¬(Rep(x,y) ∧ Rep(y,x))`
 
 use std::sync::Arc;
-use ticc::core::{check_potential_satisfaction, CheckOptions, Monitor, Status};
+use ticc::core::{check_potential_satisfaction, CheckOptions, Engine, Status};
 use ticc::fotl::parser::parse;
 use ticc::tdb::{History, Schema, State, Transaction};
 
@@ -89,7 +89,7 @@ fn manager_change_violates_stability() {
 fn two_cycle_violates_and_is_detected_online() {
     let sc = schema();
     let rep = sc.pred("Rep").unwrap();
-    let mut m = Monitor::new(sc.clone(), CheckOptions::default());
+    let mut m = Engine::new(sc.clone(), CheckOptions::default());
     let id = m
         .add_constraint("no-2cycle", parse(&sc, NO_2CYCLE).unwrap())
         .unwrap();
@@ -119,7 +119,7 @@ fn grounding_stats_reflect_binary_arity() {
 fn all_three_constraints_together_in_one_monitor() {
     let sc = schema();
     let rep = sc.pred("Rep").unwrap();
-    let mut m = Monitor::new(sc.clone(), CheckOptions::default());
+    let mut m = Engine::new(sc.clone(), CheckOptions::default());
     for (name, src) in [
         ("no-self", NO_SELF),
         ("stable", STABLE),

@@ -45,6 +45,9 @@ struct Session {
     /// at `k = 1`, exactly the number of conjuncts the delta path must
     /// ground and replay.
     expected_delta_conjuncts: u64,
+    /// Appends that found the constraint live: each is one
+    /// constraint-step on either engine.
+    constraint_steps: u64,
     next_fresh: Value,
 }
 
@@ -64,6 +67,7 @@ impl Session {
             present: Vec::new(),
             seen: Vec::new(),
             expected_delta_conjuncts: 0,
+            constraint_steps: 0,
             next_fresh: 100,
         }
     }
@@ -116,6 +120,7 @@ impl Session {
         );
         if live_before {
             self.expected_delta_conjuncts += fresh_this_step;
+            self.constraint_steps += 1;
         }
         de.len()
     }
@@ -153,6 +158,18 @@ fn delta_equals_full_on_randomized_staggered_histories() {
         assert_eq!(ds.regrounds, 0, "seed {seed}");
         assert_eq!(ds.delta_grounds, fs.regrounds, "seed {seed}");
         assert_eq!(fs.delta_grounds, 0, "seed {seed}");
+        // Conservation: every constraint-step is counted exactly once,
+        // as a fast append or as a (delta or full) re-ground.
+        assert_eq!(
+            ds.fast_appends + ds.delta_grounds,
+            s.constraint_steps,
+            "seed {seed}: production step counters"
+        );
+        assert_eq!(
+            fs.fast_appends + fs.regrounds,
+            s.constraint_steps,
+            "seed {seed}: reference step counters"
+        );
         // O(|Δ-part|): at k = 1 each fresh element contributes exactly
         // one new instantiation, so the replayed-conjunct counter equals
         // the number of staggered arrivals — not the |M|^k total a full

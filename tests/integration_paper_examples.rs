@@ -3,7 +3,7 @@
 
 use ticc::core::diagnostics::earliest_violation;
 use ticc::core::{
-    check_potential_satisfaction, Action, CheckOptions, Monitor, Status, Trigger, TriggerEngine,
+    check_potential_satisfaction, Action, CheckOptions, Engine, Status, Trigger, TriggerEngine,
 };
 use ticc::fotl::classify::{classify, FormulaClass};
 use ticc::fotl::parser::parse;
@@ -126,7 +126,7 @@ fn monitor_and_batch_checker_agree() {
     assert_eq!(batch, Some(3));
 
     // Online: replay through the monitor.
-    let mut m = Monitor::new(sc.clone(), CheckOptions::default());
+    let mut m = Engine::new(sc.clone(), CheckOptions::default());
     let id = m.add_constraint("once", once).unwrap();
     let sub = sc.pred("Sub").unwrap();
     let fill = sc.pred("Fill").unwrap();
