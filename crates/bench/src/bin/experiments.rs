@@ -7,15 +7,14 @@
 //!
 //! ```text
 //! cargo run --release -p ticc-bench --bin experiments -- \
-//!     [--threads off|auto|N] [--json <path>] [--smoke] [--rate R] [e1 e2 …]
+//!     [--json <path>] [--smoke] [--rate R] [e1 e2 …]
 //! ```
 //!
 //! `--json <path>` writes the machine-readable headline numbers (E13
 //! per-config appends/sec plus the E1/E7 headlines) to `<path>`, and —
-//! when E15 / E16 / E17 / E18 / E19 / E20 ran — their sweeps to
+//! when E15 / E16 / E17 / E19 / E20 ran — their sweeps to
 //! `BENCH_grounding_index.json`, `BENCH_template_automata.json`,
-//! `BENCH_server.json`, `BENCH_worker_pool.json`,
-//! `BENCH_history_window.json`, and `BENCH_server_mux.json`; all
+//! `BENCH_server.json`, `BENCH_history_window.json`, and `BENCH_server_mux.json`; all
 //! payloads share the [`ticc_bench::json`] envelope and schema version
 //! (including the `host` context section), documented in
 //! `EXPERIMENTS.md`. `--smoke` shrinks E13–E20 to quick runs (used by
@@ -26,9 +25,7 @@ use std::time::Duration;
 use ticc_bench::table::{fmt_duration, Table};
 use ticc_bench::*;
 use ticc_core::counter::counter_instance;
-use ticc_core::{
-    check_potential_satisfaction, CheckOptions, Engine, EngineStats, GroundMode, Threads,
-};
+use ticc_core::{check_potential_satisfaction, CheckOptions, Engine, EngineStats, GroundMode};
 use ticc_fotl::Formula;
 use ticc_ptl::arena::Arena;
 use ticc_ptl::sat::{extends_with, is_satisfiable_with, SatResult, SatSolver};
@@ -54,8 +51,6 @@ struct Headlines {
     e16: Option<E16Result>,
     /// E17: multi-tenant server, group commit vs per-session fsync.
     e17: Option<E17Result>,
-    /// E18: persistent worker pool + batched appends vs sequential.
-    e18: Option<E18Result>,
     /// E19: bounded-memory histories — resident footprint, throughput,
     /// and recovery under `HistoryBudget` vs unbounded.
     e19: Option<E19Result>,
@@ -79,17 +74,12 @@ fn main() {
 }
 
 fn run() {
-    let threads = ticc_bench::threads_arg();
     let mut args: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
     let mut smoke = false;
     let mut rate: Option<f64> = None;
     let mut raw = std::env::args().skip(1);
     while let Some(a) = raw.next() {
-        if a == "--threads" {
-            raw.next(); // value consumed by threads_arg
-            continue;
-        }
         if a == "--json" {
             json_path = Some(raw.next().expect("--json needs a path"));
             continue;
@@ -108,7 +98,6 @@ fn run() {
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
 
     println!("ticc experiment harness — Chomicki & Niwiński (PODS 1993)");
-    println!("threads = {threads}");
     let mut headlines = Headlines::default();
     // E14 runs first on purpose: its microsecond-scale restore timing
     // is allocation-bound, and the long sweeps (E1, E13) fragment the
@@ -120,13 +109,13 @@ fn run() {
         headlines.e1 = Some(e1_history_length());
     }
     if want("e2") {
-        e2_relevant_elements(threads);
+        e2_relevant_elements();
     }
     if want("e3") {
         e3_formula_size();
     }
     if want("e4") {
-        e4_quantifiers(threads);
+        e4_quantifiers();
     }
     if want("e5") {
         e5_phase_split();
@@ -135,7 +124,7 @@ fn run() {
         e6_grounding_ablation();
     }
     if want("e7") {
-        headlines.e7 = Some(e7_trigger_throughput(threads));
+        headlines.e7 = Some(e7_trigger_throughput());
     }
     if want("e8") {
         e8_tableau_vs_gpvw();
@@ -161,9 +150,6 @@ fn run() {
     if want("e17") {
         headlines.e17 = Some(e17_server(smoke, rate));
     }
-    if want("e18") {
-        headlines.e18 = Some(e18_worker_pool(smoke, threads));
-    }
     if want("e19") {
         headlines.e19 = Some(e19_bounded_history(smoke));
     }
@@ -171,72 +157,40 @@ fn run() {
         headlines.e20 = Some(e20_server_mux(smoke));
     }
     if let Some(path) = json_path {
-        write_json(&path, &headlines, threads);
+        write_json(&path, &headlines);
         println!("\nwrote {path}");
         if let Some(e15) = &headlines.e15 {
             let mut doc = ticc_bench::json::JsonDoc::new();
             doc.section("e15", e15_json(e15));
-            doc.section("threads", ticc_bench::json::string(&threads.to_string()));
-            doc.section(
-                "host",
-                ticc_bench::json::host_section(&threads.to_string(), 1),
-            );
+            doc.section("host", ticc_bench::json::host_section());
             doc.write("BENCH_grounding_index.json");
             println!("wrote BENCH_grounding_index.json");
         }
         if let Some(e16) = &headlines.e16 {
             let mut doc = ticc_bench::json::JsonDoc::new();
             doc.section("e16", e16_json(e16));
-            doc.section("threads", ticc_bench::json::string(&threads.to_string()));
-            doc.section(
-                "host",
-                ticc_bench::json::host_section(&threads.to_string(), 1),
-            );
+            doc.section("host", ticc_bench::json::host_section());
             doc.write("BENCH_template_automata.json");
             println!("wrote BENCH_template_automata.json");
         }
         if let Some(e17) = &headlines.e17 {
             let mut doc = ticc_bench::json::JsonDoc::new();
             doc.section("e17", e17_json(e17));
-            doc.section("threads", ticc_bench::json::string(&threads.to_string()));
-            doc.section(
-                "host",
-                ticc_bench::json::host_section(&threads.to_string(), 1),
-            );
+            doc.section("host", ticc_bench::json::host_section());
             doc.write("BENCH_server.json");
             println!("wrote BENCH_server.json");
-        }
-        if let Some(e18) = &headlines.e18 {
-            let max_batch = e18.configs.iter().map(|c| c.batch).max().unwrap_or(1);
-            let mut doc = ticc_bench::json::JsonDoc::new();
-            doc.section("e18", e18_json(e18));
-            doc.section("threads", ticc_bench::json::string(&threads.to_string()));
-            doc.section(
-                "host",
-                ticc_bench::json::host_section(&threads.to_string(), max_batch),
-            );
-            doc.write("BENCH_worker_pool.json");
-            println!("wrote BENCH_worker_pool.json");
         }
         if let Some(e19) = &headlines.e19 {
             let mut doc = ticc_bench::json::JsonDoc::new();
             doc.section("e19", e19_json(e19));
-            doc.section("threads", ticc_bench::json::string(&threads.to_string()));
-            doc.section(
-                "host",
-                ticc_bench::json::host_section(&threads.to_string(), 1),
-            );
+            doc.section("host", ticc_bench::json::host_section());
             doc.write("BENCH_history_window.json");
             println!("wrote BENCH_history_window.json");
         }
         if let Some(e20) = &headlines.e20 {
             let mut doc = ticc_bench::json::JsonDoc::new();
             doc.section("e20", e20_json(e20));
-            doc.section("threads", ticc_bench::json::string(&threads.to_string()));
-            doc.section(
-                "host",
-                ticc_bench::json::host_section(&threads.to_string(), 1),
-            );
+            doc.section("host", ticc_bench::json::host_section());
             doc.write("BENCH_server_mux.json");
             println!("wrote BENCH_server_mux.json");
         }
@@ -276,29 +230,19 @@ fn e1_history_length() -> (usize, f64) {
 /// E2: `|R_D|` drives the cost. (a) the grounding alone is polynomial of
 /// degree `max(k, l)`; (b) the full decision is exponential — Section 6
 /// argues the exponent is unavoidable.
-fn e2_relevant_elements(threads: Threads) {
+fn e2_relevant_elements() {
     let sc = order_schema();
     let phi_once = once_only(&sc);
     let mut ta = Table::new(
         "E2a: grounding size vs |R_D| (once-only, k = 1, l = 1)",
         "Theorem 4.1: |phi_D| = O((|phi|·|R_D|)^max(k,l)) — linear here",
-        &[
-            "|R_D|",
-            "|M|",
-            "instances",
-            "tree size",
-            "ground (off)",
-            "ground (par)",
-        ],
+        &["|R_D|", "|M|", "instances", "tree size", "ground"],
     );
     for m in [2usize, 4, 8, 16, 32, 64] {
         let h = spread_history(&sc, m);
         let mut g = None;
         let d = ticc_bench::time_best_of(3, || {
             g = Some(ticc_core::ground(&h, &phi_once, GroundMode::Folded).unwrap());
-        });
-        let dp = ticc_bench::time_best_of(3, || {
-            ticc_core::ground_with(&h, &phi_once, GroundMode::Folded, threads).unwrap();
         });
         let g = g.unwrap().stats();
         ta.row([
@@ -307,7 +251,6 @@ fn e2_relevant_elements(threads: Threads) {
             g.mappings.to_string(),
             g.formula_tree_size.to_string(),
             fmt_duration(d),
-            fmt_duration(dp),
         ]);
     }
     ta.print();
@@ -317,13 +260,7 @@ fn e2_relevant_elements(threads: Threads) {
     let mut tb = Table::new(
         "E2a': grounding size vs |R_D| (chain k = 2, l = 2)",
         "degree max(k,l) = 2: instances grow quadratically",
-        &[
-            "|R_D|",
-            "instances",
-            "tree size",
-            "ground (off)",
-            "ground (par)",
-        ],
+        &["|R_D|", "instances", "tree size", "ground"],
     );
     for m in [2usize, 4, 8, 16, 32] {
         let h = path_history(&esc, m);
@@ -331,16 +268,12 @@ fn e2_relevant_elements(threads: Threads) {
         let d = ticc_bench::time_best_of(3, || {
             g = Some(ticc_core::ground(&h, &phi2, GroundMode::Folded).unwrap());
         });
-        let dp = ticc_bench::time_best_of(3, || {
-            ticc_core::ground_with(&h, &phi2, GroundMode::Folded, threads).unwrap();
-        });
         let g = g.unwrap().stats();
         tb.row([
             m.to_string(),
             g.mappings.to_string(),
             g.formula_tree_size.to_string(),
             fmt_duration(d),
-            fmt_duration(dp),
         ]);
     }
     tb.print();
@@ -414,19 +347,12 @@ fn e3_formula_size() {
 
 /// E4: the number of external quantifiers `k` drives the grounding:
 /// `(|R_D| + k)^k` instances.
-fn e4_quantifiers(threads: Threads) {
+fn e4_quantifiers() {
     let esc = edge_schema();
     let mut t = Table::new(
         "E4: external quantifier count (chain family, |R_D| = 4)",
         "Theorem 4.1: |M|^k ground instances",
-        &[
-            "k",
-            "instances",
-            "tree size",
-            "ground (off)",
-            "ground (par)",
-            "check time",
-        ],
+        &["k", "instances", "tree size", "ground", "check time"],
     );
     for k in 1..=4usize {
         let phi = chain_constraint(&esc, k);
@@ -434,9 +360,6 @@ fn e4_quantifiers(threads: Threads) {
         let mut g = None;
         let dg = ticc_bench::time_best_of(3, || {
             g = Some(ticc_core::ground(&h, &phi, GroundMode::Folded).unwrap());
-        });
-        let dgp = ticc_bench::time_best_of(3, || {
-            ticc_core::ground_with(&h, &phi, GroundMode::Folded, threads).unwrap();
         });
         let g = g.unwrap().stats();
         let dc = ticc_bench::time_best_of(2, || {
@@ -447,7 +370,6 @@ fn e4_quantifiers(threads: Threads) {
             g.mappings.to_string(),
             g.formula_tree_size.to_string(),
             fmt_duration(dg),
-            fmt_duration(dgp),
             fmt_duration(dc),
         ]);
     }
@@ -540,20 +462,18 @@ fn e6_grounding_ablation() {
 
 /// E7: end-to-end monitor + trigger throughput on the paper's
 /// customer-order workload.
-fn e7_trigger_throughput(threads: Threads) -> (usize, f64) {
+fn e7_trigger_throughput() -> (usize, f64) {
     let sc = order_schema();
     let mut t = Table::new(
         "E7: online monitor throughput (order workload, once-only + FIFO)",
         "Section 2 duality in practice: appends/second with earliest \
-         violation detection; the (par) column fans the per-constraint \
-         checks across the worker pool",
+         violation detection",
         &[
             "orders",
             "appends",
             "violations",
             "fast/reground",
-            "time (off)",
-            "time (par)",
+            "time",
             "appends/s",
         ],
     );
@@ -569,34 +489,30 @@ fn e7_trigger_throughput(threads: Threads) -> (usize, f64) {
         let h = w.generate();
         let mut violations = 0usize;
         let mut stats = None;
-        let mut run = |thr: Threads| {
-            ticc_bench::time_best_of(1, || {
-                let mut m = Engine::new(sc.clone(), CheckOptions::builder().threads(thr).build());
-                m.add_constraint("once", once_only(&sc)).unwrap();
-                m.add_constraint("fifo", fifo(&sc)).unwrap();
-                violations = 0;
-                for st in h.states() {
-                    // Reconstruct each state as a transaction from empty.
-                    let mut tx = Transaction::new();
-                    if let Some(prev) = m.history().last() {
-                        for p in sc.preds() {
-                            for tuple in prev.relation(p).iter() {
-                                tx = tx.delete(p, tuple.to_vec());
-                            }
-                        }
-                    }
+        let d = ticc_bench::time_best_of(1, || {
+            let mut m = Engine::new(sc.clone(), CheckOptions::default());
+            m.add_constraint("once", once_only(&sc)).unwrap();
+            m.add_constraint("fifo", fifo(&sc)).unwrap();
+            violations = 0;
+            for st in h.states() {
+                // Reconstruct each state as a transaction from empty.
+                let mut tx = Transaction::new();
+                if let Some(prev) = m.history().last() {
                     for p in sc.preds() {
-                        for tuple in st.relation(p).iter() {
-                            tx = tx.insert(p, tuple.to_vec());
+                        for tuple in prev.relation(p).iter() {
+                            tx = tx.delete(p, tuple.to_vec());
                         }
                     }
-                    violations += m.append(&tx).unwrap().len();
                 }
-                stats = Some(m.stats());
-            })
-        };
-        let d = run(Threads::Off);
-        let dp = run(threads);
+                for p in sc.preds() {
+                    for tuple in st.relation(p).iter() {
+                        tx = tx.insert(p, tuple.to_vec());
+                    }
+                }
+                violations += m.append(&tx).unwrap().len();
+            }
+            stats = Some(m.stats());
+        });
         let s = stats.unwrap();
         let rate = instants as f64 / d.as_secs_f64();
         t.row([
@@ -605,7 +521,6 @@ fn e7_trigger_throughput(threads: Threads) -> (usize, f64) {
             violations.to_string(),
             format!("{}/{}", s.fast_appends, s.regrounds + s.delta_grounds),
             fmt_duration(d),
-            fmt_duration(dp),
             format!("{rate:.0}"),
         ]);
         headline = (instants, rate);
@@ -1023,8 +938,8 @@ struct E15Result {
 /// index join enumerates only instantiations with a supported atom;
 /// the skipped remainder folds to one canonical rigid-false residue.
 /// Also re-runs the whole workload through the online monitor under
-/// production, the reference (odometer grounding, full re-grounds), and
-/// production∥4 and asserts the check events are identical.
+/// production and the reference (odometer grounding, full re-grounds)
+/// and asserts the check events are identical.
 fn e15_grounding_index(smoke: bool) -> E15Result {
     use ticc_core::{ground_indexed, GroundStrategy};
     let esc = edge_schema();
@@ -1055,11 +970,11 @@ fn e15_grounding_index(smoke: bool) -> E15Result {
     for &per in sweep {
         let h = sparse_edge_history(&esc, domain, per, states, seed);
         let d_odo = ticc_bench::time_best_of(if smoke { 1 } else { 2 }, || {
-            ticc_core::ground_with(&h, &phi, GroundMode::Folded, Threads::Off).unwrap();
+            ticc_core::ground(&h, &phi, GroundMode::Folded).unwrap();
         });
         let mut g = None;
         let d_idx = ticc_bench::time_best_of(if smoke { 1 } else { 3 }, || {
-            g = Some(ground_indexed(&h, &phi, GroundMode::Folded, Threads::Off).unwrap());
+            g = Some(ground_indexed(&h, &phi, GroundMode::Folded).unwrap());
         });
         let g = g.unwrap();
         assert_eq!(g.strategy(), GroundStrategy::Indexed, "gate must engage");
@@ -1084,8 +999,8 @@ fn e15_grounding_index(smoke: bool) -> E15Result {
 
     // Equivalence: the full workload through the online monitor —
     // growing relevant domain (delta re-grounds), occurrence
-    // activations, and the parallel shard merge — must produce
-    // bit-identical check events under all three configurations.
+    // and occurrence activations — must produce bit-identical check
+    // events under production and the reference.
     let txs = sparse_edge_txs(&esc, domain, headline_per, states, seed);
     let run = |opts: CheckOptions| {
         let mut m = Engine::new(esc.clone(), opts);
@@ -1099,11 +1014,10 @@ fn e15_grounding_index(smoke: bool) -> E15Result {
     };
     let (ev_idx, built, s_idx) = run(CheckOptions::default());
     let (ev_odo, _, _) = run(CheckOptions::reference());
-    let (ev_par, _, _) = run(CheckOptions::builder().threads(Threads::Fixed(4)).build());
-    let events_identical = ev_idx == ev_odo && ev_idx == ev_par;
+    let events_identical = ev_idx == ev_odo;
     assert!(
         events_identical,
-        "production / reference / production∥4 check events diverged"
+        "production / reference check events diverged"
     );
     assert!(
         s_idx.inst_pruned > 0,
@@ -1121,8 +1035,8 @@ fn e15_grounding_index(smoke: bool) -> E15Result {
         "the compiled monitor progressed symbolically after its build"
     );
     println!(
-        "  monitor equivalence: {} events identical under production, \
-         reference, production∥4; online inst_pruned = {}",
+        "  monitor equivalence: {} events identical under production and \
+         reference; online inst_pruned = {}",
         ev_idx.len(),
         s_idx.inst_pruned
     );
@@ -1602,204 +1516,6 @@ fn e20_json(e20: &E20Result) -> String {
     )
 }
 
-/// One measured configuration of the E18 sweep.
-struct E18Config {
-    label: &'static str,
-    threads: Threads,
-    batch: usize,
-    appends_per_sec: f64,
-    /// Per-call latency (one `append_batch` call covers `batch` txs).
-    latency: ticc_bench::latency::LatencySummary,
-    stats: EngineStats,
-}
-
-/// The E18 result (also the `BENCH_worker_pool.json` payload).
-struct E18Result {
-    constraints: usize,
-    domain: usize,
-    measured: usize,
-    configs: Vec<E18Config>,
-    /// Pooled vs sequential sweep, both at batch size 1.
-    pool_speedup: f64,
-    /// Largest batch vs single appends on the pooled engine.
-    batch_speedup: f64,
-}
-
-/// E18: the persistent worker pool and batched appends — many live
-/// constraints swept per append, single appends vs `append_batch`
-/// drains that pay one pool dispatch (and one commit window) for the
-/// whole batch.
-///
-/// Honest caveat (the E12/E17 precedent): this box has one CPU, so the
-/// pooled sweep cannot beat the sequential one on wall-clock — the
-/// pool only adds scheduling overhead when every worker shares a core.
-/// The ≥2× pooled-vs-sequential target is for multi-core runners; the
-/// device-independent signals here are `pool workers`/`par phases`
-/// (the pool really dispatched, exactly once per append or batch) and
-/// the batch-vs-single speedup, which amortises dispatch overhead and
-/// survives a single CPU.
-fn e18_worker_pool(smoke: bool, threads: Threads) -> E18Result {
-    let sc = order_schema();
-    let nconstraints = 8usize;
-    let domain = 8usize;
-    let total = if smoke { 256 } else { 4096 };
-    // The sweep needs a pooled configuration even under `--threads off`.
-    let pooled = match threads {
-        Threads::Off => Threads::Fixed(4),
-        t => t,
-    };
-    let run = |threads: Threads,
-               batch: usize|
-     -> (f64, ticc_bench::latency::LatencySummary, EngineStats) {
-        let opts = CheckOptions::builder().threads(threads).build();
-        let mut e = ticc_core::Engine::new(sc.clone(), opts);
-        for c in 0..nconstraints {
-            e.add_constraint(format!("response-{c}"), response(&sc))
-                .unwrap();
-        }
-        for tx in response_setup_txs(&sc, domain) {
-            assert!(e.append(&tx).unwrap().is_empty());
-        }
-        let warmup = 2 * domain;
-        for i in 0..warmup {
-            assert!(e
-                .append(&response_steady_tx(&sc, domain, i))
-                .unwrap()
-                .is_empty());
-        }
-        let end = warmup + total;
-        let mut lat = Vec::with_capacity(total / batch + 1);
-        let t0 = std::time::Instant::now();
-        let mut i = warmup;
-        while i < end {
-            let hi = (i + batch).min(end);
-            let txs: Vec<Transaction> = (i..hi)
-                .map(|j| response_steady_tx(&sc, domain, j))
-                .collect();
-            let c0 = std::time::Instant::now();
-            let events = e.append_batch(&txs).unwrap();
-            lat.push(c0.elapsed());
-            assert!(
-                events.iter().all(Vec::is_empty),
-                "steady churn never violates"
-            );
-            i = hi;
-        }
-        let elapsed = t0.elapsed();
-        (
-            total as f64 / elapsed.as_secs_f64(),
-            ticc_bench::latency::summarize(lat),
-            e.stats(),
-        )
-    };
-    let spec: [(&'static str, Threads, usize); 4] = [
-        ("sequential sweep", Threads::Off, 1),
-        ("pooled sweep", pooled, 1),
-        ("pooled + batch 8", pooled, 8),
-        ("pooled + batch 32", pooled, 32),
-    ];
-    let mut configs = Vec::new();
-    for (label, threads, batch) in spec {
-        let (rate, latency, stats) = run(threads, batch);
-        configs.push(E18Config {
-            label,
-            threads,
-            batch,
-            appends_per_sec: rate,
-            latency,
-            stats,
-        });
-    }
-    let mut t = Table::new(
-        format!(
-            "E18: worker pool + batched appends ({nconstraints} response \
-             constraints, |R_D| = {domain}, t = {total})"
-        ),
-        "one pool dispatch sweeps every live constraint; append_batch \
-         drains pay it once per batch (single-CPU box: see the batch \
-         speedup and dispatch counters, not pooled wall-clock — \
-         E12-style caveat)",
-        &[
-            "config",
-            "appends/s",
-            "p50/call",
-            "p99/call",
-            "pool workers",
-            "par phases",
-            "speedup",
-        ],
-    );
-    let baseline = configs[0].appends_per_sec;
-    for c in &configs {
-        t.row([
-            c.label.to_owned(),
-            format!("{:.0}", c.appends_per_sec),
-            fmt_duration(c.latency.p50),
-            fmt_duration(c.latency.p99),
-            c.stats.pool_workers.to_string(),
-            c.stats.par_phases.to_string(),
-            format!("{:.2}x", c.appends_per_sec / baseline),
-        ]);
-    }
-    t.print();
-    E18Result {
-        constraints: nconstraints,
-        domain,
-        measured: total,
-        pool_speedup: configs[1].appends_per_sec / configs[0].appends_per_sec,
-        batch_speedup: configs[3].appends_per_sec / configs[1].appends_per_sec,
-        configs,
-    }
-}
-
-/// Renders the E18 sweep as a JSON object (also the
-/// `BENCH_worker_pool.json` payload).
-fn e18_json(e18: &E18Result) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("    \"constraints\": {},\n", e18.constraints));
-    s.push_str(&format!("    \"domain\": {},\n", e18.domain));
-    s.push_str(&format!("    \"measured_appends\": {},\n", e18.measured));
-    s.push_str("    \"configs\": [\n");
-    for (i, c) in e18.configs.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"label\": \"{}\", \"threads\": \"{}\", \"batch\": {}, \
-             \"appends_per_sec\": {:.1}, \"pool_workers\": {}, \
-             \"par_phases\": {}, \"batches\": {}, \"latency\": {}}}",
-            c.label,
-            c.threads,
-            c.batch,
-            c.appends_per_sec,
-            c.stats.pool_workers,
-            c.stats.par_phases,
-            c.stats.batches,
-            c.latency.json(),
-        ));
-        s.push_str(if i + 1 < e18.configs.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("    ],\n");
-    s.push_str(&format!(
-        "    \"speedup_pool_vs_sequential\": {:.2},\n",
-        e18.pool_speedup
-    ));
-    s.push_str(&format!(
-        "    \"speedup_batch_vs_single\": {:.2},\n",
-        e18.batch_speedup
-    ));
-    s.push_str(
-        "    \"note\": \"E12-style caveat: 1-CPU box, so the pooled sweep \
-         pays scheduling overhead with no parallel speedup available; \
-         the >=2x pooled-vs-sequential target applies to multi-core \
-         runners. Device-independent signals: pool_workers/par_phases \
-         (one dispatch per append or batch) and the batch-vs-single \
-         speedup, which amortises dispatch cost.\"\n  }",
-    );
-    s
-}
-
 /// One E19 budget configuration.
 struct E19Config {
     label: &'static str,
@@ -2137,7 +1853,7 @@ fn e16_json(e16: &E16Result) -> String {
 /// The `--json` payload: every experiment section that ran, through the
 /// shared [`ticc_bench::json`] envelope (one schema version across all
 /// `BENCH_*.json` files). Format documented in `EXPERIMENTS.md`.
-fn write_json(path: &str, h: &Headlines, threads: Threads) {
+fn write_json(path: &str, h: &Headlines) {
     let mut doc = ticc_bench::json::JsonDoc::new();
     if let Some(e13) = &h.e13 {
         doc.section("e13", e13_json(e13));
@@ -2178,11 +1894,7 @@ fn write_json(path: &str, h: &Headlines, threads: Threads) {
     if let Some(e19) = &h.e19 {
         doc.section("e19", e19_json(e19));
     }
-    doc.section("threads", ticc_bench::json::string(&threads.to_string()));
-    doc.section(
-        "host",
-        ticc_bench::json::host_section(&threads.to_string(), 1),
-    );
+    doc.section("host", ticc_bench::json::host_section());
     doc.write(path);
 }
 

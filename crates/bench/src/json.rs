@@ -8,7 +8,7 @@
 //! {
 //!   "schema": "ticc-bench-v2",
 //!   "<experiment>": { ... },
-//!   "threads": "fixed(4)"
+//!   "host": { "available_parallelism": 2 }
 //! }
 //! ```
 //!
@@ -64,15 +64,11 @@ pub fn string(v: &str) -> String {
 }
 
 /// Renders the `host` section every emitter stamps into its envelope:
-/// the machine parallelism, the resolved `--threads` setting, and the
-/// append batch size — the scheduling context without which the
-/// headline numbers cannot be compared across runs or machines.
-pub fn host_section(threads: &str, batch_size: usize) -> String {
+/// the machine parallelism, without which the headline numbers cannot
+/// be compared across machines.
+pub fn host_section() -> String {
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    format!(
-        "{{\"available_parallelism\": {cores}, \"threads\": {}, \"batch_size\": {batch_size}}}",
-        string(threads)
-    )
+    format!("{{\"available_parallelism\": {cores}}}")
 }
 
 #[cfg(test)]
@@ -83,12 +79,12 @@ mod tests {
     fn renders_schema_first_and_sections_in_order() {
         let mut doc = JsonDoc::new();
         doc.section("e99", "{\"x\": 1}");
-        doc.section("threads", string("off"));
+        doc.section("host", host_section());
         let s = doc.render();
         assert!(s.starts_with(&format!("{{\n  \"schema\": \"{SCHEMA_VERSION}\"")));
         let e99 = s.find("\"e99\"").unwrap();
-        let threads = s.find("\"threads\"").unwrap();
-        assert!(e99 < threads);
+        let host = s.find("\"host\"").unwrap();
+        assert!(e99 < host);
         assert!(s.ends_with("}\n"));
     }
 
@@ -104,10 +100,10 @@ mod tests {
     }
 
     #[test]
-    fn host_section_reports_parallelism_threads_and_batch() {
-        let h = host_section("fixed(4)", 8);
+    fn host_section_reports_parallelism() {
+        let h = host_section();
         assert!(h.starts_with("{\"available_parallelism\": "), "{h}");
-        assert!(h.contains("\"threads\": \"fixed(4)\""), "{h}");
-        assert!(h.ends_with("\"batch_size\": 8}"), "{h}");
+        assert!(!h.contains("threads"), "{h}");
+        assert!(h.ends_with('}'), "{h}");
     }
 }

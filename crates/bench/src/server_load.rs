@@ -189,7 +189,6 @@ fn served_fixture(
     let limits = Limits {
         max_sessions: sessions + 8,
         max_inflight_appends: sessions + 8,
-        workers: sessions.max(1),
         // Dispatch blocks its io thread while an append waits in a
         // group-commit window, so the mux needs as many io threads as
         // concurrently-appending clients (capped) or a sleeping commit

@@ -8,8 +8,7 @@
 //! phase-2 satisfiability test on each residue.
 
 use crate::error::Error;
-use crate::extension::CheckOptions;
-use crate::ground::{ground_with, GroundMode};
+use crate::ground::{ground, GroundMode};
 use std::collections::HashMap;
 use ticc_fotl::Formula;
 use ticc_ptl::progression::progress;
@@ -20,12 +19,8 @@ use ticc_tdb::History;
 /// `(D0, …, D_{n-1})` has **no** extension satisfying `phi` (`n == 0`
 /// means `phi` itself is unsatisfiable), or `None` if the whole history
 /// remains potentially satisfied.
-pub fn earliest_violation(
-    history: &History,
-    phi: &Formula,
-    opts: &CheckOptions,
-) -> Result<Option<usize>, Error> {
-    let mut g = ground_with(history, phi, GroundMode::Folded, opts.threads)?;
+pub fn earliest_violation(history: &History, phi: &Formula) -> Result<Option<usize>, Error> {
+    let mut g = ground(history, phi, GroundMode::Folded)?;
     let mut residue = g.formula;
     let mut cache: HashMap<ticc_ptl::arena::FormulaId, bool> = HashMap::new();
     for n in 0..=history.len() {
@@ -76,41 +71,30 @@ mod tests {
         // the third state (prefix length 3).
         let h = history(&[&[1], &[], &[1], &[]]);
         let phi = parse(h.schema(), phi_src).unwrap();
-        assert_eq!(
-            earliest_violation(&h, &phi, &CheckOptions::default()).unwrap(),
-            Some(3)
-        );
+        assert_eq!(earliest_violation(&h, &phi).unwrap(), Some(3));
     }
 
     #[test]
     fn none_when_satisfied() {
         let h = history(&[&[1], &[2], &[3]]);
         let phi = parse(h.schema(), "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-        assert_eq!(
-            earliest_violation(&h, &phi, &CheckOptions::default()).unwrap(),
-            None
-        );
+        assert_eq!(earliest_violation(&h, &phi).unwrap(), None);
     }
 
     #[test]
     fn zero_for_unsatisfiable_formula() {
         let h = history(&[&[1]]);
         let phi = parse(h.schema(), "Sub(9) & G !Sub(9)").unwrap();
-        assert_eq!(
-            earliest_violation(&h, &phi, &CheckOptions::default()).unwrap(),
-            Some(0)
-        );
+        assert_eq!(earliest_violation(&h, &phi).unwrap(), Some(0));
     }
 
     #[test]
     fn agrees_with_full_check() {
-        use crate::extension::check_potential_satisfaction;
+        use crate::extension::{check_potential_satisfaction, CheckOptions};
         let phi_src = "forall x. G (Sub(x) -> X G !Sub(x))";
         let h = history(&[&[1], &[1], &[2]]);
         let phi = parse(h.schema(), phi_src).unwrap();
-        let earliest = earliest_violation(&h, &phi, &CheckOptions::default())
-            .unwrap()
-            .unwrap();
+        let earliest = earliest_violation(&h, &phi).unwrap().unwrap();
         // The prefix one shorter is satisfied; the prefix at the point
         // is not.
         let ok = h.prefix(earliest - 1);

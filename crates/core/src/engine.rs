@@ -40,14 +40,13 @@
 
 use crate::error::Error;
 use crate::extension::{CheckOptions, Durability, HistoryBudget, Pipeline};
-use crate::ground::{ground_metered, GroundMode, Grounding};
+use crate::ground::{ground_with, GroundMode, Grounding};
 use crate::obs::{EngineStats, Timer};
-use crate::par::{ParMeter, Threads, WorkerPool};
 use crate::spill::HistoryPager;
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 use ticc_fotl::Formula;
 use ticc_ptl::arena::{AtomId, FormulaId};
@@ -525,16 +524,7 @@ impl GroundingContext {
         stats: &mut EngineStats,
     ) -> Result<Self, Error> {
         let t = Timer::start();
-        let mut meter = ParMeter::new();
-        let mut g = ground_metered(
-            history,
-            phi,
-            GroundMode::Folded,
-            opts.ground_strategy(),
-            opts.threads,
-            &mut meter,
-        )?;
-        stats.absorb_par(&meter);
+        let mut g = ground_with(history, phi, GroundMode::Folded, opts.ground_strategy())?;
         t.finish(&mut stats.ground_time);
         let t = Timer::start();
         let trace = std::mem::take(&mut g.trace);
@@ -964,12 +954,6 @@ pub struct Engine {
     opts: CheckOptions,
     pub(crate) stats: EngineStats,
     store: Option<Store>,
-    /// The persistent constraint-sweep worker pool, created lazily on
-    /// the first parallel append and kept for the engine's lifetime —
-    /// the hot path never pays a thread spawn. `None` until then (and
-    /// always `None` under `Threads::Off`). Not serialised: a restored
-    /// engine re-creates its pool on first use.
-    pool: Option<WorkerPool>,
     /// The cold-state spill tier, present once the engine has
     /// truncated its history under a bounded [`HistoryBudget`]:
     /// instants `[0, history.base())` live here as deduped pages and
@@ -982,10 +966,6 @@ pub struct Engine {
     /// a crash between a truncation and the next checkpoint recovers
     /// from a snapshot that still holds the full pre-truncate horizon.
     pub(crate) checkpointed_len: usize,
-    /// Per-chunk outcome buffers of the pooled constraint sweep,
-    /// recycled across dispatches so a steady-state parallel append
-    /// allocates nothing (`pool_buf_allocs` counts creations).
-    outcome_bufs: Vec<Mutex<Vec<(usize, usize, Status)>>>,
 }
 
 /// Rough heap footprint of one database state: per-tuple values plus
@@ -1034,10 +1014,8 @@ impl Engine {
             opts,
             stats: EngineStats::default(),
             store: None,
-            pool: None,
             pager: None,
             checkpointed_len: 0,
-            outcome_bufs: Vec::new(),
         }
     }
 
@@ -1201,7 +1179,6 @@ impl Engine {
     pub fn stats(&self) -> EngineStats {
         let mut s = self.stats;
         s.store = self.store.as_ref().map(Store::stats).unwrap_or_default();
-        s.pool_workers = self.pool.as_ref().map_or(0, |p| p.size() as u64);
         s.history.resident_states = self.history.states().len() as u64;
         s.history.resident_bytes = {
             let schema = self.history.schema();
@@ -1315,8 +1292,8 @@ impl Engine {
 
     /// One append step for one constraint: [`GroundingContext::step`],
     /// or on the reference pipeline's new relevant element a full
-    /// rebuild, then the violation decision. Every sweep — sequential,
-    /// pooled, single or batched — steps entries through this.
+    /// rebuild, then the violation decision. Every sweep — single or
+    /// batched — steps entries through this.
     ///
     /// `upto` is the history length *after* `tx`: the step reasons over
     /// the prefix `history[..upto]`. During a batched append the
@@ -1334,12 +1311,11 @@ impl Engine {
         stats: &mut EngineStats,
     ) -> Result<Status, Error> {
         let state = history.state(upto - 1);
-        // Grounding-scratch capacity growths count against the same
-        // no-alloc budget as the pool's outcome buffers: after warm-up
-        // a steady-state append must leave `pool_buf_allocs` flat.
+        // After warm-up a steady-state append must leave
+        // `scratch_allocs` flat.
         let scratch0 = entry.ctx.g.scratch_allocs();
         let stepped = entry.ctx.step(tx, state, opts, upto, cold, stats);
-        stats.pool_buf_allocs += entry.ctx.g.scratch_allocs() - scratch0;
+        stats.scratch_allocs += entry.ctx.g.scratch_allocs() - scratch0;
         if let Some(status) = stepped? {
             return Ok(status);
         }
@@ -1360,13 +1336,7 @@ impl Engine {
     /// unavoidable with this update, in [`ConstraintId`] order.
     ///
     /// This is the one-transaction case of [`Engine::append_batch`]'s
-    /// sweep. With [`Threads`] enabled and more than one live
-    /// constraint, the per-constraint checks fan out across the
-    /// engine's worker pool. Each [`GroundingContext`] is owned by
-    /// exactly one worker for the duration of the sweep, per-worker
-    /// [`EngineStats`] are absorbed in chunk order, and events are
-    /// emitted in [`ConstraintId`] order — observable behaviour is
-    /// identical to the sequential path.
+    /// sweep.
     pub fn append(&mut self, tx: &Transaction) -> Result<Vec<MonitorEvent>, Error> {
         let mut events = Vec::new();
         self.sweep(std::slice::from_ref(tx), true, |_, e| events.push(e))?;
@@ -1376,10 +1346,8 @@ impl Engine {
     /// Appends a batch of transactions in one constraint sweep.
     ///
     /// All transactions are applied (and WAL-logged) first; each
-    /// constraint is then stepped through the whole batch by one
-    /// worker with no per-transaction barrier — the constraints are
-    /// independent, so worker `w` can be on transaction 3 while worker
-    /// `w'` is still on transaction 0. Under `Durability::WalFsync`
+    /// constraint is then stepped through the whole batch before the
+    /// next one is. Under `Durability::WalFsync`
     /// the batch group-commits: intermediate transactions are logged
     /// without syncing and the final one fsyncs, so a crash can only
     /// lose transactions whose batch was never acknowledged.
@@ -1388,8 +1356,7 @@ impl Engine {
     /// [`ConstraintId`] order — exactly what the same transactions
     /// appended one at a time would produce (a constraint violated at
     /// transaction `t` is not stepped past `t`, matching the per-append
-    /// skip rule). Statuses, stats, and events are bit-identical to
-    /// the sequential path regardless of [`Threads`].
+    /// skip rule).
     pub fn append_batch(&mut self, txs: &[Transaction]) -> Result<Vec<Vec<MonitorEvent>>, Error> {
         let mut events: Vec<Vec<MonitorEvent>> = txs.iter().map(|_| Vec::new()).collect();
         self.sweep(txs, true, |t, e| events[t].push(e))?;
@@ -1429,16 +1396,6 @@ impl Engine {
             self.stats.batches += 1;
             self.stats.batched_txs += txs.len() as u64;
         }
-        let live = self
-            .entries
-            .iter()
-            .filter(|e| !matches!(e.status, Status::Violated { .. }))
-            .count();
-        let workers = self.opts.threads.worker_count();
-        if live > 1 && workers > 1 {
-            self.append_parallel(txs, workers, &mut emit)?;
-            return self.enforce_budget();
-        }
         let base = self.history.len() - txs.len();
         let cold = cold(&self.history, self.pager.as_ref());
         for i in 0..self.entries.len() {
@@ -1470,109 +1427,6 @@ impl Engine {
             }
         }
         self.enforce_budget()
-    }
-
-    /// The pooled half of [`Engine::sweep`]. Shards the entry list
-    /// canonically over the persistent [`WorkerPool`] (created on first
-    /// use, sized by the [`Threads`] policy), steps every live
-    /// constraint through the whole transaction batch with grounding
-    /// forced sequential (the fan-out budget is spent here), and merges
-    /// outcomes, stats, and the first error in chunk order, passing
-    /// each violation to `emit` in [`ConstraintId`] order.
-    fn append_parallel(
-        &mut self,
-        txs: &[Transaction],
-        workers: usize,
-        emit: &mut impl FnMut(usize, MonitorEvent),
-    ) -> Result<(), Error> {
-        let mut inner = self.opts;
-        inner.threads = Threads::Off;
-        // Per-chunk outcome buffers are engine-owned and recycled
-        // across dispatches: after warm-up a steady-state parallel
-        // append performs no per-dispatch allocation for them (the
-        // `pool_buf_allocs` counter stays flat).
-        if self.outcome_bufs.len() < workers {
-            self.stats.pool_buf_allocs += (workers - self.outcome_bufs.len()) as u64;
-            self.outcome_bufs
-                .resize_with(workers, || Mutex::new(Vec::new()));
-        }
-        let history = &self.history;
-        let base = history.len() - txs.len();
-        let cold = cold(history, self.pager.as_ref());
-        let bufs = &self.outcome_bufs;
-        let mut meter = ParMeter::new();
-        let pool_size = self.opts.threads.worker_count();
-        let pool = self.pool.get_or_insert_with(|| WorkerPool::new(pool_size));
-        let chunk_results = pool.for_each_chunk_mut(
-            &mut self.entries,
-            workers,
-            &mut meter,
-            |ci, start, chunk| {
-                let mut stats = EngineStats::default();
-                let mut outcomes = bufs[ci].lock().expect("outcome buffer poisoned");
-                outcomes.clear();
-                for (off, entry) in chunk.iter_mut().enumerate() {
-                    if matches!(entry.status, Status::Violated { .. }) {
-                        continue; // safety: violations are permanent
-                    }
-                    for (t, tx) in txs.iter().enumerate() {
-                        match Self::step_entry(
-                            history,
-                            tx,
-                            entry,
-                            &inner,
-                            base + t + 1,
-                            cold,
-                            &mut stats,
-                        ) {
-                            Ok(status) => {
-                                let violated = matches!(status, Status::Violated { .. });
-                                outcomes.push((start + off, t, status));
-                                if violated {
-                                    break; // stop stepping mid-batch
-                                }
-                            }
-                            Err(e) => return (stats, Err(e)),
-                        }
-                    }
-                }
-                (stats, Ok(()))
-            },
-        );
-        self.stats.absorb_par(&meter);
-        let mut first_err = None;
-        for (ci, (worker_stats, result)) in chunk_results.into_iter().enumerate() {
-            self.stats.absorb(&worker_stats);
-            match result {
-                Ok(()) => {
-                    let mut buf = self.outcome_bufs[ci]
-                        .lock()
-                        .expect("outcome buffer poisoned");
-                    for (i, t, status) in buf.drain(..) {
-                        if let Status::Violated { at } = status {
-                            self.entries[i].status = status;
-                            emit(
-                                t,
-                                MonitorEvent {
-                                    constraint: ConstraintId(i),
-                                    name: self.entries[i].name.clone(),
-                                    at,
-                                },
-                            );
-                        }
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     // ----- durability (the `ticc-store` bridge) -----
@@ -1706,14 +1560,12 @@ pub(crate) struct OneShot {
     pub result: SatResult,
     pub ground_time: Duration,
     pub decide_time: Duration,
-    pub par: ParMeter,
 }
 
 /// One-shot potential-satisfaction decision: ground, then decide
 /// extendability of `w_D` (progression + phase-2 satisfiability inside
 /// the PTL facade). Used by the extension checker and the trigger
-/// engine; callers fold the timings (and the parallel meter) into
-/// their own stats.
+/// engine; callers fold the timings into their own stats.
 pub(crate) fn check_once(
     history: &History,
     phi: &Formula,
@@ -1721,15 +1573,7 @@ pub(crate) fn check_once(
 ) -> Result<OneShot, Error> {
     let t0 = Timer::start();
     let mut ground_time = Duration::ZERO;
-    let mut par = ParMeter::new();
-    let mut grounding = ground_metered(
-        history,
-        phi,
-        GroundMode::Folded,
-        opts.ground_strategy(),
-        opts.threads,
-        &mut par,
-    )?;
+    let mut grounding = ground_with(history, phi, GroundMode::Folded, opts.ground_strategy())?;
     t0.finish(&mut ground_time);
 
     let t1 = Timer::start();
@@ -1744,7 +1588,6 @@ pub(crate) fn check_once(
         result,
         ground_time,
         decide_time,
-        par,
     })
 }
 
@@ -2056,8 +1899,7 @@ mod tests {
     fn append_batch_matches_per_tx_appends() {
         // One batched sweep must be observationally identical to the
         // same transactions appended one at a time — per-transaction
-        // events, final statuses, and the semantic counters — on both
-        // the sequential path and the pooled path.
+        // events, final statuses, and the semantic counters.
         let sc = order_schema();
         let sub = sc.pred("Sub").unwrap();
         let fill = sc.pred("Fill").unwrap();
@@ -2072,39 +1914,36 @@ mod tests {
             Transaction::new().insert(sub, vec![1]),  // violates "once"
             Transaction::new().delete(sub, vec![2]),
         ];
-        for threads in [Threads::Off, Threads::Fixed(4)] {
-            let build = || {
-                let mut e =
-                    Engine::new(sc.clone(), CheckOptions::builder().threads(threads).build());
-                let once = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-                let cov = parse(&sc, "forall x. G (Sub(x) -> Fill(x))").unwrap();
-                let cap = parse(&sc, "G !Sub(999)").unwrap();
-                let ids = vec![
-                    e.add_constraint("once", once).unwrap(),
-                    e.add_constraint("covered", cov).unwrap(),
-                    e.add_constraint("cap", cap).unwrap(),
-                ];
-                (e, ids)
-            };
-            let (mut batched, b_ids) = build();
-            let (mut serial, s_ids) = build();
-            let be = batched.append_batch(&txs).unwrap();
-            let se: Vec<_> = txs.iter().map(|tx| serial.append(tx).unwrap()).collect();
-            assert_eq!(be, se, "{threads:?}");
-            for (b, s) in b_ids.iter().zip(&s_ids) {
-                assert_eq!(batched.status(*b), serial.status(*s), "{threads:?}");
-            }
-            let bs = batched.stats();
-            let ss = serial.stats();
-            assert_eq!(bs.appends, ss.appends, "{threads:?}");
-            assert_eq!(bs.grounds, ss.grounds, "{threads:?}");
-            assert_eq!(bs.delta_grounds, ss.delta_grounds, "{threads:?}");
-            assert_eq!(bs.fast_appends, ss.fast_appends, "{threads:?}");
-            assert_eq!(bs.sat_checks, ss.sat_checks, "{threads:?}");
-            assert_eq!(bs.batches, 1, "{threads:?}");
-            assert_eq!(bs.batched_txs, txs.len() as u64, "{threads:?}");
-            assert_eq!(ss.batches, 0);
+        let build = || {
+            let mut e = Engine::new(sc.clone(), CheckOptions::default());
+            let once = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
+            let cov = parse(&sc, "forall x. G (Sub(x) -> Fill(x))").unwrap();
+            let cap = parse(&sc, "G !Sub(999)").unwrap();
+            let ids = vec![
+                e.add_constraint("once", once).unwrap(),
+                e.add_constraint("covered", cov).unwrap(),
+                e.add_constraint("cap", cap).unwrap(),
+            ];
+            (e, ids)
+        };
+        let (mut batched, b_ids) = build();
+        let (mut serial, s_ids) = build();
+        let be = batched.append_batch(&txs).unwrap();
+        let se: Vec<_> = txs.iter().map(|tx| serial.append(tx).unwrap()).collect();
+        assert_eq!(be, se);
+        for (b, s) in b_ids.iter().zip(&s_ids) {
+            assert_eq!(batched.status(*b), serial.status(*s));
         }
+        let bs = batched.stats();
+        let ss = serial.stats();
+        assert_eq!(bs.appends, ss.appends);
+        assert_eq!(bs.grounds, ss.grounds);
+        assert_eq!(bs.delta_grounds, ss.delta_grounds);
+        assert_eq!(bs.fast_appends, ss.fast_appends);
+        assert_eq!(bs.sat_checks, ss.sat_checks);
+        assert_eq!(bs.batches, 1);
+        assert_eq!(bs.batched_txs, txs.len() as u64);
+        assert_eq!(ss.batches, 0);
     }
 
     #[test]
@@ -2124,101 +1963,15 @@ mod tests {
     }
 
     #[test]
-    fn pooled_sweep_counts_one_phase_per_dispatch() {
-        // Satellite audit: the pooled constraint sweep forces inner
-        // grounding to `Threads::Off`, so the parallel meter must see
-        // exactly one phase per pool dispatch — re-grounding inside a
-        // worker contributes busy time to that worker's slot, never a
-        // nested phase or a double-counted fan-out.
-        let sc = order_schema();
-        let sub = sc.pred("Sub").unwrap();
-        let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-        let mut e = Engine::new(
-            sc.clone(),
-            CheckOptions {
-                threads: Threads::Fixed(4),
-                ..CheckOptions::reference()
-            },
-        );
-        for name in ["a", "b", "c"] {
-            e.add_constraint(name, phi.clone()).unwrap();
-        }
-        let n = 4u64;
-        for i in 0..n {
-            // A fresh element every append (the previous one cleared so
-            // nothing violates): each pooled sweep re-grounds all three
-            // constraints inside the workers.
-            let mut tx = Transaction::new().insert(sub, vec![100 + i]);
-            if i > 0 {
-                tx = tx.delete(sub, vec![100 + i - 1]);
-            }
-            e.append(&tx).unwrap();
-        }
-        let s = e.stats();
-        assert_eq!(s.par_phases, n, "one dispatch per append, no nesting");
-        assert!(s.par_workers >= 2, "{s:?}");
-        assert_eq!(s.pool_workers, 4, "{s:?}");
-        assert!(
-            s.regrounds >= 3 * (n - 1),
-            "workers really re-ground: {s:?}"
-        );
-    }
-
-    #[test]
-    fn pooled_outcome_buffers_are_reused_across_dispatches() {
-        // Satellite audit: the per-worker outcome buffers are allocated
-        // once (on the first pooled dispatch) and reused thereafter —
-        // `pool_buf_allocs` must not grow with the number of appends.
-        let sc = order_schema();
-        let sub = sc.pred("Sub").unwrap();
-        let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-        let mut e = Engine::new(
-            sc.clone(),
-            CheckOptions::builder().threads(Threads::Fixed(3)).build(),
-        );
-        for name in ["a", "b", "c", "d"] {
-            e.add_constraint(name, phi.clone()).unwrap();
-        }
-        let mut tx = Transaction::new().insert(sub, vec![100]);
-        e.append(&tx).unwrap();
-        // Second append reaches the workload's full transaction width
-        // (delete + insert), finishing the scratch-buffer warm-up that
-        // `pool_buf_allocs` now also accounts for.
-        tx = Transaction::new()
-            .delete(sub, vec![100])
-            .insert(sub, vec![101]);
-        e.append(&tx).unwrap();
-        let warm = e.stats().pool_buf_allocs;
-        assert!(warm > 0, "{warm}");
-        for i in 2..40u64 {
-            tx = Transaction::new()
-                .delete(sub, vec![100 + i - 1])
-                .insert(sub, vec![100 + i]);
-            e.append(&tx).unwrap();
-        }
-        let s = e.stats();
-        assert_eq!(
-            s.pool_buf_allocs, warm,
-            "steady-state dispatches must not allocate outcome or scratch buffers"
-        );
-        assert!(s.par_phases >= 40, "the pooled path actually ran: {s:?}");
-    }
-
-    #[test]
-    fn pooled_steady_appends_allocate_no_scratch_across_1k() {
-        // ROADMAP item 1 remainder: `pool_buf_allocs` covers the
-        // grounding scratch buffers too. A steady churn (known
-        // elements only, no first-occurrence tuples) through the
-        // pooled dispatch path must leave the counter flat across 1k
-        // appends once the buffers have warmed up.
+    fn steady_appends_allocate_no_scratch_across_1k() {
+        // A steady churn (known elements only, no first-occurrence
+        // tuples) must leave the grounding-scratch counter flat across
+        // 1k appends once the buffers have warmed up.
         let sc = order_schema();
         let sub = sc.pred("Sub").unwrap();
         let fill = sc.pred("Fill").unwrap();
         let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-        let mut e = Engine::new(
-            sc.clone(),
-            CheckOptions::builder().threads(Threads::Fixed(2)).build(),
-        );
+        let mut e = Engine::new(sc.clone(), CheckOptions::default());
         for name in ["a", "b"] {
             e.add_constraint(name, phi.clone()).unwrap();
         }
@@ -2247,7 +2000,7 @@ mod tests {
                 .delete(fill, vec![2]),
         )
         .unwrap();
-        let warm = e.stats().pool_buf_allocs;
+        let warm = e.stats().scratch_allocs;
         for i in 0..1000u64 {
             let (on, off) = if i % 2 == 0 { (2, 1) } else { (1, 2) };
             let events = e
@@ -2261,8 +2014,8 @@ mod tests {
         }
         let s = e.stats();
         assert_eq!(
-            s.pool_buf_allocs, warm,
-            "1k steady appends must not grow pool or grounding-scratch buffers: {s:?}"
+            s.scratch_allocs, warm,
+            "1k steady appends must not grow grounding-scratch buffers: {s:?}"
         );
         assert!(
             s.fast_appends >= 2000,

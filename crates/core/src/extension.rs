@@ -11,7 +11,6 @@
 use crate::engine::check_once;
 use crate::error::Error;
 use crate::ground::{GroundStats, GroundStrategy, Grounding};
-use crate::par::Threads;
 use std::time::Duration;
 use ticc_fotl::Formula;
 use ticc_ptl::sat::SatStats;
@@ -129,10 +128,6 @@ pub(crate) enum Pipeline {
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct CheckOptions {
-    /// Worker-thread policy for the sharded grounding and the
-    /// per-constraint fan-out (deterministic: results are identical to
-    /// [`Threads::Off`]).
-    pub threads: Threads,
     /// WAL write policy when a durable store is attached to the engine.
     pub durability: Durability,
     /// Memory budget for the history and per-constraint traces.
@@ -153,7 +148,6 @@ pub struct CheckOptions {
 impl Default for CheckOptions {
     fn default() -> Self {
         Self {
-            threads: Threads::default(),
             durability: Durability::default(),
             history_budget: HistoryBudget::default(),
             automaton_state_budget: 64,
@@ -200,12 +194,12 @@ impl CheckOptions {
 /// non-default options outside this crate.
 ///
 /// ```
-/// use ticc_core::{CheckOptions, HistoryBudget, Threads};
+/// use ticc_core::{CheckOptions, Durability, HistoryBudget};
 /// let opts = CheckOptions::builder()
-///     .threads(Threads::Fixed(4))
+///     .durability(Durability::WalFsync)
 ///     .history_budget(HistoryBudget::Window(1024))
 ///     .build();
-/// assert_eq!(opts.threads, Threads::Fixed(4));
+/// assert_eq!(opts.history_budget, HistoryBudget::Window(1024));
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CheckOptionsBuilder {
@@ -213,12 +207,6 @@ pub struct CheckOptionsBuilder {
 }
 
 impl CheckOptionsBuilder {
-    /// Worker-thread policy.
-    pub fn threads(mut self, threads: Threads) -> Self {
-        self.opts.threads = threads;
-        self
-    }
-
     /// Maximum explicit states per compiled template automaton. Tests
     /// set it to 1 to reach production's symbolic path (progression
     /// plus the transition cache), the fallback for templates that do

@@ -26,14 +26,13 @@
 //!   mode the engine runs, and `Full` is kept as the oracle the tests
 //!   and ablation E6 call through [`ground`].
 
-use crate::par::{self, ParMeter, Threads};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use ticc_fotl::classify::{classify, FormulaClass};
 use ticc_fotl::{Atom, Formula, Term};
 use ticc_ptl::arena::{Arena, AtomId, FormulaId};
-use ticc_ptl::interner::{AtomInterner, ShardedInterner};
+use ticc_ptl::interner::AtomInterner;
 use ticc_ptl::trace::PropState;
 use ticc_tdb::{ConstId, History, PredId, Schema, State, Transaction, Update, Value};
 
@@ -214,7 +213,7 @@ pub struct Grounding {
     pub(crate) index_build: std::time::Duration,
     /// Reusable fast-append scratch buffers (net-effect order, patched
     /// letters) plus the capacity-growth counter the engine folds into
-    /// `EngineStats::pool_buf_allocs` — see [`FastScratch`].
+    /// `EngineStats::scratch_allocs` — see [`FastScratch`].
     scratch: FastScratch,
 }
 
@@ -225,8 +224,7 @@ pub struct Grounding {
 /// buffers instead of fresh `BTreeMap`/`Vec`s per call. `allocs`
 /// counts capacity growths of either buffer; after warm-up it stays
 /// flat, and the engine folds the per-append delta into
-/// [`EngineStats::pool_buf_allocs`](crate::EngineStats) so the no-alloc
-/// discipline of the pooled dispatch path covers grounding scratch too.
+/// [`EngineStats::scratch_allocs`](crate::EngineStats).
 #[derive(Default)]
 struct FastScratch {
     /// The transaction's net effect as `(update index, present)` pairs
@@ -315,56 +313,6 @@ fn index_patterns(
         stack.extend(f.children());
     }
     Some(out)
-}
-
-/// Collects the distinct predicate-atom patterns of the matrix for the
-/// letter-discovery phase. Unlike [`index_patterns`] this tolerates
-/// equality atoms (in folded mode they constant-fold and intern
-/// nothing) and keeps the terms unresolved — resolution happens per
-/// instantiation in [`note_letters_digits`].
-fn letter_patterns(matrix: &Formula) -> Vec<(PredId, &[Term])> {
-    let mut out: Vec<(PredId, &[Term])> = Vec::new();
-    let mut stack = vec![matrix];
-    while let Some(f) = stack.pop() {
-        if let Formula::Atom(Atom::Pred(p, ts)) = f {
-            if !out.iter().any(|&(q, qs)| q == *p && qs == ts.as_slice()) {
-                out.push((*p, ts));
-            }
-        }
-        stack.extend(f.children());
-    }
-    out
-}
-
-/// Phase L of the folded grounding pipeline: notes into `sink` every
-/// letter that grounding the matrix under the digit assignment `digits`
-/// would intern — each predicate pattern with its terms resolved over
-/// `m`, skipping patterns that touch a fresh element (those fold to `⊥`
-/// and intern nothing). Callable concurrently from sharded workers.
-fn note_letters_digits(
-    sink: &ShardedInterner<LetterKey>,
-    schema: &Schema,
-    consts: &[Value],
-    patterns: &[(PredId, &[Term])],
-    m: &[GArg],
-    digit: &HashMap<&str, usize>,
-    digits: &[u32],
-) {
-    'patterns: for &(p, terms) in patterns {
-        let mut args = Vec::with_capacity(terms.len());
-        for t in terms {
-            let a = match t {
-                Term::Var(v) => m[digits[digit[v.as_str()]] as usize],
-                Term::Value(v) => GArg::Rel(*v),
-                Term::Const(c) => GArg::Rel(consts[c.index()]),
-            };
-            if matches!(a, GArg::Fresh(_)) {
-                continue 'patterns;
-            }
-            args.push(a);
-        }
-        sink.note(LetterKey::Pred(p, args), |k| render_letter(k, schema));
-    }
 }
 
 /// The canonical all-atoms-rigid-false residue: the matrix with every
@@ -660,14 +608,14 @@ fn collect_values(f: &Formula, out: &mut std::collections::BTreeSet<Value>) {
     }
 }
 
-/// Grounds `(history, phi)` per Theorem 4.1, single-threaded, with the
-/// odometer enumeration (the construction verbatim).
+/// Grounds `(history, phi)` per Theorem 4.1 with the odometer
+/// enumeration (the construction verbatim).
 pub fn ground(
     history: &History,
     phi: &Formula,
     mode: GroundMode,
 ) -> Result<Grounding, GroundError> {
-    ground_with(history, phi, mode, Threads::Off)
+    ground_with(history, phi, mode, GroundStrategy::Odometer)
 }
 
 /// Grounds `(history, phi)` with production's indexed enumeration
@@ -677,54 +625,18 @@ pub fn ground_indexed(
     history: &History,
     phi: &Formula,
     mode: GroundMode,
-    threads: Threads,
 ) -> Result<Grounding, GroundError> {
-    ground_metered(
-        history,
-        phi,
-        mode,
-        GroundStrategy::Indexed,
-        threads,
-        &mut ParMeter::new(),
-    )
+    ground_with(history, phi, mode, GroundStrategy::Indexed)
 }
 
-/// Grounds `(history, phi)` per Theorem 4.1, sharding the `|M|^k`
-/// instantiation space across worker threads per `threads`.
-///
-/// Deterministic by construction: folded grounding runs a two-phase
-/// pipeline. Phase L discovers the letter vocabulary concurrently
-/// through a [`ShardedInterner`] and seals it into the arena in
-/// canonical sorted-key order — the atom table is a pure function of
-/// the instantiation set, independent of thread count. Phase F then
-/// builds `Ψ_D` against that fixed vocabulary, either directly
-/// (sequential) or in per-worker arenas pre-seeded with the sealed
-/// atom table and merged in chunk order — so the letter table, the
-/// conjunction order, and every structural statistic are identical to
-/// the sequential path (see DESIGN.md §"Parallel architecture").
-pub fn ground_with(
-    history: &History,
-    phi: &Formula,
-    mode: GroundMode,
-    threads: Threads,
-) -> Result<Grounding, GroundError> {
-    ground_metered(
-        history,
-        phi,
-        mode,
-        GroundStrategy::Odometer,
-        threads,
-        &mut ParMeter::new(),
-    )
-}
-
-pub(crate) fn ground_metered(
+/// Grounds `(history, phi)` with `strategy`. Letters are interned on
+/// first sight while `Ψ_D` is built, so atom ids follow the
+/// enumeration order.
+pub(crate) fn ground_with(
     history: &History,
     phi: &Formula,
     mode: GroundMode,
     strategy: GroundStrategy,
-    threads: Threads,
-    meter: &mut ParMeter,
 ) -> Result<Grounding, GroundError> {
     if let Some(v) = ticc_fotl::subst::free_vars(phi).into_iter().next() {
         return Err(GroundError::OpenFormula(v));
@@ -781,55 +693,7 @@ pub(crate) fn ground_metered(
     }
 
     // Ψ_D: conjunction over the supported instantiations (indexed) or
-    // all |M|^k mappings (odometer). Sharded when a worker pool is
-    // requested and the instantiation list is large enough to feed it —
-    // the pool is sized from the *pruned* count, so sparse histories do
-    // not spin up idle workers; `k == 0` has a single mapping, nothing
-    // to shard. Full mode keeps the interleaved first-sight letter
-    // order its axiom block depends on, so it always runs sequentially.
-    let items = cands.as_ref().map_or(mappings, Vec::len);
-    let workers = if mode == GroundMode::Full {
-        1
-    } else {
-        threads.workers_for(items)
-    };
-
-    // Phase L (folded mode): discover the letter vocabulary through the
-    // sharded interner and seal it in canonical sorted-key order. Both
-    // the sequential and the sharded Phase F then build against the
-    // same fixed atom table, which is what makes the sharded path
-    // bit-identical to `Threads::Off` without any replay or re-merge.
-    if mode == GroundMode::Folded {
-        let patterns = letter_patterns(matrix);
-        let digit: HashMap<&str, usize> = external
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.as_str(), i))
-            .collect();
-        let sink: ShardedInterner<LetterKey> = ShardedInterner::new();
-        if let Some(list) = &cands {
-            par::map_chunked(list.len(), workers, meter, |_, range| {
-                for cand in &list[range] {
-                    note_letters_digits(&sink, &schema, &consts, &patterns, &m, &digit, cand);
-                }
-            });
-        } else {
-            par::map_chunked(mappings, workers, meter, |_, range| {
-                let mut digits = vec![0u32; k];
-                for n in range {
-                    let mut rem = n;
-                    for d in digits.iter_mut() {
-                        *d = (rem % msize) as u32;
-                        rem /= msize;
-                    }
-                    note_letters_digits(&sink, &schema, &consts, &patterns, &m, &digit, &digits);
-                }
-            });
-        }
-        sink.seal(&mut arena, &mut letters);
-    }
-
-    // Phase F: build Ψ_D against the sealed vocabulary.
+    // all |M|^k mappings (odometer).
     let mut inst_shared = 0usize;
     let mut psi_d;
     if let Some(list) = &cands {
@@ -841,25 +705,9 @@ pub(crate) fn ground_metered(
             &external,
             matrix,
             list,
-            workers,
             &mut arena,
             &mut letters,
             &mut inst_shared,
-            meter,
-        )?;
-    } else if workers > 1 && k > 0 {
-        psi_d = ground_psi_sharded(
-            mode,
-            &schema,
-            &consts,
-            &m,
-            &external,
-            matrix,
-            mappings,
-            workers,
-            &mut arena,
-            &mut letters,
-            meter,
         )?;
     } else {
         let mut ctx = GroundCtx {
@@ -971,13 +819,8 @@ pub(crate) fn ground_metered(
 }
 
 /// Builds `Ψ_D` over an explicit candidate list (the indexed path),
-/// sequentially or sharded over `workers` chunks of the list. Both
-/// walks run against the vocabulary Phase L sealed: the sharded
-/// workers ground into private arenas pre-seeded with the sealed atom
-/// table (identical dense ids, so the atom remap is the identity) and
-/// the merge re-folds each instantiation in chunk order — the letter
-/// table, conjunction order, and `inst_shared` count are bit-identical
-/// to the sequential walk.
+/// conjoining the instantiations in list order and counting those
+/// whose ground formula an earlier candidate already produced.
 #[allow(clippy::too_many_arguments)]
 fn ground_cands(
     mode: GroundMode,
@@ -987,11 +830,9 @@ fn ground_cands(
     external: &[String],
     matrix: &Formula,
     cands: &[Vec<u32>],
-    workers: usize,
     arena: &mut Arena,
     letters: &mut AtomInterner<LetterKey>,
     inst_shared: &mut usize,
-    meter: &mut ParMeter,
 ) -> Result<FormulaId, GroundError> {
     let digit: HashMap<&str, usize> = external
         .iter()
@@ -999,166 +840,22 @@ fn ground_cands(
         .map(|(i, v)| (v.as_str(), i))
         .collect();
     let mut seen: HashSet<FormulaId> = HashSet::new();
-    if workers <= 1 {
-        let mut ctx = GroundCtx {
-            mode,
-            schema,
-            consts,
-            arena,
-            letters,
-        };
-        let share = SharePlan::build(matrix, &digit, m.len());
-        let mut memo = ShareMemo::new();
-        let mut psi_d = ctx.arena.tru();
-        for cand in cands {
-            let inst =
-                ctx.ground_matrix_digits(matrix, &digit, m, cand, share.as_ref(), &mut memo)?;
-            if !seen.insert(inst) {
-                *inst_shared += 1;
-            }
-            psi_d = ctx.arena.and(psi_d, inst);
+    let mut ctx = GroundCtx {
+        mode,
+        schema,
+        consts,
+        arena,
+        letters,
+    };
+    let share = SharePlan::build(matrix, &digit, m.len());
+    let mut memo = ShareMemo::new();
+    let mut psi_d = ctx.arena.tru();
+    for cand in cands {
+        let inst = ctx.ground_matrix_digits(matrix, &digit, m, cand, share.as_ref(), &mut memo)?;
+        if !seen.insert(inst) {
+            *inst_shared += 1;
         }
-        return Ok(psi_d);
-    }
-    struct ChunkOut {
-        arena: Arena,
-        insts: Vec<FormulaId>,
-    }
-    let base_atoms = arena.atom_count();
-    let names: &[String] = arena.atom_names_in_order();
-    let shared_letters: &AtomInterner<LetterKey> = letters;
-    let chunks = par::map_chunked(cands.len(), workers, meter, |_, range| {
-        let mut warena = Arena::new();
-        for name in names {
-            warena.intern_atom(name);
-        }
-        let mut wletters = shared_letters.clone();
-        let mut insts = Vec::with_capacity(range.len());
-        {
-            let mut ctx = GroundCtx {
-                mode,
-                schema,
-                consts,
-                arena: &mut warena,
-                letters: &mut wletters,
-            };
-            let share = SharePlan::build(matrix, &digit, m.len());
-            let mut memo = ShareMemo::new();
-            for cand in &cands[range] {
-                insts.push(ctx.ground_matrix_digits(
-                    matrix,
-                    &digit,
-                    m,
-                    cand,
-                    share.as_ref(),
-                    &mut memo,
-                )?);
-            }
-        }
-        debug_assert_eq!(
-            warena.atom_count(),
-            base_atoms,
-            "phase L covered the full letter vocabulary"
-        );
-        Ok(ChunkOut {
-            arena: warena,
-            insts,
-        })
-    });
-    let remap: Vec<AtomId> = (0..base_atoms as u32).map(AtomId).collect();
-    let mut psi_d = arena.tru();
-    for chunk in chunks {
-        let chunk: ChunkOut = chunk?;
-        let mut memo = HashMap::new();
-        for inst in chunk.insts {
-            let f = arena.translate_from(&chunk.arena, inst, &remap, &mut memo);
-            if !seen.insert(f) {
-                *inst_shared += 1;
-            }
-            psi_d = arena.and(psi_d, f);
-        }
-    }
-    Ok(psi_d)
-}
-
-/// Builds `Ψ_D` by sharding the linearised instantiation space
-/// `0..mappings` across worker threads.
-///
-/// Instantiation `n` corresponds to the odometer digits
-/// `idx[i] = (n / |M|^i) mod |M|` (digit 0 fastest), so chunking the
-/// linear index preserves the sequential enumeration order exactly.
-/// Each worker grounds its chunk into a private arena pre-seeded with
-/// the atom table Phase L sealed (identical dense ids — the remap into
-/// the main arena is the identity) and the merge re-folds each
-/// instantiation into the main arena through [`Arena::translate_from`],
-/// conjoining in global mapping order.
-#[allow(clippy::too_many_arguments)]
-fn ground_psi_sharded(
-    mode: GroundMode,
-    schema: &Schema,
-    consts: &[Value],
-    m: &[GArg],
-    external: &[String],
-    matrix: &Formula,
-    mappings: usize,
-    workers: usize,
-    arena: &mut Arena,
-    letters: &mut AtomInterner<LetterKey>,
-    meter: &mut ParMeter,
-) -> Result<FormulaId, GroundError> {
-    struct ChunkOut {
-        arena: Arena,
-        insts: Vec<FormulaId>,
-    }
-    let k = external.len();
-    let msize = m.len();
-    let base_atoms = arena.atom_count();
-    let names: &[String] = arena.atom_names_in_order();
-    let shared_letters: &AtomInterner<LetterKey> = letters;
-    let chunks = par::map_chunked(mappings, workers, meter, |_, range| {
-        let mut warena = Arena::new();
-        for name in names {
-            warena.intern_atom(name);
-        }
-        let mut wletters = shared_letters.clone();
-        let mut insts = Vec::with_capacity(range.len());
-        {
-            let mut ctx = GroundCtx {
-                mode,
-                schema,
-                consts,
-                arena: &mut warena,
-                letters: &mut wletters,
-            };
-            for n in range {
-                let mut rem = n;
-                let mut map: HashMap<&str, GArg> = HashMap::with_capacity(k);
-                for v in external {
-                    map.insert(v.as_str(), m[rem % msize]);
-                    rem /= msize;
-                }
-                insts.push(ctx.ground_matrix(matrix, &map)?);
-            }
-        }
-        debug_assert_eq!(
-            warena.atom_count(),
-            base_atoms,
-            "phase L covered the full letter vocabulary"
-        );
-        Ok(ChunkOut {
-            arena: warena,
-            insts,
-        })
-    });
-    let remap: Vec<AtomId> = (0..base_atoms as u32).map(AtomId).collect();
-    let mut psi_d = arena.tru();
-    for chunk in chunks {
-        let chunk: ChunkOut = chunk?;
-        let mut memo = HashMap::new();
-        for inst in chunk.insts {
-            let f = arena.translate_from(&chunk.arena, inst, &remap, &mut memo);
-            psi_d = arena.and(psi_d, f);
-        }
+        psi_d = ctx.arena.and(psi_d, inst);
     }
     Ok(psi_d)
 }
@@ -1236,10 +933,7 @@ impl SharePlan {
 /// Memo table for [`GroundCtx::ground_matrix_digits`].
 type ShareMemo = HashMap<(u32, u128), FormulaId>;
 
-/// Borrowed working set for formula construction. On the sharded
-/// Phase F path the arena/letters pair is a per-worker copy pre-seeded
-/// with the sealed vocabulary, so `letter` is a guaranteed hit and the
-/// worker never perturbs the shared atom table.
+/// Borrowed working set for formula construction.
 struct GroundCtx<'a> {
     mode: GroundMode,
     schema: &'a Schema,
@@ -1722,8 +1416,7 @@ impl Grounding {
 
     /// Capacity growths of the fast-append scratch buffers since the
     /// grounding was built. The engine differences this around each
-    /// step to extend the `pool_buf_allocs` no-alloc accounting to the
-    /// grounding layer.
+    /// step into `EngineStats::scratch_allocs`.
     pub(crate) fn scratch_allocs(&self) -> u64 {
         self.scratch.allocs
     }
@@ -2566,8 +2259,8 @@ mod tests {
         assert_eq!(g.stats.mappings, 1);
     }
 
-    fn ground_indexed(h: &History, phi: &Formula, threads: Threads) -> Grounding {
-        super::ground_indexed(h, phi, GroundMode::Folded, threads).unwrap()
+    fn ground_indexed(h: &History, phi: &Formula) -> Grounding {
+        super::ground_indexed(h, phi, GroundMode::Folded).unwrap()
     }
 
     #[test]
@@ -2579,26 +2272,11 @@ mod tests {
         let h = history(&[&[1, 3]]);
         let sc = h.schema().clone();
         let phi = parse(&sc, "forall x y. G (Sub(x) -> !Fill(y))").unwrap();
-        let g = ground_indexed(&h, &phi, Threads::Off);
+        let g = ground_indexed(&h, &phi);
         assert_eq!(g.strategy(), GroundStrategy::Indexed);
         assert_eq!(g.stats.mappings, 16);
         assert_eq!(g.stats.inst_enumerated, 8);
         assert_eq!(g.stats.inst_pruned, 8);
-    }
-
-    #[test]
-    fn indexed_sharded_is_bit_identical_to_sequential() {
-        let h = history(&[&[1, 2], &[3]]);
-        let sc = h.schema().clone();
-        let phi = parse(&sc, "forall x y. G (Sub(x) -> !Fill(y))").unwrap();
-        let g1 = ground_indexed(&h, &phi, Threads::Off);
-        let g4 = ground_indexed(&h, &phi, Threads::Fixed(4));
-        assert_eq!(g1.strategy(), GroundStrategy::Indexed);
-        assert!(g1.stats.inst_pruned > 0);
-        assert_eq!(g1.formula, g4.formula);
-        assert_eq!(g1.stats(), g4.stats());
-        assert_eq!(g1.arena.dag_len(), g4.arena.dag_len());
-        assert_eq!(g1.letter_index_len(), g4.letter_index_len());
     }
 
     #[test]
@@ -2607,14 +2285,14 @@ mod tests {
         let sc = h.schema().clone();
         // Equality atoms have no occurrence index: odometer.
         let eq = parse(&sc, "forall x y. G (x = y | (Sub(x) -> !Sub(y)))").unwrap();
-        let g = ground_indexed(&h, &eq, Threads::Off);
+        let g = ground_indexed(&h, &eq);
         assert_eq!(g.strategy(), GroundStrategy::Odometer);
         assert_eq!(g.stats.inst_pruned, 0);
         assert_eq!(g.stats.inst_enumerated, g.stats.mappings);
         // Unguarded matrix: with every atom rigidly false, F Sub(x)
         // folds to ⊥ (not ⊤), so pruning would change the verdict.
         let unguarded = parse(&sc, "forall x. F Sub(x)").unwrap();
-        let g = ground_indexed(&h, &unguarded, Threads::Off);
+        let g = ground_indexed(&h, &unguarded);
         assert_eq!(g.strategy(), GroundStrategy::Odometer);
         // The fallback is transparent: same Ψ_D as an explicit odometer
         // grounding, letter for letter.
@@ -2628,7 +2306,7 @@ mod tests {
         let h = history(&[&[1, 3]]);
         let sc = h.schema().clone();
         let phi = parse(&sc, "forall x y. G (Sub(x) -> !Fill(y))").unwrap();
-        let mut g = ground_indexed(&h, &phi, Threads::Off);
+        let mut g = ground_indexed(&h, &phi);
         assert_eq!(g.stats.inst_enumerated, 8);
         let fill = sc.pred("Fill").unwrap();
         // Fill(3) over the known universe: no new relevant element, but
@@ -2677,7 +2355,7 @@ mod tests {
         // Fill never occurred, so every instantiation starts pruned, and
         // Fill(3) activates the maps sending x or y to 3.
         let phi = parse(&sc, "forall x y. G (Fill(x) -> !Fill(y))").unwrap();
-        let mut g = ground_indexed(&h, &phi, Threads::Off);
+        let mut g = ground_indexed(&h, &phi);
         assert_eq!(g.strategy(), GroundStrategy::Indexed);
         let mut prev = GroundStats::default();
         assert_current(&g, &mut prev);

@@ -47,7 +47,6 @@ pub mod ground;
 #[cfg(test)]
 mod monitor;
 pub mod obs;
-pub mod par;
 pub mod past;
 pub mod session;
 pub mod snapshot;
@@ -64,11 +63,10 @@ pub use extension::{
     Durability, HistoryBudget,
 };
 pub use ground::{
-    ground, ground_indexed, ground_with, GroundError, GroundMode, GroundStats, GroundStrategy,
-    Grounding, LetterKey,
+    ground, ground_indexed, GroundError, GroundMode, GroundStats, GroundStrategy, Grounding,
+    LetterKey,
 };
 pub use obs::{CacheStats, EngineStats, HistoryStats};
-pub use par::{Threads, WorkerPool};
 pub use session::{
     stats_json_with, Committed, OpenSummary, ParkedSession, Session, SessionBuilder, SessionStats,
     STATS_SCHEMA,

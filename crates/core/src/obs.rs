@@ -46,15 +46,6 @@ impl CacheStats {
             + self.letter_index_len
             > 0
     }
-
-    fn absorb(&mut self, other: &CacheStats) {
-        self.sat_hits += other.sat_hits;
-        self.sat_evictions += other.sat_evictions;
-        self.transition_hits += other.transition_hits;
-        self.transition_misses += other.transition_misses;
-        self.transition_evictions += other.transition_evictions;
-        self.letter_index_len += other.letter_index_len;
-    }
 }
 
 /// Counters and gauges for the tiered history store — truncation
@@ -100,17 +91,6 @@ impl HistoryStats {
             + self.page_loads
             + self.reclaimed_bytes
             > 0
-    }
-
-    fn absorb(&mut self, other: &HistoryStats) {
-        self.resident_states += other.resident_states;
-        self.resident_bytes += other.resident_bytes;
-        self.spilled_instants += other.spilled_instants;
-        self.spilled_distinct += other.spilled_distinct;
-        self.spilled_bytes += other.spilled_bytes;
-        self.truncations += other.truncations;
-        self.page_loads += other.page_loads;
-        self.reclaimed_bytes += other.reclaimed_bytes;
     }
 }
 
@@ -226,31 +206,16 @@ pub struct EngineStats {
     /// Wall-clock spent in phase-2 satisfiability.
     pub sat_time: Duration,
     /// Batched appends committed through `Engine::append_batch` (each
-    /// drains the whole batch in one pooled constraint sweep).
+    /// steps the whole batch in one constraint sweep).
     pub batches: u64,
     /// Transactions that went through batched appends;
     /// `batched_txs / batches` is the mean drained batch size.
     pub batched_txs: u64,
-    /// Gauge: threads of the engine's persistent worker pool (0 until
-    /// the first parallel append creates it, and always 0 under
-    /// `Threads::Off`).
-    pub pool_workers: u64,
-    /// Outcome buffers allocated for pooled constraint sweeps. The
-    /// engine recycles one buffer per pool chunk across dispatches,
-    /// so after warm-up this stays flat no matter how many appends
-    /// run (asserted by test) — part of the no-alloc hot-path
-    /// discipline.
-    pub pool_buf_allocs: u64,
-    /// Parallel fan-outs that actually dispatched to worker threads
-    /// (sharded groundings, pooled constraint/trigger sweeps).
-    pub par_phases: u64,
-    /// Gauge: the widest worker pool any single fan-out used.
-    pub par_workers: u64,
-    /// Wall-clock spent inside parallel fan-outs.
-    pub par_time: Duration,
-    /// Busy time summed across all workers of all fan-outs. The ratio
-    /// `par busy time / par time` approximates the effective speedup.
-    pub par_busy_time: Duration,
+    /// Capacity growths of the groundings' encoding scratch buffers.
+    /// After warm-up a steady-state append reuses them, so this stays
+    /// flat no matter how many appends run (asserted by test) — part
+    /// of the no-alloc hot-path discipline.
+    pub scratch_allocs: u64,
 }
 
 impl EngineStats {
@@ -275,6 +240,9 @@ impl EngineStats {
             self.encode_patched_atoms
         ));
         s.push_str(&format!("  sat checks          {}\n", self.sat_checks));
+        s.push_str(&format!("  batches             {}\n", self.batches));
+        s.push_str(&format!("  batched txs         {}\n", self.batched_txs));
+        s.push_str(&format!("  scratch allocs      {}\n", self.scratch_allocs));
         s.push_str("engine gauges:\n");
         s.push_str(&format!("  letters             {}\n", self.letters));
         s.push_str(&format!("  arena nodes         {}\n", self.arena_nodes));
@@ -351,23 +319,6 @@ impl EngineStats {
             s.push_str(&format!("  page loads          {}\n", h.page_loads));
             s.push_str(&format!("  reclaimed bytes     {}", h.reclaimed_bytes));
         }
-        if self.par_phases > 0 || self.pool_workers > 0 || self.batches > 0 {
-            let speedup = if self.par_time > Duration::ZERO {
-                self.par_busy_time.as_secs_f64() / self.par_time.as_secs_f64()
-            } else {
-                1.0
-            };
-            s.push_str("\nparallel:\n");
-            s.push_str(&format!("  par phases          {}\n", self.par_phases));
-            s.push_str(&format!("  par workers (max)   {}\n", self.par_workers));
-            s.push_str(&format!("  pool workers        {}\n", self.pool_workers));
-            s.push_str(&format!("  pool buf allocs     {}\n", self.pool_buf_allocs));
-            s.push_str(&format!("  batches             {}\n", self.batches));
-            s.push_str(&format!("  batched txs         {}\n", self.batched_txs));
-            s.push_str(&format!("  par time            {:?}\n", self.par_time));
-            s.push_str(&format!("  par busy time       {:?}\n", self.par_busy_time));
-            s.push_str(&format!("  effective speedup   {speedup:.2}x"));
-        }
         s
     }
 
@@ -381,59 +332,6 @@ impl EngineStats {
             + self.automaton_steps
             > 0
             || self.automaton_compile_time > Duration::ZERO
-    }
-
-    /// Adds every counter, gauge, and timer of `other` into `self`
-    /// (`par_workers` is a max-gauge). Used when merging the per-worker
-    /// stats of a parallel constraint sweep back into the engine's
-    /// stats, in chunk order.
-    pub fn absorb(&mut self, other: &EngineStats) {
-        self.appends += other.appends;
-        self.fast_appends += other.fast_appends;
-        self.grounds += other.grounds;
-        self.regrounds += other.regrounds;
-        self.delta_grounds += other.delta_grounds;
-        self.new_conjuncts += other.new_conjuncts;
-        self.replayed_conjuncts += other.replayed_conjuncts;
-        self.progress_steps += other.progress_steps;
-        self.replay_steps += other.replay_steps;
-        self.encode_patched_atoms += other.encode_patched_atoms;
-        self.sat_checks += other.sat_checks;
-        self.automaton_appends += other.automaton_appends;
-        self.automaton_steps += other.automaton_steps;
-        self.cache.absorb(&other.cache);
-        self.history.absorb(&other.history);
-        self.letters += other.letters;
-        self.arena_nodes += other.arena_nodes;
-        self.mappings += other.mappings;
-        self.inst_enumerated += other.inst_enumerated;
-        self.inst_pruned += other.inst_pruned;
-        self.inst_shared += other.inst_shared;
-        self.templates_compiled += other.templates_compiled;
-        self.automaton_states += other.automaton_states;
-        self.automaton_insts += other.automaton_insts;
-        self.ground_time += other.ground_time;
-        self.index_build_time += other.index_build_time;
-        self.automaton_compile_time += other.automaton_compile_time;
-        self.progress_time += other.progress_time;
-        self.sat_time += other.sat_time;
-        self.batches += other.batches;
-        self.batched_txs += other.batched_txs;
-        self.pool_buf_allocs += other.pool_buf_allocs;
-        self.pool_workers = self.pool_workers.max(other.pool_workers);
-        self.par_phases += other.par_phases;
-        self.par_workers = self.par_workers.max(other.par_workers);
-        self.par_time += other.par_time;
-        self.par_busy_time += other.par_busy_time;
-    }
-
-    /// Folds the observations of one [`ParMeter`](crate::par::ParMeter)
-    /// into the parallel section of the stats.
-    pub fn absorb_par(&mut self, m: &crate::par::ParMeter) {
-        self.par_phases += m.phases;
-        self.par_workers = self.par_workers.max(m.max_workers);
-        self.par_time += m.wall;
-        self.par_busy_time += m.busy;
     }
 }
 
@@ -485,6 +383,8 @@ mod tests {
             "inst pruned",
             "inst shared",
             "index build time",
+            "batched txs",
+            "scratch allocs",
         ] {
             assert!(r.contains(needle), "missing {needle:?} in render");
         }
@@ -555,60 +455,6 @@ mod tests {
         assert!(r.contains("spilled distinct    12"));
         assert!(r.contains("truncations         3"));
         assert!(r.contains("page loads          5"));
-    }
-
-    #[test]
-    fn parallel_section_renders_only_when_used() {
-        let s = EngineStats::default();
-        assert!(!s.render().contains("parallel:"));
-        let s = EngineStats {
-            par_phases: 2,
-            par_workers: 4,
-            par_time: Duration::from_millis(10),
-            par_busy_time: Duration::from_millis(30),
-            ..Default::default()
-        };
-        let r = s.render();
-        assert!(r.contains("parallel:"));
-        assert!(r.contains("par workers (max)   4"));
-        assert!(r.contains("effective speedup   3.00x"));
-    }
-
-    #[test]
-    fn absorb_sums_counters_and_maxes_worker_gauge() {
-        let mut a = EngineStats {
-            appends: 1,
-            sat_checks: 2,
-            automaton_steps: 2,
-            par_workers: 4,
-            ground_time: Duration::from_millis(5),
-            cache: CacheStats {
-                transition_hits: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let b = EngineStats {
-            appends: 2,
-            sat_checks: 3,
-            automaton_steps: 4,
-            par_workers: 2,
-            ground_time: Duration::from_millis(7),
-            cache: CacheStats {
-                transition_hits: 4,
-                sat_hits: 2,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.appends, 3);
-        assert_eq!(a.sat_checks, 5);
-        assert_eq!(a.automaton_steps, 6);
-        assert_eq!(a.par_workers, 4);
-        assert_eq!(a.ground_time, Duration::from_millis(12));
-        assert_eq!(a.cache.transition_hits, 5);
-        assert_eq!(a.cache.sat_hits, 2);
     }
 
     #[test]

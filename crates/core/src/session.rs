@@ -51,9 +51,11 @@ use ticc_tdb::{History, Schema, Transaction, Value};
 const APP_VERSION: u32 = 1;
 
 /// The JSON schema tag emitted by [`Session::stats_json`] and the
-/// server's `stats` frames. v2 folds the `automata` object into the
-/// documented schema and adds the `session` and `server` objects.
-pub const STATS_SCHEMA: &str = "ticc-engine-stats-v2";
+/// server's `stats` frames. v2 folded the `automata` object into the
+/// documented schema and added the `session` and `server` objects; v3
+/// drops the worker-pool keys (`par_*`, `pool_workers`, the server's
+/// `workers`) and renames `pool_buf_allocs` to `scratch_allocs`.
+pub const STATS_SCHEMA: &str = "ticc-engine-stats-v3";
 
 /// One committed state: where it landed and everything that fired.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1043,14 +1045,9 @@ pub fn stats_json_with(stats: &SessionStats, server: Option<&str>) -> String {
     );
     let _ = write!(o, ",\"progress_time_ns\":{}", s.progress_time.as_nanos());
     let _ = write!(o, ",\"sat_time_ns\":{}", s.sat_time.as_nanos());
-    let _ = write!(o, ",\"par_phases\":{}", s.par_phases);
-    let _ = write!(o, ",\"par_workers\":{}", s.par_workers);
-    let _ = write!(o, ",\"par_time_ns\":{}", s.par_time.as_nanos());
-    let _ = write!(o, ",\"par_busy_time_ns\":{}", s.par_busy_time.as_nanos());
-    let _ = write!(o, ",\"pool_workers\":{}", s.pool_workers);
-    let _ = write!(o, ",\"pool_buf_allocs\":{}", s.pool_buf_allocs);
     let _ = write!(o, ",\"batches\":{}", s.batches);
     let _ = write!(o, ",\"batched_txs\":{}", s.batched_txs);
+    let _ = write!(o, ",\"scratch_allocs\":{}", s.scratch_allocs);
     let _ = write!(
         o,
         ",\"session\":{{\"commits\":{},\"violations\":{},\"trigger_firings\":{},\
@@ -1271,15 +1268,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_json_is_v2_with_session_object() {
+    fn stats_json_is_v3_with_session_object() {
         let (mut s, _) = Session::builder().pred("P", 1).open().unwrap();
         s.append(&tx(&s, "P", 1)).unwrap();
         let j = s.stats_json();
         assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
-        assert!(j.contains("\"schema\":\"ticc-engine-stats-v2\""), "{j}");
+        assert!(j.contains("\"schema\":\"ticc-engine-stats-v3\""), "{j}");
         assert!(j.contains("\"appends\":1"), "{j}");
         assert!(j.contains("\"automata\":{\"templates_compiled\":"), "{j}");
-        assert!(j.contains("\"pool_workers\":0"), "{j}");
+        assert!(!j.contains("pool_workers") && !j.contains("par_"), "{j}");
+        assert!(j.contains("\"scratch_allocs\":"), "{j}");
         assert!(j.contains("\"batches\":0"), "{j}");
         assert!(j.contains("\"session\":{\"commits\":1"), "{j}");
         assert!(j.contains("\"server\":null"), "{j}");

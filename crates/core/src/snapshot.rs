@@ -22,7 +22,7 @@ use crate::engine::{CompiledSet, Engine, Entry, GroundingContext, Status, Unit};
 use crate::error::Error;
 use crate::extension::CheckOptions;
 use crate::ground::{GArg, GroundStats, Grounding, GroundingDump, LetterKey};
-use crate::obs::{CacheStats, EngineStats, HistoryStats};
+use crate::obs::{CacheStats, EngineStats};
 use crate::spill::HistoryPager;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -175,7 +175,7 @@ pub fn snapshot_engine(engine: &Engine, app: &[u8]) -> Vec<u8> {
 /// Rebuilds an engine from a snapshot payload. Returns the engine
 /// (without a store attached — the caller attaches one) and the
 /// application blob the snapshot carried. `opts` are the caller's: run
-/// options (threads, caches, durability) are a property of the process,
+/// options (durability, history budget) are a property of the process,
 /// not of the persisted state.
 pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u8>), Error> {
     let mut d = Dec::new(bytes);
@@ -302,8 +302,6 @@ pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u
     engine.stats.ground_time = Duration::ZERO;
     engine.stats.progress_time = Duration::ZERO;
     engine.stats.sat_time = Duration::ZERO;
-    engine.stats.par_time = Duration::ZERO;
-    engine.stats.par_busy_time = Duration::ZERO;
     engine.stats.index_build_time = Duration::ZERO;
     Ok((engine, app))
 }
@@ -371,16 +369,19 @@ fn stats_encode(e: &mut Enc, s: &EngineStats) {
         s.cache.transition_hits,
         s.cache.transition_misses,
         s.cache.transition_evictions,
-        s.par_phases,
-        s.par_workers,
     ] {
         e.u64(v);
     }
+    // Two retired worker-pool counter slots, kept so the v4 layout
+    // does not change.
+    e.u64(0);
+    e.u64(0);
     duration_encode(e, s.ground_time);
     duration_encode(e, s.progress_time);
     duration_encode(e, s.sat_time);
-    duration_encode(e, s.par_time);
-    duration_encode(e, s.par_busy_time);
+    // Two retired worker-pool timer slots.
+    duration_encode(e, Duration::ZERO);
+    duration_encode(e, Duration::ZERO);
     // Automaton lifetime counters. The automaton gauges (templates,
     // states, bound instantiations, compile time) are recomputed by
     // `Engine::stats` from the restored contexts.
@@ -401,7 +402,7 @@ fn stats_decode(d: &mut Dec<'_>) -> Result<EngineStats, StoreError> {
     // which the v4 layout predates and which restarts at zero.
     // Struct-literal fields evaluate in source order, which matches the
     // encode order.
-    Ok(EngineStats {
+    let mut s = EngineStats {
         appends: d.u64()?,
         fast_appends: d.u64()?,
         grounds: d.u64()?,
@@ -420,23 +421,23 @@ fn stats_decode(d: &mut Dec<'_>) -> Result<EngineStats, StoreError> {
             transition_evictions: d.u64()?,
             letter_index_len: 0,
         },
-        par_phases: d.u64()?,
-        par_workers: d.u64()?,
-        ground_time: duration_decode(d)?,
-        progress_time: duration_decode(d)?,
-        sat_time: duration_decode(d)?,
-        par_time: duration_decode(d)?,
-        par_busy_time: duration_decode(d)?,
-        automaton_appends: d.u64()?,
-        automaton_steps: d.u64()?,
-        history: HistoryStats {
-            truncations: d.u64()?,
-            page_loads: d.u64()?,
-            reclaimed_bytes: d.u64()?,
-            ..HistoryStats::default()
-        },
         ..EngineStats::default()
-    })
+    };
+    // The retired worker-pool slots: read and discarded, so stores
+    // written before the pool was removed still restore.
+    d.u64()?;
+    d.u64()?;
+    s.ground_time = duration_decode(d)?;
+    s.progress_time = duration_decode(d)?;
+    s.sat_time = duration_decode(d)?;
+    duration_decode(d)?;
+    duration_decode(d)?;
+    s.automaton_appends = d.u64()?;
+    s.automaton_steps = d.u64()?;
+    s.history.truncations = d.u64()?;
+    s.history.page_loads = d.u64()?;
+    s.history.reclaimed_bytes = d.u64()?;
+    Ok(s)
 }
 
 fn canon_node_encode(e: &mut Enc, n: CanonNode) {
@@ -982,6 +983,33 @@ mod tests {
         assert_eq!(s0.appends, s1.appends);
         assert_eq!(s0.grounds, s1.grounds);
         assert_eq!(s0.letters, s1.letters);
+
+        // A v4 payload written while the worker pool existed carries
+        // non-zero values in the four retired slots (the 16th, 17th,
+        // 21st and 22nd varints of the stats block); it still restores.
+        let mut block = Enc::new();
+        stats_encode(&mut block, &engine.stats);
+        let block = block.into_bytes();
+        let at = bytes
+            .windows(block.len())
+            .position(|w| w == block)
+            .expect("stats block inside the payload");
+        let mut d = Dec::new(&block);
+        let mut legacy = Enc::new();
+        for i in 0..27 {
+            let v = d.u64().unwrap();
+            legacy.u64(if [15, 16, 20, 21].contains(&i) {
+                1000 + i
+            } else {
+                v
+            });
+        }
+        d.finish().unwrap();
+        let mut old = bytes[..at].to_vec();
+        old.extend_from_slice(&legacy.into_bytes());
+        old.extend_from_slice(&bytes[at + block.len()..]);
+        let (old, _) = restore_engine(&old, CheckOptions::default()).unwrap();
+        assert_eq!(old.stats(), s1);
     }
 
     #[test]

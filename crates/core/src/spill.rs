@@ -64,9 +64,9 @@ fn hash_bytes(bytes: &[u8]) -> u64 {
 /// checksummed, lazily-loaded page file.
 ///
 /// Loads take `&self` (positioned reads + an internal cache mutex),
-/// so pool workers sweeping constraints in parallel can fault cold
-/// states in concurrently while the engine owns the pager mutably
-/// for spills.
+/// so the constraint sweep can fault cold states in through a shared
+/// borrow while it steps the entries mutably; spills take the pager
+/// mutably.
 #[derive(Debug)]
 pub struct HistoryPager {
     seg: SegmentFile,

@@ -19,7 +19,6 @@ use crate::error::Error;
 use crate::extension::CheckOptions;
 use crate::ground::GroundError;
 use crate::obs::EngineStats;
-use crate::par::{self, ParMeter, Threads};
 use std::collections::BTreeMap;
 use ticc_fotl::classify::{classify, FormulaClass};
 use ticc_fotl::subst::{free_vars, substitute, Subst};
@@ -128,22 +127,11 @@ impl TriggerEngine {
 
     /// Evaluates all triggers at the current instant: for each trigger
     /// and each substitution `θ : free(C) → R_D`, fires iff `¬Cθ` is not
-    /// potentially satisfied.
-    ///
-    /// With [`Threads`] enabled the (trigger × substitution) jobs fan
-    /// out across a bounded scoped-thread pool; the job list is built
-    /// sequentially first, which fixes the canonical firing order the
-    /// merge preserves, so the fired list is identical to the
-    /// sequential path.
+    /// potentially satisfied. Firings come in trigger order, then
+    /// substitution order.
     pub fn evaluate(&mut self, history: &History) -> Result<Vec<FiredTrigger>, Error> {
         let relevant: Vec<Value> = history.relevant().into_iter().collect();
-        struct Job {
-            trigger: usize,
-            name: String,
-            substitution: BTreeMap<String, Value>,
-            neg: Formula,
-        }
-        let mut jobs: Vec<Job> = Vec::new();
+        let mut fired = Vec::new();
         for (ti, trigger) in self.triggers.iter().enumerate() {
             let vars: Vec<String> = free_vars(&trigger.condition).into_iter().collect();
             for assignment in assignments(&relevant, vars.len()) {
@@ -152,78 +140,28 @@ impl TriggerEngine {
                     .zip(&assignment)
                     .map(|(v, &val)| (v.clone(), Term::Value(val)))
                     .collect();
-                jobs.push(Job {
-                    trigger: ti,
-                    name: trigger.name.clone(),
-                    substitution: vars
-                        .iter()
-                        .cloned()
-                        .zip(assignment.iter().copied())
-                        .collect(),
-                    neg: substitute(&trigger.condition, &theta).not(),
-                });
-            }
-        }
-        // Fan out across jobs when there is more than one; the inner
-        // grounding then runs sequentially (the thread budget is spent
-        // on the job sweep). A single job keeps the caller's threading
-        // so a large grounding can still shard.
-        let workers = if jobs.len() > 1 {
-            self.opts.threads.worker_count()
-        } else {
-            1
-        };
-        let mut opts = self.opts;
-        if workers > 1 {
-            opts.threads = Threads::Off;
-        }
-        let jobs_ref = &jobs;
-        let opts_ref = &opts;
-        let mut meter = ParMeter::new();
-        let chunk_results = par::map_chunked(jobs.len(), workers, &mut meter, |_, range| {
-            let mut stats = EngineStats::default();
-            let mut fired = Vec::new();
-            for job in &jobs_ref[range] {
-                let shot = match check_once(history, &job.neg, opts_ref) {
+                let neg = substitute(&trigger.condition, &theta).not();
+                let shot = match check_once(history, &neg, &self.opts) {
                     Ok(s) => s,
                     Err(Error::Ground(GroundError::NotUniversal(c))) => {
-                        return (stats, Err(Error::UnsupportedCondition(format!("{c:?}"))))
+                        return Err(Error::UnsupportedCondition(format!("{c:?}")))
                     }
-                    Err(e) => return (stats, Err(e)),
+                    Err(e) => return Err(e),
                 };
-                stats.grounds += 1;
-                stats.sat_checks += 1;
-                stats.ground_time += shot.ground_time;
-                stats.sat_time += shot.decide_time;
-                stats.absorb_par(&shot.par);
+                self.stats.grounds += 1;
+                self.stats.sat_checks += 1;
+                self.stats.ground_time += shot.ground_time;
+                self.stats.sat_time += shot.decide_time;
                 if !shot.result.satisfiable {
                     fired.push(FiredTrigger {
-                        trigger: job.trigger,
-                        name: job.name.clone(),
-                        substitution: job.substitution.clone(),
+                        trigger: ti,
+                        name: trigger.name.clone(),
+                        substitution: vars.iter().cloned().zip(assignment).collect(),
                     });
                 }
             }
-            (stats, Ok(fired))
-        });
-        self.stats.absorb_par(&meter);
-        let mut fired = Vec::new();
-        let mut first_err = None;
-        for (worker_stats, result) in chunk_results {
-            self.stats.absorb(&worker_stats);
-            match result {
-                Ok(mut chunk) => fired.append(&mut chunk),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(fired),
-        }
+        Ok(fired)
     }
 
     /// Materialises the actions of a set of firings as one transaction

@@ -252,7 +252,7 @@ proptest! {
         let phi = close(&sc, &m);
         prop_assume!(ticc_fotl::classify::is_syntactically_safe(&phi));
         let h = build_history(&sc, &spec);
-        let batch = earliest_violation(&h, &phi, &CheckOptions::default()).unwrap();
+        let batch = earliest_violation(&h, &phi).unwrap();
 
         let mut monitor = Engine::new(sc.clone(), CheckOptions::default());
         let id = match monitor.add_constraint("c", phi.clone()) {

@@ -609,9 +609,9 @@ impl Arena {
     ///
     /// The rebuild goes through this arena's folding constructors, so
     /// the result is in the same canonical form a direct construction
-    /// would produce — translation commutes with construction, which is
-    /// what lets per-worker arenas merge without perturbing `dag_size`
-    /// or `tree_size`. `memo` caches source-id → destination-id across
+    /// would produce — translation commutes with construction, so moving
+    /// a formula between arenas (as automaton compilation does) never
+    /// perturbs `dag_size` or `tree_size`. `memo` caches source-id → destination-id across
     /// calls; reuse it when translating many roots from one source.
     ///
     /// Iterative (explicit work stack), so deeply right- or left-leaning

@@ -12,22 +12,10 @@
 //! The interner does not own an arena — it is a key index *over* one —
 //! so several interners with different key types can share a single
 //! arena, and the arena remains the sole authority on ids.
-//!
-//! For concurrent vocabulary discovery there is the
-//! [`ShardedInterner`]: worker threads `note` keys into hash-selected
-//! shards (one mutex per shard, a fixed power-of-two shard count), and
-//! a single-threaded [`seal`](ShardedInterner::seal) then assigns ids
-//! in canonical *sorted-key* order. The assigned ids are a pure
-//! function of the collected key **set** — independent of thread
-//! count, interleaving, and shard assignment — which is what lets the
-//! parallel grounding pipeline intern letters concurrently and still
-//! produce an arena bit-identical to a sequential run.
 
 use crate::arena::{Arena, AtomId};
-use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::hash::Hash;
 
 /// A typed key → [`AtomId`] index over an [`Arena`].
 ///
@@ -103,106 +91,6 @@ impl<K: Eq + Hash + Clone> AtomInterner<K> {
     }
 }
 
-/// Number of shards of a [`ShardedInterner`]. Fixed and a power of two
-/// so shard selection is a mask of the key hash; 64 keeps per-shard
-/// contention negligible for the worker counts the engine ever runs
-/// (≤ 8) while staying cheap to drain at seal time.
-const SHARD_COUNT: usize = 64;
-
-/// A concurrent two-phase key collector feeding an [`AtomInterner`].
-///
-/// **Phase 1 (concurrent):** any number of threads call
-/// [`note`](Self::note) through a shared reference. The key lands in
-/// the shard its hash selects (per-shard [`Mutex`]); the display name
-/// is rendered once, on the shard-local first sight. No ids are
-/// assigned yet.
-///
-/// **Phase 2 (exclusive):** [`seal`](Self::seal) drains every shard,
-/// sorts the collected keys by their `Ord`, and interns them in sorted
-/// order into the target arena/interner. Ids are therefore a pure
-/// function of the key *set*: however many threads noted keys, in
-/// whatever order, the sealed vocabulary is bit-identical.
-///
-/// This replaces the former `InternLog` replay: workers no longer keep
-/// private first-sight logs that the merge replays in chunk order —
-/// they intern (note) directly into shared state, and determinism
-/// comes from the canonical sort instead of from replay ordering.
-#[derive(Debug)]
-pub struct ShardedInterner<K> {
-    shards: Vec<Mutex<HashMap<K, String>>>,
-}
-
-impl<K: Eq + Hash + Ord> ShardedInterner<K> {
-    /// An empty collector with the fixed power-of-two shard count.
-    pub fn new() -> Self {
-        Self {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    /// Records `key` as part of the vocabulary, rendering its display
-    /// name on the shard-local first sight. Callable from many threads
-    /// at once; only the owning shard is locked.
-    pub fn note(&self, key: K, render: impl FnOnce(&K) -> String) {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        let shard = (h.finish() as usize) & (SHARD_COUNT - 1);
-        let mut map = self.shards[shard]
-            .lock()
-            .expect("interner shard poisoned by a panicking worker");
-        if let Entry::Vacant(e) = map.entry(key) {
-            let name = render(e.key());
-            e.insert(name);
-        }
-    }
-
-    /// Number of distinct keys noted so far (locks every shard; meant
-    /// for tests and post-phase accounting, not hot paths).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("interner shard poisoned").len())
-            .sum()
-    }
-
-    /// Whether nothing has been noted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drains the shards and interns every collected key into
-    /// `arena`/`interner` in canonical sorted-key order, skipping keys
-    /// the interner already holds. Returns how many fresh atoms were
-    /// interned. After `seal`, looking any noted key up through the
-    /// interner is a guaranteed hit.
-    pub fn seal(self, arena: &mut Arena, interner: &mut AtomInterner<K>) -> usize {
-        let mut all: Vec<(K, String)> = self
-            .shards
-            .into_iter()
-            .flat_map(|s| s.into_inner().expect("interner shard poisoned"))
-            .collect();
-        all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut fresh = 0;
-        for (key, name) in all {
-            if interner.map.contains_key(&key) {
-                continue;
-            }
-            let id = arena.intern_atom(&name);
-            interner.map.insert(key, id);
-            fresh += 1;
-        }
-        fresh
-    }
-}
-
-impl<K: Eq + Hash + Ord> Default for ShardedInterner<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,100 +149,6 @@ mod tests {
         keys.sort_unstable();
         assert_eq!(keys, vec![0, 1, 2, 3, 4]);
         assert!(!it.is_empty());
-    }
-
-    #[test]
-    fn sealed_ids_are_sorted_key_order() {
-        let mut arena = Arena::new();
-        let mut it: AtomInterner<u32> = AtomInterner::new();
-        let sink: ShardedInterner<u32> = ShardedInterner::new();
-        for k in [9u32, 3, 7, 3, 1, 9] {
-            sink.note(k, |k| format!("a{k}"));
-        }
-        assert_eq!(sink.len(), 4);
-        let fresh = sink.seal(&mut arena, &mut it);
-        assert_eq!(fresh, 4);
-        // Ids follow the sorted key order, not the note order.
-        assert_eq!(it.get(&1), Some(AtomId(0)));
-        assert_eq!(it.get(&3), Some(AtomId(1)));
-        assert_eq!(it.get(&7), Some(AtomId(2)));
-        assert_eq!(it.get(&9), Some(AtomId(3)));
-        assert_eq!(arena.atom_name(AtomId(0)), "a1");
-        assert_eq!(arena.atom_name(AtomId(3)), "a9");
-    }
-
-    #[test]
-    fn seal_skips_keys_already_interned() {
-        let mut arena = Arena::new();
-        let mut it: AtomInterner<u32> = AtomInterner::new();
-        let pre = it.intern(&mut arena, 5, |_| "a5".into());
-        let sink: ShardedInterner<u32> = ShardedInterner::new();
-        sink.note(5, |k| format!("a{k}"));
-        sink.note(2, |k| format!("a{k}"));
-        let fresh = sink.seal(&mut arena, &mut it);
-        assert_eq!(fresh, 1);
-        assert_eq!(it.get(&5), Some(pre), "pre-existing id is kept");
-        assert_eq!(arena.atom_count(), 2);
-    }
-
-    /// The determinism contract of the tentpole: N threads noting
-    /// overlapping key sets in racing order must seal to the identical
-    /// canonical arena a sequential pass produces.
-    #[test]
-    fn concurrent_notes_seal_identically_to_sequential() {
-        // Overlapping per-thread key streams (every thread shares the
-        // 0..32 block, plus a private tail).
-        let streams: Vec<Vec<u32>> = (0..4u32)
-            .map(|t| {
-                let mut s: Vec<u32> = (0..32).collect();
-                s.extend((0..16).map(|i| 100 + t * 16 + i));
-                // Per-thread order differs: rotate by the thread index.
-                s.rotate_left(5 * t as usize + 1);
-                s
-            })
-            .collect();
-
-        let mut seq_arena = Arena::new();
-        let mut seq: AtomInterner<u32> = AtomInterner::new();
-        {
-            let sink: ShardedInterner<u32> = ShardedInterner::new();
-            for s in &streams {
-                for &k in s {
-                    sink.note(k, |k| format!("a{k}"));
-                }
-            }
-            sink.seal(&mut seq_arena, &mut seq);
-        }
-
-        let mut par_arena = Arena::new();
-        let mut par: AtomInterner<u32> = AtomInterner::new();
-        {
-            let sink: ShardedInterner<u32> = ShardedInterner::new();
-            std::thread::scope(|scope| {
-                for s in &streams {
-                    let sink = &sink;
-                    scope.spawn(move || {
-                        for &k in s {
-                            sink.note(k, |k| format!("a{k}"));
-                        }
-                    });
-                }
-            });
-            sink.seal(&mut par_arena, &mut par);
-        }
-
-        assert_eq!(par_arena.atom_count(), seq_arena.atom_count());
-        for i in 0..par_arena.atom_count() {
-            assert_eq!(
-                par_arena.atom_name(AtomId(i as u32)),
-                seq_arena.atom_name(AtomId(i as u32))
-            );
-        }
-        for s in &streams {
-            for &k in s {
-                assert_eq!(par.get(&k), seq.get(&k), "key {k}");
-            }
-        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod trace;
 pub use arena::{Arena, AtomId, FormulaId, Node};
 pub use automaton::{CompileLimits, SafetyAutomaton, TemplateKey};
 pub use buchi::{Buchi, BuchiNode};
-pub use interner::{AtomInterner, ShardedInterner};
+pub use interner::AtomInterner;
 pub use lasso::Lasso;
 pub use progression::progress;
 pub use sat::{extends, is_satisfiable, SatResult, SatSolver};

@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! ticc-server serve --addr 127.0.0.1:7171 [--wal sessions.gwal]
-//!                   [--max-sessions N] [--workers N] [--threads auto|off|N]
-//!                   [--io-threads N]
+//!                   [--max-sessions N] [--io-threads N]
 //!                   [--idle-park-ms MS] [--session-inflight N] [--session-bytes N]
 //! ticc-server client --addr 127.0.0.1:7171          # JSON lines on stdin
 //! ticc-server soak --addr 127.0.0.1:7171 --conns N  # hold N idle connections
@@ -38,7 +37,7 @@ use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use ticc_core::{CheckOptions, Threads};
+use ticc_core::CheckOptions;
 use ticc_server::{json, wire, Limits, Server};
 
 fn main() -> ExitCode {
@@ -48,8 +47,8 @@ fn main() -> ExitCode {
         Some("client") => client(&args[1..]),
         Some("soak") => soak(&args[1..]),
         _ => {
-            eprintln!("usage: ticc-server serve --addr <ip:port> [--wal <path>] [--max-sessions N] [--workers N] [--threads auto|off|N]");
-            eprintln!("                         [--io-threads N] [--idle-park-ms MS] [--session-inflight N] [--session-bytes N]");
+            eprintln!("usage: ticc-server serve --addr <ip:port> [--wal <path>] [--max-sessions N] [--io-threads N]");
+            eprintln!("                         [--idle-park-ms MS] [--session-inflight N] [--session-bytes N]");
             eprintln!("       ticc-server client --addr <ip:port>   (JSON requests on stdin, one per line)");
             eprintln!("       ticc-server soak --addr <ip:port> --conns N   (hold N handshaken idle connections)");
             ExitCode::from(2)
@@ -61,7 +60,6 @@ struct Flags {
     addr: Option<String>,
     wal: Option<String>,
     limits: Limits,
-    threads: Threads,
     conns: usize,
 }
 
@@ -70,7 +68,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         addr: None,
         wal: None,
         limits: Limits::default(),
-        threads: Threads::Auto,
         conns: 64,
     };
     let mut it = args.iter();
@@ -85,14 +82,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 flags.limits.max_sessions = value("--max-sessions")?
                     .parse()
                     .map_err(|_| "--max-sessions needs an integer".to_owned())?;
-            }
-            "--workers" => {
-                flags.limits.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers needs an integer".to_owned())?;
-            }
-            "--threads" => {
-                flags.threads = Threads::parse(value("--threads")?)?;
             }
             "--io-threads" => {
                 flags.limits.io_threads = value("--io-threads")?
@@ -138,7 +127,6 @@ fn serve(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
     let opts = CheckOptions::builder()
-        .threads(flags.threads)
         .durability(ticc_core::Durability::WalFsync)
         .build();
     let server = match &flags.wal {

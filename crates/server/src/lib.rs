@@ -21,10 +21,9 @@
 //!   bytes; past either, the server answers `backpressure` immediately
 //!   instead of buffering unboundedly. Clients retry; memory stays
 //!   bounded.
-//! - **Fair parallelism.** Worker threads register the pool size via
-//!   [`set_pool_peers`](ticc_core::par::set_pool_peers), so a session running `Threads::Auto` claims
-//!   its share of `available_parallelism`, not the whole machine
-//!   multiplied by every concurrent connection.
+//! - **Parallelism at the tenant grain.** Each append runs on the I/O
+//!   thread that owns its connection; different I/O threads drive
+//!   different tenants' engines at once.
 //! - **Per-tenant quotas.** Beyond the global ceilings, each session
 //!   carries its own inflight/pending-byte budget; one tenant
 //!   saturating its quota gets `quota` refusals while its neighbours
@@ -34,7 +33,7 @@
 //!   the next op on the name transparently resumes them, counters and
 //!   all.
 //!
-//! Stats are the `ticc-engine-stats-v2` schema with the `server`
+//! Stats are the `ticc-engine-stats-v3` schema with the `server`
 //! object filled in.
 
 use std::collections::HashMap;
@@ -73,9 +72,8 @@ pub struct Limits {
     pub max_pending_bytes: usize,
     /// Largest request frame accepted.
     pub max_frame_bytes: usize,
-    /// Expected concurrently-working connections; feeds
-    /// [`set_pool_peers`](ticc_core::par::set_pool_peers) so `Threads::Auto` engines split the machine
-    /// instead of each assuming all of it.
+    /// Ignored: engines no longer run worker pools to size. Kept so
+    /// existing `Limits` literals still compile.
     pub workers: usize,
     /// I/O threads multiplexing connections in the event-driven core
     /// ([`mux`]). Each owns a shard of connections; clamped to ≥ 1.
@@ -282,7 +280,7 @@ impl Server {
             "{{\"schema\":\"{}\",\"sessions\":{sessions},\"parked\":{parked},\
              \"connections\":{},\"frames\":{},\"inflight\":{},\"backpressure\":{},\
              \"quota_refusals\":{},\"parks\":{},\"resumes\":{},\
-             \"workers\":{},\"io_threads\":{},\"group\":{group},\
+             \"io_threads\":{},\"group\":{group},\
              \"limits\":{{\"max_sessions\":{},\"max_inflight_appends\":{},\
              \"max_pending_bytes\":{},\"max_frame_bytes\":{},\
              \"max_session_inflight\":{},\"max_session_bytes\":{},\
@@ -295,7 +293,6 @@ impl Server {
             self.quota_refusals.load(Ordering::Relaxed),
             self.parks.load(Ordering::Relaxed),
             self.resumes.load(Ordering::Relaxed),
-            self.limits.workers,
             self.limits.io_threads,
             self.limits.max_sessions,
             self.limits.max_inflight_appends,

@@ -31,8 +31,8 @@
 //!   sessions idle past `Limits::idle_park_ms` into parked snapshot
 //!   bytes. The next op on a parked name revives it transparently.
 //!
-//! Requests still execute on the I/O thread that decoded them (the
-//! engine's own worker pool parallelises *within* an append); the
+//! Requests execute on the I/O thread that decoded them, so different
+//! I/O threads drive different tenants' engines at once; the
 //! multiplexing win is thread/stack economy and connection scaling,
 //! not extra compute. `poll(2)` is O(fds) per call — the right tool
 //! up to a few thousand connections per shard, chosen over epoll for
@@ -267,9 +267,6 @@ fn high_water(server: &Server) -> usize {
 fn io_loop(server: Arc<Server>, shard: Arc<ShardQueue>, wake_rx: TcpStream, sweeper: bool) {
     use std::os::unix::io::AsRawFd;
 
-    // This thread is one worker of a pool of `limits.workers`: clamp
-    // Threads::Auto engines to their share of the machine.
-    ticc_core::par::set_pool_peers(server.limits.workers);
     let mut conns: Vec<Conn> = Vec::new();
     let mut pollfds: Vec<sys::PollFd> = Vec::new();
     let mut last_sweep = Instant::now();

@@ -63,7 +63,7 @@ fn main() {
         out.potentially_satisfied
     );
     if !out.potentially_satisfied {
-        let at = earliest_violation(&dirty, &phi, &CheckOptions::default())
+        let at = earliest_violation(&dirty, &phi)
             .unwrap()
             .expect("violated overall, so some prefix is violated");
         println!(

@@ -43,7 +43,7 @@ cargo test -q --offline -p ticc-bench
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 
-echo "==> shell smoke run (--threads 4)"
+echo "==> shell smoke run"
 smoke="$(mktemp)"
 cat > "$smoke" <<'EOF'
 schema pred Sub 1
@@ -56,9 +56,13 @@ commit
 status
 stats
 EOF
-out="$(./target/release/ticc-shell --threads 4 "$smoke")"
+out="$(./target/release/ticc-shell "$smoke")"
 echo "$out" | grep -q "VIOLATION" || { echo "smoke: expected a violation"; exit 1; }
 echo "$out" | grep -q "TRIGGER: 'dup' fires" || { echo "smoke: expected a firing"; exit 1; }
+# Unknown flags are usage errors (exit 2), never read as a script path.
+rc=0
+./target/release/ticc-shell --threads 4 "$smoke" > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "smoke: unknown flag should exit 2 (got $rc)"; exit 1; }
 rm -f "$smoke"
 echo "smoke: OK"
 
@@ -131,7 +135,7 @@ out="$(printf '%s\n' \
     '{"op":"shutdown"}' \
     | ./target/release/ticc-server client --addr "$addr")"
 echo "$out" | grep -q '"constraint":"once"' || { echo "server smoke: expected a violation event over the wire"; exit 1; }
-echo "$out" | grep -q '"schema":"ticc-engine-stats-v2"' || { echo "server smoke: expected v2 stats"; exit 1; }
+echo "$out" | grep -q '"schema":"ticc-engine-stats-v3"' || { echo "server smoke: expected v3 stats"; exit 1; }
 wait $spid || { echo "server smoke: server did not shut down cleanly"; exit 1; }
 rm -f "$gwal" "$slog"
 echo "server smoke: OK"
@@ -160,8 +164,8 @@ rm -f "$slog"
 echo "mux soak: OK"
 
 if [ "${1:-}" = "--release" ]; then
-    echo "==> E13/E14/E15/E16/E17/E18/E19/E20 bench smoke (release)"
-    cargo run --release --offline -p ticc-bench --bin experiments -- e13 e14 e15 e16 e17 e18 e19 e20 --smoke
+    echo "==> E13/E14/E15/E16/E17/E19/E20 bench smoke (release)"
+    cargo run --release --offline -p ticc-bench --bin experiments -- e13 e14 e15 e16 e17 e19 e20 --smoke
 fi
 
 echo "verify: OK"

@@ -4,9 +4,6 @@
 //! argument) and drives [`ticc::shell::Shell`]. See `help` inside the
 //! shell or the module docs for the command language.
 //!
-//! `--threads off|auto|<n>` selects the worker-pool policy for every
-//! monitor, trigger, and ad-hoc check in the session (default: off).
-//!
 //! `--history-window unbounded|<n>|<n>kb|<n>mb` bounds the resident
 //! history (default: unbounded); replies are identical under every
 //! budget.
@@ -19,58 +16,47 @@
 //! flags, 3 store cannot be opened or recovered.
 
 use std::io::{BufRead, Write};
-use ticc::core::{CheckOptions, HistoryBudget, Threads};
+use ticc::core::{CheckOptions, HistoryBudget};
 
-const USAGE: &str = "usage: ticc-shell [--threads off|auto|<n>] \
-[--history-window unbounded|<n>|<n>kb|<n>mb] [--store <path>] [script]";
+const USAGE: &str = "usage: ticc-shell [--history-window unbounded|<n>|<n>kb|<n>mb] \
+[--store <path>] [script]";
+
+/// Prints `msg` and the usage text, then exits with the bad-flags code.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("ticc-shell: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return;
-    }
-    let mut threads = Threads::Off;
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let Some(v) = args.get(i + 1) else {
-            eprintln!("--threads needs a value (off|auto|<count>)");
-            std::process::exit(2);
-        };
-        threads = match Threads::parse(v) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        };
-        args.drain(i..=i + 1);
-    }
     let mut history_budget = HistoryBudget::default();
-    if let Some(i) = args.iter().position(|a| a == "--history-window") {
-        let Some(v) = args.get(i + 1) else {
-            eprintln!("--history-window needs a value (unbounded|<n>|<n>kb|<n>mb)");
-            std::process::exit(2);
-        };
-        history_budget = match HistoryBudget::parse(v) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        };
-        args.drain(i..=i + 1);
-    }
     let mut store_path: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--store") {
-        let Some(v) = args.get(i + 1) else {
-            eprintln!("--store needs a path");
-            std::process::exit(2);
-        };
-        store_path = Some(v.clone());
-        args.drain(i..=i + 1);
+    let mut script: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
+            "--history-window" => {
+                let Some(v) = args.next() else {
+                    usage_error("--history-window needs a value (unbounded|<n>|<n>kb|<n>mb)");
+                };
+                history_budget = HistoryBudget::parse(&v).unwrap_or_else(|e| usage_error(&e));
+            }
+            "--store" => {
+                let Some(v) = args.next() else {
+                    usage_error("--store needs a path");
+                };
+                store_path = Some(v);
+            }
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag '{flag}'")),
+            _ if script.is_some() => usage_error(&format!("unexpected argument '{arg}'")),
+            _ => script = Some(arg),
+        }
     }
     let opts = CheckOptions::builder()
-        .threads(threads)
         .history_budget(history_budget)
         .build();
     let mut shell = match &store_path {
@@ -87,7 +73,7 @@ fn main() {
         None => ticc::shell::Shell::with_options(opts),
     };
 
-    if let Some(path) = args.first() {
+    if let Some(path) = &script {
         // Script mode: run a file of commands, echoing each.
         let content = match std::fs::read_to_string(path) {
             Ok(c) => c,

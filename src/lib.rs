@@ -67,7 +67,7 @@ pub mod shell;
 ///
 /// let schema = Schema::builder().pred("Sub", 1).build();
 /// let phi = parse(&schema, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-/// let opts = CheckOptions::builder().threads(Threads::Auto).build();
+/// let opts = CheckOptions::builder().durability(Durability::Wal).build();
 /// let mut monitor = Engine::new(schema.clone(), opts);
 /// monitor.add_constraint("once-only", phi).unwrap();
 /// ```
@@ -78,8 +78,7 @@ pub mod shell;
 /// [`TriggerEngine`](ticc_core::TriggerEngine) duality layer, one-shot
 /// [`check_potential_satisfaction`](ticc_core::check_potential_satisfaction),
 /// the unified [`Error`](ticc_core::Error), the
-/// [`CheckOptions`](ticc_core::CheckOptions) builder with its
-/// [`Threads`](ticc_core::Threads) policy, the durability backends
+/// [`CheckOptions`](ticc_core::CheckOptions) builder, the durability backends
 /// ([`Store`](ticc_core::Store) and the group-commit
 /// [`GroupWal`](ticc_core::GroupWal)), the database substrate
 /// ([`Schema`](ticc_tdb::Schema), [`State`](ticc_tdb::State),
@@ -96,7 +95,7 @@ pub mod prelude {
         check_potential_satisfaction, earliest_violation, explain, Action, CheckOptions,
         CheckOptionsBuilder, CheckOutcome, Committed, ConstraintId, Durability, Engine, Error,
         GroupWal, MonitorEvent, OpenReport, OpenSummary, Session, SessionBuilder, SessionStats,
-        Status, Store, StoreStats, Threads, Trigger, TriggerEngine,
+        Status, Store, StoreStats, Trigger, TriggerEngine,
     };
     pub use ticc_fotl::parser::parse;
     pub use ticc_fotl::Formula;

@@ -182,8 +182,7 @@ pub fn sweep(
         for phi in &phis {
             let at: Vec<_> = engines
                 .iter()
-                .zip(configs)
-                .map(|(e, opts)| earliest_violation(e.history(), phi, opts).unwrap())
+                .map(|e| earliest_violation(e.history(), phi).unwrap())
                 .collect();
             for (c, a) in at.iter().enumerate().skip(1) {
                 assert_eq!(&at[0], a, "seed {seed}: config {c} earliest violation");

@@ -230,8 +230,8 @@ fn snapshot_restore_and_cold_replay_match_never_crashed_engine() {
 
         // Earliest-violation instants agree on the restored history.
         for phi in &phis {
-            let a = earliest_violation(live.history(), phi, &CheckOptions::default()).unwrap();
-            let b = earliest_violation(restored.history(), phi, &CheckOptions::default()).unwrap();
+            let a = earliest_violation(live.history(), phi).unwrap();
+            let b = earliest_violation(restored.history(), phi).unwrap();
             assert_eq!(a, b, "seed {seed}: earliest violation diverges");
         }
 

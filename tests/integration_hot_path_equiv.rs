@@ -13,57 +13,56 @@
 //! takes this symbolic hot path instead of a compiled automaton. This
 //! suite sweeps 120 randomized staggered sessions (fresh elements
 //! arriving mid-stream — so delta re-grounding interleaves with the
-//! hot path — plus deletions and re-submissions) through three engines
+//! hot path — plus deletions and re-submissions) through two engines
 //! fed identical transactions:
 //!
 //! - **hot** — production at a one-state automaton budget,
 //! - **reference** — `CheckOptions::reference()`,
-//! - **hot ∥ 4** — the hot configuration under `Threads::Fixed(4)`,
 //!
 //! and asserts bit-identical event streams, per-append statuses,
 //! earliest-violation instants, and trigger firings — plus
 //! non-vacuity: the sweep must actually take transition hits, patch
 //! letters incrementally, and delta re-ground.
+//!
+//! A second sweep chops one transaction stream into random batches and
+//! asserts that `append_batch` is observationally identical to
+//! appending one transaction at a time.
 
 mod common;
 
-use common::{sweep, triggers_agree_with_reference};
-use ticc::core::{CheckOptions, Threads};
+use common::{schema, sweep, triggers_agree_with_reference, Driver};
+use common::{CAP, ONCE_ONLY, PAIR_GUARD, PAIR_NEXT, PAIR_ONCE};
+use ticc::core::{CheckOptions, ConstraintId, Engine};
+use ticc::fotl::parser::parse;
+use ticc::tdb::rng::Rng;
+use ticc::tdb::Transaction;
 
-fn hot(threads: Threads) -> CheckOptions {
-    CheckOptions::builder()
-        .threads(threads)
-        .automaton_state_budget(1)
-        .build()
+fn hot() -> CheckOptions {
+    CheckOptions::builder().automaton_state_budget(1).build()
 }
 
 #[test]
 fn hot_and_rebuild_agree_on_randomized_sessions() {
-    let configs = [
-        hot(Threads::Off),
-        CheckOptions::reference(),
-        hot(Threads::Fixed(4)),
-    ];
+    let configs = [hot(), CheckOptions::reference()];
     let mut total_hits = 0u64;
     let mut total_patched = 0u64;
     let mut total_delta = 0u64;
     let violating_runs = sweep(0x5d07, &configs, 6, 0.3, 6..14, |seed, engines, ids| {
-        let [hot, reference, par] = engines else {
+        let [hot, reference] = engines else {
             unreachable!()
         };
         // Incremental letter patching interns exactly the letters a
-        // rebuild would: the pooled engine grounds bit-identically, and
-        // the reference's odometer covers the same `|M|` and `|M|^k`.
+        // rebuild would: the reference's odometer covers the same `|M|`
+        // and `|M|^k`.
         for id in ids {
             let gh = hot.context(*id).grounding().stats();
-            assert_eq!(gh, par.context(*id).grounding().stats(), "seed {seed}");
             let gr = reference.context(*id).grounding().stats();
             assert_eq!(gh.m_size, gr.m_size, "seed {seed}: |M| for {id:?}");
             assert_eq!(gh.mappings, gr.mappings, "seed {seed}: |M|^k for {id:?}");
         }
 
         // The caches only ever *remove* work from the hot side.
-        let (sh, sr, sp) = (hot.stats(), reference.stats(), par.stats());
+        let (sh, sr) = (hot.stats(), reference.stats());
         assert_eq!(sh.appends, sr.appends, "seed {seed}");
         assert_eq!(sh.grounds, sr.grounds, "seed {seed}");
         assert!(sh.sat_checks <= sr.sat_checks, "seed {seed}");
@@ -76,17 +75,6 @@ fn hot_and_rebuild_agree_on_randomized_sessions() {
         // No template fits a one-state budget.
         assert_eq!(sh.templates_compiled, 0, "seed {seed}");
         assert_eq!(sh.automaton_steps, 0, "seed {seed}");
-        // Worker-local caches: the parallel hot engine behaves exactly
-        // like the sequential one, hit for hit.
-        assert_eq!(
-            sh.cache.transition_hits, sp.cache.transition_hits,
-            "seed {seed}"
-        );
-        assert_eq!(
-            sh.encode_patched_atoms, sp.encode_patched_atoms,
-            "seed {seed}"
-        );
-        assert_eq!(sh.sat_checks, sp.sat_checks, "seed {seed}");
         total_hits += sh.cache.transition_hits;
         total_patched += sh.encode_patched_atoms;
         total_delta += sh.delta_grounds;
@@ -104,5 +92,95 @@ fn hot_and_rebuild_agree_on_randomized_sessions() {
 
 #[test]
 fn trigger_engine_agrees_hot_vs_rebuild() {
-    triggers_agree_with_reference(0x30c1, hot(Threads::Off));
+    triggers_agree_with_reference(0x30c1, hot());
+}
+
+#[test]
+fn append_batch_agrees_with_serial_appends() {
+    // The batched path must be a pure refactoring of the per-tx path:
+    // chopping one transaction stream into arbitrary batches yields the
+    // same per-tx event streams, statuses, groundings, and semantic
+    // counters as appending one at a time.
+    let sc = schema();
+    let mut multi_tx_batches = 0usize;
+    let mut violating_runs = 0usize;
+    for seed in 0..120u64 {
+        let mut rng = Rng::seed_from_u64(0x51c7 ^ seed);
+        let phis = [
+            parse(&sc, ONCE_ONLY).unwrap(),
+            parse(&sc, PAIR_ONCE).unwrap(),
+            parse(&sc, CAP).unwrap(),
+            parse(&sc, PAIR_GUARD).unwrap(),
+            parse(&sc, PAIR_NEXT).unwrap(),
+        ];
+        let mut serial = Engine::new(sc.clone(), CheckOptions::default());
+        let mut batched = Engine::new(sc.clone(), CheckOptions::default());
+        let mut ids: Vec<ConstraintId> = Vec::new();
+        for (i, phi) in phis.iter().enumerate() {
+            let a = serial.add_constraint(format!("c{i}"), phi.clone()).unwrap();
+            let b = batched
+                .add_constraint(format!("c{i}"), phi.clone())
+                .unwrap();
+            assert_eq!(a, b);
+            ids.push(a);
+        }
+
+        // One transaction stream, two consumers.
+        let mut drv = Driver::new(8, 0.4);
+        let total = rng.gen_range_usize(5..12);
+        let txs: Vec<Transaction> = (0..total).map(|_| drv.step(&sc, &mut rng)).collect();
+
+        let mut serial_events = Vec::with_capacity(total);
+        for tx in &txs {
+            serial_events.push(serial.append(tx).unwrap());
+        }
+        if serial_events.iter().any(|ev| !ev.is_empty()) {
+            violating_runs += 1;
+        }
+
+        // Chop the same stream into random batches (sizes 1–3).
+        let mut i = 0;
+        while i < txs.len() {
+            let n = rng.gen_range_usize(1..4).min(txs.len() - i);
+            if n > 1 {
+                multi_tx_batches += 1;
+            }
+            let ev = batched.append_batch(&txs[i..i + n]).unwrap();
+            assert_eq!(
+                &serial_events[i..i + n],
+                ev.as_slice(),
+                "seed {seed}: batch at {i} diverges from serial appends"
+            );
+            i += n;
+        }
+
+        for id in &ids {
+            assert_eq!(serial.status(*id), batched.status(*id), "seed {seed}");
+            assert_eq!(
+                serial.context(*id).grounding().stats(),
+                batched.context(*id).grounding().stats(),
+                "seed {seed}: GroundStats diverge for {id:?}"
+            );
+        }
+
+        let ss = serial.stats();
+        let sb = batched.stats();
+        assert_eq!(ss.appends, sb.appends, "seed {seed}");
+        assert_eq!(ss.grounds, sb.grounds, "seed {seed}");
+        assert_eq!(ss.regrounds, sb.regrounds, "seed {seed}");
+        assert_eq!(ss.delta_grounds, sb.delta_grounds, "seed {seed}");
+        assert_eq!(ss.fast_appends, sb.fast_appends, "seed {seed}");
+        assert_eq!(ss.sat_checks, sb.sat_checks, "seed {seed}");
+        assert_eq!(ss.batches, 0, "seed {seed}: serial path never batches");
+    }
+    // The sweep must actually exercise multi-tx batches, or the
+    // equalities above are vacuous.
+    assert!(
+        multi_tx_batches >= 100,
+        "only {multi_tx_batches} multi-tx batches across the sweep"
+    );
+    assert!(
+        violating_runs >= 20,
+        "only {violating_runs}/120 runs violate"
+    );
 }

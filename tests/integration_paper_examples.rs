@@ -109,10 +109,7 @@ fn earliest_violation_matches_injection_point() {
     // Submit 1 and 2, then fill 2 before 1 at t=2: prefix of length 3
     // is the first violated one.
     let h = order_history(&[(&[1], &[]), (&[2], &[]), (&[], &[2]), (&[], &[1])]);
-    assert_eq!(
-        earliest_violation(&h, &fifo, &CheckOptions::default()).unwrap(),
-        Some(3)
-    );
+    assert_eq!(earliest_violation(&h, &fifo).unwrap(), Some(3));
 }
 
 #[test]
@@ -122,7 +119,7 @@ fn monitor_and_batch_checker_agree() {
     let h = order_history(&[(&[1], &[]), (&[2], &[1]), (&[1], &[2])]);
 
     // Batch: earliest violation at prefix length 3.
-    let batch = earliest_violation(&h, &once, &CheckOptions::default()).unwrap();
+    let batch = earliest_violation(&h, &once).unwrap();
     assert_eq!(batch, Some(3));
 
     // Online: replay through the monitor.

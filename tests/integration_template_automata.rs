@@ -12,11 +12,10 @@
 //! decide. The randomized sweep feeds 120 staggered sessions (fresh
 //! elements arriving mid-stream — so delta re-grounding binds new
 //! units into live compiled sets — plus deletions and re-submissions)
-//! to three engines:
+//! to two engines:
 //!
 //! - **compiled** — production (the default options),
 //! - **reference** — `CheckOptions::reference()`,
-//! - **compiled ∥ 4** — production under `Threads::Fixed(4)`,
 //!
 //! and asserts bit-identical event streams, per-append statuses,
 //! earliest-violation instants, and trigger firings — plus
@@ -33,34 +32,25 @@ use common::{
     schema, sweep, triggers_agree_with_reference, Driver, CAP, ONCE_ONLY, PAIR_GUARD, PAIR_NEXT,
     PAIR_ONCE,
 };
-use ticc::core::{CheckOptions, Engine, Threads};
+use ticc::core::{CheckOptions, Engine};
 use ticc::fotl::parser::parse;
 use ticc::tdb::rng::Rng;
 use ticc::tdb::Transaction;
 
-fn compiled(threads: Threads) -> CheckOptions {
-    CheckOptions::builder().threads(threads).build()
-}
-
 #[test]
 fn compiled_and_symbolic_agree_on_randomized_sessions() {
-    let configs = [
-        compiled(Threads::Off),
-        CheckOptions::reference(),
-        compiled(Threads::Fixed(4)),
-    ];
+    let configs = [CheckOptions::default(), CheckOptions::reference()];
     let mut total_auto_appends = 0u64;
     let mut total_auto_steps = 0u64;
     let mut total_joint_checks = 0u64;
     let violating_runs = sweep(0xe16a, &configs, 6, 0.3, 6..14, |seed, engines, ids| {
-        let [auto, reference, par] = engines else {
+        let [auto, reference] = engines else {
             unreachable!()
         };
         // Compiling the residue never changes which letters and
         // instantiations the grounding interns.
         for id in ids {
             let ga = auto.context(*id).grounding().stats();
-            assert_eq!(ga, par.context(*id).grounding().stats(), "seed {seed}");
             let gr = reference.context(*id).grounding().stats();
             assert_eq!(ga.m_size, gr.m_size, "seed {seed}: |M| for {id:?}");
             assert_eq!(ga.mappings, gr.mappings, "seed {seed}: |M|^k for {id:?}");
@@ -68,20 +58,11 @@ fn compiled_and_symbolic_agree_on_randomized_sessions() {
 
         // The automaton only ever *removes* work (progression, phase 2)
         // from the compiled side.
-        let (sa, sr, sp) = (auto.stats(), reference.stats(), par.stats());
+        let (sa, sr) = (auto.stats(), reference.stats());
         assert_eq!(sa.appends, sr.appends, "seed {seed}");
         assert_eq!(sa.grounds, sr.grounds, "seed {seed}");
         assert!(sa.sat_checks <= sr.sat_checks, "seed {seed}");
         assert_eq!(sr.automaton_appends, 0, "seed {seed}: reference compiled");
-        // The parallel compiled engine behaves exactly like the
-        // sequential compiled engine, append for append, step for step.
-        assert_eq!(sa.automaton_appends, sp.automaton_appends, "seed {seed}");
-        assert_eq!(sa.automaton_steps, sp.automaton_steps, "seed {seed}");
-        assert_eq!(
-            sa.encode_patched_atoms, sp.encode_patched_atoms,
-            "seed {seed}"
-        );
-        assert_eq!(sa.templates_compiled, sp.templates_compiled, "seed {seed}");
         total_auto_appends += sa.automaton_appends;
         total_auto_steps += sa.automaton_steps;
         // Shared letters no longer force the symbolic fallback: no
@@ -108,7 +89,7 @@ fn compiled_and_symbolic_agree_on_randomized_sessions() {
 
 #[test]
 fn trigger_engine_agrees_compiled_vs_symbolic() {
-    triggers_agree_with_reference(0x7e41, compiled(Threads::Off));
+    triggers_agree_with_reference(0x7e41, CheckOptions::default());
 }
 
 /// All instantiations of one constraint are isomorphic modulo letter
