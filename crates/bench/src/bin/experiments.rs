@@ -25,7 +25,10 @@ use std::time::Duration;
 use ticc_bench::table::{fmt_duration, Table};
 use ticc_bench::*;
 use ticc_core::counter::counter_instance;
-use ticc_core::{check_potential_satisfaction, CheckOptions, Engine, EngineStats, GroundMode};
+use ticc_core::{
+    check_potential_satisfaction, CheckOptions, Engine, EngineStats, GroundMode, OpenSummary,
+    Session,
+};
 use ticc_fotl::Formula;
 use ticc_ptl::arena::Arena;
 use ticc_ptl::sat::{extends_with, is_satisfiable_with, SatResult, SatSolver};
@@ -821,6 +824,18 @@ struct E14Result {
     speedup: f64,
 }
 
+/// Opens (or reopens) a store-backed session over the order schema
+/// (`Sub/1`, `Fill/1`) at `path`.
+fn open_order_store(path: &std::path::Path, opts: CheckOptions) -> (Session, OpenSummary) {
+    Session::builder()
+        .options(opts)
+        .store(path)
+        .pred("Sub", 1)
+        .pred("Fill", 1)
+        .open()
+        .unwrap()
+}
+
 /// E14: restart cost — recovering a long monitoring session from an
 /// engine snapshot vs replaying every transaction through the checker.
 ///
@@ -849,29 +864,28 @@ fn e14_restart(smoke: bool) -> E14Result {
     // Default options (WAL on); compact at the end so recovery reads a
     // log holding exactly one snapshot frame.
     let opts = CheckOptions::default();
-    let (mut engine, _) = ticc_core::Engine::open(&path, sc.clone(), opts).unwrap();
+    let (mut session, _) = open_order_store(&path, opts);
     for (name, src) in constraints {
-        engine
+        session
             .add_constraint(name, parse(&sc, src).unwrap())
             .unwrap();
     }
     let mut txs = Vec::with_capacity(total);
     for i in 0..total {
         let tx = steady_churn_tx(&sc, domain, i);
-        assert!(engine.append(&tx).unwrap().is_empty());
+        assert!(session.append(&tx).unwrap().events.is_empty());
         txs.push(tx);
     }
-    engine.compact(&[]).unwrap();
-    let snapshot_bytes = engine.store_stats().unwrap().last_snapshot_bytes;
-    let ids: Vec<_> = engine.constraints().collect();
-    let statuses: Vec<_> = ids.iter().map(|&id| engine.status(id)).collect();
-    drop(engine);
+    let snapshot_bytes = session.compact().unwrap();
+    let ids: Vec<_> = session.constraints().map(|(id, _, _)| id).collect();
+    let statuses: Vec<_> = ids.iter().map(|&id| session.status(id)).collect();
+    drop(session);
 
     let restore = ticc_bench::time_best_of(7, || {
-        let (e, report) = ticc_core::Engine::open(&path, sc.clone(), opts).unwrap();
-        assert!(report.had_snapshot);
-        assert_eq!(report.replayed_txs, 0);
-        assert_eq!(e.history().len(), total);
+        let (s, summary) = open_order_store(&path, opts);
+        assert!(summary.resumed);
+        assert_eq!(summary.replayed, 0);
+        assert_eq!(s.history().unwrap().len(), total);
     });
     let replay = ticc_bench::time_best_of(if smoke { 3 } else { 2 }, || {
         let mut e = ticc_core::Engine::new(sc.clone(), opts);
@@ -1594,43 +1608,44 @@ fn e19_bounded_history(smoke: bool) -> E19Result {
         / (configs[1].stats.history.resident_bytes as f64).max(1.0);
     let throughput_ratio = configs[1].appends_per_sec / configs[0].appends_per_sec;
 
-    // Recovery: a store-backed Window(64) session that checkpoints 8
-    // times (each checkpoint advances the horizon and unlocks the next
-    // truncation), then reopens from the newest snapshot — against a
-    // cold replay of all t transactions through a fresh checker.
+    // Recovery: a store-backed Window(64) session that compacts its
+    // log 8 times, then reopens from the newest snapshot (which carries
+    // the spilled pages of the truncated prefix) — against a cold
+    // replay of all t transactions through a fresh checker.
     let path = std::env::temp_dir().join(format!("ticc-e19-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let opts = CheckOptions::builder()
         .history_budget(HistoryBudget::Window(64))
         .build();
-    let (mut engine, _) = ticc_core::Engine::open(&path, sc.clone(), opts).unwrap();
+    let (mut session, _) = open_order_store(&path, opts);
     for (name, src) in constraints {
-        engine
+        session
             .add_constraint(name, parse(&sc, src).unwrap())
             .unwrap();
     }
     let every = total / 8;
+    let mut snapshot_bytes = 0;
     for i in 0..total {
-        engine.append(&steady_churn_tx(&sc, domain, i)).unwrap();
+        session.append(&steady_churn_tx(&sc, domain, i)).unwrap();
         if (i + 1) % every == 0 {
-            engine.compact(&[]).unwrap();
+            snapshot_bytes = session.compact().unwrap();
         }
     }
     assert!(
-        engine.history().base() > 0,
+        session.history().unwrap().base() > 0,
         "the store-backed run must actually truncate"
     );
-    let snapshot_bytes = engine.store_stats().unwrap().last_snapshot_bytes;
-    let ids: Vec<_> = engine.constraints().collect();
-    let statuses: Vec<_> = ids.iter().map(|&id| engine.status(id)).collect();
-    drop(engine);
+    let ids: Vec<_> = session.constraints().map(|(id, _, _)| id).collect();
+    let statuses: Vec<_> = ids.iter().map(|&id| session.status(id)).collect();
+    drop(session);
 
     let restore = ticc_bench::time_best_of(if smoke { 5 } else { 3 }, || {
-        let (e, report) = ticc_core::Engine::open(&path, sc.clone(), opts).unwrap();
-        assert!(report.had_snapshot);
-        assert_eq!(report.replayed_txs, 0);
-        assert_eq!(e.history().len(), total);
-        assert!(e.history().base() > 0, "restore rebuilds the tiered shape");
+        let (s, summary) = open_order_store(&path, opts);
+        assert!(summary.resumed);
+        assert_eq!(summary.replayed, 0);
+        let h = s.history().unwrap();
+        assert_eq!(h.len(), total);
+        assert!(h.base() > 0, "restore rebuilds the tiered shape");
     });
     let replay = ticc_bench::time_best_of(1, || {
         let mut e = ticc_core::Engine::new(sc.clone(), CheckOptions::default());

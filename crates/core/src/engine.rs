@@ -39,13 +39,12 @@
 //! experiments use them as oracles.
 
 use crate::error::Error;
-use crate::extension::{CheckOptions, Durability, HistoryBudget, Pipeline};
+use crate::extension::{CheckOptions, HistoryBudget, Pipeline};
 use crate::ground::{ground_with, GroundMode, Grounding};
 use crate::obs::{EngineStats, Timer};
 use crate::spill::HistoryPager;
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 use ticc_fotl::Formula;
@@ -55,7 +54,6 @@ use ticc_ptl::progression::{progress, progress_trace};
 use ticc_ptl::sat::{extends, is_satisfiable, SatError, SatResult, SatSolver};
 use ticc_ptl::simplify::simplify;
 use ticc_ptl::trace::PropState;
-use ticc_store::{Store, StoreStats};
 use ticc_tdb::rng::splitmix64;
 use ticc_tdb::{History, Schema, State, Transaction};
 
@@ -953,19 +951,12 @@ pub struct Engine {
     pub(crate) entries: Vec<Entry>,
     opts: CheckOptions,
     pub(crate) stats: EngineStats,
-    store: Option<Store>,
     /// The cold-state spill tier, present once the engine has
     /// truncated its history under a bounded [`HistoryBudget`]:
     /// instants `[0, history.base())` live here as deduped pages and
     /// are faulted back in only on the rare slow paths (delta replay,
     /// full materialisation).
     pub(crate) pager: Option<HistoryPager>,
-    /// History length covered by the newest snapshot written to (or
-    /// restored from) the attached store. With a store attached the
-    /// engine only truncates instants a checkpoint already covers, so
-    /// a crash between a truncation and the next checkpoint recovers
-    /// from a snapshot that still holds the full pre-truncate horizon.
-    pub(crate) checkpointed_len: usize,
 }
 
 /// Rough heap footprint of one database state: per-tuple values plus
@@ -1013,9 +1004,7 @@ impl Engine {
             entries: Vec::new(),
             opts,
             stats: EngineStats::default(),
-            store: None,
             pager: None,
-            checkpointed_len: 0,
         }
     }
 
@@ -1114,12 +1103,12 @@ impl Engine {
     /// history and every context's trace in lockstep.
     ///
     /// Truncation is gated on the pipeline whose slow paths can rebase
-    /// onto (pager, suffix) offsets — production (delta re-grounding) —
-    /// and, with a store attached, on the newest checkpoint already
-    /// covering the dropped instants, so crash recovery always finds a
-    /// snapshot holding the full horizon it needs. A residue with unbounded past-depth (the
-    /// `□past` side of the paper's §3 separation) blocks truncation
-    /// entirely.
+    /// onto (pager, suffix) offsets — production (delta re-grounding).
+    /// It needs no checkpoint: a snapshot carries its spilled pages, so
+    /// it is self-contained at any horizon, and replaying the logged
+    /// suffix truncates at exactly the instants the original run did.
+    /// A residue with unbounded past-depth (the `□past` side of the
+    /// paper's §3 separation) blocks truncation entirely.
     fn enforce_budget(&mut self) -> Result<(), Error> {
         if self.opts.history_budget == HistoryBudget::Unbounded {
             return Ok(());
@@ -1139,11 +1128,7 @@ impl Engine {
         if resident <= target.saturating_mul(2) {
             return Ok(());
         }
-        let mut new_base = len - target;
-        if self.store.is_some() {
-            new_base = new_base.min(self.checkpointed_len);
-        }
-        let k = new_base.saturating_sub(self.history.base());
+        let k = (len - target).saturating_sub(self.history.base());
         if k == 0 {
             return Ok(());
         }
@@ -1178,7 +1163,6 @@ impl Engine {
     /// grounding contexts.
     pub fn stats(&self) -> EngineStats {
         let mut s = self.stats;
-        s.store = self.store.as_ref().map(Store::stats).unwrap_or_default();
         s.history.resident_states = self.history.states().len() as u64;
         s.history.resident_bytes = {
             let schema = self.history.schema();
@@ -1339,18 +1323,14 @@ impl Engine {
     /// sweep.
     pub fn append(&mut self, tx: &Transaction) -> Result<Vec<MonitorEvent>, Error> {
         let mut events = Vec::new();
-        self.sweep(std::slice::from_ref(tx), true, |_, e| events.push(e))?;
+        self.sweep(std::slice::from_ref(tx), |_, e| events.push(e))?;
         Ok(events)
     }
 
     /// Appends a batch of transactions in one constraint sweep.
     ///
-    /// All transactions are applied (and WAL-logged) first; each
-    /// constraint is then stepped through the whole batch before the
-    /// next one is. Under `Durability::WalFsync`
-    /// the batch group-commits: intermediate transactions are logged
-    /// without syncing and the final one fsyncs, so a crash can only
-    /// lose transactions whose batch was never acknowledged.
+    /// All transactions are applied first; each constraint is then
+    /// stepped through the whole batch before the next one is.
     ///
     /// Returns one event list per transaction, each in
     /// [`ConstraintId`] order — exactly what the same transactions
@@ -1359,37 +1339,26 @@ impl Engine {
     /// skip rule).
     pub fn append_batch(&mut self, txs: &[Transaction]) -> Result<Vec<Vec<MonitorEvent>>, Error> {
         let mut events: Vec<Vec<MonitorEvent>> = txs.iter().map(|_| Vec::new()).collect();
-        self.sweep(txs, true, |t, e| events[t].push(e))?;
+        self.sweep(txs, |t, e| events[t].push(e))?;
         Ok(events)
     }
 
-    /// The sweep behind [`Engine::append`], [`Engine::append_batch`]
-    /// and recovery. Applies `txs` to the history and, with `log`,
-    /// writes them to the attached store — apply-then-log:
-    /// `History::apply` validates each transaction (arity, predicate
-    /// range), so nothing unreplayable reaches the WAL, and under
-    /// [`Durability::WalFsync`] only the last one syncs. Then steps
-    /// every live constraint through `txs`, passing each violation to
-    /// `emit` with its transaction's index. Recovery replays with `log`
-    /// off: the transactions are already in the log.
+    /// The sweep behind [`Engine::append`] and [`Engine::append_batch`].
+    /// Applies `txs` to the history — `History::apply` validates each
+    /// transaction (arity, predicate range), so a session logs only
+    /// transactions that applied — then steps every live constraint
+    /// through `txs`, passing each violation to `emit` with its
+    /// transaction's index.
     fn sweep(
         &mut self,
         txs: &[Transaction],
-        log: bool,
         mut emit: impl FnMut(usize, MonitorEvent),
     ) -> Result<(), Error> {
         if txs.is_empty() {
             return Ok(());
         }
-        for (i, tx) in txs.iter().enumerate() {
+        for tx in txs {
             self.history.apply(tx)?;
-            if let Some(store) = self.store.as_mut().filter(|_| log) {
-                match self.opts.durability {
-                    Durability::Off => {}
-                    Durability::Wal => store.append_tx(tx, false)?,
-                    Durability::WalFsync => store.append_tx(tx, i + 1 == txs.len())?,
-                }
-            }
             self.stats.appends += 1;
         }
         if txs.len() > 1 {
@@ -1429,127 +1398,23 @@ impl Engine {
         self.enforce_budget()
     }
 
-    // ----- durability (the `ticc-store` bridge) -----
-
-    /// Attaches an open store: subsequent appends are logged according
-    /// to [`Durability`], and [`Engine::checkpoint`] /
-    /// [`Engine::compact`] write snapshots to it.
-    pub fn attach_store(&mut self, store: Store) {
-        self.store = Some(store);
-    }
-
-    /// The attached store, if any.
-    pub fn store(&self) -> Option<&Store> {
-        self.store.as_ref()
-    }
-
-    /// Counters of the attached store, if any.
-    pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store.as_ref().map(Store::stats)
-    }
+    // ----- durability: the engine's whole surface is its snapshot -----
 
     /// Serialises the complete engine state (plus an opaque application
-    /// blob) into a snapshot payload — see [`crate::snapshot`].
+    /// blob) into a snapshot payload — see [`crate::snapshot`]. Logging
+    /// and checkpointing belong to [`crate::Session`]; the engine owns
+    /// no store.
     pub fn snapshot_bytes(&self, app: &[u8]) -> Vec<u8> {
         crate::snapshot::snapshot_engine(self, app)
     }
 
     /// Rebuilds an engine from [`Engine::snapshot_bytes`] output.
-    /// Returns the engine (no store attached) and the application
-    /// blob. `opts` are the caller's: run options are a property of
-    /// the process, not of the persisted state.
+    /// Returns the engine and the application blob. `opts` are the
+    /// caller's: run options are a property of the process, not of the
+    /// persisted state.
     pub fn restore_bytes(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u8>), Error> {
         crate::snapshot::restore_engine(bytes, opts)
     }
-
-    /// Writes a snapshot frame (always fsynced) to the attached store.
-    /// Errors if no store is attached. The freshly covered prefix
-    /// advances the retention horizon, so under a bounded budget a
-    /// checkpoint is also when deferred truncation catches up.
-    pub fn checkpoint(&mut self, app: &[u8]) -> Result<(), Error> {
-        let payload = self.snapshot_bytes(app);
-        match self.store.as_mut() {
-            Some(s) => s.append_snapshot(&payload)?,
-            None => return Err(Error::Store("no store attached".into())),
-        }
-        self.checkpointed_len = self.history.len();
-        self.enforce_budget()
-    }
-
-    /// Rewrites the attached store as header + one fresh snapshot
-    /// frame, dropping the replayed log prefix (atomic rename). Errors
-    /// if no store is attached.
-    pub fn compact(&mut self, app: &[u8]) -> Result<(), Error> {
-        let payload = self.snapshot_bytes(app);
-        match self.store.as_mut() {
-            Some(s) => s.compact(&payload)?,
-            None => return Err(Error::Store("no store attached".into())),
-        }
-        self.checkpointed_len = self.history.len();
-        self.enforce_budget()
-    }
-
-    /// Opens (or creates) a durable store at `path` and builds the
-    /// engine it describes: the newest intact snapshot is restored and
-    /// the logged transaction suffix replayed through the incremental
-    /// append path — `O(|snapshot| + |suffix|)`, never `O(t)` once a
-    /// checkpoint exists. A torn or corrupt tail has already been
-    /// truncated away by the store's recovery scan.
-    ///
-    /// `schema` is used only when the store holds no snapshot yet (a
-    /// fresh or snapshot-less log): constraints and schema become
-    /// durable with the first [`Engine::checkpoint`]. With no snapshot
-    /// the suffix is replayed into the history before any constraints
-    /// exist, so callers re-register constraints afterwards.
-    pub fn open(
-        path: impl AsRef<Path>,
-        schema: Arc<Schema>,
-        opts: CheckOptions,
-    ) -> Result<(Engine, OpenReport), Error> {
-        let (store, recovered) = Store::open_or_create(path)?;
-        let (mut engine, app, had_snapshot) = match recovered.snapshot {
-            Some(bytes) => {
-                let (engine, app) = Engine::restore_bytes(&bytes, opts)?;
-                (engine, app, true)
-            }
-            None => (Engine::new(schema, opts), Vec::new(), false),
-        };
-        let replay_schema = engine.history.schema().clone();
-        // Attach the store before replaying so budget enforcement
-        // during replay observes the checkpoint coverage (set by the
-        // snapshot restore) and never truncates past it.
-        engine.store = Some(store);
-        let mut replayed_txs = 0u64;
-        for payload in &recovered.suffix {
-            let tx = ticc_store::codec::tx_from_bytes(payload, &replay_schema)?;
-            engine.sweep(std::slice::from_ref(&tx), false, |_, _| {})?;
-            replayed_txs += 1;
-        }
-        Ok((
-            engine,
-            OpenReport {
-                had_snapshot,
-                replayed_txs,
-                truncated_bytes: recovered.truncated_bytes,
-                app,
-            },
-        ))
-    }
-}
-
-/// What [`Engine::open`] found in the store.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpenReport {
-    /// Whether an intact snapshot was restored (otherwise the engine
-    /// started from the caller's schema).
-    pub had_snapshot: bool,
-    /// Logged transactions replayed after the snapshot.
-    pub replayed_txs: u64,
-    /// Bytes of torn/corrupt tail the recovery scan discarded.
-    pub truncated_bytes: u64,
-    /// The application blob of the restored snapshot (empty without
-    /// one).
-    pub app: Vec<u8>,
 }
 
 /// The result of a one-shot extension check routed through the engine
@@ -2034,71 +1899,6 @@ mod tests {
             tx = tx.delete(sub, vec![i - 1]);
         }
         tx.insert(sub, vec![i])
-    }
-
-    #[test]
-    fn truncation_defers_to_checkpoint_and_recovery_restores_horizon() {
-        // With a store attached, truncation may never pass the newest
-        // checkpoint — and a crash *between* a truncation and the next
-        // checkpoint must recover: the snapshot covers every truncated
-        // instant, the WAL holds the rest.
-        let sc = order_schema();
-        let path =
-            std::env::temp_dir().join(format!("ticc-budget-crash-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let opts = CheckOptions::builder()
-            .history_budget(HistoryBudget::Window(2))
-            .durability(Durability::Wal)
-            .build();
-        let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-        let (mut e, report) = Engine::open(&path, sc.clone(), opts).unwrap();
-        assert!(!report.had_snapshot);
-        e.add_constraint("once", phi.clone()).unwrap();
-        for i in 0..8u64 {
-            e.append(&churn_tx(i)).unwrap();
-        }
-        // No checkpoint yet → nothing may be truncated, however far
-        // past the window the history has grown.
-        assert_eq!(
-            e.history().base(),
-            0,
-            "truncation must wait for a checkpoint"
-        );
-        e.checkpoint(&[]).unwrap();
-        assert!(
-            e.history().base() > 0,
-            "checkpoint unlocks deferred truncation"
-        );
-        // Grow past the window again; the clamp holds truncation at
-        // the checkpointed length while the WAL suffix accumulates.
-        for i in 8..16u64 {
-            e.append(&churn_tx(i)).unwrap();
-        }
-        assert!(
-            e.history().base() <= 8,
-            "never truncate past the checkpoint"
-        );
-        assert_eq!(e.history().len(), 16);
-        drop(e); // crash: the truncated suffix exists only in the WAL
-
-        let (e2, report) = Engine::open(&path, sc.clone(), opts).unwrap();
-        assert!(report.had_snapshot);
-        assert_eq!(report.replayed_txs, 8);
-        assert_eq!(e2.history().len(), 16, "full horizon restored");
-        // Oracle: a never-crashed unbounded twin over the same stream.
-        let mut twin = Engine::new(sc.clone(), CheckOptions::default());
-        let t_id = twin.add_constraint("once", phi).unwrap();
-        for i in 0..16u64 {
-            twin.append(&churn_tx(i)).unwrap();
-        }
-        let ids: Vec<_> = e2.constraints().collect();
-        assert_eq!(ids.len(), 1);
-        assert_eq!(e2.status(ids[0]), twin.status(t_id));
-        let full = e2.full_history().unwrap();
-        for t in 0..16 {
-            assert_eq!(full.state(t), twin.history().state(t), "instant {t}");
-        }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -16,8 +16,9 @@ use ticc_fotl::Formula;
 use ticc_ptl::sat::SatStats;
 use ticc_tdb::{History, State};
 
-/// How eagerly the engine hardens appended transactions when a durable
-/// store is attached (no store attached ⇒ no logging regardless).
+/// How eagerly a durable [`crate::Session`] hardens appended
+/// transactions in its log (an ephemeral session logs nothing
+/// regardless).
 ///
 /// Theorem 4.1 makes durability cheap: the monitor's whole state is the
 /// current database plus bounded per-constraint residues, so a snapshot
@@ -25,7 +26,7 @@ use ticc_tdb::{History, State};
 /// carry the transactions since the last snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
-    /// No write-ahead logging even with a store attached (snapshots via
+    /// No write-ahead logging even with a store (snapshots via
     /// explicit checkpoints still work).
     Off,
     /// Log every transaction to the WAL before returning, letting the
@@ -42,9 +43,9 @@ pub enum Durability {
 /// bounded-memory knob the paper's §3 feasibility separation makes
 /// sound: a progressed safety residue's dependence on the past is
 /// syntactically bounded (see `core::window`), so instants behind the
-/// retention horizon can be dropped from memory once a checkpoint
-/// covers them, with cold states paged to a checksummed spill segment
-/// for the rare replay that still needs them.
+/// retention horizon can be dropped from memory, with cold states
+/// paged to a checksummed spill segment for the rare replay that
+/// still needs them.
 ///
 /// Every setting is **bit-identical** on events and statuses to
 /// [`HistoryBudget::Unbounded`] (property-tested across 120 seeds):
@@ -128,12 +129,12 @@ pub(crate) enum Pipeline {
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct CheckOptions {
-    /// WAL write policy when a durable store is attached to the engine.
+    /// WAL write policy of a durable session.
     pub durability: Durability,
     /// Memory budget for the history and per-constraint traces.
-    /// Bounded budgets truncate the in-memory prefix behind a
-    /// checkpoint-covered horizon and page cold states to a spill
-    /// segment; results are bit-identical to
+    /// Bounded budgets truncate the in-memory prefix behind the
+    /// retention horizon and page cold states to a spill segment;
+    /// results are bit-identical to
     /// [`HistoryBudget::Unbounded`].
     pub history_budget: HistoryBudget,
     /// Maximum explicit states per compiled template automaton; a
@@ -218,7 +219,7 @@ impl CheckOptionsBuilder {
         self
     }
 
-    /// WAL write policy when a durable store is attached.
+    /// WAL write policy of a durable session.
     pub fn durability(mut self, durability: Durability) -> Self {
         self.opts.durability = durability;
         self

@@ -55,7 +55,7 @@ pub mod trigger;
 pub mod window;
 
 pub use diagnostics::earliest_violation;
-pub use engine::{ConstraintId, Engine, GroundingContext, MonitorEvent, OpenReport, Status};
+pub use engine::{ConstraintId, Engine, GroundingContext, MonitorEvent, Status};
 pub use error::Error;
 pub use explain::explain;
 pub use extension::{
@@ -68,9 +68,9 @@ pub use ground::{
 };
 pub use obs::{CacheStats, EngineStats, HistoryStats};
 pub use session::{
-    stats_json_with, Committed, OpenSummary, ParkedSession, Session, SessionBuilder, SessionStats,
-    STATS_SCHEMA,
+    group_stats_json, stats_json_with, Committed, OpenSummary, ParkedSession, Session,
+    SessionBuilder, SessionStats, STATS_SCHEMA,
 };
-pub use ticc_store::{GroupStats, GroupWal, Store, StoreError, StoreStats};
+pub use ticc_store::{GroupStats, GroupWal, StoreError};
 pub use trigger::{Action, FiredTrigger, Trigger, TriggerEngine};
 pub use window::{past_depth, retention_floor, PastDepth};

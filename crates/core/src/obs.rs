@@ -8,7 +8,6 @@
 //! dependencies — plain `u64` counters and [`std::time`] durations.
 
 use std::time::{Duration, Instant};
-use ticc_store::StoreStats;
 
 /// Counters for the engine's bounded memo layers — the residue
 /// satisfiability memo and the safety-automaton transition cache — plus
@@ -158,10 +157,6 @@ pub struct EngineStats {
     /// Cache-layer counters (satisfiability memo, transition cache,
     /// letter index).
     pub cache: CacheStats,
-    /// Durability-layer counters, mirrored from the attached
-    /// [`ticc_store::Store`] when the snapshot is taken (all zero when
-    /// the engine runs without a store).
-    pub store: StoreStats,
     /// Tiered-history counters and gauges (truncation + spill); all
     /// zero under the default `HistoryBudget::Unbounded`.
     pub history: HistoryStats,
@@ -291,21 +286,6 @@ impl EngineStats {
                 c.transition_evictions
             ));
             s.push_str(&format!("  letter index        {}", c.letter_index_len));
-        }
-        if self.store.any() {
-            let st = &self.store;
-            s.push_str("\nstore:\n");
-            s.push_str(&format!("  tx frames           {}\n", st.tx_frames));
-            s.push_str(&format!("  snapshot frames     {}\n", st.snapshot_frames));
-            s.push_str(&format!("  bytes written       {}\n", st.bytes_written));
-            s.push_str(&format!("  fsyncs              {}\n", st.fsyncs));
-            s.push_str(&format!(
-                "  last snapshot bytes {}\n",
-                st.last_snapshot_bytes
-            ));
-            s.push_str(&format!("  recovered txs       {}\n", st.recovered_txs));
-            s.push_str(&format!("  truncated bytes     {}\n", st.truncated_bytes));
-            s.push_str(&format!("  reclaimed bytes     {}", st.reclaimed_bytes));
         }
         if self.history.any() {
             let h = &self.history;

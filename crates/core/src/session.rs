@@ -11,23 +11,27 @@
 //! Session::builder() ── open() ──► Defining ── freeze() ──► Running
 //!        │                          declare_pred/const       add_constraint
 //!        │                                                   add_trigger
-//!        ├─ .store(path)   per-session WAL (Engine-attached) stage/commit
-//!        └─ .group(wal, name)  shared group-commit WAL       checkpoint/stats
+//!        ├─ .store(path)  its own log file                   stage/commit
+//!        └─ .group(wal)   a shared group-commit log          checkpoint/compact/stats
 //! ```
 //!
-//! A session is either **self-stored** (its engine owns a
-//! [`Store`], exactly the `ticc-shell --store`
-//! behaviour), **group-backed** (it logs through a shared
-//! [`GroupWal`], the multi-tenant server path: one fsync per commit
-//! window covers many sessions), or ephemeral. The durability policy
-//! is still [`CheckOptions::durability`]; a group-backed session maps
-//! `WalFsync` to a *synced* group append (waits for its commit window)
-//! and `Wal` to an unsynced one.
+//! A session is either **durable** or ephemeral, and a durable session
+//! always logs through a [`GroupWal`]: `.store(path)` opens (or
+//! creates) the log at `path` and resumes the session registered there
+//! under the builder's name — a single-tenant store is a group log with
+//! one registered session, exactly the `ticc-shell --store` behaviour —
+//! while `.group(wal)` binds to a log shared with other sessions (the
+//! multi-tenant server path: one fsync per commit window covers many
+//! sessions). The [`Engine`] owns no store: the session logs, snapshots
+//! and recovers it. The durability policy is
+//! [`CheckOptions::durability`]: `WalFsync` is a *synced* append
+//! (waits for its commit window), `Wal` an unsynced one, `Off` logs no
+//! transactions.
 //!
-//! The apply-then-log ordering of the engine's own WAL is preserved
-//! for group logging: the transaction is applied (and checked) first,
-//! then logged; a log failure surfaces as [`Error::Store`] with the
-//! state applied — the same contract `Engine::append` has always had.
+//! Appends are apply-then-log: the transaction is applied (and
+//! checked) first, then logged, so nothing unreplayable reaches the
+//! log; a log failure surfaces as [`Error::Store`] with the state
+//! applied.
 //!
 //! Trigger definitions persist inside the checkpoint's application
 //! blob (the versioned encoding the shell introduced, now owned here),
@@ -43,7 +47,7 @@ use crate::obs::EngineStats;
 use crate::trigger::{Action, FiredTrigger, Trigger, TriggerEngine};
 use ticc_fotl::Formula;
 use ticc_store::codec::{formula_decode, formula_encode, tx_from_bytes};
-use ticc_store::{Dec, Enc, GroupWal, Store, StoreStats};
+use ticc_store::{Dec, Enc, GroupStats, GroupWal, StoreError};
 use ticc_tdb::{History, Schema, Transaction, Value};
 
 /// Version tag of the session's application blob inside checkpoints
@@ -54,8 +58,10 @@ const APP_VERSION: u32 = 1;
 /// server's `stats` frames. v2 folded the `automata` object into the
 /// documented schema and added the `session` and `server` objects; v3
 /// drops the worker-pool keys (`par_*`, `pool_workers`, the server's
-/// `workers`) and renames `pool_buf_allocs` to `scratch_allocs`.
-pub const STATS_SCHEMA: &str = "ticc-engine-stats-v3";
+/// `workers`) and renames `pool_buf_allocs` to `scratch_allocs`; v4
+/// makes `store` the session log's [`GroupStats`] ([`group_stats_json`])
+/// or `null` for an ephemeral session.
+pub const STATS_SCHEMA: &str = "ticc-engine-stats-v4";
 
 /// One committed state: where it landed and everything that fired.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,8 +117,10 @@ pub struct SessionStats {
     pub history_len: u64,
     /// Operations currently staged for the next commit.
     pub staged: u64,
-    /// Whether the session has a durable backend (own store or group).
+    /// Whether the session has a durable log.
     pub durable: bool,
+    /// The session log's counters (`None` for an ephemeral session).
+    pub store: Option<GroupStats>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -152,10 +160,8 @@ pub struct Session {
     name: String,
     opts: CheckOptions,
     phase: Phase,
-    /// A store opened before the schema exists: attached at freeze.
-    deferred_store: Option<Store>,
-    /// Logged transactions replayed at freeze (deferred store or
-    /// group recovery without a checkpoint).
+    /// Logged transactions replayed at freeze (recovery without a
+    /// checkpoint).
     pending_replay: Vec<Vec<u8>>,
     group: Option<GroupBinding>,
     counters: Counters,
@@ -240,9 +246,9 @@ impl Session {
     }
 
     /// Freezes the schema and brings the engine up: builds the
-    /// history (with constant interpretations), replays any parked
-    /// transactions, and attaches a deferred store. Idempotent once
-    /// running; errors if no predicate was declared.
+    /// history (with constant interpretations) and replays any parked
+    /// transactions. Idempotent once running; errors if no predicate
+    /// was declared.
     pub fn freeze(&mut self) -> Result<(), Error> {
         let Phase::Defining { preds, consts } = &self.phase else {
             return Ok(());
@@ -266,9 +272,9 @@ impl Session {
             history.set_constant(c, *value);
         }
         let mut engine = Engine::with_history(history, self.opts);
-        // Parked transactions (a store or group log that predates this
-        // schema declaration): replay through the ordinary append path.
-        // The store is not attached yet, so nothing is re-logged.
+        // Parked transactions (a log that predates this schema
+        // declaration): replay through the ordinary append path, which
+        // logs nothing — they are in the log already.
         for payload in std::mem::take(&mut self.pending_replay) {
             let tx = tx_from_bytes(&payload, &schema).map_err(|e| {
                 Error::Session(format!(
@@ -278,9 +284,6 @@ impl Session {
             engine
                 .append(&tx)
                 .map_err(|e| Error::Session(format!("cannot replay logged transaction: {e}")))?;
-        }
-        if let Some(store) = self.deferred_store.take() {
-            engine.attach_store(store);
         }
         self.phase = Phase::Running(Box::new(Running {
             engine,
@@ -375,9 +378,9 @@ impl Session {
     /// Appends a batch of transactions as consecutive states in one
     /// constraint sweep — [`Engine::append_batch`], so statuses,
     /// events, and stats are bit-identical to appending them one at a
-    /// time. A group-backed session logs every transaction and lets
-    /// the final one carry the fsync request: one commit window
-    /// covers the whole batch. Triggers are evaluated at every new
+    /// time. A durable session logs every transaction and lets the
+    /// final one carry the fsync request: one commit window covers the
+    /// whole batch. Triggers are evaluated at every new
     /// state (over the history prefix for intermediate ones), so the
     /// returned [`Committed`] values match a per-transaction
     /// [`Session::append`] loop. The staged buffer is untouched.
@@ -389,10 +392,8 @@ impl Session {
             unreachable!("freeze() leaves the session running")
         };
         let base = r.engine.history().len();
-        // Apply-then-log, like the engine's own WAL path: a self-stored
-        // session logs inside `Engine::append_batch`; a group-backed one
-        // logs here, mapping WalFsync to a synced append (whose fsync
-        // the commit window shares).
+        // Apply-then-log, mapping WalFsync to a synced append (whose
+        // fsync the commit window shares).
         let per_tx_events = r.engine.append_batch(txs)?;
         if let Some(g) = group {
             let sync = match durability {
@@ -403,9 +404,7 @@ impl Session {
             if let Some(sync) = sync {
                 for (i, tx) in txs.iter().enumerate() {
                     let last = i + 1 == txs.len();
-                    g.wal
-                        .append_tx(g.id, tx, sync && last)
-                        .map_err(|e| Error::Store(e.to_string()))?;
+                    g.wal.append_tx(g.id, tx, sync && last).map_err(store_err)?;
                 }
             }
         }
@@ -490,17 +489,15 @@ impl Session {
         self.running().map_or(&[], |r| &r.trigger_defs)
     }
 
-    /// Whether a durable backend exists (own store, deferred store, or
-    /// group log).
+    /// Whether the session has a durable log.
     pub fn has_store(&self) -> bool {
         self.group.is_some()
-            || self.deferred_store.is_some()
-            || self.running().is_some_and(|r| r.engine.store().is_some())
     }
 
-    /// The engine's own store counters, if self-stored.
-    pub fn store_stats(&self) -> Option<StoreStats> {
-        self.running().and_then(|r| r.engine.store_stats())
+    /// The counters of the session's log, if durable (shared with
+    /// every other session on the same log).
+    pub fn store_stats(&self) -> Option<GroupStats> {
+        self.group.as_ref().map(|g| g.wal.stats())
     }
 
     /// Cumulative trigger-engine counters (one-shot checks driven by
@@ -530,6 +527,7 @@ impl Session {
                 .map_or(0, |r| r.engine.history().len() as u64),
             staged: self.staged_ops() as u64,
             durable: self.has_store(),
+            store: self.store_stats(),
         }
     }
 
@@ -541,81 +539,61 @@ impl Session {
     }
 
     /// Writes a checkpoint — a full snapshot of the session (schema,
-    /// history, constraints, residues, triggers) — to the durable
-    /// backend. Returns the snapshot size in bytes.
+    /// history, constraints, residues, triggers) — to the session's
+    /// log. Returns the snapshot size in bytes.
     pub fn checkpoint(&mut self) -> Result<u64, Error> {
-        self.checkpoint_inner().map(|(bytes, _)| bytes)
+        self.checkpoint_inner().map(|snap| snap.len() as u64)
     }
 
-    /// Checkpoint plus, for a group-backed session, the snapshot bytes
-    /// themselves (a shared log cannot be re-scanned per session, so
-    /// the caller keeps them to hand a later reopen).
-    fn checkpoint_inner(&mut self) -> Result<(u64, Option<Vec<u8>>), Error> {
-        let group_id = self.group.as_ref().map(|g| g.id);
-        let r = self.running_mut()?;
-        let app = encode_app(&r.trigger_defs);
-        if let Some(id) = group_id {
-            let snap = r.engine.snapshot_bytes(&app);
-            let g = self.group.as_ref().expect("just read");
-            g.wal
-                .append_snapshot(id, &snap)
-                .map_err(|e| Error::Store(e.to_string()))?;
-            return Ok((snap.len() as u64, Some(snap)));
-        }
-        if r.engine.store().is_none() {
+    /// Checkpoint, returning the snapshot bytes themselves (a shared
+    /// log cannot be re-scanned per session, so a server keeps them to
+    /// hand a later reopen).
+    fn checkpoint_inner(&mut self) -> Result<Vec<u8>, Error> {
+        let Some(g) = &self.group else {
             return Err(Error::Store("no store attached".to_owned()));
-        }
-        r.engine.checkpoint(&app)?;
-        let bytes = r
-            .engine
-            .store_stats()
-            .unwrap_or_default()
-            .last_snapshot_bytes;
-        Ok((bytes, None))
+        };
+        let (wal, id) = (Arc::clone(&g.wal), g.id);
+        let r = self.running_mut()?;
+        let snap = r.engine.snapshot_bytes(&encode_app(&r.trigger_defs));
+        wal.append_snapshot(id, &snap).map_err(store_err)?;
+        Ok(snap)
     }
 
-    /// Checkpoints, then rewrites the log to hold nothing but that
-    /// snapshot. Self-stored sessions only: a group log is shared, so
-    /// one session cannot rewrite it.
+    /// Checkpoints, then compacts the log ([`GroupWal::compact`]): every
+    /// session on it keeps only its newest snapshot and the suffix after
+    /// it, so this session's log prefix drops away. Returns the snapshot
+    /// size in bytes.
     pub fn compact(&mut self) -> Result<u64, Error> {
-        if self.group.is_some() {
-            return Err(Error::Session(
-                "compact is per-file; a group-backed session can only checkpoint".to_owned(),
-            ));
-        }
-        let r = self.running_mut()?;
-        let app = encode_app(&r.trigger_defs);
-        if r.engine.store().is_none() {
-            return Err(Error::Store("no store attached".to_owned()));
-        }
-        r.engine.compact(&app)?;
-        Ok(r.engine
-            .store_stats()
-            .unwrap_or_default()
-            .last_snapshot_bytes)
+        let bytes = self.checkpoint()?;
+        let g = self
+            .group
+            .as_ref()
+            .expect("checkpoint succeeded, so a log exists");
+        g.wal.compact().map_err(store_err)?;
+        Ok(bytes)
     }
 
-    /// Closes the session: checkpoints to the durable backend (if any
-    /// and the schema froze) so a reopen resumes without replay, and
-    /// flushes the group log.
+    /// Closes the session: checkpoints to the log (if durable and the
+    /// schema froze) so a reopen resumes without replay, and flushes
+    /// the log.
     pub fn close(mut self) -> Result<(), Error> {
         self.close_snapshot().map(|_| ())
     }
 
     /// The work of [`Session::close`] — checkpoint (if durable and
-    /// frozen) plus group-log flush — without consuming the handle:
-    /// on error the session stays usable. For a group-backed session
-    /// the checkpoint's snapshot bytes are returned; a server parks
+    /// frozen) plus log flush — without consuming the handle: on error
+    /// the session stays usable. For a durable session the
+    /// checkpoint's snapshot bytes are returned; a server parks
     /// them so a later open of the same name resumes from exactly the
     /// state this close made durable (the shared log is never
     /// re-scanned while the server is live).
     pub fn close_snapshot(&mut self) -> Result<Option<Vec<u8>>, Error> {
         let mut snapshot = None;
         if self.has_store() && self.running().is_some() {
-            snapshot = self.checkpoint_inner()?.1;
+            snapshot = Some(self.checkpoint_inner()?);
         }
         if let Some(g) = &self.group {
-            g.wal.flush().map_err(|e| Error::Store(e.to_string()))?;
+            g.wal.flush().map_err(store_err)?;
         }
         Ok(snapshot)
     }
@@ -629,8 +607,8 @@ impl Session {
     /// Idle-parking hook: checkpoints the session and returns the
     /// state a server needs to transparently resume it later via
     /// [`SessionBuilder::resume`]. Durability is left exactly as a
-    /// [`Session::close`] would leave it — a group-backed session
-    /// appends the checkpoint to the shared log and flushes it, so a
+    /// [`Session::close`] would leave it — a durable session appends
+    /// the checkpoint to its log and flushes it, so a
     /// crash while parked recovers the same state the park captured;
     /// an ephemeral session parks purely in memory (its snapshot bytes
     /// live only in the returned [`ParkedSession`]).
@@ -651,20 +629,12 @@ impl Session {
         }
         let snapshot = if self.group.is_some() {
             self.checkpoint_inner()?
-                .1
-                .expect("group checkpoint returns its snapshot bytes")
         } else {
             let r = self.running_mut()?;
-            let app = encode_app(&r.trigger_defs);
-            if r.engine.store().is_some() {
-                // Self-stored: make the park durable in the store too,
-                // then hand back the same bytes for in-memory resume.
-                r.engine.checkpoint(&app)?;
-            }
-            r.engine.snapshot_bytes(&app)
+            r.engine.snapshot_bytes(&encode_app(&r.trigger_defs))
         };
         if let Some(g) = &self.group {
-            g.wal.flush().map_err(|e| Error::Store(e.to_string()))?;
+            g.wal.flush().map_err(store_err)?;
         }
         Ok(ParkedSession {
             name: self.name.clone(),
@@ -695,14 +665,14 @@ impl ParkedSession {
     }
 
     /// The checkpoint bytes the parked engine resumes from (for a
-    /// group-backed session, the same bytes the shared log now holds).
+    /// durable session, the same bytes its log now holds).
     pub fn snapshot_bytes(&self) -> &[u8] {
         &self.snapshot
     }
 }
 
 /// Configures and opens a [`Session`]. See the module docs for the
-/// three backend shapes.
+/// backend shapes.
 pub struct SessionBuilder {
     name: String,
     opts: CheckOptions,
@@ -749,18 +719,20 @@ impl SessionBuilder {
         self
     }
 
-    /// Backs the session with its own store file at `path`
-    /// (`Store::open_or_create` semantics: resumes from a checkpoint
-    /// if one exists, parks logged transactions otherwise).
+    /// Backs the session with its own log file at `path`
+    /// ([`GroupWal::open_or_create`]; takes precedence over
+    /// [`SessionBuilder::group`]): the session registered there under
+    /// the builder's name resumes from its newest checkpoint if one
+    /// exists, and its logged transactions are parked otherwise.
     pub fn store(mut self, path: impl AsRef<Path>) -> Self {
         self.store = Some(path.as_ref().to_path_buf());
         self
     }
 
     /// Backs the session with a shared group-commit log, registering
-    /// it under the builder's name. Recovery of group-backed sessions
-    /// is the *caller's* job (the log is shared): pass the recovered
-    /// snapshot/suffix via [`SessionBuilder::snapshot`] and
+    /// it under the builder's name. Recovery of sessions on a shared
+    /// log is the *caller's* job (it opened the log): pass the
+    /// recovered snapshot/suffix via [`SessionBuilder::snapshot`] and
     /// [`SessionBuilder::replay`].
     pub fn group(mut self, wal: Arc<GroupWal>) -> Self {
         self.group = Some((wal, self.name.clone()));
@@ -785,8 +757,8 @@ impl SessionBuilder {
     /// name, snapshot, options, and session counters, so observable
     /// behaviour continues exactly where the parked session left off.
     /// Call before [`SessionBuilder::group`] (the group registration
-    /// uses the builder's name at the time it is called); not for
-    /// self-stored sessions, whose store recovery supplies its own
+    /// uses the builder's name at the time it is called); not with
+    /// [`SessionBuilder::store`], whose recovery supplies its own
     /// snapshot.
     pub fn resume(mut self, parked: ParkedSession) -> Self {
         self.name = parked.name;
@@ -815,16 +787,16 @@ impl SessionBuilder {
         let mut summary = OpenSummary::default();
         let mut snapshot = self.snapshot;
         let mut replay = self.replay;
-        let mut deferred_store = None;
+        let mut group = self.group;
         if let Some(path) = &self.store {
-            let (store, recovered) = Store::open_or_create(path)
+            let (wal, recovered) = GroupWal::open_or_create(path)
                 .map_err(|e| Error::Store(format!("cannot open store {}: {e}", path.display())))?;
             summary.truncated_bytes = recovered.truncated_bytes;
-            snapshot = recovered.snapshot;
-            replay = recovered.suffix;
-            deferred_store = Some(store);
+            let mine = recovered.sessions.into_iter().find(|s| s.name == self.name);
+            (snapshot, replay) = mine.map_or((None, Vec::new()), |s| (s.snapshot, s.suffix));
+            group = Some((Arc::new(wal), self.name.clone()));
         }
-        let group = match self.group {
+        let group = match group {
             Some((wal, name)) => {
                 let id = wal
                     .register(&name)
@@ -837,30 +809,20 @@ impl SessionBuilder {
         if let Some(snap) = snapshot {
             // Resume: engine + statuses from the snapshot, triggers
             // from the app blob, then the logged suffix on top.
-            let store_ctx = |e: &dyn std::fmt::Display| match &self.store {
-                Some(path) => format!("cannot restore checkpoint from {}: {e}", path.display()),
-                None => format!("cannot restore checkpoint: {e}"),
-            };
-            let (mut engine, app) =
-                Engine::restore_bytes(&snap, self.opts).map_err(|e| Error::Store(store_ctx(&e)))?;
+            let at = self
+                .store
+                .as_ref()
+                .map_or(String::new(), |p| format!(" in {}", p.display()));
+            let (mut engine, app) = Engine::restore_bytes(&snap, self.opts)
+                .map_err(|e| Error::Store(format!("cannot restore checkpoint{at}: {e}")))?;
             let schema = engine.history().schema().clone();
             for payload in &replay {
-                // The store is not attached yet, so replay is not
-                // re-logged (and group replay is already in the log).
-                let tx = tx_from_bytes(payload, &schema).map_err(|e| {
-                    Error::Store(match &self.store {
-                        Some(path) => {
-                            format!("corrupt logged transaction in {}: {e}", path.display())
-                        }
-                        None => format!("corrupt logged transaction: {e}"),
-                    })
-                })?;
+                // The engine logs nothing: the suffix is in the log.
+                let tx = tx_from_bytes(payload, &schema)
+                    .map_err(|e| Error::Store(format!("corrupt logged transaction{at}: {e}")))?;
                 engine.append(&tx).map_err(|e| {
                     Error::Session(format!("cannot replay logged transaction: {e}"))
                 })?;
-            }
-            if let Some(store) = deferred_store.take() {
-                engine.attach_store(store);
             }
             let trigger_defs = decode_app(&app, &schema)?;
             let mut triggers = TriggerEngine::new(self.opts);
@@ -888,7 +850,6 @@ impl SessionBuilder {
                     pending: Transaction::new(),
                     pending_ops: 0,
                 })),
-                deferred_store: None,
                 pending_replay: Vec::new(),
                 group,
                 counters: self.resume_counters.unwrap_or_default(),
@@ -904,7 +865,6 @@ impl SessionBuilder {
                 preds: self.preds,
                 consts: self.consts,
             },
-            deferred_store,
             pending_replay: replay,
             group,
             counters: Counters::default(),
@@ -929,6 +889,11 @@ fn encode_app(trigger_defs: &[(String, Formula)]) -> Vec<u8> {
         formula_encode(&mut e, phi);
     }
     e.into_bytes()
+}
+
+/// A log failure as a session error.
+fn store_err(e: StoreError) -> Error {
+    Error::Store(e.to_string())
 }
 
 /// Decodes the application blob back into trigger definitions. An
@@ -1003,20 +968,8 @@ pub fn stats_json_with(stats: &SessionStats, server: Option<&str>) -> String {
         s.cache.transition_evictions,
         s.cache.letter_index_len
     );
-    let _ = write!(
-        o,
-        ",\"store\":{{\"tx_frames\":{},\"snapshot_frames\":{},\"bytes_written\":{},\
-         \"fsyncs\":{},\"last_snapshot_bytes\":{},\"recovered_txs\":{},\"truncated_bytes\":{},\
-         \"reclaimed_bytes\":{}}}",
-        s.store.tx_frames,
-        s.store.snapshot_frames,
-        s.store.bytes_written,
-        s.store.fsyncs,
-        s.store.last_snapshot_bytes,
-        s.store.recovered_txs,
-        s.store.truncated_bytes,
-        s.store.reclaimed_bytes
-    );
+    let store = stats.store.as_ref().map(group_stats_json);
+    let _ = write!(o, ",\"store\":{}", store.as_deref().unwrap_or("null"));
     let _ = write!(
         o,
         ",\"history\":{{\"resident_states\":{},\"resident_bytes\":{},\"spilled_instants\":{},\
@@ -1064,6 +1017,24 @@ pub fn stats_json_with(stats: &SessionStats, server: Option<&str>) -> String {
     let _ = write!(o, ",\"server\":{}", server.unwrap_or("null"));
     o.push('}');
     o
+}
+
+/// Renders a log's [`GroupStats`] as the JSON object the stats schema
+/// uses for a session's `store` and the server's `group`.
+pub fn group_stats_json(g: &GroupStats) -> String {
+    format!(
+        "{{\"frames\":{},\"windows\":{},\"fsyncs\":{},\"batched_frames\":{},\
+         \"max_batch\":{},\"bytes_written\":{},\"recovered_sessions\":{},\
+         \"truncated_bytes\":{}}}",
+        g.frames,
+        g.windows,
+        g.fsyncs,
+        g.batched_frames,
+        g.max_batch,
+        g.bytes_written,
+        g.recovered_sessions,
+        g.truncated_bytes
+    )
 }
 
 #[cfg(test)]
@@ -1243,7 +1214,13 @@ mod tests {
             let phi = formula(&s, "forall x. G (Sub(x) -> X G !Sub(x))");
             s.add_constraint("once", phi).unwrap();
             s.append(&tx(&s, "Sub", 1)).unwrap();
-            assert!(s.compact().is_err(), "group logs cannot be compacted");
+            s.checkpoint().unwrap();
+            let before = std::fs::metadata(&path).unwrap().len();
+            s.compact().unwrap();
+            assert!(
+                std::fs::metadata(&path).unwrap().len() < before,
+                "compaction drops the logged prefix and the older snapshot"
+            );
             s.close().unwrap();
         }
         drop(wal);
@@ -1253,6 +1230,10 @@ mod tests {
         let wal = Arc::new(wal);
         let r = &rec.sessions[0];
         assert_eq!(r.name, "alice");
+        assert!(
+            r.suffix.is_empty(),
+            "the closing checkpoint covers every append"
+        );
         let (mut s, summary) = Session::builder()
             .name("alice")
             .group(Arc::clone(&wal))
@@ -1268,12 +1249,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_json_is_v3_with_session_object() {
+    fn stats_json_is_v4_with_session_object() {
         let (mut s, _) = Session::builder().pred("P", 1).open().unwrap();
         s.append(&tx(&s, "P", 1)).unwrap();
         let j = s.stats_json();
         assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
-        assert!(j.contains("\"schema\":\"ticc-engine-stats-v3\""), "{j}");
+        assert!(j.contains("\"schema\":\"ticc-engine-stats-v4\""), "{j}");
+        assert!(j.contains("\"store\":null"), "ephemeral: {j}");
         assert!(j.contains("\"appends\":1"), "{j}");
         assert!(j.contains("\"automata\":{\"templates_compiled\":"), "{j}");
         assert!(!j.contains("pool_workers") && !j.contains("par_"), "{j}");
@@ -1283,5 +1265,90 @@ mod tests {
         assert!(j.contains("\"server\":null"), "{j}");
         let spliced = stats_json_with(&s.stats(), Some("{\"sessions\":3}"));
         assert!(spliced.contains("\"server\":{\"sessions\":3}"), "{spliced}");
+
+        // A durable session reports its log's counters: registration,
+        // one transaction and one snapshot frame.
+        let path = tmp("stats-v4");
+        let _ = std::fs::remove_file(&path);
+        let (mut d, _) = Session::builder().store(&path).pred("P", 1).open().unwrap();
+        d.append(&tx(&d, "P", 1)).unwrap();
+        d.checkpoint().unwrap();
+        let j = d.stats_json();
+        let store = format!("\"store\":{}", group_stats_json(&d.store_stats().unwrap()));
+        assert!(j.contains(&store), "{j}");
+        assert!(j.contains("\"store\":{\"frames\":3,"), "{j}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn truncation_between_checkpoints_recovers_full_horizon() {
+        // Truncation needs no checkpoint: a crash *between* a
+        // truncation and the next checkpoint recovers from the older
+        // snapshot (self-contained, spilled pages included) plus the
+        // logged suffix, whose replay re-truncates on the way.
+        let path = tmp("budget-crash");
+        let _ = std::fs::remove_file(&path);
+        let opts = CheckOptions::builder()
+            .history_budget(crate::HistoryBudget::Window(2))
+            .durability(Durability::Wal)
+            .build();
+        let open = || {
+            Session::builder()
+                .options(opts)
+                .store(&path)
+                .pred("Sub", 1)
+                .pred("Fill", 1)
+                .open()
+                .unwrap()
+        };
+        let churn_tx = |s: &Session, i: u64| {
+            let sub = s.schema().unwrap().pred("Sub").unwrap();
+            let tx = Transaction::new();
+            let tx = if i > 0 {
+                tx.delete(sub, vec![i - 1])
+            } else {
+                tx
+            };
+            tx.insert(sub, vec![i])
+        };
+        let (mut s, summary) = open();
+        assert!(!summary.resumed);
+        let phi = formula(&s, "forall x. G (Sub(x) -> X G !Sub(x))");
+        s.add_constraint("once", phi.clone()).unwrap();
+        for i in 0..8u64 {
+            s.append(&churn_tx(&s, i)).unwrap();
+        }
+        s.checkpoint().unwrap();
+        assert!(
+            s.history().unwrap().base() > 0,
+            "the window truncated before the checkpoint"
+        );
+        // Grow past the window again; truncation moves on past the
+        // checkpoint while the log suffix accumulates.
+        for i in 8..16u64 {
+            s.append(&churn_tx(&s, i)).unwrap();
+        }
+        assert_eq!(s.history().unwrap().len(), 16);
+        drop(s); // crash: the post-checkpoint instants exist only in the log
+
+        let (s2, summary) = open();
+        assert!(summary.resumed);
+        assert_eq!(summary.replayed, 8);
+        let e2 = s2.engine().unwrap();
+        assert_eq!(e2.history().len(), 16, "full horizon restored");
+        // Oracle: a never-crashed unbounded twin over the same stream.
+        let mut twin = Engine::new(s2.schema().unwrap(), CheckOptions::default());
+        let t_id = twin.add_constraint("once", phi).unwrap();
+        for i in 0..16u64 {
+            twin.append(&churn_tx(&s2, i)).unwrap();
+        }
+        let ids: Vec<_> = e2.constraints().collect();
+        assert_eq!(ids.len(), 1);
+        assert_eq!(e2.status(ids[0]), twin.status(t_id));
+        let full = e2.full_history().unwrap();
+        for t in 0..16 {
+            assert_eq!(full.state(t), twin.history().state(t), "instant {t}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

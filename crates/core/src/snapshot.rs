@@ -69,8 +69,8 @@ fn corrupt(msg: &str) -> Error {
 }
 
 /// Serialises the complete engine state plus an opaque application
-/// blob (the shell stores its trigger definitions there). The result
-/// is what [`Engine::checkpoint`] writes as a snapshot frame.
+/// blob (a session stores its trigger definitions there). The result
+/// is what [`crate::Session::checkpoint`] logs as a snapshot frame.
 pub fn snapshot_engine(engine: &Engine, app: &[u8]) -> Vec<u8> {
     let mut e = Enc::new();
     e.u32(SNAP_VERSION);
@@ -172,9 +172,8 @@ pub fn snapshot_engine(engine: &Engine, app: &[u8]) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Rebuilds an engine from a snapshot payload. Returns the engine
-/// (without a store attached — the caller attaches one) and the
-/// application blob the snapshot carried. `opts` are the caller's: run
+/// Rebuilds an engine from a snapshot payload. Returns the engine and
+/// the application blob the snapshot carried. `opts` are the caller's: run
 /// options (durability, history budget) are a property of the process,
 /// not of the persisted state.
 pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u8>), Error> {
@@ -293,9 +292,6 @@ pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u
     engine.entries = entries;
     engine.stats = stats;
     engine.pager = pager;
-    // The snapshot covers everything it restored: budget enforcement
-    // may truncate up to here before the next checkpoint is written.
-    engine.checkpointed_len = engine.history().len();
     // Wall-clock timers measure this process, not the one that wrote
     // the snapshot: a resumed engine reports the time it spent itself,
     // so `stats --json` after a restore starts the clocks at zero.

@@ -11,16 +11,18 @@
 //! checksummed [`SegmentFile`] in temp storage, and lazily loads +
 //! caches pages on demand.
 //!
-//! The segment is a **memory-relief tier, not a durability one**: the
-//! engine only truncates instants already covered by a checkpoint, so
-//! the snapshot — which stays fully self-contained — is the source of
-//! truth after a crash, and the pager file can live in `temp_dir` and
+//! The segment is a **memory-relief tier, not a durability one**: a
+//! snapshot copies the spilled pages it needs, so it stays fully
+//! self-contained at any horizon and is the source of truth after a
+//! crash (replaying the logged suffix re-truncates exactly as the
+//! original run did), and the pager file can live in `temp_dir` and
 //! die with the process.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::error::Error;
 use crate::snapshot::{state_decode, state_encode};
@@ -63,10 +65,11 @@ fn hash_bytes(bytes: &[u8]) -> u64 {
 /// The spill tier for truncated history instants: a deduped,
 /// checksummed, lazily-loaded page file.
 ///
-/// Loads take `&self` (positioned reads + an internal cache mutex),
+/// Loads take `&self` (positioned reads + an interior-mutable cache),
 /// so the constraint sweep can fault cold states in through a shared
 /// borrow while it steps the entries mutably; spills take the pager
-/// mutably.
+/// mutably. The pager is `Send` but not `Sync`: an engine moves
+/// between threads, it is never stepped from two at once.
 #[derive(Debug)]
 pub struct HistoryPager {
     seg: SegmentFile,
@@ -84,9 +87,9 @@ pub struct HistoryPager {
     /// table pays anyway.
     raw: HashMap<u32, Vec<u8>>,
     /// Decoded-page cache, cleared wholesale at [`CACHE_CAP`].
-    cache: Mutex<HashMap<u32, Arc<State>>>,
+    cache: RefCell<HashMap<u32, Arc<State>>>,
     /// Pages faulted back in from disk (cache misses).
-    loads: AtomicU64,
+    loads: Cell<u64>,
 }
 
 impl HistoryPager {
@@ -100,8 +103,8 @@ impl HistoryPager {
             per_instant: Vec::new(),
             dedup: HashMap::new(),
             raw: HashMap::new(),
-            cache: Mutex::new(HashMap::new()),
-            loads: AtomicU64::new(0),
+            cache: RefCell::new(HashMap::new()),
+            loads: Cell::new(0),
         })
     }
 
@@ -149,19 +152,16 @@ impl HistoryPager {
             .per_instant
             .get(t)
             .ok_or_else(|| Error::Store(format!("instant {t} is not in the spill tier")))?;
-        {
-            let cache = self.cache.lock().expect("pager cache poisoned");
-            if let Some(s) = cache.get(&id) {
-                return Ok(Arc::clone(s));
-            }
+        if let Some(s) = self.cache.borrow().get(&id) {
+            return Ok(Arc::clone(s));
         }
         let bytes = self.seg.read(id)?;
         let mut d = Dec::new(&bytes);
         let state = state_decode(&mut d, &self.schema)?;
         d.finish().map_err(Error::from)?;
-        self.loads.fetch_add(1, Ordering::Relaxed);
+        self.loads.set(self.loads.get() + 1);
         let state = Arc::new(state);
-        let mut cache = self.cache.lock().expect("pager cache poisoned");
+        let mut cache = self.cache.borrow_mut();
         if cache.len() >= CACHE_CAP {
             cache.clear();
         }
@@ -198,7 +198,7 @@ impl HistoryPager {
 
     /// Pages faulted back in from disk so far.
     pub fn loads(&self) -> u64 {
-        self.loads.load(Ordering::Relaxed)
+        self.loads.get()
     }
 }
 

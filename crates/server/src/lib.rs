@@ -33,8 +33,15 @@
 //!   the next op on the name transparently resumes them, counters and
 //!   all.
 //!
-//! Stats are the `ticc-engine-stats-v3` schema with the `server`
+//! Stats are the `ticc-engine-stats-v4` schema with the `server`
 //! object filled in.
+//!
+//! A `shutdown` with `checkpoint` (the default) checkpoints every live
+//! session and then compacts the log once ([`GroupWal::compact`]), so
+//! a restart reads each session's newest snapshot and suffix, not
+//! every frame ever written; parked and recovered-but-unopened
+//! sessions keep their newest snapshot and suffix, because compaction
+//! keeps every registered session.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
@@ -44,8 +51,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ticc_core::{
-    stats_json_with, CheckOptions, Committed, GroupWal, HistoryBudget, ParkedSession, Session,
-    Status,
+    group_stats_json, stats_json_with, CheckOptions, Committed, GroupWal, HistoryBudget,
+    ParkedSession, Session, Status,
 };
 use ticc_fotl::parser::parse as parse_formula;
 use ticc_store::codec::parse_fact;
@@ -253,29 +260,14 @@ impl Server {
         self.wal.as_ref().map(|w| w.stats())
     }
 
-    /// The `server` object of the v2 stats schema, as a JSON document.
+    /// The `server` object of the stats schema, as a JSON document.
     pub fn server_stats_json(&self) -> String {
         let sessions = self.sessions.lock().expect("sessions lock").len();
         let parked = self.parked.lock().expect("parked lock").len();
-        let group = match &self.wal {
-            Some(wal) => {
-                let g = wal.stats();
-                format!(
-                    "{{\"frames\":{},\"windows\":{},\"fsyncs\":{},\"batched_frames\":{},\
-                     \"max_batch\":{},\"bytes_written\":{},\"recovered_sessions\":{},\
-                     \"truncated_bytes\":{}}}",
-                    g.frames,
-                    g.windows,
-                    g.fsyncs,
-                    g.batched_frames,
-                    g.max_batch,
-                    g.bytes_written,
-                    g.recovered_sessions,
-                    g.truncated_bytes
-                )
-            }
-            None => "null".to_owned(),
-        };
+        let group = self
+            .wal
+            .as_ref()
+            .map_or_else(|| "null".to_owned(), |wal| group_stats_json(&wal.stats()));
         format!(
             "{{\"schema\":\"{}\",\"sessions\":{sessions},\"parked\":{parked},\
              \"connections\":{},\"frames\":{},\"inflight\":{},\"backpressure\":{},\
@@ -1062,8 +1054,15 @@ impl Server {
             }
         }
         if let Some(wal) = &self.wal {
-            if let Err(e) = wal.flush() {
-                return wire::err("engine", format!("final flush failed: {e}"));
+            // Compaction drains and syncs everything enqueued, like the
+            // flush it replaces.
+            let (done, what) = if checkpoint {
+                (wal.compact(), "compaction")
+            } else {
+                (wal.flush(), "flush")
+            };
+            if let Err(e) = done {
+                return wire::err("engine", format!("final {what} failed: {e}"));
             }
         }
         self.shutdown.store(true, Ordering::SeqCst);

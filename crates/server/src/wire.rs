@@ -21,7 +21,7 @@
 //! | `append`     | `session`, opt. `insert`/`delete` (arrays of `"Pred(v,…)"` facts in the store codec's text grammar; inserts apply first) and/or ordered `ops` `[["+"\|"-", fact],…]` | `t`, `events`, `fired` |
 //! | `append_batch` | `session`, `txs` (array of transaction objects, each the `append` shape) — commits consecutive states in one constraint sweep and one group-commit window | `results` (array of `{t, events, fired}`) |
 //! | `status`     | `session`                                             | `constraints` array |
-//! | `stats`      | `session`                                             | `stats` (a `ticc-engine-stats-v2` object with the `server` object filled in) |
+//! | `stats`      | `session`                                             | `stats` (a `ticc-engine-stats-v4` object with the `server` object filled in) |
 //! | `checkpoint` | `session`                                             | `bytes` |
 //! | `close`      | `session`                                             | `session` (checkpoints, parks the checkpoint for reopen, unregisters) |
 //! | `shutdown`   | opt. `checkpoint` (default `true`)                    | — (server stops accepting, drains, exits) |

@@ -398,6 +398,7 @@ fn checkpointed_server_restart_resumes_without_redeclaration() {
     let opts = CheckOptions::builder()
         .durability(Durability::WalFsync)
         .build();
+    let statuses;
     {
         let server = Arc::new(Server::with_wal(opts, Limits::default(), &wal_path).unwrap());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -409,12 +410,31 @@ fn checkpointed_server_restart_resumes_without_redeclaration() {
         client.ok(r#"{"op":"append","session":"a","insert":["Sub(7)"]}"#);
         let r = client.ok(r#"{"op":"checkpoint","session":"a"}"#);
         assert!(r.get("bytes").unwrap().as_u64().unwrap() > 0);
-        // One more append after the checkpoint: must replay on resume.
+        // One more append after the checkpoint, and a second
+        // checkpoint, so the log holds frames compaction can drop.
         client.ok(r#"{"op":"append","session":"a","delete":["Sub(7)"]}"#);
+        client.ok(r#"{"op":"checkpoint","session":"a"}"#);
+        statuses = client
+            .ok(r#"{"op":"status","session":"a"}"#)
+            .get("constraints")
+            .cloned();
+        let before = std::fs::metadata(&wal_path).unwrap().len();
+        // The default shutdown checkpoints every live session, then
+        // compacts the log.
         client.ok(r#"{"op":"shutdown"}"#);
         running.join();
+        let after = std::fs::metadata(&wal_path).unwrap().len();
+        assert!(
+            after < before,
+            "the compacting shutdown shrinks the log ({before} -> {after} bytes)"
+        );
     }
     let server = Arc::new(Server::with_wal(opts, Limits::default(), &wal_path).unwrap());
+    assert_eq!(
+        server.group_stats().unwrap().truncated_bytes,
+        0,
+        "the compacted log reopens without a torn tail"
+    );
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let running = ticc_server::mux::start_mux(Arc::clone(&server), listener).unwrap();
     let mut client = Client::connect(running.addr);
@@ -423,6 +443,12 @@ fn checkpointed_server_restart_resumes_without_redeclaration() {
     let r = client.ok(r#"{"op":"open","session":"a"}"#);
     assert_eq!(r.get("states").unwrap().as_u64(), Some(2), "{r:?}");
     assert_eq!(r.get("constraints").unwrap().as_u64(), Some(1), "{r:?}");
+    let resumed = client.ok(r#"{"op":"status","session":"a"}"#);
+    assert_eq!(
+        resumed.get("constraints").cloned(),
+        statuses,
+        "statuses survive the restart"
+    );
     let r = client.ok(r#"{"op":"append","session":"a","insert":["Sub(7)"]}"#);
     assert_eq!(
         r.get("events").unwrap().as_arr().unwrap().len(),

@@ -1,10 +1,13 @@
-//! Group-commit write-ahead log: one shared file, many sessions, one
-//! fsync per commit window.
+//! The write-ahead log: one file, any number of sessions, one fsync
+//! per commit window.
 //!
 //! `fsync` is per-*file*, so amortizing it across sessions requires
 //! the sessions to share a file. A [`GroupWal`] is a single
 //! append-only log multiplexing frames from any number of sessions,
-//! each identified by a small integer id registered up front:
+//! each identified by a small integer id registered up front. It is
+//! also the only log format: a single-tenant store (`ticc-shell
+//! --store`, `SessionBuilder::store`) is a group log with one
+//! registered session.
 //!
 //! ```text
 //! TICCGRP01                                   9-byte magic + format version
@@ -13,13 +16,12 @@
 //! [u32 len][18][LEB id, snapshot][u64 cksum]  one session snapshot
 //! ```
 //!
-//! Frames reuse the per-session store's `[len][tag][payload][checksum]`
-//! shape (and [`crate::frame_checksum`]), with a distinct magic so a group log
-//! can never be mistaken for — or truncated as — a single-session
-//! store, and session-scoped tags whose payloads carry the session id
-//! as a canonical LEB128 prefix. Transaction payloads are the same
-//! canonical [`crate::codec::tx_to_bytes`] encoding the per-session
-//! WAL logs.
+//! Frames use the [`crate::frame`] shape (`[len][tag][payload]
+//! [checksum]`); session-scoped payloads carry the session id as a
+//! canonical LEB128 prefix. Transaction payloads are the canonical
+//! [`crate::codec::tx_to_bytes`] encoding. Recovery is
+//! [`crate::recovery`]'s scanner: per session, the newest snapshot
+//! plus the transactions logged after it.
 //!
 //! ## Commit windows
 //!
@@ -48,6 +50,17 @@
 //! Non-durable appends (`Durability::Wal`-style) enqueue and
 //! drain through the same path without requesting the fsync, so the
 //! bytes still reach the kernel promptly and survive process crashes.
+//!
+//! ## Compaction
+//!
+//! [`GroupWal::compact`] rewrites the log as what recovery would find
+//! in it — per registered session, its registration, its newest
+//! snapshot and the suffix after it — into `<path>.compact.tmp`,
+//! syncs it, renames it over the log and syncs the directory, all
+//! under the io lock. A crash before the rename leaves the old log in
+//! place (the stale temp file is ignored by [`GroupWal::open`] and
+//! overwritten by the next compaction); a crash after it leaves the
+//! compacted log. Either way recovery returns the same sessions.
 
 use std::collections::HashMap;
 use std::fs::OpenOptions;
@@ -55,9 +68,9 @@ use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::encode::{Dec, Enc, StoreError};
-use crate::recovery::next_frame;
-use crate::wal::encode_frame_into;
+use crate::encode::{Enc, StoreError};
+use crate::frame::encode_frame_into;
+use crate::recovery::scan_group;
 use ticc_tdb::Transaction;
 
 /// Magic + format version: the first 9 bytes of every group log.
@@ -303,12 +316,8 @@ impl GroupWal {
             let id = q.next_session;
             q.next_session += 1;
             q.names.insert(name.to_owned(), id);
-            let mut e = Enc::new();
-            e.u32(id);
-            e.str(name);
-            let payload = e.into_bytes();
             let mut frame = Vec::new();
-            encode_frame_into(&mut frame, TAG_SESSION_OPEN, &payload)?;
+            encode_frame_into(&mut frame, TAG_SESSION_OPEN, &registration(id, name))?;
             q.pending.extend_from_slice(&frame);
             q.pending_frames += 1;
             q.next_seq += 1;
@@ -324,19 +333,14 @@ impl GroupWal {
     /// before this returns; the fsync is shared with whatever else the
     /// commit window picked up.
     pub fn append_tx(&self, id: u32, tx: &Transaction, sync: bool) -> Result<(), StoreError> {
-        let mut e = Enc::new();
-        e.u32(id);
-        e.bytes(&crate::codec::tx_to_bytes(tx));
-        self.append(TAG_SESSION_TX, &e.into_bytes(), sync)
+        let payload = session_payload(id, &crate::codec::tx_to_bytes(tx));
+        self.append(TAG_SESSION_TX, &payload, sync)
     }
 
     /// Appends one snapshot frame for session `id` (always synced: a
     /// snapshot exists to be found after a crash).
     pub fn append_snapshot(&self, id: u32, snapshot: &[u8]) -> Result<(), StoreError> {
-        let mut e = Enc::new();
-        e.u32(id);
-        e.bytes(snapshot);
-        self.append(TAG_SESSION_SNAPSHOT, &e.into_bytes(), true)
+        self.append(TAG_SESSION_SNAPSHOT, &session_payload(id, snapshot), true)
     }
 
     /// Forces everything enqueued so far onto disk.
@@ -370,6 +374,78 @@ impl GroupWal {
             q.stats.frames += 1;
         }
         self.drain(if sync { Some(my_seq) } else { None })
+    }
+
+    /// Rewrites the log to hold, per registered session, only its
+    /// registration (id unchanged), its newest snapshot and the
+    /// transactions logged after it — exactly what [`GroupWal::open`]
+    /// would recover, in fewer bytes. Runs under the io lock: pending
+    /// frames are drained into the old file first, and appends racing
+    /// the rewrite queue up and land in the compacted file. On return
+    /// everything enqueued before the call is durable. A poisoned log
+    /// refuses to compact; a failure before the rename leaves the log
+    /// as it was, one after it poisons the log.
+    pub fn compact(&self) -> Result<(), StoreError> {
+        let mut io = self.io.lock().expect("group io lock");
+        let (batch, end_seq) = {
+            let mut q = self.queue.lock().expect("group queue lock");
+            if let Some(msg) = &q.failed {
+                return Err(StoreError::Io(std::io::Error::other(msg.clone())));
+            }
+            q.pending_frames = 0;
+            (std::mem::take(&mut q.pending), q.next_seq)
+        };
+        if let Err(e) = io.file.write_all(&batch) {
+            return Err(self.poison(e.into()));
+        }
+        {
+            let mut q = self.queue.lock().expect("group queue lock");
+            q.written_seq = q.written_seq.max(end_seq);
+            q.stats.bytes_written += batch.len() as u64;
+        }
+        // Until the rename, a failure leaves the old log in place and
+        // the handle on it: report it, poison nothing.
+        let image = compacted_image(&std::fs::read(&self.path)?)?;
+        let tmp = self.compact_tmp_path();
+        if let Err(e) = write_synced(&tmp, &image) {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
+        // From the rename on, a failure leaves unknown which file the
+        // path names and where the handle points: poison.
+        let swapped = std::fs::rename(&tmp, &self.path)
+            .map_err(StoreError::from)
+            .and_then(|()| sync_parent_dir(&self.path))
+            .and_then(|()| {
+                let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
+                file.seek(std::io::SeekFrom::End(0))?;
+                Ok(file)
+            });
+        match swapped {
+            Ok(file) => io.file = file,
+            Err(e) => return Err(self.poison(e)),
+        }
+        let mut q = self.queue.lock().expect("group queue lock");
+        q.durable_seq = q.durable_seq.max(end_seq);
+        q.stats.bytes_written += image.len() as u64;
+        // The temp file's sync and the directory's.
+        q.stats.fsyncs += 2;
+        Ok(())
+    }
+
+    /// Marks the log failed (every later append, flush and compaction
+    /// reports `e`) and hands `e` back.
+    fn poison(&self, e: StoreError) -> StoreError {
+        self.queue.lock().expect("group queue lock").failed = Some(e.to_string());
+        e
+    }
+
+    /// Where [`GroupWal::compact`] builds the rewritten log before
+    /// renaming it over the original.
+    fn compact_tmp_path(&self) -> PathBuf {
+        let mut p = self.path.clone().into_os_string();
+        p.push(".compact.tmp");
+        PathBuf::from(p)
     }
 
     /// The write path. `need_durable: Some(seq)` blocks until `seq` is
@@ -431,77 +507,67 @@ impl GroupWal {
     }
 }
 
-/// Scans a group-log image: per-session newest snapshot + suffix, and
-/// where the valid prefix ends.
-fn scan_group(bytes: &[u8]) -> Result<(GroupRecovered, usize), StoreError> {
-    if bytes.len() < GROUP_MAGIC.len() || &bytes[..GROUP_MAGIC.len()] != GROUP_MAGIC {
-        return Err(StoreError::NotAStore(
-            "missing TICCGRP01 header (is this a ticc group log?)".to_owned(),
-        ));
-    }
-    let mut by_id: HashMap<u32, RecoveredSession> = HashMap::new();
-    let mut frames = 0u64;
-    let mut pos = GROUP_MAGIC.len();
-    while let Some(frame) = next_frame(bytes, pos) {
-        let payload = &bytes[frame.payload.clone()];
-        let mut d = Dec::new(payload);
-        match frame.tag {
-            TAG_SESSION_OPEN => {
-                let id = d.u32()?;
-                let name = d.str()?.to_owned();
-                d.finish()?;
-                by_id.entry(id).or_insert(RecoveredSession {
-                    id,
-                    name,
-                    snapshot: None,
-                    suffix: Vec::new(),
-                });
-            }
-            TAG_SESSION_TX => {
-                let id = d.u32()?;
-                let tx = d.bytes()?.to_vec();
-                d.finish()?;
-                if let Some(s) = by_id.get_mut(&id) {
-                    s.suffix.push(tx);
-                }
-            }
-            TAG_SESSION_SNAPSHOT => {
-                let id = d.u32()?;
-                let snap = d.bytes()?.to_vec();
-                d.finish()?;
-                if let Some(s) = by_id.get_mut(&id) {
-                    s.snapshot = Some(snap);
-                    s.suffix.clear();
-                }
-            }
-            _ => {
-                // Unknown tag: a future format or garbage that
-                // happened to checksum — stop here either way.
-                break;
-            }
+/// The compacted form of a log image: header, then per recovered
+/// session (in id order) its registration, newest snapshot and suffix.
+fn compacted_image(bytes: &[u8]) -> Result<Vec<u8>, StoreError> {
+    let (recovered, _) = scan_group(bytes)?;
+    let mut out = GROUP_MAGIC.to_vec();
+    for s in &recovered.sessions {
+        encode_frame_into(&mut out, TAG_SESSION_OPEN, &registration(s.id, &s.name))?;
+        for (tag, body) in s
+            .snapshot
+            .iter()
+            .map(|b| (TAG_SESSION_SNAPSHOT, b))
+            .chain(s.suffix.iter().map(|b| (TAG_SESSION_TX, b)))
+        {
+            encode_frame_into(&mut out, tag, &session_payload(s.id, body))?;
         }
-        frames += 1;
-        pos = frame.end;
     }
-    let mut sessions: Vec<RecoveredSession> = by_id.into_values().collect();
-    sessions.sort_by_key(|s| s.id);
-    Ok((
-        GroupRecovered {
-            sessions,
-            frames,
-            truncated_bytes: 0,
-        },
-        pos,
-    ))
+    Ok(out)
 }
 
-// Checksum sanity: group frames share the store checksum, so a
-// cross-linked frame can never validate under the wrong magic scan —
-// the magics differ at byte 0.
-const _: () = {
-    assert!(GROUP_MAGIC.len() == crate::wal::MAGIC.len());
-    assert!(GROUP_MAGIC[4] != crate::wal::MAGIC[4]);
-};
+/// A registration payload: `LEB id ++ str name`.
+fn registration(id: u32, name: &str) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u32(id);
+    e.str(name);
+    e.into_bytes()
+}
+
+/// A transaction or snapshot payload: `LEB id ++ bytes(body)`.
+fn session_payload(id: u32, body: &[u8]) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u32(id);
+    e.bytes(body);
+    e.into_bytes()
+}
+
+/// Creates (or truncates) `path`, writes `bytes` and syncs them.
+fn write_synced(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let mut f = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path)?;
+    f.write_all(bytes)?;
+    f.sync_data()?;
+    Ok(())
+}
+
+/// Makes a rename inside `path`'s directory durable.
+fn sync_parent_dir(path: &Path) -> Result<(), StoreError> {
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    #[cfg(not(unix))]
+    let _ = path;
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {
@@ -566,26 +632,6 @@ mod tests {
         assert!(b.snapshot.is_none());
         assert_eq!(b.suffix.len(), 1, "b's suffix untouched by a's snapshot");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn store_and_group_files_reject_each_other() {
-        let gpath = tmp("cross-g");
-        let spath = tmp("cross-s");
-        let _ = std::fs::remove_file(&gpath);
-        let _ = std::fs::remove_file(&spath);
-        GroupWal::create(&gpath).unwrap();
-        crate::Store::create(&spath).unwrap();
-        assert!(matches!(
-            crate::Store::open(&gpath),
-            Err(StoreError::NotAStore(_))
-        ));
-        assert!(matches!(
-            GroupWal::open(&spath),
-            Err(StoreError::NotAStore(_))
-        ));
-        let _ = std::fs::remove_file(&gpath);
-        let _ = std::fs::remove_file(&spath);
     }
 
     #[test]

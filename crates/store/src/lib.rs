@@ -22,16 +22,16 @@
 //! - [`codec`] — canonical codecs for [`Schema`](ticc_tdb::Schema),
 //!   [`Transaction`](ticc_tdb::Transaction) (binary and the shell's
 //!   `Pred(v, …)` text grammar), and FOTL formulas.
-//! - [`wal`] — the framed log file ([`Store`]): 9-byte `TICCSTOR1`
-//!   header, then `[len][tag][payload][splitmix64 checksum]` frames,
-//!   with per-append fsync policy and atomic [`Store::compact`].
-//! - [`recovery`] — the scanner ([`Recovered`]): walks frames,
-//!   truncates torn/corrupt tails to the last intact frame, surfaces
-//!   the newest snapshot and the transaction suffix to replay.
-//! - [`group`] — the multi-session group-commit log ([`GroupWal`]):
-//!   one shared `TICCGRP01` file multiplexing session-tagged frames,
-//!   one fsync per commit window regardless of how many sessions'
-//!   appends it covers.
+//! - [`frame`] — the checksummed `[len][tag][payload][checksum]`
+//!   frame every log record travels in.
+//! - [`recovery`] — the scanner: walks frames, stops at the first
+//!   torn/corrupt one (the log truncates the file back to it), and
+//!   surfaces each session's newest snapshot and transaction suffix.
+//! - [`group`] — the log ([`GroupWal`]): one `TICCGRP01` file
+//!   multiplexing session-tagged frames, one fsync per commit window
+//!   regardless of how many sessions' appends it covers, and atomic
+//!   [`GroupWal::compact`]. A single-tenant store is a group log with
+//!   one registered session.
 //! - [`segment`] — the cold-state spill segment ([`SegmentFile`]):
 //!   an append-only `TICCSEG1` page file the engine evicts cold
 //!   history states into under a bounded `HistoryBudget`. Checksummed
@@ -40,16 +40,15 @@
 
 pub mod codec;
 pub mod encode;
+pub mod frame;
 pub mod group;
 pub mod recovery;
 pub mod segment;
-pub mod wal;
 
 pub use encode::{Dec, Enc, StoreError};
+pub use frame::{frame_checksum, MAX_PAYLOAD};
 pub use group::{GroupRecovered, GroupStats, GroupWal, RecoveredSession, GROUP_MAGIC};
-pub use recovery::Recovered;
 pub use segment::{page_checksum, SegmentFile, SEG_MAGIC};
-pub use wal::{frame_checksum, Store, StoreStats, MAGIC, TAG_SNAPSHOT, TAG_TX};
 
 #[cfg(test)]
 mod tests {
@@ -74,24 +73,24 @@ mod tests {
         let path = tmp("roundtrip.wal");
         let _ = std::fs::remove_file(&path);
 
-        let mut store = Store::create(&path).unwrap();
-        store.append_snapshot(b"snap-0").unwrap();
+        let wal = GroupWal::create(&path).unwrap();
+        let id = wal.register("s").unwrap();
+        wal.append_snapshot(id, b"snap-0").unwrap();
         let tx1 = Transaction::new().insert(p, vec![1]);
         let tx2 = Transaction::new().delete(p, vec![1]).insert(p, vec![2]);
-        store.append_tx(&tx1, false).unwrap();
-        store.append_tx(&tx2, true).unwrap();
-        assert_eq!(store.stats().tx_frames, 2);
-        assert_eq!(store.stats().snapshot_frames, 1);
-        assert!(store.stats().fsyncs >= 2, "snapshot + fsynced tx");
-        drop(store);
+        wal.append_tx(id, &tx1, false).unwrap();
+        wal.append_tx(id, &tx2, true).unwrap();
+        assert_eq!(wal.stats().frames, 4, "registration + snapshot + 2 txs");
+        assert!(wal.stats().fsyncs >= 2, "snapshot + fsynced tx");
+        drop(wal);
 
-        let (store, rec) = Store::open(&path).unwrap();
-        assert_eq!(rec.snapshot.as_deref(), Some(&b"snap-0"[..]));
-        assert_eq!(rec.suffix.len(), 2);
+        let (_, rec) = GroupWal::open(&path).unwrap();
+        let s = &rec.sessions[0];
+        assert_eq!(s.snapshot.as_deref(), Some(&b"snap-0"[..]));
+        assert_eq!(s.suffix.len(), 2);
         assert_eq!(rec.truncated_bytes, 0);
-        assert_eq!(codec::tx_from_bytes(&rec.suffix[0], &sc).unwrap(), tx1);
-        assert_eq!(codec::tx_from_bytes(&rec.suffix[1], &sc).unwrap(), tx2);
-        drop(store);
+        assert_eq!(codec::tx_from_bytes(&s.suffix[0], &sc).unwrap(), tx1);
+        assert_eq!(codec::tx_from_bytes(&s.suffix[1], &sc).unwrap(), tx2);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -102,12 +101,12 @@ mod tests {
         let path = tmp("torn.wal");
         let _ = std::fs::remove_file(&path);
 
-        let mut store = Store::create(&path).unwrap();
-        store.append_snapshot(b"snap").unwrap();
-        store
-            .append_tx(&Transaction::new().insert(p, vec![1]), true)
+        let wal = GroupWal::create(&path).unwrap();
+        let id = wal.register("s").unwrap();
+        wal.append_snapshot(id, b"snap").unwrap();
+        wal.append_tx(id, &Transaction::new().insert(p, vec![1]), true)
             .unwrap();
-        drop(store);
+        drop(wal);
 
         // Simulate a crash mid-append: half a frame of garbage.
         {
@@ -119,16 +118,15 @@ mod tests {
             f.write_all(&[0x55; 7]).unwrap();
         }
 
-        let (mut store, rec) = Store::open(&path).unwrap();
+        let (wal, rec) = GroupWal::open(&path).unwrap();
         assert_eq!(rec.truncated_bytes, 7);
-        assert_eq!(rec.suffix.len(), 1);
+        assert_eq!(rec.sessions[0].suffix.len(), 1);
         // The log is writable again and the new frame is intact.
-        store
-            .append_tx(&Transaction::new().insert(p, vec![2]), true)
+        wal.append_tx(id, &Transaction::new().insert(p, vec![2]), true)
             .unwrap();
-        drop(store);
-        let (_, rec2) = Store::open(&path).unwrap();
-        assert_eq!(rec2.suffix.len(), 2);
+        drop(wal);
+        let (_, rec2) = GroupWal::open(&path).unwrap();
+        assert_eq!(rec2.sessions[0].suffix.len(), 2);
         assert_eq!(rec2.truncated_bytes, 0);
         let _ = std::fs::remove_file(&path);
     }
@@ -140,24 +138,27 @@ mod tests {
         let path = tmp("compact.wal");
         let _ = std::fs::remove_file(&path);
 
-        let mut store = Store::create(&path).unwrap();
-        store.append_snapshot(b"old").unwrap();
+        let wal = GroupWal::create(&path).unwrap();
+        let id = wal.register("s").unwrap();
+        wal.append_snapshot(id, b"old").unwrap();
         for i in 0..10 {
-            store
-                .append_tx(&Transaction::new().insert(p, vec![i]), false)
+            wal.append_tx(id, &Transaction::new().insert(p, vec![i]), false)
                 .unwrap();
         }
-        store.compact(b"fresh-snapshot").unwrap();
+        wal.append_snapshot(id, b"fresh-snapshot").unwrap();
+        let before = std::fs::metadata(&path).unwrap().len();
+        wal.compact().unwrap();
+        assert!(std::fs::metadata(&path).unwrap().len() < before);
         // Appends after compaction land after the new snapshot.
-        store
-            .append_tx(&Transaction::new().insert(p, vec![99]), true)
+        wal.append_tx(id, &Transaction::new().insert(p, vec![99]), true)
             .unwrap();
-        drop(store);
+        drop(wal);
 
-        let (_, rec) = Store::open(&path).unwrap();
-        assert_eq!(rec.snapshot.as_deref(), Some(&b"fresh-snapshot"[..]));
-        assert_eq!(rec.suffix.len(), 1);
-        assert_eq!(rec.frames, 2);
+        let (_, rec) = GroupWal::open(&path).unwrap();
+        let s = &rec.sessions[0];
+        assert_eq!(s.snapshot.as_deref(), Some(&b"fresh-snapshot"[..]));
+        assert_eq!(s.suffix.len(), 1);
+        assert_eq!(rec.frames, 3, "registration + snapshot + tx");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -165,15 +166,15 @@ mod tests {
     fn open_missing_file_is_io_error() {
         let path = tmp("never-created.wal");
         let _ = std::fs::remove_file(&path);
-        assert!(matches!(Store::open(&path), Err(StoreError::Io(_))));
+        assert!(matches!(GroupWal::open(&path), Err(StoreError::Io(_))));
     }
 
     #[test]
     fn open_non_store_file_is_friendly() {
         let path = tmp("not-a-store.wal");
         std::fs::write(&path, b"hello world, definitely not a WAL").unwrap();
-        match Store::open(&path) {
-            Err(StoreError::NotAStore(msg)) => assert!(msg.contains("TICCSTOR1")),
+        match GroupWal::open(&path) {
+            Err(StoreError::NotAStore(msg)) => assert!(msg.contains("TICCGRP01")),
             other => panic!("expected NotAStore, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
@@ -183,9 +184,10 @@ mod tests {
     fn zero_length_file_is_a_fresh_store() {
         let path = tmp("empty.wal");
         std::fs::write(&path, b"").unwrap();
-        let (_, rec) = Store::open(&path).unwrap();
+        let (_, rec) = GroupWal::open(&path).unwrap();
         assert_eq!(rec.frames, 0);
-        assert!(rec.snapshot.is_none());
+        assert!(rec.sessions.is_empty());
+        assert_eq!(std::fs::read(&path).unwrap(), GROUP_MAGIC);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -20,20 +20,21 @@
 //! a [`StoreError::Corrupt`] on [`SegmentFile::read`] instead of a
 //! silently wrong state.
 //!
-//! Unlike the WAL, a segment is *not* a durability artifact: the
-//! engine only spills instants already covered by a checkpoint, so a
-//! lost or truncated segment costs a rebuild from the snapshot, never
-//! correctness. That is why appends do not fsync and the engine keeps
-//! segments in temp storage.
+//! Unlike the WAL, a segment is *not* a durability artifact: every
+//! engine snapshot carries the spilled pages it needs, and replaying
+//! the logged suffix re-spills whatever was truncated after it, so a
+//! lost segment costs a rebuild from the snapshot, never correctness.
+//! That is why appends do not fsync and the engine keeps segments in
+//! temp storage.
 //!
-//! [`frame_checksum`]: crate::wal::frame_checksum
+//! [`frame_checksum`]: crate::frame::frame_checksum
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::encode::StoreError;
-use crate::wal::MAX_PAYLOAD;
+use crate::frame::MAX_PAYLOAD;
 use ticc_tdb::rng::splitmix64;
 
 /// Magic + format version: the first 8 bytes of every segment file.

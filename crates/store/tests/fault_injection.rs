@@ -4,7 +4,7 @@
 //! never a half-applied frame.
 
 use ticc_store::codec::{tx_from_bytes, tx_to_bytes};
-use ticc_store::{Store, StoreError, MAGIC};
+use ticc_store::{GroupRecovered, GroupWal, StoreError, GROUP_MAGIC};
 use ticc_tdb::{Schema, Transaction};
 
 fn schema() -> std::sync::Arc<Schema> {
@@ -15,22 +15,27 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("ticc-store-fault-{tag}-{}.wal", std::process::id()))
 }
 
-/// Writes a store with one snapshot frame and `txs` transaction
-/// frames; returns the raw file bytes and the frame boundaries
-/// (byte offsets where each frame *ends*, starting with the header).
+/// Writes a one-session log — registration, one snapshot frame and
+/// `txs` transaction frames; returns the raw file bytes and the frame
+/// boundaries (byte offsets where each frame *ends*, starting with the
+/// header).
 fn build_log(tag: &str, txs: &[Transaction]) -> (std::path::PathBuf, Vec<u8>, Vec<usize>) {
     let path = temp_path(tag);
     let _ = std::fs::remove_file(&path);
-    let mut store = Store::create(&path).unwrap();
-    let mut boundaries = vec![MAGIC.len()];
-    store.append_snapshot(b"pretend-snapshot-payload").unwrap();
-    boundaries.push(std::fs::metadata(&path).unwrap().len() as usize);
+    let wal = GroupWal::create(&path).unwrap();
+    let len = || std::fs::metadata(&path).unwrap().len() as usize;
+    let mut boundaries = vec![GROUP_MAGIC.len()];
+    let id = wal.register("s").unwrap();
+    boundaries.push(len());
+    wal.append_snapshot(id, b"pretend-snapshot-payload")
+        .unwrap();
+    boundaries.push(len());
     for tx in txs {
-        store.append_tx(tx, false).unwrap();
-        store.sync().unwrap();
-        boundaries.push(std::fs::metadata(&path).unwrap().len() as usize);
+        wal.append_tx(id, tx, false).unwrap();
+        wal.flush().unwrap();
+        boundaries.push(len());
     }
-    drop(store);
+    drop(wal);
     let bytes = std::fs::read(&path).unwrap();
     (path, bytes, boundaries)
 }
@@ -50,6 +55,25 @@ fn sample_txs(sc: &Schema) -> Vec<Transaction> {
     ]
 }
 
+/// Asserts `rec` holds exactly the first `intact` frames of the log
+/// [`build_log`] wrote (registration, snapshot, then `txs`).
+fn assert_prefix(rec: &GroupRecovered, intact: usize, txs: &[Transaction], label: &str) {
+    assert_eq!(
+        rec.frames as usize, intact,
+        "{label}: wrong surviving prefix"
+    );
+    if intact == 0 {
+        assert!(rec.sessions.is_empty(), "{label}");
+        return;
+    }
+    let s = &rec.sessions[0];
+    assert_eq!(s.snapshot.is_some(), intact >= 2, "{label}");
+    assert_eq!(s.suffix.len(), intact.saturating_sub(2), "{label}");
+    for (tx, payload) in txs.iter().zip(&s.suffix) {
+        assert_eq!(tx_to_bytes(tx), *payload, "{label}");
+    }
+}
+
 #[test]
 fn truncation_at_and_between_every_frame_boundary_recovers_prefix() {
     let sc = schema();
@@ -59,45 +83,39 @@ fn truncation_at_and_between_every_frame_boundary_recovers_prefix() {
     for cut in 0..=bytes.len() {
         std::fs::write(&path, &bytes[..cut]).unwrap();
         if cut == 0 {
-            // Empty file: opens as a fresh store, header rewritten.
-            let (_store, recovered) = Store::open(&path).unwrap();
-            assert!(recovered.snapshot.is_none());
-            assert!(recovered.suffix.is_empty());
+            // Empty file: opens as a fresh log, header rewritten.
+            let (_wal, recovered) = GroupWal::open(&path).unwrap();
+            assert!(recovered.sessions.is_empty());
             assert_eq!(
                 std::fs::metadata(&path).unwrap().len() as usize,
-                MAGIC.len()
+                GROUP_MAGIC.len()
             );
             continue;
         }
-        if cut < MAGIC.len() {
-            // Short header: not a store.
+        if cut < GROUP_MAGIC.len() {
+            // Short header: not a log.
             assert!(
-                matches!(Store::open(&path), Err(StoreError::NotAStore(_))),
+                matches!(GroupWal::open(&path), Err(StoreError::NotAStore(_))),
                 "cut {cut}"
             );
             continue;
         }
-        let (store, recovered) = Store::open(&path).unwrap();
+        let (wal, recovered) = GroupWal::open(&path).unwrap();
         // The valid prefix is the largest boundary ≤ cut.
         let frames_intact = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
         let expected_end = *boundaries
             .iter()
             .filter(|&&b| b <= cut)
             .max()
-            .unwrap_or(&MAGIC.len());
+            .unwrap_or(&GROUP_MAGIC.len());
         assert_eq!(
             recovered.truncated_bytes,
             (cut - expected_end) as u64,
             "cut {cut}"
         );
-        if frames_intact == 0 {
-            assert!(recovered.snapshot.is_none(), "cut {cut}");
-            assert!(recovered.suffix.is_empty(), "cut {cut}");
-        } else {
-            assert!(recovered.snapshot.is_some(), "cut {cut}");
-            assert_eq!(recovered.suffix.len(), frames_intact - 1, "cut {cut}");
-            for (tx, payload) in txs.iter().zip(&recovered.suffix) {
-                assert_eq!(tx_to_bytes(tx), *payload, "cut {cut}");
+        assert_prefix(&recovered, frames_intact, &txs, &format!("cut {cut}"));
+        if let Some(s) = recovered.sessions.first() {
+            for (tx, payload) in txs.iter().zip(&s.suffix) {
                 let back = tx_from_bytes(payload, &sc).unwrap();
                 assert_eq!(back.updates(), tx.updates(), "cut {cut}");
             }
@@ -108,7 +126,7 @@ fn truncation_at_and_between_every_frame_boundary_recovers_prefix() {
             expected_end,
             "cut {cut}"
         );
-        drop(store);
+        drop(wal);
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -123,22 +141,20 @@ fn corrupting_any_byte_recovers_a_strict_prefix() {
         let mut mutated = bytes.clone();
         mutated[i] ^= 0x41;
         std::fs::write(&path, &mutated).unwrap();
-        if i < MAGIC.len() {
+        if i < GROUP_MAGIC.len() {
             assert!(
-                matches!(Store::open(&path), Err(StoreError::NotAStore(_))),
+                matches!(GroupWal::open(&path), Err(StoreError::NotAStore(_))),
                 "byte {i}"
             );
+            // A rejected file is left exactly as it was.
+            assert_eq!(std::fs::read(&path).unwrap(), mutated, "byte {i}");
             continue;
         }
-        let (_store, recovered) = Store::open(&path).unwrap();
+        let (_wal, recovered) = GroupWal::open(&path).unwrap();
         // The corrupted byte lives in some frame; every frame before it
         // survives, that frame and everything after is discarded.
         let intact = boundaries.iter().filter(|&&b| b <= i).count() - 1;
-        let expected_frames = recovered.suffix.len() + usize::from(recovered.snapshot.is_some());
-        assert_eq!(expected_frames, intact, "byte {i}: wrong surviving prefix");
-        for (tx, payload) in txs.iter().zip(&recovered.suffix) {
-            assert_eq!(tx_to_bytes(tx), *payload, "byte {i}");
-        }
+        assert_prefix(&recovered, intact, &txs, &format!("byte {i}"));
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -154,16 +170,19 @@ fn recovered_store_accepts_further_appends() {
     // frame, nothing else.
     let cut = (boundaries[boundaries.len() - 2] + boundaries[boundaries.len() - 1]) / 2;
     std::fs::write(&path, &bytes[..cut]).unwrap();
-    let (mut store, recovered) = Store::open(&path).unwrap();
-    assert_eq!(recovered.suffix.len(), txs.len() - 1);
+    let (wal, recovered) = GroupWal::open(&path).unwrap();
+    assert_eq!(recovered.sessions[0].suffix.len(), txs.len() - 1);
+    let id = wal.register("s").unwrap();
+    assert_eq!(id, recovered.sessions[0].id, "registration survives");
     let sub = sc.pred("Sub").unwrap();
     let fresh = Transaction::new().insert(sub, vec![99]);
-    store.append_tx(&fresh, true).unwrap();
-    drop(store);
+    wal.append_tx(id, &fresh, true).unwrap();
+    drop(wal);
 
-    let (_store, after) = Store::open(&path).unwrap();
+    let (_wal, after) = GroupWal::open(&path).unwrap();
     assert_eq!(after.truncated_bytes, 0, "clean log after recovery+append");
-    assert_eq!(after.suffix.len(), txs.len());
-    assert_eq!(after.suffix.last().unwrap(), &tx_to_bytes(&fresh));
+    let s = &after.sessions[0];
+    assert_eq!(s.suffix.len(), txs.len());
+    assert_eq!(s.suffix.last().unwrap(), &tx_to_bytes(&fresh));
     let _ = std::fs::remove_file(&path);
 }

@@ -14,7 +14,7 @@
 use std::collections::BTreeSet;
 
 use ticc_store::codec::tx_from_bytes;
-use ticc_store::{GroupWal, StoreError};
+use ticc_store::{GroupWal, StoreError, GROUP_MAGIC};
 use ticc_tdb::{Schema, Transaction, Value};
 
 fn schema() -> std::sync::Arc<Schema> {
@@ -277,5 +277,175 @@ fn non_group_file_is_rejected_not_truncated() {
         std::fs::read(&path).unwrap(),
         b"TICCSTOR1 definitely a per-session store"
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// One recovered session, comparable across opens.
+type SessionImage = (u32, String, Option<Vec<u8>>, Vec<Vec<u8>>);
+
+fn sessions_of(rec: &ticc_store::GroupRecovered) -> Vec<SessionImage> {
+    rec.sessions
+        .iter()
+        .map(|s| (s.id, s.name.clone(), s.snapshot.clone(), s.suffix.clone()))
+        .collect()
+}
+
+/// A three-session log with interleaved transactions and snapshots;
+/// returns its bytes and every frame boundary (header first).
+fn three_session_log(path: &std::path::Path, sc: &Schema) -> (Vec<u8>, Vec<usize>) {
+    let _ = std::fs::remove_file(path);
+    let wal = GroupWal::create(path).unwrap();
+    let len = || std::fs::metadata(path).unwrap().len() as usize;
+    let mut boundaries = vec![GROUP_MAGIC.len()];
+    let mut ids = Vec::new();
+    for name in ["alice", "bob", "carol"] {
+        ids.push(wal.register(name).unwrap());
+        boundaries.push(len());
+    }
+    for v in 0..12u64 {
+        let id = ids[(v % 3) as usize];
+        if v % 4 == 3 {
+            wal.append_snapshot(id, format!("snap-{v}").as_bytes())
+                .unwrap();
+        } else {
+            wal.append_tx(id, &tx(sc, v), false).unwrap();
+            wal.flush().unwrap();
+        }
+        boundaries.push(len());
+    }
+    drop(wal);
+    (std::fs::read(path).unwrap(), boundaries)
+}
+
+#[test]
+fn compaction_recovers_the_same_sessions_at_every_frame_boundary() {
+    let sc = schema();
+    let path = temp_path("compact-cuts");
+    let (bytes, boundaries) = three_session_log(&path, &sc);
+    // Every boundary, and a torn frame just past each one.
+    let cuts = boundaries
+        .iter()
+        .flat_map(|&b| [b, (b + 3).min(bytes.len())]);
+    for cut in cuts {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let (wal, before) = GroupWal::open(&path).unwrap();
+        let expected = sessions_of(&before);
+        let valid = std::fs::metadata(&path).unwrap().len();
+        wal.compact().unwrap();
+        let compacted = std::fs::metadata(&path).unwrap().len();
+        assert!(
+            compacted <= valid,
+            "cut {cut}: compaction grew the log ({valid} -> {compacted})"
+        );
+        drop(wal);
+        let (_, after) = GroupWal::open(&path).unwrap();
+        assert_eq!(after.truncated_bytes, 0, "cut {cut}");
+        assert_eq!(sessions_of(&after), expected, "cut {cut}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn stale_compact_tmp_is_ignored_and_overwritten() {
+    let sc = schema();
+    let path = temp_path("stale-tmp");
+    let (bytes, _) = three_session_log(&path, &sc);
+    let tmp = {
+        let mut p = path.clone().into_os_string();
+        p.push(".compact.tmp");
+        std::path::PathBuf::from(p)
+    };
+    // A crash mid-compaction leaves a half-written temp file beside the
+    // log: it must not be read, and the next compaction replaces it.
+    std::fs::write(&tmp, &bytes[..bytes.len() / 2]).unwrap();
+    let (wal, rec) = GroupWal::open(&path).unwrap();
+    assert_eq!(rec.truncated_bytes, 0);
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        bytes,
+        "log untouched by open"
+    );
+    let expected = sessions_of(&rec);
+    wal.compact().unwrap();
+    assert!(!tmp.exists(), "compaction renames its temp file away");
+    drop(wal);
+    let (_, after) = GroupWal::open(&path).unwrap();
+    assert_eq!(sessions_of(&after), expected);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn appends_racing_compaction_are_all_recovered() {
+    const WRITERS: usize = 4;
+    const EACH: u64 = 60;
+    let sc = schema();
+    let path = temp_path("compact-race");
+    let _ = std::fs::remove_file(&path);
+    let wal = std::sync::Arc::new(GroupWal::create(&path).unwrap());
+    let ids: Vec<u32> = (0..WRITERS)
+        .map(|i| wal.register(&format!("w{i}")).unwrap())
+        .collect();
+    // A snapshotting session gives compaction something to drop.
+    let snap = wal.register("snap").unwrap();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    // Writers log the first half of their appends, then everyone meets
+    // here: the first compaction rewrites those while the second half
+    // is being appended.
+    let halfway = std::sync::Barrier::new(WRITERS + 1);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| {
+                let (wal, sc, halfway) = (&wal, &sc, &halfway);
+                scope.spawn(move || {
+                    for v in 0..EACH {
+                        if v == EACH / 2 {
+                            halfway.wait();
+                        }
+                        let value = (i as u64) * 1000 + v;
+                        wal.append_tx(id, &tx(sc, value), v % 3 != 2).unwrap();
+                    }
+                })
+            })
+            .collect();
+        scope.spawn(|| {
+            halfway.wait();
+            // Keep compacting until the writers are done.
+            for k in 0u64.. {
+                wal.append_snapshot(snap, &k.to_le_bytes()).unwrap();
+                wal.append_tx(snap, &tx(&sc, k), false).unwrap();
+                wal.compact().unwrap();
+                if done.load(std::sync::atomic::Ordering::SeqCst) {
+                    break;
+                }
+            }
+        });
+        for h in handles {
+            h.join().unwrap();
+        }
+        done.store(true, std::sync::atomic::Ordering::SeqCst);
+    });
+    wal.flush().unwrap();
+    drop(wal);
+    let (_, rec) = GroupWal::open(&path).unwrap();
+    assert_eq!(rec.truncated_bytes, 0);
+    assert_eq!(rec.sessions.len(), WRITERS + 1);
+    for s in rec.sessions.iter().filter(|s| s.name != "snap") {
+        let i: u64 = s.name.strip_prefix('w').unwrap().parse().unwrap();
+        let values: Vec<Value> = s
+            .suffix
+            .iter()
+            .map(|raw| match tx_from_bytes(raw, &sc).unwrap().updates()[0] {
+                ticc_tdb::Update::Insert(_, ref tuple) => tuple[0],
+                ref other => panic!("unexpected update {other:?}"),
+            })
+            .collect();
+        let expect: Vec<Value> = (0..EACH).map(|v| (i * 1000 + v) as Value).collect();
+        assert_eq!(values, expect, "session {} lost or reordered txs", s.name);
+    }
+    let s = rec.sessions.iter().find(|s| s.name == "snap").unwrap();
+    assert!(s.snapshot.is_some());
+    assert_eq!(s.suffix.len(), 1, "only the tx after the newest snapshot");
     let _ = std::fs::remove_file(&path);
 }

@@ -94,6 +94,16 @@ out="$(./target/release/ticc-shell --store "$wal" "$sess2")"
 echo "$out" | grep -q "restored from" || { echo "durability smoke: expected a restore summary"; exit 1; }
 echo "$out" | grep -q "replayed 1 logged transaction" || { echo "durability smoke: expected a 1-tx replay"; exit 1; }
 echo "$out" | grep -q "VIOLATION" || { echo "durability smoke: expected the re-submission violation"; exit 1; }
+# One log format: the store is a TICCGRP01 group log.
+[ "$(head -c 9 "$wal")" = "TICCGRP01" ] || { echo "durability smoke: --store should write a TICCGRP01 log"; exit 1; }
+# Session 3: `compact` rewrites the log as registration + one snapshot,
+# dropping the older snapshot and the logged transactions.
+sess3="$(mktemp)"
+printf 'compact\n' > "$sess3"
+before="$(wc -c < "$wal")"
+./target/release/ticc-shell --store "$wal" "$sess3" > /dev/null
+after="$(wc -c < "$wal")"
+[ "$after" -lt "$before" ] || { echo "durability smoke: compact should shrink the log ($before -> $after bytes)"; exit 1; }
 # Fault injection: clobber the header magic — the shell must refuse
 # with a friendly error and exit code 3, not panic.
 printf 'XXXX' | dd of="$wal" bs=1 seek=0 conv=notrunc 2> /dev/null
@@ -104,7 +114,7 @@ rc=0
 rc=0
 ./target/release/ticc-shell /no/such/script.ticc > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 1 ] || { echo "durability smoke: missing script should exit 1 (got $rc)"; exit 1; }
-rm -f "$wal" "$sess1" "$sess2"
+rm -f "$wal" "$sess1" "$sess2" "$sess3"
 echo "durability smoke: OK"
 
 echo "==> server smoke (ticc-server over loopback, 2 sessions, group WAL)"
@@ -135,7 +145,7 @@ out="$(printf '%s\n' \
     '{"op":"shutdown"}' \
     | ./target/release/ticc-server client --addr "$addr")"
 echo "$out" | grep -q '"constraint":"once"' || { echo "server smoke: expected a violation event over the wire"; exit 1; }
-echo "$out" | grep -q '"schema":"ticc-engine-stats-v3"' || { echo "server smoke: expected v3 stats"; exit 1; }
+echo "$out" | grep -q '"schema":"ticc-engine-stats-v4"' || { echo "server smoke: expected v4 stats"; exit 1; }
 wait $spid || { echo "server smoke: server did not shut down cleanly"; exit 1; }
 rm -f "$gwal" "$slog"
 echo "server smoke: OK"

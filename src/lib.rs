@@ -78,9 +78,9 @@ pub mod shell;
 /// [`TriggerEngine`](ticc_core::TriggerEngine) duality layer, one-shot
 /// [`check_potential_satisfaction`](ticc_core::check_potential_satisfaction),
 /// the unified [`Error`](ticc_core::Error), the
-/// [`CheckOptions`](ticc_core::CheckOptions) builder, the durability backends
-/// ([`Store`](ticc_core::Store) and the group-commit
-/// [`GroupWal`](ticc_core::GroupWal)), the database substrate
+/// [`CheckOptions`](ticc_core::CheckOptions) builder, the durable log
+/// ([`GroupWal`](ticc_core::GroupWal), which `SessionBuilder::store` and
+/// `SessionBuilder::group` bind a session to), the database substrate
 /// ([`Schema`](ticc_tdb::Schema), [`State`](ticc_tdb::State),
 /// [`Transaction`](ticc_tdb::Transaction),
 /// [`History`](ticc_tdb::History)), and the constraint
@@ -94,8 +94,8 @@ pub mod prelude {
     pub use ticc_core::{
         check_potential_satisfaction, earliest_violation, explain, Action, CheckOptions,
         CheckOptionsBuilder, CheckOutcome, Committed, ConstraintId, Durability, Engine, Error,
-        GroupWal, MonitorEvent, OpenReport, OpenSummary, Session, SessionBuilder, SessionStats,
-        Status, Store, StoreStats, Trigger, TriggerEngine,
+        GroupWal, MonitorEvent, OpenSummary, Session, SessionBuilder, SessionStats, Status,
+        Trigger, TriggerEngine,
     };
     pub use ticc_fotl::parser::parse;
     pub use ticc_fotl::Formula;

@@ -314,7 +314,7 @@ impl Shell {
     /// `checkpoint` writes a snapshot of the whole session (schema,
     /// history, constraints, residues, triggers) to the attached store;
     /// `compact` additionally rewrites the log so it holds nothing but
-    /// that snapshot.
+    /// the session's registration and that snapshot.
     fn cmd_checkpoint(&mut self, compact: bool) -> Reply {
         self.ensure_running()?;
         if !self.session.has_store() {
@@ -327,8 +327,8 @@ impl Shell {
             let bytes = self.session.checkpoint().map_err(msg)?;
             format!("checkpoint written ({bytes} byte snapshot)")
         };
-        // A bounded budget may have truncated behind the newly covered
-        // horizon: show where the resident window starts now.
+        // Under a bounded budget, show where the resident window the
+        // snapshot captured starts.
         if let Some(engine) = self.session.engine() {
             let h = engine.history();
             if h.is_truncated() {
@@ -741,11 +741,12 @@ mod tests {
         );
         let j = sh.exec("stats --json").unwrap();
         assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
-        assert!(j.contains("\"schema\":\"ticc-engine-stats-v3\""), "{j}");
+        assert!(j.contains("\"schema\":\"ticc-engine-stats-v4\""), "{j}");
         assert!(j.contains("\"appends\":1"), "{j}");
         assert!(j.contains("\"automata\":{\"templates_compiled\":"), "{j}");
-        assert!(j.contains("\"store\":{\"tx_frames\":1"), "{j}");
-        assert!(j.contains("\"snapshot_frames\":1"), "{j}");
+        // The session's log: registration, one transaction, one
+        // snapshot.
+        assert!(j.contains("\"store\":{\"frames\":3,"), "{j}");
         // v2 layers the session and server objects over the v1 fields.
         assert!(j.contains("\"session\":{\"commits\":1"), "{j}");
         assert!(j.contains("\"server\":null"), "{j}");

@@ -1,14 +1,14 @@
-//! Engine-level crash recovery: kill a durable session at *every*
-//! frame boundary (and corrupt every frame) and assert the reopened
-//! engine is exactly the engine that had only seen the surviving
-//! prefix — then drive it forward and check it converges with a twin
-//! that never crashed.
+//! Engine-level crash recovery: kill a store-backed session at
+//! *every* frame boundary of its log (and corrupt every frame) and
+//! assert the reopened engine is exactly the engine that had only seen
+//! the surviving prefix — then drive it forward and check it converges
+//! with a twin that never crashed.
 
 use std::sync::Arc;
-use ticc::core::{CheckOptions, ConstraintId, Engine, Status};
+use ticc::core::{CheckOptions, ConstraintId, Engine, OpenSummary, Session, Status};
 use ticc::fotl::parser::parse;
 use ticc::fotl::Formula;
-use ticc::store::MAGIC;
+use ticc::store::GROUP_MAGIC;
 use ticc::tdb::{Schema, Transaction};
 
 fn schema() -> Arc<Schema> {
@@ -58,10 +58,11 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-/// Offsets where each frame ends: `[header, snapshot, tx1, …, txN]`.
+/// Offsets where each frame ends:
+/// `[header, registration, snapshot, tx1, …, txN]`.
 fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
-    let mut boundaries = vec![MAGIC.len()];
-    let mut pos = MAGIC.len();
+    let mut boundaries = vec![GROUP_MAGIC.len()];
+    let mut pos = GROUP_MAGIC.len();
     while pos + 5 <= bytes.len() {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
         pos += 4 + 1 + len + 8;
@@ -102,16 +103,35 @@ fn assert_matches_twin(label: &str, restored: &Engine, expected: &Engine, ids: &
     }
 }
 
+/// Opens the store-backed session at `path` (schema from its
+/// checkpoint, if one survived).
+fn open(path: &std::path::Path) -> Result<(Session, OpenSummary), ticc::core::Error> {
+    Session::builder().store(path).open()
+}
+
+/// The recovered engine; `None` while the session is still defining
+/// its schema (no checkpoint survived).
+fn engine(session: &Session) -> Option<&Engine> {
+    session.engine()
+}
+
 /// Builds the session log once; returns its raw bytes.
 fn record_session(path: &std::path::Path, sc: &Arc<Schema>, phis: &[Formula]) -> Vec<u8> {
     let _ = std::fs::remove_file(path);
-    let (mut e, _) = Engine::open(path, sc.clone(), CheckOptions::default()).unwrap();
-    register(&mut e, phis);
-    e.checkpoint(&[]).unwrap();
-    for tx in script(sc) {
-        e.append(&tx).unwrap();
+    let (mut s, _) = Session::builder()
+        .store(path)
+        .pred("Sub", 1)
+        .pred("Rep", 2)
+        .open()
+        .unwrap();
+    for (i, phi) in phis.iter().enumerate() {
+        s.add_constraint(&format!("c{i}"), phi.clone()).unwrap();
     }
-    drop(e);
+    s.checkpoint().unwrap();
+    for tx in script(sc) {
+        s.append(&tx).unwrap();
+    }
+    drop(s);
     std::fs::read(path).unwrap()
 }
 
@@ -123,7 +143,11 @@ fn crash_at_every_frame_boundary_recovers_the_exact_prefix() {
     let path = temp_path("boundary");
     let bytes = record_session(&path, &sc, &phis);
     let boundaries = frame_boundaries(&bytes);
-    assert_eq!(boundaries.len(), 2 + txs.len(), "header + snapshot + txs");
+    assert_eq!(
+        boundaries.len(),
+        3 + txs.len(),
+        "header + registration + snapshot + txs"
+    );
 
     // Crash exactly at each boundary, and torn mid-frame right after.
     let mut cuts: Vec<(usize, usize)> = Vec::new(); // (cut, intact frames)
@@ -136,28 +160,31 @@ fn crash_at_every_frame_boundary_recovers_the_exact_prefix() {
     }
     for (cut, intact) in cuts {
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        let (mut restored, report) =
-            Engine::open(&path, sc.clone(), CheckOptions::default()).unwrap();
-        if intact == 0 {
-            // Not even the snapshot survived: fresh engine.
-            assert!(!report.had_snapshot, "cut {cut}");
-            assert_eq!(restored.constraints().count(), 0, "cut {cut}");
+        let (mut session, summary) = open(&path).unwrap();
+        if intact < 2 {
+            // Not even the snapshot survived: a fresh session, still
+            // defining its schema.
+            assert!(!summary.resumed, "cut {cut}");
+            assert!(engine(&session).is_none(), "cut {cut}");
+            assert_eq!(session.constraints().count(), 0, "cut {cut}");
             continue;
         }
-        let k = intact - 1; // surviving tx frames
-        assert!(report.had_snapshot, "cut {cut}");
-        assert_eq!(report.replayed_txs, k as u64, "cut {cut}");
+        let k = intact - 2; // surviving tx frames
+        assert!(summary.resumed, "cut {cut}");
+        assert_eq!(summary.replayed, k, "cut {cut}");
         let mut expected = twin(&sc, &phis, &txs, k);
         let ids: Vec<ConstraintId> = expected.constraints().collect();
-        assert_matches_twin(&format!("cut {cut}"), &restored, &expected, &ids);
+        let restored = engine(&session).unwrap();
+        assert_matches_twin(&format!("cut {cut}"), restored, &expected, &ids);
 
         // Continue correctly: feed both the lost suffix, compare.
         for (step, tx) in txs[k..].iter().enumerate() {
-            let a = restored.append(tx).unwrap();
+            let a = session.append(tx).unwrap().events;
             let b = expected.append(tx).unwrap();
             assert_eq!(a, b, "cut {cut} step {step}: events diverge");
         }
-        assert_matches_twin(&format!("cut {cut} (resumed)"), &restored, &expected, &ids);
+        let restored = engine(&session).unwrap();
+        assert_matches_twin(&format!("cut {cut} (resumed)"), restored, &expected, &ids);
         assert!(
             matches!(restored.status(ids[0]), Status::Violated { .. }),
             "cut {cut}: resumed session reaches the scripted violation"
@@ -181,18 +208,20 @@ fn corrupting_each_frame_recovers_the_preceding_prefix() {
         let mut mutated = bytes.clone();
         mutated[mid] ^= 0x41;
         std::fs::write(&path, &mutated).unwrap();
-        let (restored, report) = Engine::open(&path, sc.clone(), CheckOptions::default()).unwrap();
+        let (session, summary) = open(&path).unwrap();
+        assert!(summary.truncated_bytes > 0, "frame {j}");
         let intact = j - 1; // frames before the corrupted one
-        if intact == 0 {
-            assert!(!report.had_snapshot, "frame {j}");
+        if intact < 2 {
+            assert!(!summary.resumed, "frame {j}");
+            assert!(engine(&session).is_none(), "frame {j}");
             continue;
         }
-        let k = intact - 1;
-        assert_eq!(report.replayed_txs, k as u64, "frame {j}");
-        assert!(report.truncated_bytes > 0, "frame {j}");
+        let k = intact - 2;
+        assert_eq!(summary.replayed, k, "frame {j}");
         let expected = twin(&sc, &phis, &txs, k);
         let ids: Vec<ConstraintId> = expected.constraints().collect();
-        assert_matches_twin(&format!("frame {j}"), &restored, &expected, &ids);
+        let restored = engine(&session).unwrap();
+        assert_matches_twin(&format!("frame {j}"), restored, &expected, &ids);
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -204,13 +233,20 @@ fn corrupting_every_byte_never_panics_and_yields_a_prefix() {
     // Small session to keep the byte sweep fast.
     let path = temp_path("bytes");
     let _ = std::fs::remove_file(&path);
-    let (mut e, _) = Engine::open(&path, sc.clone(), CheckOptions::default()).unwrap();
-    register(&mut e, &phis[..1]);
-    e.checkpoint(b"blob").unwrap();
+    let (mut s, _) = Session::builder()
+        .store(&path)
+        .pred("Sub", 1)
+        .pred("Rep", 2)
+        .open()
+        .unwrap();
+    s.add_constraint("c0", phis[0].clone()).unwrap();
+    s.add_trigger("resub", parse(&sc, "F (Sub(x) & X F Sub(x))").unwrap())
+        .unwrap();
+    s.checkpoint().unwrap();
     let sub = sc.pred("Sub").unwrap();
-    e.append(&Transaction::new().insert(sub, vec![10])).unwrap();
-    e.append(&Transaction::new().delete(sub, vec![10])).unwrap();
-    drop(e);
+    s.append(&Transaction::new().insert(sub, vec![10])).unwrap();
+    s.append(&Transaction::new().delete(sub, vec![10])).unwrap();
+    drop(s);
     let bytes = std::fs::read(&path).unwrap();
     let full = twin(&sc, &phis[..1], &script(&sc), 0);
 
@@ -218,9 +254,12 @@ fn corrupting_every_byte_never_panics_and_yields_a_prefix() {
         let mut mutated = bytes.clone();
         mutated[i] ^= 0x55;
         std::fs::write(&path, &mutated).unwrap();
-        match Engine::open(&path, sc.clone(), CheckOptions::default()) {
+        match open(&path) {
             Err(_) => {} // header damage or an undecodable snapshot: fine
-            Ok((restored, _)) => {
+            Ok((session, _)) => {
+                let Some(restored) = engine(&session) else {
+                    continue; // no checkpoint survived: nothing to check
+                };
                 let len = restored.history().len();
                 assert!(len <= 2, "byte {i}: recovered beyond the session");
                 // Whatever survived is a true prefix of the session.
