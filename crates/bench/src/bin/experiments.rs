@@ -654,7 +654,7 @@ fn e11_notion_latency() {
             "bad-prefix time",
         ],
     );
-    for w in 1usize..=5 {
+    for w in 1usize..=8 {
         // □(Sub(1) → ○^w Fill(1)) ∧ □¬Fill(1): after Sub(1) no extension
         // exists, but the residue only folds to ⊥ after w more states.
         let mut ahead = "Fill(1)".to_owned();
@@ -678,6 +678,16 @@ fn e11_notion_latency() {
             m.append(tx).unwrap();
         }
         let strong_d = t0.elapsed();
+        // The potential-satisfaction side runs on template automata at
+        // every lookahead: each constraint-step it took (up to the
+        // violation) was an automaton append, with no progression.
+        let s = m.stats();
+        assert_eq!(
+            s.automaton_appends,
+            s.fast_appends + s.delta_grounds,
+            "E11 w = {w} left the template automata: {s:?}"
+        );
+        assert_eq!(s.progress_steps, 0, "E11 w = {w}: {s:?}");
         let strong_at = match m.status(id) {
             ticc_core::Status::Violated { at } => Some(at),
             ticc_core::Status::Satisfied => None,
@@ -727,10 +737,10 @@ struct E13Result {
 }
 
 /// E13: the append hot path — steady-state appends cost `O(|Δtx|)`
-/// plus one table lookup per stepped unit. Compares the production
-/// pipeline (incremental letter patching, compiled template automata
-/// for both constraints) against the reference (full re-encode,
-/// progression plus phase 2 on every append).
+/// plus one edge-memo lookup per touched unit. Compares the production
+/// pipeline (incremental letter patching, template automata for both
+/// constraints) against the reference (full re-encode, progression
+/// plus phase 2 on every append).
 fn e13_append_hot_path(smoke: bool) -> E13Result {
     use ticc_fotl::parser::parse;
     let sc = order_schema();
@@ -745,8 +755,8 @@ fn e13_append_hot_path(smoke: bool) -> E13Result {
         &[
             "config",
             "appends/s",
-            "trans hits",
-            "trans misses",
+            "edge hits",
+            "edge misses",
             "patched atoms",
             "speedup",
         ],
@@ -786,12 +796,16 @@ fn e13_append_hot_path(smoke: bool) -> E13Result {
         });
     }
     // Both constraints run as template automata on every production
-    // append; a fall-back to the symbolic path fails the smoke run.
+    // append, and nothing progresses symbolically.
     let prod = &configs[1].stats;
     assert_eq!(
         prod.automaton_appends,
         2 * prod.appends,
-        "E13 production left the compiled path: {prod:?}"
+        "E13 production left the template automata: {prod:?}"
+    );
+    assert_eq!(
+        prod.progress_steps, 0,
+        "E13 production progressed: {prod:?}"
     );
     let baseline = configs[0].appends_per_sec;
     for c in &configs {
@@ -1109,13 +1123,15 @@ struct E16Result {
 /// overhead, rounded to the allocator bucket):
 ///
 /// * 48 B per interned arena node (tag + operands + hash-cons slot);
-/// * 48 B per retained transition-cache entry (16 B key + residue id +
-///   robin-hood slot);
+/// * 16 B per memoised template edge (a `(u64 column, u32 state)`
+///   sorted-vector entry; a narrow template's dense-table slot is
+///   4 B, so this bounds it);
 /// * 24 B per retained phase-2 sat-cache entry (key + verdict + slot);
 /// * 64 B per bound automaton instantiation (`Unit`: template id,
-///   `u32` state, column, support vector + atom-index entries);
-/// * 16 B per compiled automaton state row (arity-2 template: four
-///   `u32` successors).
+///   `u32` state and successor, column, support slice into the pooled
+///   letters + atom-index entries);
+/// * 48 B per discovered automaton state (residue id, labels, edge
+///   vector header, residue → state slot).
 ///
 /// The model is applied symmetrically — each run is charged for
 /// whatever it actually retained — so the ratio compares the reference's
@@ -1123,29 +1139,28 @@ struct E16Result {
 /// per-instantiation `u32` state.
 fn e16_retained_bytes(s: &EngineStats) -> u64 {
     const NODE_BYTES: u64 = 48;
-    const TRANS_ENTRY_BYTES: u64 = 48;
+    const EDGE_BYTES: u64 = 16;
     const SAT_ENTRY_BYTES: u64 = 24;
     const UNIT_BYTES: u64 = 64;
-    const STATE_ROW_BYTES: u64 = 16;
+    const STATE_BYTES: u64 = 48;
     s.arena_nodes * NODE_BYTES
-        + (s.cache.transition_misses - s.cache.transition_evictions) * TRANS_ENTRY_BYTES
+        + (s.cache.transition_misses - s.cache.transition_evictions) * EDGE_BYTES
         + (s.sat_checks - s.cache.sat_evictions) * SAT_ENTRY_BYTES
         + s.automaton_insts * UNIT_BYTES
-        + s.automaton_states * STATE_ROW_BYTES
+        + s.automaton_states * STATE_BYTES
 }
 
-/// E16: compiled template automata vs the reference's symbolic
-/// progression on the response workload
-/// (`forall x. G (Sub(x) -> X Fill(x))`). Every
+/// E16: template automata vs the reference's symbolic progression on
+/// the response workload (`forall x. G (Sub(x) -> X Fill(x))`). Every
 /// element of `0..n` is taken through one submit → fill cycle so `n`
 /// isomorphic instantiations stay live, then the steady state walks
-/// the obligation across them (`|Δtx| ≤ 4` per append). The compiled
-/// path binds all `n` instantiations to ONE hash-consed template and
-/// steps dormant-free `u32` state; the reference re-progresses the
+/// the obligation across them (`|Δtx| ≤ 4` per append). Production
+/// binds all `n` instantiations to ONE hash-consed template, whose few
+/// states and edges are discovered once and memoised, and steps
+/// dormant-free `u32` state; the reference re-progresses the
 /// conjunction residue and runs phase 2 on every append (the period-`n`
-/// cycle would defeat production's transition and sat caches too).
-/// Check events are
-/// asserted identical at every sweep point.
+/// cycle would defeat any memo keyed by the whole residue). Check
+/// events are asserted identical at every sweep point.
 fn e16_template_automata(smoke: bool) -> E16Result {
     let sc = order_schema();
     let phi = response(&sc);

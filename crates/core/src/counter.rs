@@ -162,4 +162,74 @@ mod tests {
             b.stats.sat.states
         );
     }
+
+    #[test]
+    fn engine_steps_the_counter_on_lazily_built_templates() {
+        use crate::engine::{Engine, Status};
+        use ticc_tdb::Transaction;
+        for bits in 4..=6usize {
+            // The free-running counter, followed append by append: the
+            // engine's status equals the one-shot check's at every
+            // instant, every step runs on template automata, and the
+            // templates discover states as the count reaches them.
+            let inst = counter_instance(bits, false);
+            let bit = inst.schema.pred("Bit").unwrap();
+            let mut e = Engine::with_history(inst.history.clone(), CheckOptions::default());
+            let id = e
+                .add_constraint("counter", inst.constraint.clone())
+                .unwrap();
+            let mut states = vec![e.stats().automaton_states];
+            // A full lap and the wrap-around, but half a lap at 6 bits:
+            // every joint phase-2 test there is already a 2^6-state run.
+            let appends = if bits < 6 { (1u64 << bits) + 2 } else { 1 << 5 };
+            let mut value = 0u64;
+            for step in 0..appends {
+                let next = (value + 1) % (1 << bits);
+                let mut tx = Transaction::new();
+                for i in 0..bits as u64 {
+                    match (value >> i & 1, next >> i & 1) {
+                        (0, 1) => tx = tx.insert(bit, vec![i]),
+                        (1, 0) => tx = tx.delete(bit, vec![i]),
+                        _ => {}
+                    }
+                }
+                e.append(&tx).unwrap();
+                value = next;
+                let once = check_potential_satisfaction(
+                    e.history(),
+                    &inst.constraint,
+                    &CheckOptions::default(),
+                )
+                .unwrap();
+                assert_eq!(
+                    e.status(id) == Status::Satisfied,
+                    once.potentially_satisfied,
+                    "{bits} bits, step {step}"
+                );
+                states.push(e.stats().automaton_states);
+            }
+            assert_eq!(e.status(id), Status::Satisfied);
+            let st = e.stats();
+            assert_eq!(st.progress_steps, 0, "{st:?}");
+            assert_eq!(st.automaton_appends, st.appends, "{st:?}");
+            assert!(states.windows(2).all(|w| w[0] <= w[1]), "{states:?}");
+            assert!(states.last() > states.first(), "{states:?}");
+            // Forbidding all-ones leaves no extension from all-zeros:
+            // both the engine and the one-shot check see the violation
+            // at registration.
+            let inst = counter_instance(bits, true);
+            let mut e = Engine::with_history(inst.history.clone(), CheckOptions::default());
+            let id = e
+                .add_constraint("counter", inst.constraint.clone())
+                .unwrap();
+            assert_eq!(e.status(id), Status::Violated { at: 1 });
+            let once = check_potential_satisfaction(
+                &inst.history,
+                &inst.constraint,
+                &CheckOptions::default(),
+            )
+            .unwrap();
+            assert!(!once.potentially_satisfied);
+        }
+    }
 }

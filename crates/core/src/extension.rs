@@ -109,14 +109,13 @@ impl std::fmt::Display for HistoryBudget {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Pipeline {
     /// Indexed grounding, delta re-grounding, incremental encoding,
-    /// compiled template automata with the symbolic path plus
-    /// transition cache as their fallback.
+    /// and lazily built template automata stepping every constraint.
     #[default]
     Production,
     /// The paper-shaped oracle: odometer grounding, a full re-ground
     /// whenever the domain grows, a full re-encode of every state, and
     /// symbolic progression plus phase-2 satisfiability on every
-    /// append — no transition cache, no compiled automata.
+    /// append — no template automata.
     Reference,
 }
 
@@ -126,7 +125,7 @@ pub(crate) enum Pipeline {
 /// Marked `#[non_exhaustive]`: construct through
 /// [`CheckOptions::default()`] or [`CheckOptions::builder()`] so that
 /// future knobs are not breaking changes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 #[non_exhaustive]
 pub struct CheckOptions {
     /// WAL write policy of a durable session.
@@ -137,24 +136,8 @@ pub struct CheckOptions {
     /// results are bit-identical to
     /// [`HistoryBudget::Unbounded`].
     pub history_budget: HistoryBudget,
-    /// Maximum explicit states per compiled template automaton; a
-    /// template exceeding the budget leaves the whole context on the
-    /// symbolic path (progression plus the transition cache). Fixed at
-    /// 64 outside tests.
-    pub(crate) automaton_state_budget: usize,
     /// Production unless built by [`CheckOptions::reference`].
     pub(crate) pipeline: Pipeline,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        Self {
-            durability: Durability::default(),
-            history_budget: HistoryBudget::default(),
-            automaton_state_budget: 64,
-            pipeline: Pipeline::default(),
-        }
-    }
 }
 
 impl CheckOptions {
@@ -208,17 +191,6 @@ pub struct CheckOptionsBuilder {
 }
 
 impl CheckOptionsBuilder {
-    /// Maximum explicit states per compiled template automaton. Tests
-    /// set it to 1 to reach production's symbolic path (progression
-    /// plus the transition cache), the fallback for templates that do
-    /// not compile. Compiled only for tests and under the `reference`
-    /// feature, like [`CheckOptions::reference`].
-    #[cfg(any(test, feature = "reference"))]
-    pub fn automaton_state_budget(mut self, budget: usize) -> Self {
-        self.opts.automaton_state_budget = budget;
-        self
-    }
-
     /// WAL write policy of a durable session.
     pub fn durability(mut self, durability: Durability) -> Self {
         self.opts.durability = durability;

@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 
 /// Counters for the engine's bounded memo layers — the residue
-/// satisfiability memo and the safety-automaton transition cache — plus
+/// satisfiability memo and the template automata's edge memo — plus
 /// the letter-index gauge. One sub-struct so the engine, the
 /// shell's `:stats` view, and the bench columns all read cache activity
 /// from a single source of truth.
@@ -20,13 +20,15 @@ pub struct CacheStats {
     pub sat_hits: u64,
     /// Entries dropped from the satisfiability memo at its size bound.
     pub sat_evictions: u64,
-    /// Appends served entirely from the transition cache: progression
-    /// *and* phase-2 satisfiability skipped.
+    /// Template edge-memo lookups answered from the memo: a unit's
+    /// `(state, column)` successor known without progression.
     pub transition_hits: u64,
-    /// Fast-path appends that had to run progression (the transition
-    /// was then recorded).
+    /// Template edge-memo lookups that discovered the edge: one
+    /// progression in the template's arena, plus the labelling of the
+    /// successor if that state is new.
     pub transition_misses: u64,
-    /// Entries dropped from the transition cache at its size bound.
+    /// Edges dropped from template edge memos at their size bound
+    /// (states are never dropped).
     pub transition_evictions: u64,
     /// Gauge: `(PredId, tuple) → AtomId` letter-index entries across
     /// live groundings.
@@ -126,18 +128,17 @@ pub struct EngineStats {
     /// Ground instantiations brought up to date over the stored prefix
     /// by delta re-groundings and occurrence activations — stays
     /// `O(|Δ-part|)`, while a full rebuild re-derives all `|M|^k`
-    /// instantiations. A compiled context replays them by stepping
-    /// their templates (`replay_steps`); a symbolic one, the reference
-    /// pipeline, or a block that does not compile progresses them
-    /// (`progress_steps`).
+    /// instantiations. Production replays them by stepping their
+    /// templates (`replay_steps`).
     pub replayed_conjuncts: u64,
-    /// Single-state *symbolic* progression steps: the initial build's
-    /// pass over the history, symbolic appends, and symbolic replays of
-    /// new conjunct blocks. A compiled context's appends add none.
+    /// Single-state *symbolic* progression steps of the reference
+    /// pipeline: a build's pass over the history and every append.
+    /// Production never progresses a grounding's residue, so it reads
+    /// 0 there.
     pub progress_steps: u64,
     /// Stored-prefix instants over which new units ran their templates
-    /// (template replay of a delta re-ground or an occurrence
-    /// activation): table lookups, no progression.
+    /// (a build, a delta re-ground, or an occurrence activation):
+    /// edge-memo lookups, no progression of the grounding.
     pub replay_steps: u64,
     /// Letters patched in place by the incremental encoding (tuples
     /// inserted/deleted by transactions) — the
@@ -145,16 +146,17 @@ pub struct EngineStats {
     pub encode_patched_atoms: u64,
     /// Phase-2 satisfiability runs.
     pub sat_checks: u64,
-    /// Constraint-steps whose context stayed compiled: every unit
-    /// advanced by dense table lookup, no progression, and phase 2 only
-    /// for an open shared unit.
+    /// Constraint-steps taken on template automata: every unit advanced
+    /// through its template's edge memo, no progression of the
+    /// grounding, and phase 2 only for an open shared unit. Every
+    /// production constraint-step is one.
     pub automaton_appends: u64,
     /// Individual unit state transitions taken inside compiled
     /// template automata (dormant units — self-loops under an
     /// unchanged column — are skipped, so this stays `O(|Δtx|)` per
     /// append).
     pub automaton_steps: u64,
-    /// Cache-layer counters (satisfiability memo, transition cache,
+    /// Cache-layer counters (satisfiability memo, template edge memo,
     /// letter index).
     pub cache: CacheStats,
     /// Tiered-history counters and gauges (truncation + spill); all
@@ -178,11 +180,12 @@ pub struct EngineStats {
     /// hash-consed to a formula already produced by an earlier
     /// instantiation (cross-instantiation structure sharing).
     pub inst_shared: u64,
-    /// Gauge: distinct template automata compiled across live
-    /// contexts — one per residue shape modulo letter renaming, shared
-    /// by every isomorphic instantiation.
+    /// Gauge: distinct template automata across live contexts — one
+    /// per residue shape modulo letter renaming, shared by every
+    /// isomorphic instantiation.
     pub templates_compiled: u64,
-    /// Gauge: explicit automaton states across all compiled templates.
+    /// Gauge: automaton states discovered so far across all templates
+    /// (templates discover states lazily, as runs reach them).
     pub automaton_states: u64,
     /// Gauge: instantiation units currently bound to a compiled
     /// template (each carries only a `u32` state).
@@ -192,11 +195,13 @@ pub struct EngineStats {
     /// Wall-clock spent building and joining the atom-occurrence index
     /// (subset of `ground_time`'s phase; zero under the odometer).
     pub index_build_time: Duration,
-    /// Wall-clock spent compiling template automata — a build-phase
-    /// gauge like `index_build_time`, never part of append latency,
-    /// and zeroed on snapshot restore (this process did not pay it).
+    /// Wall-clock this process spent discovering template states and
+    /// edges (progression in the template arenas plus labelling) — a
+    /// gauge over the live templates, so a restored engine counts only
+    /// what it rediscovered itself.
     pub automaton_compile_time: Duration,
-    /// Wall-clock spent in progression (trace replay and per-append).
+    /// Wall-clock spent advancing residues: template stepping and
+    /// replay (discovery included), or the reference's progression.
     pub progress_time: Duration,
     /// Wall-clock spent in phase-2 satisfiability.
     pub sat_time: Duration,

@@ -78,11 +78,6 @@ pub struct Arena {
     node_ids: HashMap<Node, FormulaId>,
     atom_names: Vec<String>,
     atom_ids: HashMap<String, AtomId>,
-    /// Memoised [`Arena::atoms_of`] results (support sets). Nodes are
-    /// immutable once interned, so an entry never goes stale; the memo
-    /// grows with the number of *distinct* roots queried, which the
-    /// arena already stores as nodes.
-    support_memo: HashMap<FormulaId, std::sync::Arc<[AtomId]>>,
     /// How many [`Arena::intern`] calls returned an already-interned
     /// node instead of allocating — the hash-consing hit counter the
     /// grounding layer reads to quantify cross-instantiation structure
@@ -589,20 +584,6 @@ impl Arena {
             .collect()
     }
 
-    /// The support set of `f` ([`Arena::atoms_of`]), memoised on the
-    /// arena. Hash-consing makes the result a pure function of the id,
-    /// so repeated queries for the same root — the engine fingerprints
-    /// every append against its residue's support — cost one hash
-    /// lookup instead of a DAG walk.
-    pub fn atoms_of_cached(&mut self, f: FormulaId) -> std::sync::Arc<[AtomId]> {
-        if let Some(s) = self.support_memo.get(&f) {
-            return s.clone();
-        }
-        let s: std::sync::Arc<[AtomId]> = self.atoms_of(f).into();
-        self.support_memo.insert(f, s.clone());
-        s
-    }
-
     /// Rebuilds the DAG rooted at `root` of a *source* arena inside
     /// this arena, mapping source atom `AtomId(i)` to `atoms[i]` (which
     /// must already be interned here). Returns the translated root.
@@ -878,23 +859,6 @@ mod tests {
         let f = ar.and(q, p);
         let atoms = ar.atoms_of(f);
         assert_eq!(atoms, vec![AtomId(0), AtomId(1)]);
-    }
-
-    #[test]
-    fn atoms_of_cached_matches_uncached() {
-        let mut ar = Arena::new();
-        let p = ar.atom("p");
-        let q = ar.atom("q");
-        let f = ar.until(p, q);
-        let direct = ar.atoms_of(f);
-        let cached = ar.atoms_of_cached(f);
-        assert_eq!(&*cached, &direct[..]);
-        // Second query is served from the memo (same allocation).
-        let again = ar.atoms_of_cached(f);
-        assert!(std::sync::Arc::ptr_eq(&cached, &again));
-        // Later-built formulas get their own entry.
-        let g = ar.and(f, p);
-        assert_eq!(&*ar.atoms_of_cached(g), &ar.atoms_of(g)[..]);
     }
 
     #[test]

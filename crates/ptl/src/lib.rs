@@ -23,10 +23,10 @@
 //!   oracles and to exhibit witnesses ([`trace`], [`lasso`]),
 //! * the syntactically safe fragment and bad-prefix detection
 //!   ([`safety`]), and rewriting-based simplification ([`simplify`]),
-//! * explicit safety automata compiled once per residue *template*
-//!   (shape modulo letter renaming), with per-state sat verdicts
-//!   precomputed, for dense `u32`-state online stepping
-//!   ([`automaton`]),
+//! * safety automata built lazily per residue *template* (shape modulo
+//!   letter renaming): states discovered and labelled with their sat
+//!   verdicts as runs reach them, edges memoised, for `u32`-state
+//!   online stepping ([`automaton`]),
 //! * structured-key atom interning shared by the grounding and the
 //!   state encoding ([`interner`]),
 //! * a small text syntax for formulas ([`parser`]).
@@ -52,7 +52,7 @@ pub mod tableau;
 pub mod trace;
 
 pub use arena::{Arena, AtomId, FormulaId, Node};
-pub use automaton::{CompileLimits, SafetyAutomaton, TemplateKey};
+pub use automaton::{SafetyAutomaton, TemplateKey};
 pub use buchi::{Buchi, BuchiNode};
 pub use interner::AtomInterner;
 pub use lasso::Lasso;

@@ -176,7 +176,9 @@ pub struct GroupWal {
 
 impl GroupWal {
     /// Creates a fresh group log at `path` (truncating any existing
-    /// file) and writes the header.
+    /// file) and writes the header. The header and the file's
+    /// directory entry are both synced, so a crash after `create`
+    /// cannot lose a log that already acknowledged appends.
     pub fn create(path: impl AsRef<Path>) -> Result<GroupWal, StoreError> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
@@ -187,6 +189,7 @@ impl GroupWal {
             .open(&path)?;
         file.write_all(GROUP_MAGIC)?;
         file.sync_data()?;
+        sync_parent_dir(&path)?;
         Ok(GroupWal::from_parts(
             path,
             file,
@@ -208,6 +211,7 @@ impl GroupWal {
             // A crash can land between create(2) and the header write.
             file.write_all(GROUP_MAGIC)?;
             file.sync_data()?;
+            sync_parent_dir(&path)?;
             let wal = GroupWal::from_parts(path, file, GroupStats::default(), HashMap::new(), 0);
             return Ok((wal, GroupRecovered::default()));
         }

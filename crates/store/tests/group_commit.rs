@@ -184,6 +184,45 @@ fn reopen_after_crash_appends_cleanly() {
 }
 
 #[test]
+fn fresh_log_in_a_new_directory_recovers_its_session() {
+    // `create` (and `open` of a zero-length file) syncs the header and
+    // the new directory entry; a log made in a directory that did not
+    // exist a moment ago reopens with everything appended to it.
+    let sc = schema();
+    let dir = std::env::temp_dir().join(format!("ticc-group-fresh-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir(&dir).unwrap();
+    let path = dir.join("fresh.wal");
+    {
+        let wal = GroupWal::create(&path).unwrap();
+        let a = wal.register("alice").unwrap();
+        wal.append_tx(a, &tx(&sc, 1), true).unwrap();
+        wal.append_snapshot(a, b"snap").unwrap();
+        wal.append_tx(a, &tx(&sc, 2), true).unwrap();
+    }
+    let (_, rec) = GroupWal::open(&path).unwrap();
+    assert_eq!(rec.truncated_bytes, 0);
+    assert_eq!(rec.sessions.len(), 1);
+    let s = &rec.sessions[0];
+    assert_eq!(s.name, "alice");
+    assert_eq!(s.snapshot.as_deref(), Some(&b"snap"[..]));
+    assert_eq!(s.suffix.len(), 1);
+    assert_eq!(recovered_set(&path, &sc), [("alice".to_owned(), 2)].into());
+    // A zero-length file (a crash between create(2) and the header)
+    // opens as an empty log, durable the same way.
+    let empty = dir.join("empty.wal");
+    std::fs::File::create(&empty).unwrap();
+    {
+        let (wal, rec) = GroupWal::open(&empty).unwrap();
+        assert!(rec.sessions.is_empty());
+        let b = wal.register("bob").unwrap();
+        wal.append_tx(b, &tx(&sc, 7), true).unwrap();
+    }
+    assert_eq!(recovered_set(&empty, &sc), [("bob".to_owned(), 7)].into());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn leader_follower_stress_preserves_per_session_order() {
     // The leader/follower contract under real contention: whoever wins
     // the io lock writes *everyone's* pending frames, and followers

@@ -12,8 +12,8 @@
 /// The splitmix64 step: advances `state` and returns the next output.
 ///
 /// Public because it doubles as the repo's canonical cheap mixer: the
-/// engine's transition cache fingerprints support-restricted
-/// propositional states by folding atom ids through this function.
+/// store's frame and page checksums and the spill tier's page hashes
+/// fold their bytes through this function.
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;

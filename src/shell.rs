@@ -583,12 +583,12 @@ mod tests {
 
     #[test]
     fn uncached_session_matches_default() {
-        // Every production shortcut — the transition cache, compiled
-        // template automata, indexed grounding, incremental encoding,
-        // delta re-grounding — is a pure performance strategy: each
+        // Every production shortcut — template automata and their edge
+        // memo, indexed grounding, incremental encoding, delta
+        // re-grounding — is a pure performance strategy: each
         // script replies line for line as under the paper-shaped
         // reference pipeline, which runs none of them.
-        let transition_cache = [
+        let once_only = [
             "schema pred Sub 1",
             "constraint once: forall x. G (Sub(x) -> X G !Sub(x))",
             "trigger dup: F (Sub(x) & X F Sub(x))",
@@ -629,7 +629,7 @@ mod tests {
             "commit",
             "status",
         ];
-        for script in [&transition_cache[..], &template_automata, &grounding] {
+        for script in [&once_only[..], &template_automata, &grounding] {
             let mut production = Shell::new();
             let mut reference = Shell::with_options(CheckOptions::reference());
             let mut violated = false;

@@ -7,7 +7,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 use ticc::core::{
-    earliest_violation, Action, CheckOptions, ConstraintId, Engine, Trigger, TriggerEngine,
+    earliest_violation, Action, CheckOptions, ConstraintId, Engine, Status, Trigger, TriggerEngine,
 };
 use ticc::fotl::parser::parse;
 use ticc::tdb::rng::Rng;
@@ -20,7 +20,7 @@ pub const ONCE_ONLY: &str = "forall x. G (Sub(x) -> X G !Sub(x))";
 pub const PAIR_ONCE: &str = "forall x y. G (Rep(x, y) -> X G !Rep(x, y))";
 /// k = 0: never violated here (elements stay far below 999), so at
 /// least one constraint stays live all session — its residue reaches
-/// the steady state the transition cache and the dormant automaton
+/// the steady state the template edge memo and the dormant automaton
 /// units exist for. Outside the indexed gate (no external
 /// quantifiers), so it also exercises the odometer fallback inline.
 pub const CAP: &str = "G !Sub(999)";
@@ -191,6 +191,19 @@ pub fn sweep(
         check(seed, &engines, &ids);
     }
     violating_runs
+}
+
+/// The constraint-steps `e` took for `ids`, all registered before the
+/// first append: every append for a satisfied constraint, and the
+/// appends up to its violation for a violated one (violated
+/// constraints are not stepped further).
+pub fn constraint_steps(e: &Engine, ids: &[ConstraintId]) -> u64 {
+    ids.iter()
+        .map(|&id| match e.status(id) {
+            Status::Satisfied => e.stats().appends,
+            Status::Violated { at } => at as u64,
+        })
+        .sum()
 }
 
 /// Evaluates two quantifier-free triggers after each of four random

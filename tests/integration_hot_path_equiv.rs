@@ -1,28 +1,28 @@
-//! Append hot path equivalence — incremental letter encoding plus the
-//! safety-automaton transition cache must be observationally
-//! *identical* to the reference's full re-encode and re-progression,
-//! not merely equivalent.
+//! Append hot path equivalence — incremental letter encoding plus
+//! template automata stepping through their edge memo must be
+//! observationally *identical* to the reference's full re-encode and
+//! re-progression, not merely equivalent.
 //!
 //! Production patches the previous propositional state in place from
-//! the transaction and skips progression (and usually phase 2)
-//! whenever a `(residue, support-fingerprint)` pair recurs. Both are
-//! pure shortcuts: the patched state must equal a full re-encode, and
-//! a cached transition must land on the same residue and verdict the
-//! progression pipeline would compute. A one-state
-//! `automaton_state_budget` compiles no template, so every context
-//! takes this symbolic hot path instead of a compiled automaton. This
-//! suite sweeps 120 randomized staggered sessions (fresh elements
-//! arriving mid-stream — so delta re-grounding interleaves with the
-//! hot path — plus deletions and re-submissions) through two engines
-//! fed identical transactions:
+//! the transaction and steps every constraint through lazily built
+//! template automata, whose `(state, column)` edges are memoised. Both
+//! are pure shortcuts: the patched state must equal a full re-encode,
+//! and a memoised edge must land on the residue and verdict the
+//! progression pipeline would compute. This suite sweeps 120
+//! randomized staggered sessions (fresh elements arriving mid-stream —
+//! so delta re-grounding interleaves with the hot path — plus
+//! deletions and re-submissions) through two engines fed identical
+//! transactions:
 //!
-//! - **hot** — production at a one-state automaton budget,
+//! - **hot** — production (the default options),
 //! - **reference** — `CheckOptions::reference()`,
 //!
 //! and asserts bit-identical event streams, per-append statuses,
 //! earliest-violation instants, and trigger firings — plus
-//! non-vacuity: the sweep must actually take transition hits, patch
-//! letters incrementally, and delta re-ground.
+//! non-vacuity: the sweep must actually hit the edge memo, patch
+//! letters incrementally, and delta re-ground, and production must
+//! take every constraint-step on template automata, with no symbolic
+//! progression at all.
 //!
 //! A second sweep chops one transaction stream into random batches and
 //! asserts that `append_batch` is observationally identical to
@@ -30,20 +30,16 @@
 
 mod common;
 
-use common::{schema, sweep, triggers_agree_with_reference, Driver};
+use common::{constraint_steps, schema, sweep, triggers_agree_with_reference, Driver};
 use common::{CAP, ONCE_ONLY, PAIR_GUARD, PAIR_NEXT, PAIR_ONCE};
 use ticc::core::{CheckOptions, ConstraintId, Engine};
 use ticc::fotl::parser::parse;
 use ticc::tdb::rng::Rng;
 use ticc::tdb::Transaction;
 
-fn hot() -> CheckOptions {
-    CheckOptions::builder().automaton_state_budget(1).build()
-}
-
 #[test]
 fn hot_and_rebuild_agree_on_randomized_sessions() {
-    let configs = [hot(), CheckOptions::reference()];
+    let configs = [CheckOptions::default(), CheckOptions::reference()];
     let mut total_hits = 0u64;
     let mut total_patched = 0u64;
     let mut total_delta = 0u64;
@@ -61,7 +57,7 @@ fn hot_and_rebuild_agree_on_randomized_sessions() {
             assert_eq!(gh.mappings, gr.mappings, "seed {seed}: |M|^k for {id:?}");
         }
 
-        // The caches only ever *remove* work from the hot side.
+        // The shortcuts only ever *remove* work from the hot side.
         let (sh, sr) = (hot.stats(), reference.stats());
         assert_eq!(sh.appends, sr.appends, "seed {seed}");
         assert_eq!(sh.grounds, sr.grounds, "seed {seed}");
@@ -70,18 +66,26 @@ fn hot_and_rebuild_agree_on_randomized_sessions() {
         assert_eq!(
             sr.cache.transition_hits + sr.cache.transition_misses,
             0,
-            "seed {seed}: reference consults the cache"
+            "seed {seed}: reference steps a template"
         );
-        // No template fits a one-state budget.
-        assert_eq!(sh.templates_compiled, 0, "seed {seed}");
-        assert_eq!(sh.automaton_steps, 0, "seed {seed}");
+        // One stepping mechanism: every production constraint-step runs
+        // on template automata, and nothing progresses symbolically.
+        assert_eq!(sh.progress_steps, 0, "seed {seed}");
+        assert_eq!(
+            sh.automaton_appends,
+            constraint_steps(hot, ids),
+            "seed {seed}: a constraint-step left the templates"
+        );
         total_hits += sh.cache.transition_hits;
         total_patched += sh.encode_patched_atoms;
         total_delta += sh.delta_grounds;
     });
     // Non-vacuity: the sweep must exercise every shortcut it claims to
     // verify, and produce real violations.
-    assert!(total_hits > 0, "no transition cache hits across the sweep");
+    assert!(
+        total_hits > 0,
+        "no template edge-memo hits across the sweep"
+    );
     assert!(total_patched > 0, "no incremental letter patches");
     assert!(total_delta > 0, "no delta re-grounds");
     assert!(
@@ -92,7 +96,7 @@ fn hot_and_rebuild_agree_on_randomized_sessions() {
 
 #[test]
 fn trigger_engine_agrees_hot_vs_rebuild() {
-    triggers_agree_with_reference(0x30c1, hot());
+    triggers_agree_with_reference(0x30c1, CheckOptions::default());
 }
 
 #[test]
