@@ -48,6 +48,7 @@ pub mod ground;
 mod monitor;
 pub mod obs;
 pub mod past;
+mod seed;
 pub mod session;
 pub mod snapshot;
 pub mod spill;

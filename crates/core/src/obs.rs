@@ -119,26 +119,33 @@ pub struct EngineStats {
     /// the whole history (the reference pipeline's route for a new
     /// relevant element).
     pub regrounds: u64,
-    /// Constraint-steps that re-ground incrementally: only the
-    /// instantiations mentioning new relevant elements were ground and
-    /// brought up to date.
+    /// Constraint-steps that brought new relevant elements and grew
+    /// `Ψ_D` incrementally: only the instantiations mentioning them
+    /// joined, bound from the context's seed units.
     pub delta_grounds: u64,
-    /// Ground instantiations added by delta re-groundings.
+    /// Instantiations added to `Ψ_D` by delta re-groundings and
+    /// occurrence activations. Production binds each from a seed unit
+    /// (copied states, renamed letters) without grounding it, so the
+    /// grounding's formula and its size gauges do not grow with them.
     pub new_conjuncts: u64,
-    /// Ground instantiations brought up to date over the stored prefix
-    /// by delta re-groundings and occurrence activations — stays
+    /// Instantiations brought up to date over the stored prefix by
+    /// delta re-groundings and occurrence activations — stays
     /// `O(|Δ-part|)`, while a full rebuild re-derives all `|M|^k`
-    /// instantiations. Production replays them by stepping their
-    /// templates (`replay_steps`).
+    /// instantiations. Production brings each up to date by copying
+    /// its seed's states, so this equals `new_conjuncts`; the trace
+    /// reads behind it are in `replay_steps`.
     pub replayed_conjuncts: u64,
     /// Single-state *symbolic* progression steps of the reference
     /// pipeline: a build's pass over the history and every append.
     /// Production never progresses a grounding's residue, so it reads
     /// 0 there.
     pub progress_steps: u64,
-    /// Stored-prefix instants over which new units ran their templates
-    /// (a build, a delta re-ground, or an occurrence activation):
-    /// edge-memo lookups, no progression of the grounding.
+    /// Template runs over stored instants, edge-memo lookups with no
+    /// progression of the grounding: the instants registration replays
+    /// its units over; per growth, seeds × the instants since the
+    /// previous growth (the seed catch-up, through the growing
+    /// instant); and the instants a seed built by grounding and replay
+    /// (a context's first growth, after a restore) runs over.
     pub replay_steps: u64,
     /// Letters patched in place by the incremental encoding (tuples
     /// inserted/deleted by transactions) — the
