@@ -26,6 +26,7 @@
 //!   mode the engine runs, and `Full` is kept as the oracle the tests
 //!   and ablation E6 call through [`ground`].
 
+use crate::fact::{FactMemo, Net};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -35,7 +36,7 @@ use ticc_ptl::arena::{Arena, AtomId, FormulaId};
 use ticc_ptl::automaton::{canonicalize, split_units, TemplateKey};
 use ticc_ptl::interner::AtomInterner;
 use ticc_ptl::trace::PropState;
-use ticc_tdb::{ConstId, History, PredId, Schema, State, Transaction, Update, Value};
+use ticc_tdb::{ConstId, History, PredId, Schema, State, Value};
 
 /// Which construction to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -198,12 +199,15 @@ pub struct Grounding {
     /// Each concrete value's position in `m`: how an occurring tuple
     /// becomes digits.
     m_pos: HashMap<Value, u32>,
-    /// Inverted letter index `(PredId, ground tuple) → AtomId`, built
-    /// once at grounding time and extended lazily (a miss falls back to
-    /// the structured-key interner and memoises the result). Keyed by
-    /// concrete tuples so the per-append hot path looks letters up with
-    /// a borrowed `&[Value]` — zero allocation on a hit.
-    letter_index: HashMap<PredId, HashMap<Vec<Value>, AtomId>>,
+    /// Engine fact id → this grounding's letter ([`FactMemo`]), filled
+    /// as net-inserted facts are patched in: the per-append hot path
+    /// resolves a fact with one array index. A miss, and every path
+    /// without a fact id, goes through the interner.
+    memo: FactMemo,
+    /// Valuation buffers freed by the last trace truncation, which
+    /// [`Grounding::patch_state`] copies the next valuations into
+    /// instead of allocating them.
+    spare: Vec<PropState>,
     /// The flexible-atom patterns the indexed enumerator joins against
     /// the occurrence index. `Some` exactly when the indexed strategy
     /// is in effect for this grounding (the matrix passed the
@@ -235,32 +239,18 @@ pub struct Grounding {
 
 /// Reusable scratch for the per-append hot path. A steady-state append
 /// (no new relevant elements, no first-occurrence tuples) must not
-/// allocate in the grounding layer: the net effect of the transaction
-/// and the patched-letter list are computed into these recycled
-/// buffers instead of fresh `BTreeMap`/`Vec`s per call. `allocs`
-/// counts capacity growths of either buffer; after warm-up it stays
-/// flat, and the engine folds the per-append delta into
-/// [`EngineStats::scratch_allocs`](crate::EngineStats).
+/// allocate in the grounding layer: the patched-letter list is built in
+/// this recycled buffer. `allocs` counts its capacity growths; after
+/// warm-up it stays flat, and the engine folds the per-append delta
+/// into [`EngineStats::scratch_allocs`](crate::EngineStats).
 #[derive(Default)]
 struct FastScratch {
-    /// The transaction's net effect as `(update index, present)` pairs
-    /// in sorted `(pred, tuple)` order with last-update-wins dedup —
-    /// the borrow-free equivalent of the old per-call
-    /// `BTreeMap<(PredId, &[Value]), bool>`.
-    net: Vec<(u32, bool)>,
     /// The letters patched by the last [`Grounding::patch_state`] call,
     /// in deterministic patch order.
     patched: Vec<AtomId>,
-    /// Capacity growths of the two buffers above since the grounding
-    /// was built (or restored).
+    /// Capacity growths of `patched` since the grounding was built (or
+    /// restored).
     allocs: u64,
-}
-
-/// The `(pred, tuple)` sort key of an update.
-fn update_key(u: &Update) -> (PredId, &[Value]) {
-    match u {
-        Update::Insert(p, t) | Update::Delete(p, t) => (*p, t.as_slice()),
-    }
 }
 
 /// One predicate-atom pattern of the matrix, with variables resolved
@@ -575,46 +565,6 @@ fn enumerate_active(
     Some((cands, open))
 }
 
-/// Builds the inverted letter index from the interner's current
-/// contents: every `p(v⃗)` letter whose arguments are all concrete
-/// values (the only letters folded state encoding ever sets).
-fn build_letter_index(
-    letters: &AtomInterner<LetterKey>,
-) -> HashMap<PredId, HashMap<Vec<Value>, AtomId>> {
-    let mut index: HashMap<PredId, HashMap<Vec<Value>, AtomId>> = HashMap::new();
-    for (key, atom) in letters.iter() {
-        let LetterKey::Pred(p, args) = key else {
-            continue;
-        };
-        let vals: Option<Vec<Value>> = args
-            .iter()
-            .map(|&a| match a {
-                GArg::Rel(v) => Some(v),
-                _ => None,
-            })
-            .collect();
-        if let Some(tuple) = vals {
-            index.entry(*p).or_default().insert(tuple, atom);
-        }
-    }
-    index
-}
-
-/// The net effect of a transaction per touched tuple (last update
-/// wins, matching [`Transaction::apply_to`]), in sorted `(pred, tuple)`
-/// order — so fresh letters interned while patching appear in the same
-/// order a full re-encode of the state would intern them.
-fn tx_net(tx: &Transaction) -> BTreeMap<(PredId, &[Value]), bool> {
-    let mut net = BTreeMap::new();
-    for u in tx.updates() {
-        match u {
-            Update::Insert(p, t) => net.insert((*p, t.as_slice()), true),
-            Update::Delete(p, t) => net.insert((*p, t.as_slice()), false),
-        };
-    }
-    net
-}
-
 fn garg_value(a: GArg, consts: &[Value]) -> Option<Value> {
     match a {
         GArg::Rel(v) => Some(v),
@@ -900,7 +850,6 @@ pub(crate) fn ground_with(
             _ => None,
         })
         .collect();
-    let letter_index = build_letter_index(&letters);
     let active: HashSet<Vec<u32>> = cands.into_iter().flatten().collect();
     Ok(Grounding {
         arena,
@@ -915,7 +864,8 @@ pub(crate) fn ground_with(
         external,
         matrix: matrix.clone(),
         known,
-        letter_index,
+        memo: FactMemo::default(),
+        spare: Vec::new(),
         m_pos,
         plan,
         occ,
@@ -1461,77 +1411,28 @@ impl Grounding {
         &self.known
     }
 
-    /// Recomputes the net-effect scratch for `tx`: one `(update index,
-    /// present)` pair per *net* touched tuple, sorted by `(pred,
-    /// tuple)` with last-update-wins dedup — the same contents (and
-    /// iteration order) as the old per-call [`tx_net`] map, but into
-    /// the recycled buffer. Allocation-free once the buffer has grown
-    /// to the workload's transaction width.
-    fn fill_net_scratch(&mut self, tx: &Transaction) {
-        let updates = tx.updates();
-        let cap = self.scratch.net.capacity();
-        let net = &mut self.scratch.net;
-        net.clear();
-        net.extend(
-            updates
-                .iter()
-                .enumerate()
-                .map(|(i, u)| (i as u32, matches!(u, Update::Insert(..)))),
-        );
-        // Unstable sort (no temp-buffer allocation) made stable by the
-        // index tie-break, so equal keys keep update order for the
-        // last-wins dedup below.
-        net.sort_unstable_by(|a, b| {
-            update_key(&updates[a.0 as usize])
-                .cmp(&update_key(&updates[b.0 as usize]))
-                .then(a.0.cmp(&b.0))
-        });
-        let mut w = 0usize;
-        for r in 0..net.len() {
-            if w > 0
-                && update_key(&updates[net[w - 1].0 as usize])
-                    == update_key(&updates[net[r].0 as usize])
-            {
-                net[w - 1] = net[r];
-            } else {
-                net[w] = net[r];
-                w += 1;
-            }
-        }
-        net.truncate(w);
-        if self.scratch.net.capacity() > cap {
-            self.scratch.allocs += 1;
-        }
-    }
-
-    /// Whether `tx` introduces a relevant element outside the known
-    /// universe — `!tx_delta(tx).is_empty()` without the allocation.
-    /// `&mut` because it reuses the net-effect scratch buffer.
-    pub(crate) fn tx_has_delta(&mut self, tx: &Transaction) -> bool {
-        self.fill_net_scratch(tx);
-        let updates = tx.updates();
-        self.scratch.net.iter().any(|&(i, present)| {
+    /// Whether `net` introduces a relevant element outside the known
+    /// universe: a net-inserted tuple mentioning an unknown value. A
+    /// fact the memo resolves is over `M` already.
+    pub(crate) fn tx_has_delta(&self, net: Net<'_>) -> bool {
+        net.iter().any(|(_, tuple, present, fact)| {
             present
-                && update_key(&updates[i as usize])
-                    .1
-                    .iter()
-                    .any(|v| !self.known.contains(v))
+                && self.memo.get(fact).is_none()
+                && tuple.iter().any(|v| !self.known.contains(v))
         })
     }
 
-    /// Whether `tx` grows `Ψ_D`: it net-inserts a tuple that mentions
-    /// an element outside the known universe (`tx_has_delta`) or, under
-    /// the indexed strategy, a tuple of a predicate the plan mentions
-    /// that has never occurred in any state
-    /// (`!newly_occurring(tx).is_empty()`). One pass over the recycled
-    /// net-effect scratch, so allocation-free once warm: the
-    /// steady-state gate of [`Grounding::grow`].
-    fn grows(&mut self, tx: &Transaction) -> bool {
-        self.fill_net_scratch(tx);
-        let updates = tx.updates();
-        self.scratch.net.iter().any(|&(i, present)| {
-            let (p, tuple) = update_key(&updates[i as usize]);
+    /// Whether `net` grows `Ψ_D`: it net-inserts a tuple that mentions
+    /// an element outside the known universe or, under the indexed
+    /// strategy, a tuple of a predicate the plan mentions that has never
+    /// occurred. A fact the memo resolves passed this test when it was
+    /// first patched in, and `M` and the occurrence index only grow, so
+    /// a steady append answers it with one array index per update: the
+    /// allocation-free gate of [`Grounding::grow`].
+    fn grows(&self, net: Net<'_>) -> bool {
+        net.iter().any(|(p, tuple, present, fact)| {
             present
+                && self.memo.get(fact).is_none()
                 && (tuple.iter().any(|v| !self.known.contains(v))
                     || self.plan.as_ref().is_some_and(|plan| {
                         plan.tracks(p) && !self.occ.get(&p).is_some_and(|s| s.contains(tuple))
@@ -1539,7 +1440,7 @@ impl Grounding {
         })
     }
 
-    /// Capacity growths of the fast-append scratch buffers since the
+    /// Capacity growths of the fast-append scratch buffer since the
     /// grounding was built. The engine differences this around each
     /// step into `EngineStats::scratch_allocs`.
     pub(crate) fn scratch_allocs(&self) -> u64 {
@@ -1547,106 +1448,90 @@ impl Grounding {
     }
 
     /// The letters patched by the last [`Grounding::patch_state`] call,
-    /// in deterministic patch order (valid until the next fast-append
-    /// scratch use).
+    /// in deterministic patch order (valid until the next call).
     pub(crate) fn patched_letters(&self) -> &[AtomId] {
         &self.scratch.patched
     }
 
-    /// The new relevant elements a transaction introduces: values of
+    /// The new relevant elements `net` introduces: values of
     /// net-inserted tuples outside the known universe, sorted. Empty
     /// exactly when the fast path applies. `O(|Δtx| log |Δtx|)`.
-    pub(crate) fn tx_delta(&self, tx: &Transaction) -> Vec<Value> {
+    pub(crate) fn tx_delta(&self, net: Net<'_>) -> Vec<Value> {
         let mut delta = BTreeSet::new();
-        for ((_, tuple), present) in tx_net(tx) {
+        for (_, tuple, present, _) in net.iter() {
             if present {
-                for v in tuple {
-                    if !self.known.contains(v) {
-                        delta.insert(*v);
-                    }
-                }
+                delta.extend(tuple.iter().filter(|v| !self.known.contains(v)));
             }
         }
         delta.into_iter().collect()
     }
 
-    /// The letter for a ground fact `p(v⃗)`, through the inverted
-    /// index; interns (and indexes) the letter on first sight.
+    /// The letter for a ground fact `p(v⃗)`, interned on first sight:
+    /// the interner path every letter without a fact id takes.
     pub(crate) fn state_letter(&mut self, p: PredId, tuple: &[Value]) -> AtomId {
-        if let Some(&a) = self.letter_index.get(&p).and_then(|m| m.get(tuple)) {
-            return a;
-        }
         let args: Vec<GArg> = tuple.iter().map(|&v| GArg::Rel(v)).collect();
-        let a = intern_letter(
+        intern_letter(
             &mut self.arena,
             &mut self.letters,
             &self.schema,
             LetterKey::Pred(p, args),
-        );
-        self.letter_index
-            .entry(p)
-            .or_default()
-            .insert(tuple.to_vec(), a);
-        a
+        )
     }
 
-    /// Read-only letter lookup for a ground fact; memoises an index
-    /// entry when the letter exists but was interned by another path
-    /// (a full encode).
-    fn lookup_state_letter(&mut self, p: PredId, tuple: &[Value]) -> Option<AtomId> {
-        if let Some(&a) = self.letter_index.get(&p).and_then(|m| m.get(tuple)) {
-            return Some(a);
-        }
+    /// Read-only letter lookup for a ground fact, through the interner.
+    fn lookup_state_letter(&self, p: PredId, tuple: &[Value]) -> Option<AtomId> {
         let args: Vec<GArg> = tuple.iter().map(|&v| GArg::Rel(v)).collect();
-        let a = self.letters.get(&LetterKey::Pred(p, args))?;
-        self.letter_index
-            .entry(p)
-            .or_default()
-            .insert(tuple.to_vec(), a);
-        Some(a)
+        self.letters.get(&LetterKey::Pred(p, args))
     }
 
     /// Incremental fast-path encoding: derives the valuation of the
-    /// state produced by `tx` by patching the valuation of the previous
-    /// state (the stored trace's last entry) in place — `O(|Δtx|)`
-    /// letter flips through the inverted index, instead of walking the
-    /// whole state. Bit-identical to [`Grounding::state_to_prop`] on
-    /// the same state, including the order fresh letters are interned
-    /// (the net updates are patched in sorted `(pred, tuple)` order).
+    /// state produced by the transaction whose net effect is `net` by
+    /// patching a copy of the previous valuation (the stored trace's
+    /// last entry, copied into a buffer a truncation freed when there
+    /// is one) — `O(|Δtx|)` letter flips, each fact resolved through
+    /// the fact memo, instead of walking the whole state. A memo miss
+    /// goes through the interner once: a net insert interns its letter
+    /// and memoises it, a net delete clears the letter if one exists.
+    /// Bit-identical to [`Grounding::state_to_prop`] on the same state,
+    /// including the order fresh letters are interned (`net` is sorted
+    /// by `(pred, tuple)`).
     ///
     /// Returns `None` when a net-inserted tuple mentions an element
-    /// outside the known universe (the caller must re-ground), `Some`
-    /// with the new valuation otherwise; the letters patched (in the
-    /// deterministic patch order — the compiled-automaton layer uses
-    /// the list to update only the touched units' columns) are left in
-    /// the recycled scratch buffer, readable via
-    /// [`Grounding::patched_letters`] until the next fast-append
-    /// scratch use. Folded groundings only; allocation-free after
-    /// warm-up on the steady-state path (no fresh letters).
-    pub(crate) fn patch_state(&mut self, tx: &Transaction) -> Option<PropState> {
+    /// outside the known universe (the caller must grow first), `Some`
+    /// with the new valuation otherwise. Call it after
+    /// [`Grounding::grow`], which the memo's entries rely on. The
+    /// letters patched (in the deterministic patch order — the
+    /// compiled-automaton layer uses the list to update only the
+    /// touched units' columns) are left in the recycled scratch buffer,
+    /// readable via [`Grounding::patched_letters`]. Folded groundings
+    /// only; allocation-free after warm-up on the steady-state path.
+    pub(crate) fn patch_state(&mut self, net: Net<'_>) -> Option<PropState> {
         debug_assert_eq!(self.mode, GroundMode::Folded);
-        self.fill_net_scratch(tx);
-        let updates = tx.updates();
-        for &(i, present) in &self.scratch.net {
-            let (_, tuple) = update_key(&updates[i as usize]);
-            if present && tuple.iter().any(|v| !self.known.contains(v)) {
-                return None;
-            }
+        if self.tx_has_delta(net) {
+            return None;
         }
-        let mut w = self.trace.last().cloned().unwrap_or_default();
+        let mut w = self.spare.pop().unwrap_or_default();
+        match self.trace.last() {
+            Some(last) => w.clone_from(last),
+            None => w = PropState::new(),
+        }
         let pcap = self.scratch.patched.capacity();
         self.scratch.patched.clear();
-        for k in 0..self.scratch.net.len() {
-            let (i, present) = self.scratch.net[k];
-            let (p, tuple) = update_key(&updates[i as usize]);
-            if present {
-                let a = self.state_letter(p, tuple);
-                w.set(a, true);
-                self.scratch.patched.push(a);
-            } else if let Some(a) = self.lookup_state_letter(p, tuple) {
-                w.set(a, false);
-                self.scratch.patched.push(a);
-            }
+        for (p, tuple, present, fact) in net.iter() {
+            let a = match self.memo.get(fact) {
+                Some(a) => a,
+                None if present => {
+                    let a = self.state_letter(p, tuple);
+                    self.memo.set(fact, a);
+                    a
+                }
+                None => match self.lookup_state_letter(p, tuple) {
+                    Some(a) => a,
+                    None => continue,
+                },
+            };
+            w.set(a, present);
+            self.scratch.patched.push(a);
         }
         if self.scratch.patched.capacity() > pcap {
             self.scratch.allocs += 1;
@@ -1654,10 +1539,10 @@ impl Grounding {
         Some(w)
     }
 
-    /// Number of `(pred, tuple) → letter` entries in the inverted
-    /// index (the `letter index` gauge of the `:stats` cache section).
-    pub fn letter_index_len(&self) -> usize {
-        self.letter_index.values().map(|m| m.len()).sum()
+    /// Number of engine fact ids this grounding's memo resolves to a
+    /// letter (the `letter index` gauge of the `:stats` cache section).
+    pub(crate) fn fact_memo_len(&self) -> usize {
+        self.memo.len()
     }
 
     /// Encodes a state over `M` without the known-universe check (the
@@ -1684,11 +1569,10 @@ impl Grounding {
     /// the lookup never misses, and letters interned later default to
     /// `false` in both the original and the re-encoded valuation.
     /// Folded groundings only.
-    pub(crate) fn encode_state_frozen(&mut self, state: &State) -> PropState {
+    pub(crate) fn encode_state_frozen(&self, state: &State) -> PropState {
         debug_assert_eq!(self.mode, GroundMode::Folded);
-        let schema = self.schema.clone();
         let mut w = PropState::new();
-        for p in schema.preds() {
+        for p in self.schema.preds() {
             for tuple in state.relation(p).iter() {
                 match self.lookup_state_letter(p, tuple) {
                     Some(a) => w.set(a, true),
@@ -1708,22 +1592,28 @@ impl Grounding {
     /// invariant `trace.len() == history.len() - history.base()` for
     /// *live* constraints. A violated constraint's trace froze at its
     /// violation instant (the engine never steps it again), so the
-    /// drain clamps: its leftover prefix is dead data either way.
+    /// drain clamps: its leftover prefix is dead data either way. The
+    /// dropped valuations' buffers are kept for the next appends'
+    /// valuations, at most one truncation batch of them, so the pool
+    /// never outgrows the resident window it came from.
     pub(crate) fn truncate_trace(&mut self, k: usize) {
-        self.trace.drain(..k.min(self.trace.len()));
+        let k = k.min(self.trace.len());
+        let room = k.saturating_sub(self.spare.len());
+        let mut drained = self.trace.drain(..k);
+        self.spare.extend(drained.by_ref().take(room));
     }
 
-    /// Net-inserted tuples of `tx` that have never occurred in any
+    /// Net-inserted tuples of `net` that have never occurred in any
     /// state, of the predicates the plan mentions — the
     /// occurrence-index delta of this append. Empty under the odometer
     /// strategy (no index is maintained). Sorted in `(pred, tuple)`
     /// order.
-    pub(crate) fn newly_occurring(&self, tx: &Transaction) -> Vec<(PredId, Vec<Value>)> {
+    pub(crate) fn newly_occurring(&self, net: Net<'_>) -> Vec<(PredId, Vec<Value>)> {
         let Some(plan) = &self.plan else {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for ((p, tuple), present) in tx_net(tx) {
+        for (p, tuple, present, _) in net.iter() {
             if present && plan.tracks(p) && !self.occ.get(&p).is_some_and(|s| s.contains(tuple)) {
                 out.push((p, tuple.to_vec()));
             }
@@ -1775,8 +1665,8 @@ impl Grounding {
         cands
     }
 
-    /// Grows `M` and the occurrence index for `tx`, before `tx` is
-    /// encoded — the one place an append re-grounds. `Ψ_D` only grows
+    /// Grows `M` and the occurrence index for the transaction whose
+    /// net effect is `net`, before it is encoded — the one place an append re-grounds. `Ψ_D` only grows
     /// with `R_D` and the occurrence index: when `tx` brings new
     /// relevant elements or (under the indexed strategy) first-occurring
     /// tuples, this appends the new elements to `M` and returns the
@@ -1785,12 +1675,12 @@ impl Grounding {
     /// under the indexed strategy — without grounding them. Any other
     /// transaction returns `None` after one allocation-free check, the
     /// steady-state gate.
-    pub(crate) fn grow(&mut self, tx: &Transaction) -> Result<Option<Growth>, GroundError> {
-        if !self.grows(tx) {
+    pub(crate) fn grow(&mut self, net: Net<'_>) -> Result<Option<Growth>, GroundError> {
+        if !self.grows(net) {
             return Ok(None);
         }
         let t = std::time::Instant::now();
-        let delta = self.tx_delta(tx);
+        let delta = self.tx_delta(net);
         let old_len = self.m.len();
         for &v in &delta {
             self.m_pos.insert(v, self.m.len() as u32);
@@ -1800,7 +1690,7 @@ impl Grounding {
         let k = self.external.len();
         let msize = self.m.len();
         let fresh = if self.plan.is_some() {
-            let inserts = self.newly_occurring(tx);
+            let inserts = self.newly_occurring(net);
             for (p, tuple) in &inserts {
                 self.occ.entry(*p).or_default().insert(tuple.clone());
             }
@@ -2008,8 +1898,8 @@ impl Grounding {
 
     /// Rebuilds a grounding from a [`Grounding::dump`]. The arena is
     /// rehydrated raw (no re-folding — ids stay bit-identical), the
-    /// letter table re-attached, and the inverted letter index derived
-    /// from it; every id in the dump is validated against the tables
+    /// letter table re-attached (the fact memo starts empty and fills
+    /// as facts arrive); every id in the dump is validated against the tables
     /// it references, so corrupt snapshot bytes surface as an error.
     pub(crate) fn restore(schema: Arc<Schema>, d: GroundingDump) -> Result<Grounding, String> {
         let arena = Arena::rehydrate(d.arena_nodes, d.atom_names).map_err(str::to_owned)?;
@@ -2053,7 +1943,6 @@ impl Grounding {
             }
         }
         let letters = AtomInterner::from_pairs(d.letters).map_err(str::to_owned)?;
-        let letter_index = build_letter_index(&letters);
         let mut occ: BTreeMap<PredId, BTreeSet<Vec<Value>>> = BTreeMap::new();
         for (p, tuples) in d.occ {
             if p.index() >= schema.pred_count() {
@@ -2106,7 +1995,8 @@ impl Grounding {
             external: d.external,
             matrix: d.matrix,
             known: d.known.into_iter().collect(),
-            letter_index,
+            memo: FactMemo::default(),
+            spare: Vec::new(),
             m_pos,
             plan,
             occ,
@@ -2147,7 +2037,22 @@ pub(crate) struct GroundingDump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fact::{FactTable, NetFact};
     use ticc_fotl::parser::parse;
+    use ticc_tdb::Transaction;
+
+    /// The engine's fact table, for tests that drive a grounding
+    /// directly: one per grounding, so fact ids stay consistent.
+    #[derive(Default)]
+    struct Facts(FactTable, Vec<NetFact>);
+
+    impl Facts {
+        /// `tx`'s net effect, resolved through this table.
+        fn of<'a>(&'a mut self, tx: &'a Transaction) -> Net<'a> {
+            self.1 = self.0.net(tx);
+            Net::new(tx, &self.1)
+        }
+    }
 
     fn order_schema() -> Arc<Schema> {
         Schema::builder().pred("Sub", 1).pred("Fill", 1).build()
@@ -2315,6 +2220,7 @@ mod tests {
 
     #[test]
     fn patch_state_matches_full_encode() {
+        let mut facts = Facts::default();
         let h = history(&[&[1, 2]]);
         let sc = h.schema().clone();
         let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
@@ -2332,7 +2238,7 @@ mod tests {
             .delete(fill, vec![1]);
         let mut state = h.state(0).clone();
         tx.apply_to(&mut state).unwrap();
-        let w_patch = patched.patch_state(&tx).unwrap();
+        let w_patch = patched.patch_state(facts.of(&tx)).unwrap();
         let w_full = rebuilt.state_to_prop(&state).unwrap();
         assert_eq!(w_patch, w_full);
         assert_eq!(
@@ -2345,27 +2251,31 @@ mod tests {
             rebuilt.letter_count(),
             "fresh letters must be interned identically by both paths"
         );
-        assert!(patched.letter_index_len() > 0);
+        assert!(patched.fact_memo_len() > 0);
     }
 
     #[test]
     fn patch_state_blocks_on_new_elements_like_rebuild() {
+        let mut facts = Facts::default();
         let h = history(&[&[1]]);
         let sc = h.schema().clone();
         let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
         let mut g = ground(&h, &phi, GroundMode::Folded).unwrap();
         let sub = sc.pred("Sub").unwrap();
         let tx_new = Transaction::new().insert(sub, vec![99]);
-        assert!(g.patch_state(&tx_new).is_none(), "99 is outside M");
-        assert_eq!(g.tx_delta(&tx_new), vec![99]);
+        assert!(
+            g.patch_state(facts.of(&tx_new)).is_none(),
+            "99 is outside M"
+        );
+        assert_eq!(g.tx_delta(facts.of(&tx_new)), vec![99]);
         // Deleting an unknown tuple (or insert-then-delete of one) does
         // not grow the domain: still on the fast path.
         let tx_churn = Transaction::new()
             .delete(sub, vec![99])
             .insert(sub, vec![77])
             .delete(sub, vec![77]);
-        assert!(g.patch_state(&tx_churn).is_some());
-        assert!(g.tx_delta(&tx_churn).is_empty());
+        assert!(g.patch_state(facts.of(&tx_churn)).is_some());
+        assert!(g.tx_delta(facts.of(&tx_churn)).is_empty());
     }
 
     #[test]
@@ -2417,11 +2327,12 @@ mod tests {
         // grounding, letter for letter.
         let odo = ground(&h, &unguarded, GroundMode::Folded).unwrap();
         assert_eq!(g.stats(), odo.stats());
-        assert_eq!(g.letter_index_len(), odo.letter_index_len());
+        assert_eq!(g.letter_count(), odo.letter_count());
     }
 
     #[test]
     fn newly_occurring_tuples_activate_pruned_instantiations() {
+        let mut facts = Facts::default();
         let h = history(&[&[1, 3]]);
         let sc = h.schema().clone();
         let phi = parse(&sc, "forall x y. G (Sub(x) -> !Fill(y))").unwrap();
@@ -2432,9 +2343,12 @@ mod tests {
         // the tuple never occurred, so the 4 maps with y ↦ 3 become
         // supported — 2 of them were already active through Sub(x).
         let tx = Transaction::new().insert(fill, vec![3]);
-        assert!(g.tx_delta(&tx).is_empty());
-        assert_eq!(g.newly_occurring(&tx), vec![(fill, vec![3])]);
-        let growth = g.grow(&tx).unwrap().expect("a first occurrence grows Ψ_D");
+        assert!(g.tx_delta(facts.of(&tx)).is_empty());
+        assert_eq!(g.newly_occurring(facts.of(&tx)), vec![(fill, vec![3])]);
+        let growth = g
+            .grow(facts.of(&tx))
+            .unwrap()
+            .expect("a first occurrence grows Ψ_D");
         assert!(!growth.new_elements);
         assert_eq!(growth.fresh.len(), 2);
         // Their letters (Fill(3), and Sub(z_i) folded away) were false
@@ -2443,8 +2357,8 @@ mod tests {
         assert_eq!(g.stats.inst_enumerated, 10);
         assert_eq!(g.stats.inst_pruned, 6);
         // Same transaction again: the tuple is indexed now.
-        assert!(g.newly_occurring(&tx).is_empty());
-        assert!(g.grow(&tx).unwrap().is_none());
+        assert!(g.newly_occurring(facts.of(&tx)).is_empty());
+        assert!(g.grow(facts.of(&tx)).unwrap().is_none());
     }
 
     /// The occurrence index tracks only the predicates the plan's
@@ -2453,6 +2367,7 @@ mod tests {
     /// steady-state append.
     #[test]
     fn tuples_outside_the_plan_do_not_grow() {
+        let mut facts = Facts::default();
         let h = history(&[&[1]]);
         let sc = h.schema().clone();
         let once = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
@@ -2460,12 +2375,15 @@ mod tests {
         assert_eq!(g.strategy(), GroundStrategy::Indexed);
         let fill = sc.pred("Fill").unwrap();
         let tx = Transaction::new().insert(fill, vec![1]);
-        assert!(g.newly_occurring(&tx).is_empty());
-        assert!(g.grow(&tx).unwrap().is_none());
+        assert!(g.newly_occurring(facts.of(&tx)).is_empty());
+        assert!(g.grow(facts.of(&tx)).unwrap().is_none());
         assert!(!g.occ.contains_key(&fill));
         // A new element still grows M, whichever predicate brings it.
         let tx = Transaction::new().insert(fill, vec![2]);
-        let growth = g.grow(&tx).unwrap().expect("a new element grows M");
+        let growth = g
+            .grow(facts.of(&tx))
+            .unwrap()
+            .expect("a new element grows M");
         assert!(growth.new_elements && growth.fresh.is_empty());
     }
 
@@ -2476,6 +2394,7 @@ mod tests {
     /// over the old elements occurred before.
     #[test]
     fn delta_join_matches_the_full_join() {
+        let mut facts = Facts::default();
         let h = history(&[&[1]]);
         let sc = h.schema().clone();
         let phi = parse(&sc, "forall x y. G (Sub(x) -> !Fill(y))").unwrap();
@@ -2492,7 +2411,7 @@ mod tests {
         for tx in &txs {
             let (before, occ_before) = (g.active.clone(), g.occ.clone());
             let old_len = g.m.len();
-            let growth = g.grow(tx).unwrap().expect("every step grows Ψ_D");
+            let growth = g.grow(facts.of(tx)).unwrap().expect("every step grows Ψ_D");
             let plan = g.plan.clone().unwrap();
             let full = enumerate_active(&plan.patterns, &g.occ, &g.m_pos, g.m.len(), 2, None)
                 .unwrap()
@@ -2530,6 +2449,7 @@ mod tests {
     /// units), so the formula and its gauges stay as built.
     #[test]
     fn formula_size_gauges_follow_the_current_formula() {
+        let mut facts = Facts::default();
         fn assert_current(g: &Grounding) -> GroundStats {
             let s = g.stats();
             assert_eq!(s.formula_tree_size, g.arena.tree_size(g.formula));
@@ -2545,7 +2465,10 @@ mod tests {
         assert!(built.formula_tree_size > 0);
         for v in [10, 11, 12] {
             let tx = Transaction::new().insert(sub, vec![v]);
-            let growth = g.grow(&tx).unwrap().expect("a new element grows Ψ_D");
+            let growth = g
+                .grow(facts.of(&tx))
+                .unwrap()
+                .expect("a new element grows Ψ_D");
             assert_eq!(growth.fresh.len(), 1);
             let s = assert_current(&g);
             assert_eq!(s.formula_tree_size, built.formula_tree_size);

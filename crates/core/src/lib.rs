@@ -43,6 +43,7 @@ pub mod engine;
 pub mod error;
 pub mod explain;
 pub mod extension;
+mod fact;
 pub mod ground;
 #[cfg(test)]
 mod monitor;

@@ -30,8 +30,9 @@ pub struct CacheStats {
     /// Edges dropped from template edge memos at their size bound
     /// (states are never dropped).
     pub transition_evictions: u64,
-    /// Gauge: `(PredId, tuple) → AtomId` letter-index entries across
-    /// live groundings.
+    /// Gauge: engine fact ids resolved to a letter, summed over the
+    /// groundings' fact → letter memos (the incremental encoding's
+    /// lookups; the name predates the memo).
     pub letter_index_len: u64,
 }
 
@@ -218,7 +219,8 @@ pub struct EngineStats {
     /// Transactions that went through batched appends;
     /// `batched_txs / batches` is the mean drained batch size.
     pub batched_txs: u64,
-    /// Capacity growths of the groundings' encoding scratch buffers.
+    /// Capacity growths of the encoding scratch buffers: the engine's
+    /// net-effect lists and the groundings' patched-letter lists.
     /// After warm-up a steady-state append reuses them, so this stays
     /// flat no matter how many appends run (asserted by test) — part
     /// of the no-alloc hot-path discipline.

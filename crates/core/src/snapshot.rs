@@ -281,6 +281,7 @@ pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u
     engine.entries = entries;
     engine.stats = stats;
     engine.pager = pager;
+    engine.refresh_floor();
     // Wall-clock timers measure this process, not the one that wrote
     // the snapshot: a resumed engine reports the time it spent itself,
     // so `stats --json` after a restore starts the clocks at zero.

@@ -20,9 +20,23 @@ use std::collections::HashMap;
 /// trimmed on clear — so two states are `==` (and hash alike) exactly
 /// when they assign the same truth values, regardless of whether they
 /// were built fresh or patched in place from a wider predecessor.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Debug)]
+#[derive(PartialEq, Eq, Hash, Default, Debug)]
 pub struct PropState {
     bits: Vec<u64>,
+}
+
+impl Clone for PropState {
+    fn clone(&self) -> Self {
+        Self {
+            bits: self.bits.clone(),
+        }
+    }
+
+    /// Copies `source` into this state's buffer, allocating only when
+    /// the buffer is too small.
+    fn clone_from(&mut self, source: &Self) {
+        self.bits.clone_from(&source.bits);
+    }
 }
 
 impl PropState {
