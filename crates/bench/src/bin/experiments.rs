@@ -727,17 +727,25 @@ fn e11_notion_latency() {
 /// One measured pipeline of the E13 comparison.
 struct E13Config {
     label: &'static str,
+    /// The median of the repetitions' rates.
     appends_per_sec: f64,
+    /// The slowest and fastest repetition.
+    spread: (f64, f64),
     stats: EngineStats,
 }
+
+/// Timed repetitions per E13 pipeline, each over `measured` appends of
+/// one continuing stream; the table reports their median.
+const E13_REPS: usize = 5;
 
 /// The E13 sweep result (also the `--json` payload).
 struct E13Result {
     domain: usize,
     history: usize,
+    /// Appends per timed repetition.
     measured: usize,
     configs: Vec<E13Config>,
-    /// Production vs the paper-shaped reference.
+    /// Production vs the paper-shaped reference, median against median.
     speedup: f64,
 }
 
@@ -745,47 +753,55 @@ struct E13Result {
 /// plus one edge-memo lookup per touched unit. Compares the production
 /// pipeline (incremental letter patching, template automata for both
 /// constraints) against the reference (full re-encode, progression
-/// plus phase 2 on every append).
+/// plus phase 2 on every append). Each pipeline times [`E13_REPS`]
+/// stretches of one stream and reports the median rate: one stretch
+/// lasts milliseconds, too short for a single reading to mean much.
 fn e13_append_hot_path(smoke: bool) -> E13Result {
     use ticc_fotl::parser::parse;
     let sc = order_schema();
     let domain = 6usize;
-    let total = if smoke { 240 } else { 4096 };
     let warmup = 2 * domain; // one full lap: the domain is stable after it
+    let measured = if smoke { 240 } else { 4096 } - warmup;
+    let total = warmup + E13_REPS * measured;
     let mut t = Table::new(
-        format!("E13: append hot path (steady churn, |R_D| = {domain}, FIFO + cap, t = {total})"),
+        format!(
+            "E13: append hot path (steady churn, |R_D| = {domain}, FIFO + cap, \
+             median of {E13_REPS} x {measured} appends)"
+        ),
         "steady-state appends cost O(|Δtx|): production's incremental \
          patching skips the re-encode, its template automata skip \
          progression and phase 2",
         &[
             "config",
             "appends/s",
+            "min..max",
             "edge hits",
             "edge misses",
             "patched atoms",
             "speedup",
         ],
     );
-    let run = |opts: CheckOptions| -> (f64, EngineStats) {
+    let run = |opts: CheckOptions| -> (Vec<f64>, EngineStats) {
         let mut m = Engine::new(sc.clone(), opts);
         m.add_constraint("fifo", fifo(&sc)).unwrap();
         m.add_constraint("cap", parse(&sc, "G !Sub(999)").unwrap())
             .unwrap();
-        for i in 0..warmup {
+        let mut append = |i: usize| {
             assert!(m
                 .append(&steady_churn_tx(&sc, domain, i))
                 .unwrap()
                 .is_empty());
-        }
-        let t0 = std::time::Instant::now();
-        for i in warmup..total {
-            assert!(m
-                .append(&steady_churn_tx(&sc, domain, i))
-                .unwrap()
-                .is_empty());
-        }
-        let elapsed = t0.elapsed();
-        ((total - warmup) as f64 / elapsed.as_secs_f64(), m.stats())
+        };
+        (0..warmup).for_each(&mut append);
+        let rates = (0..E13_REPS)
+            .map(|r| {
+                let from = warmup + r * measured;
+                let t0 = std::time::Instant::now();
+                (from..from + measured).for_each(&mut append);
+                measured as f64 / t0.elapsed().as_secs_f64()
+            })
+            .collect();
+        (rates, m.stats())
     };
     let spec = [
         ("reference", CheckOptions::reference()),
@@ -793,10 +809,12 @@ fn e13_append_hot_path(smoke: bool) -> E13Result {
     ];
     let mut configs = Vec::new();
     for (label, opts) in spec {
-        let (rate, stats) = run(opts);
+        let (mut rates, stats) = run(opts);
+        rates.sort_by(f64::total_cmp);
         configs.push(E13Config {
             label,
-            appends_per_sec: rate,
+            appends_per_sec: rates[E13_REPS / 2],
+            spread: (rates[0], rates[E13_REPS - 1]),
             stats,
         });
     }
@@ -817,6 +835,7 @@ fn e13_append_hot_path(smoke: bool) -> E13Result {
         t.row([
             c.label.to_owned(),
             format!("{:.0}", c.appends_per_sec),
+            format!("{:.0}..{:.0}", c.spread.0, c.spread.1),
             c.stats.cache.transition_hits.to_string(),
             c.stats.cache.transition_misses.to_string(),
             c.stats.encode_patched_atoms.to_string(),
@@ -828,7 +847,7 @@ fn e13_append_hot_path(smoke: bool) -> E13Result {
     E13Result {
         domain,
         history: total,
-        measured: total - warmup,
+        measured,
         configs,
         speedup,
     }
@@ -1576,7 +1595,7 @@ struct E19Result {
 }
 
 /// E19: bounded-memory histories. The engine's results never depend on
-/// the [`HistoryBudget`] (the residues are state-bounded — the same
+/// the [`HistoryBudget`](ticc_core::HistoryBudget) (the residues are state-bounded — the same
 /// Theorem 4.1 property E14 banks on), so a `Window(n)` run must hold
 /// its resident footprint at O(n) while the unbounded twin's grows
 /// O(t), at (near-)identical append throughput; and recovering from a
@@ -1795,15 +1814,19 @@ fn e13_json(e13: &E13Result) -> String {
     s.push_str(&format!("    \"domain\": {},\n", e13.domain));
     s.push_str(&format!("    \"history\": {},\n", e13.history));
     s.push_str(&format!("    \"measured_appends\": {},\n", e13.measured));
+    s.push_str(&format!("    \"repetitions\": {E13_REPS},\n"));
     s.push_str("    \"configs\": [\n");
     for (i, c) in e13.configs.iter().enumerate() {
         s.push_str(&format!(
             "      {{\"pipeline\": \"{}\", \
-             \"appends_per_sec\": {:.1}, \"transition_hits\": {}, \
+             \"appends_per_sec\": {:.1}, \"appends_per_sec_min\": {:.1}, \
+             \"appends_per_sec_max\": {:.1}, \"transition_hits\": {}, \
              \"transition_misses\": {}, \"encode_patched_atoms\": {}, \
              \"automaton_appends\": {}}}{}\n",
             c.label,
             c.appends_per_sec,
+            c.spread.0,
+            c.spread.1,
             c.stats.cache.transition_hits,
             c.stats.cache.transition_misses,
             c.stats.encode_patched_atoms,

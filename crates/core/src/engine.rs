@@ -66,9 +66,11 @@ use ticc_ptl::simplify::simplify;
 use ticc_ptl::trace::PropState;
 use ticc_tdb::{History, Schema, State, Transaction};
 
-/// Why a production constraint is refused: a unit's support is one
-/// `u64` column, and the matrix's atoms bound every unit's support.
-const TOO_WIDE: &str = "a production constraint's matrix may mention at most 64 distinct atoms";
+/// Why a production constraint is refused: a unit's letters, its
+/// support and its internal letters, share one `u64` word, and the
+/// matrix's atoms and past subformulas bound them.
+const TOO_WIDE: &str = "a production constraint's matrix may mention at most 64 distinct atoms \
+     and past subformulas";
 
 /// Handle to a registered constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -382,22 +384,29 @@ impl CompiledSet {
     }
 
     /// The conjunction of the current residues of the units `pick`
-    /// selects, rebuilt in the grounding's `arena` and simplified.
-    pub(crate) fn rebuild(
-        &self,
-        arena: &mut ticc_ptl::Arena,
-        pick: impl Fn(&Unit) -> bool,
-    ) -> FormulaId {
+    /// selects, rebuilt in the grounding's arena and simplified. The
+    /// units' internal letters become the grounding's `Past(0)`,
+    /// `Past(1)`, …, numbered across the picked units, so no two units
+    /// share one.
+    pub(crate) fn rebuild(&self, g: &mut Grounding, pick: impl Fn(&Unit) -> bool) -> FormulaId {
         let mut parts = Vec::new();
+        let mut letters = Vec::new();
+        let mut past = 0;
         for unit in self.units.iter().filter(|u| pick(u)) {
+            let auto = &self.templates[unit.tmpl as usize];
+            letters.clear();
+            letters.extend_from_slice(self.support(unit));
+            for _ in 0..auto.internal_len() {
+                letters.push(g.internal_letter(past));
+                past += 1;
+            }
             // Fresh memo per unit: the template arena is shared, but
             // each unit maps its canonical atoms to different letters.
             let mut memo = HashMap::new();
-            let auto = &self.templates[unit.tmpl as usize];
-            parts.push(auto.reconstruct(arena, unit.state, self.support(unit), &mut memo));
+            parts.push(auto.reconstruct(&mut g.arena, unit.state, &letters, &mut memo));
         }
-        let combined = arena.and_all(parts);
-        simplify(arena, combined)
+        let combined = g.arena.and_all(parts);
+        simplify(&mut g.arena, combined)
     }
 
     /// Sum of discovered states over all templates (the
@@ -522,23 +531,26 @@ pub(crate) fn replay(
     })
 }
 
-/// The distinct atoms of `phi`'s quantifier-free matrix: a bound on the
-/// support of every unit its grounding binds (an instantiation maps
-/// each atom to at most one letter, and progression only removes
-/// letters).
-fn matrix_atoms(phi: &Formula) -> usize {
+/// The distinct atoms and past subformulas of `phi`'s quantifier-free
+/// matrix: a bound on the letters, support and internal, of every unit
+/// its grounding binds (an instantiation maps each atom to at most one
+/// letter and each past subformula to at most one internal letter, a
+/// unit holds letters of one instantiation, and progression only
+/// removes letters).
+fn matrix_letters(phi: &Formula) -> usize {
     let (_, matrix) = ticc_fotl::classify::external_prefix(phi);
-    let mut atoms = HashSet::new();
+    let mut letters = HashSet::new();
     let mut stack = vec![matrix];
     while let Some(f) = stack.pop() {
         match f {
-            Formula::Atom(a) => {
-                atoms.insert(a);
+            Formula::Atom(_) | Formula::Prev(_) | Formula::Since(_, _) => {
+                letters.insert(f);
             }
-            _ => stack.extend(f.children()),
+            _ => {}
         }
+        stack.extend(f.children());
     }
-    atoms.len()
+    letters.len()
 }
 
 /// A grounding plus the derived per-constraint runtime state: in
@@ -637,7 +649,7 @@ impl GroundingContext {
     pub(crate) fn adopt(&mut self, pipeline: Pipeline) -> Result<(), Error> {
         match (pipeline, self.compiled.take()) {
             (Pipeline::Reference, Some(set)) => {
-                self.residue = set.rebuild(&mut self.g.arena, |_| true);
+                self.residue = set.rebuild(&mut self.g, |_| true);
             }
             (Pipeline::Production, None) => {
                 return Err(Error::Store(
@@ -805,7 +817,7 @@ impl GroundingContext {
             // Units over unshared letters are satisfiable on their own
             // and independent of the rest; only the shared ones need
             // the joint test.
-            Some(set) => set.rebuild(&mut self.g.arena, |u| u.shared),
+            Some(set) => set.rebuild(&mut self.g, |u| u.shared),
             None => self.residue,
         };
         let sat = if let Some(&cached) = self.sat_cache.get(&f) {
@@ -860,10 +872,6 @@ pub struct Engine {
     /// across sweeps.
     net: Vec<NetFact>,
     net_ends: Vec<usize>,
-    /// [`Engine::retention_floor`], computed when the constraints
-    /// change: production holds every residue at `⊤`, so appends do
-    /// not move it.
-    floor: Option<usize>,
 }
 
 /// Rough heap footprint of one database state: per-tuple values plus
@@ -915,7 +923,6 @@ impl Engine {
             facts: FactTable::default(),
             net: Vec::new(),
             net_ends: Vec::new(),
-            floor: crate::window::retention_floor(std::iter::empty()),
         }
     }
 
@@ -975,27 +982,12 @@ impl Engine {
         ))
     }
 
-    /// The engine-wide retention floor over the registered residues
-    /// (see [`crate::window::retention_floor`]): the minimum number of
-    /// resident instants any budget is clamped to, or `None` when some
-    /// residue has unbounded past-depth and truncation is off limits.
-    /// Computed when a constraint is added or the engine restored;
-    /// production holds every residue at `⊤`, and the reference
-    /// pipeline, whose residues move, never truncates.
-    pub fn retention_floor(&self) -> Option<usize> {
-        self.floor
-    }
-
-    /// Recomputes [`Engine::retention_floor`] over the current entries.
-    pub(crate) fn refresh_floor(&mut self) {
-        self.floor = crate::window::retention_floor(
-            self.entries.iter().map(|e| (&e.ctx.g.arena, e.ctx.residue)),
-        );
-    }
-
     /// The budget expressed as a window of instants: `Window(n)` is
     /// itself, `Bytes(b)` divides by the mean resident state
-    /// footprint, `Unbounded` is `None`.
+    /// footprint, `Unbounded` is `None`. At least one instant: the
+    /// encoding patches the newest state's valuation, and a unit's
+    /// template state carries everything else it needs of the past,
+    /// its past connectives included.
     fn budget_window(&self) -> Option<usize> {
         match self.opts.history_budget {
             HistoryBudget::Unbounded => None,
@@ -1019,17 +1011,15 @@ impl Engine {
 
     /// Enforces the [`HistoryBudget`]: when the resident window has
     /// grown past twice the target (hysteresis — truncation runs in
-    /// batches, not per append), spills the prefix behind the
-    /// retention horizon to the pager and drops it from the in-memory
-    /// history and every context's trace in lockstep.
+    /// batches, not per append), spills the prefix behind it to the
+    /// pager and drops it from the in-memory history and every
+    /// context's trace in lockstep.
     ///
     /// Truncation is gated on the pipeline whose slow paths can rebase
     /// onto (pager, suffix) offsets — production (seed catch-up).
     /// It needs no checkpoint: a snapshot carries its spilled pages, so
     /// it is self-contained at any horizon, and replaying the logged
     /// suffix truncates at exactly the instants the original run did.
-    /// A residue with unbounded past-depth (the `□past` side of the
-    /// paper's §3 separation) blocks truncation entirely.
     fn enforce_budget(&mut self) -> Result<(), Error> {
         if self.opts.history_budget == HistoryBudget::Unbounded {
             return Ok(());
@@ -1037,13 +1027,9 @@ impl Engine {
         if self.opts.pipeline == Pipeline::Reference {
             return Ok(());
         }
-        let Some(window) = self.budget_window() else {
+        let Some(target) = self.budget_window() else {
             return Ok(());
         };
-        let Some(floor) = self.floor else {
-            return Ok(());
-        };
-        let target = window.max(floor);
         let len = self.history.len();
         let resident = len - self.history.base();
         if resident <= target.saturating_mul(2) {
@@ -1150,24 +1136,30 @@ impl Engine {
     /// Registers a universal safety constraint and checks it against
     /// the current history immediately.
     ///
+    /// Past connectives over past formulas are allowed in the matrix:
+    /// the grounding rewrites each into an internal letter with a
+    /// future-form definition (see [`mod@crate::ground`]), and a unit's
+    /// template state carries its value. A past connective over a
+    /// future one (`●○p`) is refused by classification
+    /// ([`Error::Ground`]), with the engine unchanged.
+    ///
     /// Production steps every `∧`-part of the grounding through a
-    /// template automaton whose column is one `u64`, so it refuses, up
-    /// front and with the engine unchanged, a constraint whose matrix
-    /// mentions more than [`automaton::MAX_ARITY`] (64) distinct atoms:
-    /// [`Error::UnsupportedShape`].
+    /// template automaton whose letters share one `u64` word, so it
+    /// refuses, up front and with the engine unchanged, a constraint
+    /// whose matrix mentions more than [`automaton::MAX_ARITY`] (64)
+    /// distinct atoms and past subformulas: [`Error::UnsupportedShape`].
     pub fn add_constraint(
         &mut self,
         name: impl Into<String>,
         phi: Formula,
     ) -> Result<ConstraintId, Error> {
         if self.opts.pipeline == Pipeline::Production
-            && matrix_atoms(&phi) > automaton::MAX_ARITY as usize
+            && matrix_letters(&phi) > automaton::MAX_ARITY as usize
         {
             return Err(Error::UnsupportedShape(TOO_WIDE));
         }
         let name = name.into();
         let id = ConstraintId(self.entries.len());
-        self.stats.grounds += 1;
         // A constraint registered after a truncation grounds over the
         // materialised full history, then drops the cold prefix of its
         // fresh trace so the per-entry invariant
@@ -1180,6 +1172,7 @@ impl Engine {
         };
         let hist = owned.as_ref().unwrap_or(&self.history);
         let mut ctx = GroundingContext::build(hist, &phi, &self.opts, &mut self.stats)?;
+        self.stats.grounds += 1;
         if base > 0 {
             ctx.g.truncate_trace(base);
         }
@@ -1191,7 +1184,6 @@ impl Engine {
             status,
             ctx,
         });
-        self.refresh_floor();
         Ok(id)
     }
 
@@ -1533,30 +1525,84 @@ mod tests {
     }
 
     #[test]
-    fn past_connectives_are_rejected_at_classification() {
-        // A past connective makes the sentence non-biquantified, so
-        // Theorem 4.1 does not apply: registration fails before any
-        // grounding or compiling, on both pipelines, and leaves the
-        // constraint list as it was.
+    fn past_over_future_is_refused() {
+        // `●○p` has no value the prefix decides, so classification
+        // refuses it on both pipelines, before any grounding, and the
+        // constraint list and the counters stay as they were.
         let sc = order_schema();
         let once = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
-        let past = parse(&sc, "forall x. G (Fill(x) -> Y Sub(x))").unwrap();
+        let bad = parse(&sc, "forall x. G (Fill(x) -> Y X Sub(x))").unwrap();
         for opts in [CheckOptions::default(), CheckOptions::reference()] {
             let mut e = Engine::new(sc.clone(), opts);
             e.add_constraint("once", once.clone()).unwrap();
-            let err = e.add_constraint("filled-after-sub", past.clone());
+            let before = e.stats();
+            let err = e.add_constraint("bad", bad.clone());
             assert!(
                 matches!(
                     err,
                     Err(Error::Ground(GroundError::NotUniversal(
-                        FormulaClass::NotBiquantified(NotBiquantifiedReason::PastConnective)
+                        FormulaClass::NotBiquantified(NotBiquantifiedReason::FutureUnderPast)
                     )))
                 ),
                 "{err:?}"
             );
             assert_eq!(e.constraints().count(), 1);
             assert_eq!(e.name(ConstraintId(0)), "once");
+            assert_eq!(e.stats(), before);
         }
+    }
+
+    #[test]
+    fn past_violation_is_detected_at_the_first_state() {
+        // `G ¬●P(x)` is violated by `P(1)` at instant 0 already: every
+        // extension makes `●P(1)` true at instant 1. Potential
+        // satisfaction reports it there, on both pipelines, as the
+        // future form `G ¬P(x)` does.
+        let sc = order_schema();
+        let sub = sc.pred("Sub").unwrap();
+        for opts in [CheckOptions::default(), CheckOptions::reference()] {
+            let mut e = Engine::new(sc.clone(), opts);
+            let past = e
+                .add_constraint("past", parse(&sc, "forall x. G !(Y Sub(x))").unwrap())
+                .unwrap();
+            let future = e
+                .add_constraint("future", parse(&sc, "forall x. G !Sub(x)").unwrap())
+                .unwrap();
+            let events = e.append(&Transaction::new().insert(sub, vec![1])).unwrap();
+            assert_eq!(e.status(past), Status::Violated { at: 1 });
+            assert_eq!(e.status(future), Status::Violated { at: 1 });
+            assert_eq!(events.len(), 2, "{events:?}");
+        }
+    }
+
+    #[test]
+    fn past_letters_count_toward_the_column_width() {
+        // 63 atoms and one past subformula fill the 64 letters a
+        // template may have; a second past subformula is refused up
+        // front with the engine unchanged.
+        let sc = wide_schema(63);
+        let atoms = |n: usize| {
+            (0..n)
+                .map(|i| format!("P{i}(x)"))
+                .collect::<Vec<_>>()
+                .join(" & ")
+        };
+        let fits = parse(&sc, &format!("forall x. G !({} & Y P0(x))", atoms(63))).unwrap();
+        let wide = parse(
+            &sc,
+            &format!("forall x. G !({} & Y P0(x) & Y P1(x))", atoms(63)),
+        )
+        .unwrap();
+        let mut e = Engine::new(sc.clone(), CheckOptions::default());
+        e.add_constraint("fits", fits).unwrap();
+        let before = e.stats();
+        let err = e.add_constraint("wide", wide);
+        assert!(
+            matches!(err, Err(Error::UnsupportedShape(m)) if m.contains("past")),
+            "{err:?}"
+        );
+        assert_eq!(e.constraints().count(), 1);
+        assert_eq!(e.stats(), before);
     }
 
     #[test]
@@ -2174,38 +2220,5 @@ mod tests {
             prod.entries.iter().any(|e| e.status == Status::Satisfied),
             "some context stays live to the end"
         );
-    }
-
-    #[test]
-    fn retention_floor_is_finite_for_pure_future_residues() {
-        // Monitorable residues are pure-future (`progress` rejects past
-        // operators), so the syntactic past-depth pass always finds a
-        // finite floor and the budget can act. (`Since` would report
-        // `PastDepth::Unbounded` and pin the history — covered by the
-        // `window` unit tests.)
-        let sc = order_schema();
-        let opts = CheckOptions::builder()
-            .history_budget(HistoryBudget::Window(2))
-            .build();
-        let mut e = Engine::new(sc.clone(), opts);
-        let floor_before = e.retention_floor();
-        assert_eq!(
-            floor_before,
-            Some(1),
-            "no constraints → floor is the live state"
-        );
-        e.add_constraint(
-            "once",
-            parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap(),
-        )
-        .unwrap();
-        assert!(
-            e.retention_floor().is_some(),
-            "pure-future residues are bounded"
-        );
-        for i in 0..10u64 {
-            e.append(&churn_tx(i)).unwrap();
-        }
-        assert!(e.history().base() > 0);
     }
 }

@@ -41,11 +41,13 @@ pub enum Durability {
 
 /// Memory budget for the history and the per-constraint traces — the
 /// bounded-memory knob the paper's §3 feasibility separation makes
-/// sound: a progressed safety residue's dependence on the past is
-/// syntactically bounded (see `core::window`), so instants behind the
-/// retention horizon can be dropped from memory, with cold states
-/// paged to a checksummed spill segment for the rare replay that
-/// still needs them.
+/// sound: each unit's template state is a function of the prefix that
+/// carries everything its future steps need of it, past connectives
+/// included (the grounding turns them into internal letters the state
+/// pins), so the append path reads only the newest instant, and older
+/// ones can be dropped from memory, with cold states paged to a
+/// checksummed spill segment for the rare replay that still needs them
+/// (seed catch-up on a growth).
 ///
 /// Every setting is **bit-identical** on events and statuses to
 /// [`HistoryBudget::Unbounded`] (property-tested across 120 seeds):
@@ -56,9 +58,8 @@ pub enum HistoryBudget {
     /// Keep every instant in memory (today's behaviour).
     #[default]
     Unbounded,
-    /// Keep roughly `n` resident instants (never fewer than the
-    /// engine's retention floor; truncation is hysteretic, so up to
-    /// `2n` may be resident between truncations).
+    /// Keep roughly `n` resident instants (at least one; truncation is
+    /// hysteretic, so up to `2n` may be resident between truncations).
     Window(usize),
     /// Keep roughly `b` bytes of resident history, converted to a
     /// window via a per-instant size estimate.
@@ -105,7 +106,8 @@ impl std::fmt::Display for HistoryBudget {
 /// Which pipeline the engine runs. Crate-private: production is the
 /// only pipeline reachable through the public API; the paper-shaped
 /// reference exists for the equivalence suites and experiments (see
-/// [`CheckOptions::reference`]).
+/// `CheckOptions::reference`, compiled only for tests and under the
+/// `reference` feature).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Pipeline {
     /// Indexed grounding, delta re-grounding, incremental encoding,
@@ -132,11 +134,11 @@ pub struct CheckOptions {
     pub durability: Durability,
     /// Memory budget for the history and per-constraint traces.
     /// Bounded budgets truncate the in-memory prefix behind the
-    /// retention horizon and page cold states to a spill segment;
+    /// budget's window and page cold states to a spill segment;
     /// results are bit-identical to
     /// [`HistoryBudget::Unbounded`].
     pub history_budget: HistoryBudget,
-    /// Production unless built by [`CheckOptions::reference`].
+    /// Production unless built by `CheckOptions::reference`.
     pub(crate) pipeline: Pipeline,
 }
 

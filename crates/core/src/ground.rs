@@ -25,6 +25,19 @@
 //!   for the extension problem (property-tested); `Folded` is the only
 //!   mode the engine runs, and `Full` is kept as the oracle the tests
 //!   and ablation E6 call through [`ground`].
+//!
+//! **Past connectives.** A matrix may use `●` and `since` over past
+//! formulas. Grounding rewrites each past subformula of an
+//! instantiation into an *internal* letter `ℓ` standing for `●D`
+//! ([`LetterKey::Past`], marked with [`Arena::mark_internal`]): `●A`
+//! becomes `ℓ` with `D = A`, and `A S B` becomes `B ∨ (A ∧ ℓ)` with `D`
+//! that same formula. The instantiation is conjoined with each letter's
+//! future-form definition `¬ℓ ∧ □(○ℓ ↔ D)` — `ℓ` is false at instant 0
+//! and at `i + 1` takes `D`'s value at `i` — so `φ_D` is a future
+//! formula, and each of its progression residues pins `ℓ` with a
+//! top-level literal ([`ticc_ptl::progression::pins`]). States never
+//! valuate an internal letter: the encoder, the trace and every column
+//! see database letters only. Such matrices ground with the odometer.
 
 use crate::fact::{FactMemo, Net};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -151,9 +164,10 @@ pub struct GroundStats {
 }
 
 /// The structured key of a propositional letter in `L_D`: a ground
-/// predicate fact `p(a⃗)` or an equality `(a = b)`. Replaces the former
-/// ad-hoc string/`Vec` key pairs — one [`AtomInterner`] over these keys
-/// is the single letter table shared by formula construction and state
+/// predicate fact `p(a⃗)` or an equality `(a = b)`, or an internal
+/// letter standing for a past subformula. Replaces the former ad-hoc
+/// string/`Vec` key pairs — one [`AtomInterner`] over these keys is
+/// the single letter table shared by formula construction and state
 /// encoding.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LetterKey {
@@ -161,6 +175,11 @@ pub enum LetterKey {
     Pred(PredId, Vec<GArg>),
     /// `(a = b)`.
     Eq(GArg, GArg),
+    /// The `n`-th internal letter of a formula built over the arena: a
+    /// letter `ℓ` standing for `●D`, defined by the formula itself
+    /// (see the module docs, "Past connectives"). No
+    /// state valuates it.
+    Past(u32),
 }
 
 /// The output of the reduction: `φ_D`, `w_D`, and the letter table
@@ -304,7 +323,9 @@ impl IndexPlan {
 /// resolved to its external digit. Returns `None` (odometer fallback)
 /// when the matrix contains an equality atom: equalities fold
 /// differently per instantiation, so the pruned remainder would not
-/// collapse to a single canonical residue.
+/// collapse to a single canonical residue; and when it contains a past
+/// connective, whose internal letters make every instantiation carry
+/// its own definitions.
 fn index_patterns(
     matrix: &Formula,
     external: &[String],
@@ -318,6 +339,9 @@ fn index_patterns(
     let mut out: Vec<AtomPattern> = Vec::new();
     let mut stack = vec![matrix];
     while let Some(f) = stack.pop() {
+        if let Formula::Prev(_) | Formula::Since(_, _) = f {
+            return None;
+        }
         if let Formula::Atom(a) = f {
             match a {
                 Atom::Eq(_, _) => return None,
@@ -387,7 +411,7 @@ fn fold_rigid_false(arena: &mut Arena, matrix: &Formula) -> FormulaId {
             arena.until(x, y)
         }
         Formula::Forall(_, _) | Formula::Exists(_, _) | Formula::Prev(_) | Formula::Since(_, _) => {
-            unreachable!("universal future matrix (checked by classify)")
+            unreachable!("quantifier-free matrix without past connectives (index_patterns)")
         }
     }
 }
@@ -617,6 +641,7 @@ fn render_letter(key: &LetterKey, schema: &Schema) -> String {
             name.push(')');
             name
         }
+        LetterKey::Past(n) => format!("●{n}"),
     }
 }
 
@@ -627,6 +652,18 @@ fn intern_letter(
     key: LetterKey,
 ) -> AtomId {
     letters.intern(arena, key, |k| render_letter(k, schema))
+}
+
+/// The internal letter `Past(n)`, interned and marked on first sight.
+fn internal_letter(
+    arena: &mut Arena,
+    letters: &mut AtomInterner<LetterKey>,
+    schema: &Schema,
+    n: u32,
+) -> AtomId {
+    let a = intern_letter(arena, letters, schema, LetterKey::Past(n));
+    arena.mark_internal(a);
+    a
 }
 
 /// All vectors of length `r` over `items` (lexicographic by index).
@@ -766,13 +803,7 @@ pub(crate) fn ground_with(
             &mut inst_shared,
         )?;
     } else {
-        let mut ctx = GroundCtx {
-            mode,
-            schema: &schema,
-            consts: &consts,
-            arena: &mut arena,
-            letters: &mut letters,
-        };
+        let mut ctx = GroundCtx::new(mode, &schema, &consts, &mut arena, &mut letters);
         psi_d = ctx.arena.tru();
         let mut idx = vec![0usize; k];
         loop {
@@ -780,7 +811,7 @@ pub(crate) fn ground_with(
             for (v, &i) in external.iter().zip(&idx) {
                 map.insert(v.as_str(), m[i]);
             }
-            let inst = ctx.ground_matrix(matrix, &map)?;
+            let inst = ctx.instance(matrix, &map)?;
             psi_d = ctx.arena.and(psi_d, inst);
             // Odometer over |M|^k; k == 0 yields exactly one mapping.
             let mut pos = 0;
@@ -802,13 +833,7 @@ pub(crate) fn ground_with(
     let formula = match mode {
         GroundMode::Folded => psi_d,
         GroundMode::Full => {
-            let mut ctx = GroundCtx {
-                mode,
-                schema: &schema,
-                consts: &consts,
-                arena: &mut arena,
-                letters: &mut letters,
-            };
+            let mut ctx = GroundCtx::new(mode, &schema, &consts, &mut arena, &mut letters);
             let ax = ctx.axiom_d(&m, &mut axiom_conjuncts);
             let boxed = ctx.arena.always(ax);
             ctx.arena.and(psi_d, boxed)
@@ -898,13 +923,7 @@ fn ground_cands(
         .map(|(i, v)| (v.as_str(), i))
         .collect();
     let mut seen: HashSet<FormulaId> = HashSet::new();
-    let mut ctx = GroundCtx {
-        mode,
-        schema,
-        consts,
-        arena,
-        letters,
-    };
+    let mut ctx = GroundCtx::new(mode, schema, consts, arena, letters);
     let share = SharePlan::build(matrix, &digit, m.len());
     let mut memo = ShareMemo::new();
     let mut psi_d = ctx.arena.tru();
@@ -998,9 +1017,103 @@ struct GroundCtx<'a> {
     consts: &'a [Value],
     arena: &'a mut Arena,
     letters: &'a mut AtomInterner<LetterKey>,
+    /// Internal letters allocated so far: the next one is `Past(past)`.
+    past: u32,
+    /// The current instantiation's internal letters, each with the `D`
+    /// it stands for `●D` of, in allocation order (inner subformulas
+    /// first). Drained by [`GroundCtx::instance`].
+    defs: Vec<(AtomId, FormulaId)>,
+    /// The current instantiation's past subformulas, keyed by their
+    /// grounded operands (`●A` by `(A, A)`, `A S B` by `(A, B)`), so a
+    /// repeated one shares its letter.
+    past_memo: HashMap<(FormulaId, FormulaId), AtomId>,
 }
 
-impl GroundCtx<'_> {
+impl<'a> GroundCtx<'a> {
+    fn new(
+        mode: GroundMode,
+        schema: &'a Schema,
+        consts: &'a [Value],
+        arena: &'a mut Arena,
+        letters: &'a mut AtomInterner<LetterKey>,
+    ) -> Self {
+        GroundCtx {
+            mode,
+            schema,
+            consts,
+            arena,
+            letters,
+            past: 0,
+            defs: Vec::new(),
+            past_memo: HashMap::new(),
+        }
+    }
+
+    /// Grounds one instantiation of `matrix` and conjoins the
+    /// definition `¬ℓ ∧ □(○ℓ ↔ D)` of each internal letter it
+    /// allocated.
+    fn instance(
+        &mut self,
+        matrix: &Formula,
+        map: &HashMap<&str, GArg>,
+    ) -> Result<FormulaId, GroundError> {
+        let mut out = self.ground_matrix(matrix, map)?;
+        self.past_memo.clear();
+        for (l, d) in std::mem::take(&mut self.defs) {
+            let lf = self.arena.atom_id(l);
+            let not_l = self.arena.not(lf);
+            let next_l = self.arena.next(lf);
+            let step = self.arena.iff(next_l, d);
+            let always = self.arena.always(step);
+            let def = self.arena.and(not_l, always);
+            out = self.arena.and(out, def);
+        }
+        Ok(out)
+    }
+
+    /// The internal letter standing for `●d`, shared by the current
+    /// instantiation's past subformulas with operands `key`.
+    fn past_letter(&mut self, key: (FormulaId, FormulaId)) -> (AtomId, bool) {
+        if let Some(&l) = self.past_memo.get(&key) {
+            return (l, false);
+        }
+        let l = internal_letter(self.arena, self.letters, self.schema, self.past);
+        self.past += 1;
+        self.past_memo.insert(key, l);
+        (l, true)
+    }
+
+    /// `●a`: `⊥` when `a` is `⊥`, else the internal letter standing
+    /// for it.
+    fn ground_prev(&mut self, a: FormulaId) -> FormulaId {
+        if a == self.arena.fls() {
+            return a;
+        }
+        let (l, new) = self.past_letter((a, a));
+        if new {
+            self.defs.push((l, a));
+        }
+        self.arena.atom_id(l)
+    }
+
+    /// `a S b` as `b ∨ (a ∧ ℓ)`, `ℓ` standing for `●(a S b)`. Folds to
+    /// `b` when the recursion is void: `b = ⊥` never held, so neither
+    /// did the since; `a = ⊥`, `a = b` or `b = ⊤` leave only `b`.
+    fn ground_since(&mut self, a: FormulaId, b: FormulaId) -> FormulaId {
+        let (tru, fls) = (self.arena.tru(), self.arena.fls());
+        if a == fls || a == b || b == fls || b == tru {
+            return b;
+        }
+        let (l, new) = self.past_letter((a, b));
+        let lf = self.arena.atom_id(l);
+        let held = self.arena.and(a, lf);
+        let e = self.arena.or(b, held);
+        if new {
+            self.defs.push((l, e));
+        }
+        e
+    }
+
     fn resolve(&self, t: &Term, map: &HashMap<&str, GArg>) -> GArg {
         match t {
             Term::Var(v) => *map
@@ -1067,11 +1180,17 @@ impl GroundCtx<'_> {
                 let y = self.ground_matrix(b, map)?;
                 self.arena.until(x, y)
             }
+            Formula::Prev(g) => {
+                let x = self.ground_matrix(g, map)?;
+                self.ground_prev(x)
+            }
+            Formula::Since(a, b) => {
+                let x = self.ground_matrix(a, map)?;
+                let y = self.ground_matrix(b, map)?;
+                self.ground_since(x, y)
+            }
             Formula::Forall(_, _) | Formula::Exists(_, _) => {
                 unreachable!("universal matrix is quantifier-free (checked by classify)")
-            }
-            Formula::Prev(_) | Formula::Since(_, _) => {
-                unreachable!("universal sentences are future-only (checked by classify)")
             }
         })
     }
@@ -1167,7 +1286,7 @@ impl GroundCtx<'_> {
                 unreachable!("universal matrix is quantifier-free (checked by classify)")
             }
             Formula::Prev(_) | Formula::Since(_, _) => {
-                unreachable!("universal sentences are future-only (checked by classify)")
+                unreachable!("indexed plans exclude past connectives (index_patterns)")
             }
         };
         if let Some(k) = key {
@@ -1478,6 +1597,13 @@ impl Grounding {
         )
     }
 
+    /// The internal letter `Past(n)` ([`LetterKey::Past`]), interned on
+    /// first sight: how a rebuilt residue names its units' internal
+    /// letters.
+    pub(crate) fn internal_letter(&mut self, n: u32) -> AtomId {
+        internal_letter(&mut self.arena, &mut self.letters, &self.schema, n)
+    }
+
     /// Read-only letter lookup for a ground fact, through the interner.
     fn lookup_state_letter(&self, p: PredId, tuple: &[Value]) -> Option<AtomId> {
         let args: Vec<GArg> = tuple.iter().map(|&v| GArg::Rel(v)).collect();
@@ -1745,20 +1871,20 @@ impl Grounding {
                 .map(String::as_str)
                 .zip(args.iter().copied())
                 .collect();
-            let mut ctx = GroundCtx {
-                mode: GroundMode::Folded,
-                schema: &self.schema,
-                consts: &self.consts,
-                arena: &mut arena,
-                letters: &mut letters,
-            };
-            ctx.ground_matrix(&self.matrix, &map)?
+            let mut ctx = GroundCtx::new(
+                GroundMode::Folded,
+                &self.schema,
+                &self.consts,
+                &mut arena,
+                &mut letters,
+            );
+            ctx.instance(&self.matrix, &map)?
         };
         let keys: HashMap<AtomId, &LetterKey> = letters.iter().map(|(k, a)| (a, k)).collect();
         let mut parts = Vec::new();
         for part in split_units(&mut arena, inst) {
             let (key, atoms) =
-                canonicalize(&arena, part).expect("universal matrices are future-only");
+                canonicalize(&arena, part).expect("grounding rewrites every past connective");
             let letters = atoms
                 .iter()
                 .map(|a| {
@@ -1902,7 +2028,7 @@ impl Grounding {
     /// as facts arrive); every id in the dump is validated against the tables
     /// it references, so corrupt snapshot bytes surface as an error.
     pub(crate) fn restore(schema: Arc<Schema>, d: GroundingDump) -> Result<Grounding, String> {
-        let arena = Arena::rehydrate(d.arena_nodes, d.atom_names).map_err(str::to_owned)?;
+        let mut arena = Arena::rehydrate(d.arena_nodes, d.atom_names).map_err(str::to_owned)?;
         let atom_count = arena.atom_count();
         let node_count = arena.dag_len();
         if d.formula.index() >= node_count {
@@ -1929,6 +2055,7 @@ impl Grounding {
                     check_garg(a)?;
                     check_garg(b)?;
                 }
+                LetterKey::Past(_) => {}
             }
         }
         for w in &d.trace {
@@ -1940,6 +2067,11 @@ impl Grounding {
                 .map(|&word| (w.words().len() - 1) * 64 + (63 - word.leading_zeros() as usize));
             if max_bit.is_some_and(|b| b >= atom_count) {
                 return Err("snapshot trace atom out of range".to_owned());
+            }
+        }
+        for (key, a) in &d.letters {
+            if let LetterKey::Past(_) = key {
+                arena.mark_internal(*a);
             }
         }
         let letters = AtomInterner::from_pairs(d.letters).map_err(str::to_owned)?;

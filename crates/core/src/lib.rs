@@ -48,13 +48,11 @@ pub mod ground;
 #[cfg(test)]
 mod monitor;
 pub mod obs;
-pub mod past;
 mod seed;
 pub mod session;
 pub mod snapshot;
 pub mod spill;
 pub mod trigger;
-pub mod window;
 
 pub use diagnostics::earliest_violation;
 pub use engine::{ConstraintId, Engine, GroundingContext, MonitorEvent, Status};
@@ -75,4 +73,3 @@ pub use session::{
 };
 pub use ticc_store::{GroupStats, GroupWal, StoreError};
 pub use trigger::{Action, FiredTrigger, Trigger, TriggerEngine};
-pub use window::{past_depth, retention_floor, PastDepth};

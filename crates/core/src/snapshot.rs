@@ -49,14 +49,17 @@ use ticc_tdb::{ConstId, History, PredId, State};
 ///
 /// Each template automaton persists its discovered states (its arena
 /// as one canonical-node table plus each state's residue index, in
-/// discovery order), so unit state ids survive a restore.
+/// discovery order), so unit state ids survive a restore. Its key
+/// carries its support and internal-letter counts, and a grounding's
+/// letter table its internal letters ([`LetterKey::Past`]), which the
+/// restore marks internal again.
 ///
 /// Two bytes are fixed tags: the violation-notion tag after the
 /// constants and the ground-mode tag leading each grounding dump. The
 /// engine decides one notion (potential satisfaction) over folded
 /// groundings, so both are always written as `0` and any other value
 /// is rejected as corrupt.
-pub const SNAP_VERSION: u32 = 5;
+pub const SNAP_VERSION: u32 = 6;
 
 /// The fixed value of the notion and ground-mode tags (see
 /// [`SNAP_VERSION`]).
@@ -281,7 +284,6 @@ pub fn restore_engine(bytes: &[u8], opts: CheckOptions) -> Result<(Engine, Vec<u
     engine.entries = entries;
     engine.stats = stats;
     engine.pager = pager;
-    engine.refresh_floor();
     // Wall-clock timers measure this process, not the one that wrote
     // the snapshot: a resumed engine reports the time it spent itself,
     // so `stats --json` after a restore starts the clocks at zero.
@@ -511,6 +513,7 @@ impl RawCompiled {
         e.usize(self.templates.len());
         for (key, nodes, roots) in &self.templates {
             e.u32(key.arity);
+            e.u32(key.internal);
             e.u32(key.root);
             canon_table_encode(e, &key.nodes);
             canon_table_encode(e, nodes);
@@ -533,9 +536,14 @@ impl RawCompiled {
     fn decode(d: &mut Dec<'_>) -> Result<Self, Error> {
         // Table structure is validated by whoever interns it.
         let templates = list(d, |d| {
-            let (arity, root) = (d.u32()?, d.u32()?);
+            let (arity, internal, root) = (d.u32()?, d.u32()?, d.u32()?);
             let nodes = list(d, canon_node_decode)?;
-            let key = TemplateKey { nodes, root, arity };
+            let key = TemplateKey {
+                nodes,
+                root,
+                arity,
+                internal,
+            };
             Ok((key, list(d, canon_node_decode)?, list(d, |d| Ok(d.u32()?))?))
         })?;
         let units = list(d, |d| {
@@ -606,6 +614,10 @@ fn letter_key_encode(e: &mut Enc, k: &LetterKey) {
             garg_encode(e, *a);
             garg_encode(e, *b);
         }
+        LetterKey::Past(n) => {
+            e.u8(2);
+            e.u32(*n);
+        }
     }
 }
 
@@ -616,6 +628,7 @@ fn letter_key_decode(d: &mut Dec<'_>) -> Result<LetterKey, Error> {
             LetterKey::Pred(p, list(d, garg_decode)?)
         }
         1 => LetterKey::Eq(garg_decode(d)?, garg_decode(d)?),
+        2 => LetterKey::Past(d.u32()?),
         n => return Err(corrupt(&format!("unknown letter-key tag {n}"))),
     })
 }
@@ -883,6 +896,10 @@ mod tests {
                 .insert(fill, vec![1]),
         )
         .unwrap();
+        // Registered over a nonempty history, so its grounding and its
+        // templates carry internal letters.
+        let past = parse(e.history().schema(), "forall x. G (Fill(x) -> O Sub(x))").unwrap();
+        e.add_constraint("audit", past).unwrap();
         e.append(&Transaction::new().delete(sub, vec![1]).insert(sub, vec![2]))
             .unwrap();
         e
@@ -951,8 +968,9 @@ mod tests {
         }
         for id in fwd.constraints() {
             assert_eq!(fwd.status(id), back.status(id));
-            assert!(matches!(fwd.status(id), Status::Violated { .. }));
         }
+        let once = fwd.constraints().next().unwrap();
+        assert!(matches!(fwd.status(once), Status::Violated { .. }));
     }
 
     #[test]
@@ -979,11 +997,11 @@ mod tests {
     fn corrupt_snapshots_error_instead_of_panicking() {
         let engine = engine_with_appends();
         let bytes = snapshot_engine(&engine, b"x");
-        // Wrong version: only v5 restores; v4 has no reader.
+        // Wrong version: only v6 restores; v5 has no reader.
         let mut head = Enc::new();
         head.u32(SNAP_VERSION);
         let body = &bytes[head.into_bytes().len()..];
-        for version in [2u32, 3, 4, 6] {
+        for version in [2u32, 3, 4, 5, 7] {
             let mut e = Enc::new();
             e.u32(version);
             let mut v = e.into_bytes();
@@ -991,7 +1009,7 @@ mod tests {
             match restore_engine(&v, CheckOptions::default()) {
                 Err(Error::Store(m)) => assert!(
                     m.contains(&format!(
-                        "unsupported snapshot version {version} (expected 5)"
+                        "unsupported snapshot version {version} (expected 6)"
                     )),
                     "{m}"
                 ),
@@ -1120,6 +1138,74 @@ mod tests {
             },
             "unit support repeats a letter",
         );
+    }
+
+    #[test]
+    fn corrupt_internal_letter_fields_are_refused() {
+        // A past constraint registered over a nonempty history: its
+        // templates count internal letters and its grounding's letter
+        // table holds `Past` keys.
+        let engine = engine_with_appends();
+        let bytes = snapshot_engine(&engine, b"x");
+        let id = engine.constraints().nth(1).unwrap();
+        let set = engine.entries[id.0].ctx.compiled.as_ref().unwrap();
+        let raw = RawCompiled::of(set);
+        let t = raw
+            .templates
+            .iter()
+            .position(|(key, _, _)| key.internal > 0)
+            .expect("a template with internal letters");
+        let mut sec = Enc::new();
+        raw.encode(&mut sec);
+        let sec = sec.into_bytes();
+        let at = find(&bytes, &sec);
+        // Too few internal letters for the key's atoms, or more letters
+        // than a word holds: the key is malformed.
+        for internal in [0, MAX_ARITY] {
+            let mut bad = RawCompiled::of(set);
+            bad.templates[t].0.internal = internal;
+            let mut e = Enc::new();
+            bad.encode(&mut e);
+            let b = [&bytes[..at], &e.into_bytes(), &bytes[at + sec.len()..]].concat();
+            match restore_engine(&b, CheckOptions::default()) {
+                Err(Error::Store(m)) => assert!(m.contains("malformed template key"), "{m}"),
+                other => panic!("internal {internal}: restored {:?}", other.map(|_| ())),
+            }
+        }
+        // A `Past` letter key with an unknown tag, or naming an atom
+        // past the arena, is corrupt.
+        let dump = engine.context(id).grounding().dump();
+        let (key, a) = dump
+            .letters
+            .iter()
+            .find(|(k, _)| matches!(k, LetterKey::Past(_)))
+            .cloned()
+            .expect("a past letter in the grounding");
+        let mut entry = Enc::new();
+        letter_key_encode(&mut entry, &key);
+        entry.u32(a.0);
+        let entry = entry.into_bytes();
+        let mut d = Enc::new();
+        dump_encode(&mut d, &dump);
+        let d = d.into_bytes();
+        let at = find(&bytes, &d) + find(&d, &entry);
+        let mut b = bytes.clone();
+        b[at] = 7;
+        match restore_engine(&b, CheckOptions::default()) {
+            Err(Error::Store(m)) => assert!(m.contains("unknown letter-key tag 7"), "{m}"),
+            other => panic!("tag 7 restored: {:?}", other.map(|_| ())),
+        }
+        let mut bad = engine.context(id).grounding().dump();
+        let past = bad.letters.iter().position(|(k, _)| *k == key).unwrap();
+        bad.letters[past].1 = AtomId(1 << 20);
+        let mut e = Enc::new();
+        dump_encode(&mut e, &bad);
+        let at = find(&bytes, &d);
+        let b = [&bytes[..at], &e.into_bytes(), &bytes[at + d.len()..]].concat();
+        match restore_engine(&b, CheckOptions::default()) {
+            Err(Error::Store(m)) => assert!(m.contains("letter id out of range"), "{m}"),
+            other => panic!("letter id restored: {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

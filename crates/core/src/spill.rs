@@ -1,7 +1,7 @@
 //! The cold-state pager: where truncated history instants live.
 //!
 //! When the engine truncates the in-memory `History` prefix behind
-//! the retention horizon (see [`crate::window`]), the dropped states
+//! its [`HistoryBudget`](crate::HistoryBudget) window, the dropped states
 //! are not gone — the rare slow paths (seed catch-up on growth, full
 //! materialisation for `add_constraint`, explain, triggers) can still
 //! ask for instant `t < base`. The [`HistoryPager`] serves them: it

@@ -149,8 +149,10 @@ fn class_of_prefix(pfx: &[(Quant, String)]) -> PrenexClass {
 /// Why a formula failed to be biquantified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NotBiquantifiedReason {
-    /// Past connectives occur (biquantified formulas are future-only).
-    PastConnective,
+    /// A future connective occurs under a past one (`●○p`): a past
+    /// subformula must be a past formula, whose truth at an instant the
+    /// prefix up to it decides.
+    FutureUnderPast,
     /// A quantifier has a temporal connective in its scope (other than
     /// the leading external `∀*`).
     QuantifierOverTemporal,
@@ -195,9 +197,13 @@ pub fn external_prefix(f: &Formula) -> (Vec<&str>, &Formula) {
 }
 
 /// Classifies a closed FOTL formula against the paper's hierarchy.
+///
+/// Past connectives are admitted over past formulas (Section 5's Past
+/// FOTL): the grounding rewrites each into a letter defined by a future
+/// formula, so `∀*` over a past-and-future tense matrix is universal.
 pub fn classify(f: &Formula) -> FormulaClass {
-    if !f.is_future() {
-        return FormulaClass::NotBiquantified(NotBiquantifiedReason::PastConnective);
+    if future_under_past(f) {
+        return FormulaClass::NotBiquantified(NotBiquantifiedReason::FutureUnderPast);
     }
     let (external, body) = external_prefix(f);
     let mut levels: Vec<PrenexClass> = Vec::new();
@@ -216,6 +222,14 @@ pub fn classify(f: &Formula) -> FormulaClass {
             internal_level,
             internal_quantifiers: quantifiers,
         }
+    }
+}
+
+/// Whether some past connective has a future connective in its scope.
+fn future_under_past(f: &Formula) -> bool {
+    match f {
+        Formula::Prev(_) | Formula::Since(_, _) => !f.is_past(),
+        _ => f.children().into_iter().any(future_under_past),
     }
 }
 
@@ -406,11 +420,15 @@ mod tests {
 
     #[test]
     fn past_rejected() {
-        let f = Formula::forall("x", p(Term::var("x")).once());
+        // A past connective over a future one is outside the fragment…
+        let f = Formula::forall("x", p(Term::var("x")).next().prev().always());
         assert_eq!(
             classify(&f),
-            FormulaClass::NotBiquantified(NotBiquantifiedReason::PastConnective)
+            FormulaClass::NotBiquantified(NotBiquantifiedReason::FutureUnderPast)
         );
+        // …but past over past, under future, is universal.
+        let g = Formula::forall("x", p(Term::var("x")).once().prev().always());
+        assert_eq!(classify(&g), FormulaClass::Universal { external: 1 });
     }
 
     #[test]

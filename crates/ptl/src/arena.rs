@@ -78,6 +78,9 @@ pub struct Arena {
     node_ids: HashMap<Node, FormulaId>,
     atom_names: Vec<String>,
     atom_ids: HashMap<String, AtomId>,
+    /// Per atom, whether it is an *internal* letter
+    /// ([`Arena::mark_internal`]); empty while no atom is.
+    internal: Vec<bool>,
     /// How many [`Arena::intern`] calls returned an already-interned
     /// node instead of allocating — the hash-consing hit counter the
     /// grounding layer reads to quantify cross-instantiation structure
@@ -136,6 +139,33 @@ impl Arena {
         a
     }
 
+    /// Marks `a` as an *internal* letter: one the formulas over this
+    /// arena define themselves, not one a state valuates. A formula
+    /// that mentions an internal letter `ℓ` standing for `●D` carries
+    /// its definition `¬ℓ ∧ □(○ℓ ↔ D)`, so each of its progression
+    /// residues pins `ℓ` with a top-level literal, and
+    /// [`progress`](crate::progression::progress) reads `ℓ`'s value
+    /// from that literal instead of from the state.
+    pub fn mark_internal(&mut self, a: AtomId) {
+        assert!(a.index() < self.atom_names.len(), "unknown atom id");
+        if self.internal.len() <= a.index() {
+            self.internal.resize(a.index() + 1, false);
+        }
+        self.internal[a.index()] = true;
+    }
+
+    /// Whether `a` is an internal letter ([`Arena::mark_internal`]).
+    #[inline]
+    pub fn is_internal(&self, a: AtomId) -> bool {
+        self.internal.get(a.index()).copied().unwrap_or(false)
+    }
+
+    /// Whether any atom of this arena is an internal letter.
+    #[inline]
+    pub fn has_internal(&self) -> bool {
+        !self.internal.is_empty()
+    }
+
     fn intern(&mut self, node: Node) -> FormulaId {
         if let Some(&id) = self.node_ids.get(&node) {
             self.dedup_hits += 1;
@@ -163,7 +193,8 @@ impl Arena {
     }
 
     /// Rebuilds an arena from a dump taken with [`Arena::nodes`] and
-    /// [`Arena::atom_names_in_order`].
+    /// [`Arena::atom_names_in_order`]. Internal-letter marks are not
+    /// part of the dump: the caller re-marks them.
     ///
     /// Nodes are inserted *raw*, without re-running the folding
     /// constructors — the dump already reflects whatever folding
@@ -582,6 +613,35 @@ impl Arena {
             .filter(|(_, &v)| v)
             .map(|(i, _)| AtomId(i as u32))
             .collect()
+    }
+
+    /// The internal letters ([`Arena::mark_internal`]) occurring in the
+    /// DAG rooted at `f`, in no particular order. Walks only that DAG,
+    /// unlike [`Arena::atoms_of`], so it suits small parts of a large
+    /// arena.
+    pub fn internal_atoms(&self, f: FormulaId) -> Vec<AtomId> {
+        let mut seen = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        let mut stack = vec![f];
+        while let Some(id) = stack.pop() {
+            if !seen.insert(id) {
+                continue;
+            }
+            match self.node(id) {
+                Node::Atom(a) if self.is_internal(a) => out.push(a),
+                Node::True | Node::False | Node::Atom(_) => {}
+                Node::Not(g) | Node::Next(g) | Node::Prev(g) => stack.push(g),
+                Node::And(a, b)
+                | Node::Or(a, b)
+                | Node::Until(a, b)
+                | Node::Release(a, b)
+                | Node::Since(a, b) => {
+                    stack.push(a);
+                    stack.push(b);
+                }
+            }
+        }
+        out
     }
 
     /// Rebuilds the DAG rooted at `root` of a *source* arena inside

@@ -19,6 +19,14 @@
 //! occurrence: all isomorphic instantiations of one constraint share a
 //! single automaton, each carrying only a `u32` state.
 //!
+//! A residue's *internal* letters ([`Arena::mark_internal`], the
+//! grounding's stand-ins for past subformulas) are numbered after its
+//! support and never enter a column: each state pins their values with
+//! top-level literals ([`crate::progression::pins`]), so a unit's state
+//! carries its past, and [`SafetyAutomaton::discover`] progresses under
+//! the column plus those pinned values. [`split_units`] keeps the parts
+//! that share an internal letter in one unit.
+//!
 //! Soundness leans on three facts. `progress` only reads the letters in
 //! the residue's support, so a column over `2^support` loses nothing.
 //! Progression distributes over `∧`, so the conjuncts [`split_units`]
@@ -34,7 +42,7 @@
 
 use crate::arena::{Arena, AtomId, FormulaId, Node};
 use crate::lasso::Lasso;
-use crate::progression::progress;
+use crate::progression::{pins, progress};
 use crate::sat::{is_satisfiable_with, SatSolver};
 use crate::simplify::simplify;
 use crate::trace::PropState;
@@ -44,15 +52,17 @@ use std::time::{Duration, Instant};
 /// A node of a canonical (alpha-renamed) formula template. Child
 /// references are indices into [`TemplateKey::nodes`] (strictly
 /// decreasing, so the list is topologically sorted); atoms are
-/// canonical indices `0..arity` in order of first occurrence. Past
-/// connectives are excluded — progression rejects them anyway.
+/// canonical indices in order of first occurrence, the support letters
+/// `0..arity` first, then the internal letters. Past connectives are
+/// excluded — progression rejects them anyway.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CanonNode {
     /// The constant true.
     True,
     /// The constant false.
     False,
-    /// The `i`-th support letter (first-occurrence order).
+    /// The `i`-th letter: a support letter below the key's `arity`,
+    /// an internal letter from it on (first-occurrence order each).
     Atom(u32),
     /// Negation.
     Not(u32),
@@ -71,35 +81,41 @@ pub enum CanonNode {
 /// The shape of a residue modulo letter renaming: a hash-consed node
 /// list with atoms renumbered by first occurrence in a deterministic
 /// traversal. Two residues are isomorphic (equal up to a support
-/// bijection) iff they canonicalize to the same key, and the bijection
-/// is recovered by pairing their support vectors position-wise.
+/// bijection and a renaming of internal letters) iff they canonicalize
+/// to the same key, and the bijection is recovered by pairing their
+/// support vectors position-wise.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct TemplateKey {
     /// Canonical nodes, children before parents.
     pub nodes: Vec<CanonNode>,
     /// Index of the root node.
     pub root: u32,
-    /// Number of distinct support letters.
+    /// Number of distinct support letters: canonical atoms
+    /// `0..arity`, the bits of a column.
     pub arity: u32,
+    /// Number of distinct internal letters: canonical atoms
+    /// `arity..arity + internal`, which no column carries.
+    pub internal: u32,
 }
 
 impl TemplateKey {
     /// Structural validity: the root and every child reference stay in
     /// range, children strictly precede parents (acyclic by
-    /// construction), atom indices stay below `arity`, and `arity` is
-    /// at most [`MAX_ARITY`]. Snapshot restore runs this before
-    /// trusting decoded bytes.
+    /// construction), atom indices stay below `arity + internal`, and
+    /// that sum is at most [`MAX_ARITY`]. Snapshot restore runs this
+    /// before trusting decoded bytes.
     pub fn validate(&self) -> bool {
         (self.root as usize) < self.nodes.len()
-            && self.arity <= MAX_ARITY
-            && valid_table(&self.nodes, self.arity)
+            && self.arity.saturating_add(self.internal) <= MAX_ARITY
+            && valid_table(&self.nodes, self.arity + self.internal)
     }
 }
 
 /// Canonicalizes `f`: returns its [`TemplateKey`] plus the concrete
 /// support letters in first-occurrence order (`support[i]` is what
-/// canonical atom `i` stands for). Returns `None` when `f` contains a
-/// past connective.
+/// canonical atom `i` stands for). `f`'s internal letters are numbered
+/// after the support and not returned: a template's internal letters
+/// are its own. Returns `None` when `f` contains a past connective.
 pub fn canonicalize(arena: &Arena, f: FormulaId) -> Option<(TemplateKey, Vec<AtomId>)> {
     enum Task {
         Visit(FormulaId),
@@ -109,6 +125,9 @@ pub fn canonicalize(arena: &Arena, f: FormulaId) -> Option<(TemplateKey, Vec<Ato
     let mut memo: HashMap<FormulaId, u32> = HashMap::new();
     let mut atom_ix: HashMap<AtomId, u32> = HashMap::new();
     let mut support: Vec<AtomId> = Vec::new();
+    let mut internal: Vec<AtomId> = Vec::new();
+    // The nodes of internal atoms, numbered once the support is known.
+    let mut internal_at: Vec<(usize, u32)> = Vec::new();
     let push = |nodes: &mut Vec<CanonNode>, n: CanonNode| -> u32 {
         nodes.push(n);
         (nodes.len() - 1) as u32
@@ -130,11 +149,19 @@ pub fn canonicalize(arena: &Arena, f: FormulaId) -> Option<(TemplateKey, Vec<Ato
                         memo.insert(g, i);
                     }
                     Node::Atom(a) => {
+                        let list = if arena.is_internal(a) {
+                            &mut internal
+                        } else {
+                            &mut support
+                        };
                         let ca = *atom_ix.entry(a).or_insert_with(|| {
-                            support.push(a);
-                            (support.len() - 1) as u32
+                            list.push(a);
+                            (list.len() - 1) as u32
                         });
                         let i = push(&mut nodes, CanonNode::Atom(ca));
+                        if arena.is_internal(a) {
+                            internal_at.push((i as usize, ca));
+                        }
                         memo.insert(g, i);
                     }
                     Node::Not(h) | Node::Next(h) => {
@@ -171,11 +198,22 @@ pub fn canonicalize(arena: &Arena, f: FormulaId) -> Option<(TemplateKey, Vec<Ato
     }
     let root = memo[&f];
     let arity = support.len() as u32;
-    Some((TemplateKey { nodes, root, arity }, support))
+    for (i, j) in internal_at {
+        nodes[i] = CanonNode::Atom(arity + j);
+    }
+    let key = TemplateKey {
+        nodes,
+        root,
+        arity,
+        internal: internal.len() as u32,
+    };
+    Some((key, support))
 }
 
-/// The widest support a template may have: a column is one `u64`, bit
-/// `i` the truth of support letter `i`.
+/// The most letters a template may have, support and internal ones
+/// together: a column is one `u64`, bit `i` the truth of support letter
+/// `i`, and discovery steps under the column with the internal letters'
+/// pinned values in the bits above it.
 pub const MAX_ARITY: u32 = 64;
 
 /// Bound on the `(state, column) → state` edges one template memoises.
@@ -199,13 +237,13 @@ const COMPACT_SLACK: usize = 1 << 12;
 /// A dense-table entry whose edge is not memoised.
 const UNKNOWN: u32 = u32::MAX;
 
-/// Whether `nodes` is a well-formed canonical-node table over `arity`
+/// Whether `nodes` is a well-formed canonical-node table over `n`
 /// letters: children strictly precede parents (acyclic by
-/// construction) and atom indices stay below `arity`.
-fn valid_table(nodes: &[CanonNode], arity: u32) -> bool {
-    nodes.iter().enumerate().all(|(i, n)| match *n {
+/// construction) and atom indices stay below `n`.
+fn valid_table(nodes: &[CanonNode], n: u32) -> bool {
+    nodes.iter().enumerate().all(|(i, node)| match *node {
         CanonNode::True | CanonNode::False => true,
-        CanonNode::Atom(a) => a < arity,
+        CanonNode::Atom(a) => a < n,
         CanonNode::Not(g) | CanonNode::Next(g) => (g as usize) < i,
         CanonNode::And(a, b)
         | CanonNode::Or(a, b)
@@ -238,26 +276,29 @@ fn intern_table(arena: &mut Arena, nodes: &[CanonNode]) -> Vec<FormulaId> {
     ids
 }
 
-/// A fresh template arena holding only the letters `0..arity`, so
-/// canonical atom `i` *is* `AtomId(i)`.
-fn letters(arity: u32) -> Arena {
+/// A fresh template arena holding only `key`'s letters, so canonical
+/// atom `i` *is* `AtomId(i)`, the ones past the support marked
+/// internal.
+fn letters(key: &TemplateKey) -> Arena {
     let mut arena = Arena::new();
-    for i in 0..arity {
-        arena.intern_atom(&format!("t{i}"));
+    for i in 0..key.arity + key.internal {
+        let a = arena.intern_atom(&format!("t{i}"));
+        if i >= key.arity {
+            arena.mark_internal(a);
+        }
     }
     arena
 }
 
 /// Interns a residue table ([`SafetyAutomaton::residues`]) into
-/// `arena` after checking that it is well formed over `arity` letters;
-/// returns the ids of the residues `roots` names.
+/// `arena` after checking that it is well formed over the arena's
+/// letters; returns the ids of the residues `roots` names.
 fn intern_residues(
     arena: &mut Arena,
-    arity: u32,
     nodes: &[CanonNode],
     roots: &[u32],
 ) -> Result<Vec<FormulaId>, String> {
-    if !valid_table(nodes, arity) {
+    if !valid_table(nodes, arena.atom_count() as u32) {
         return Err("malformed residue table".into());
     }
     let ids = intern_table(arena, nodes);
@@ -356,7 +397,7 @@ impl SafetyAutomaton {
         }
         Some(SafetyAutomaton {
             key: key.clone(),
-            arena: letters(key.arity),
+            arena: letters(key),
             states: Vec::new(),
             index: HashMap::new(),
             dense: Vec::new(),
@@ -401,7 +442,7 @@ impl SafetyAutomaton {
     /// demand.
     pub fn restore(key: &TemplateKey, nodes: &[CanonNode], roots: &[u32]) -> Result<Self, String> {
         let mut auto = Self::empty(key).ok_or("malformed template key")?;
-        let residues = intern_residues(&mut auto.arena, key.arity, nodes, roots)?;
+        let residues = intern_residues(&mut auto.arena, nodes, roots)?;
         let first = *residues.first().ok_or("template without states")?;
         if first != auto.root() {
             return Err("state 0 is not the key's root".into());
@@ -476,8 +517,8 @@ impl SafetyAutomaton {
     /// by: a later rediscovery lands on the same states.
     fn compact(&mut self) {
         let (nodes, roots) = self.residues();
-        self.arena = letters(self.key.arity);
-        let residues = intern_residues(&mut self.arena, self.key.arity, &nodes, &roots)
+        self.arena = letters(&self.key);
+        let residues = intern_residues(&mut self.arena, &nodes, &roots)
             .expect("a template's own residue table is well formed");
         self.index.clear();
         for (s, (state, r)) in self.states.iter_mut().zip(residues).enumerate() {
@@ -495,6 +536,11 @@ impl SafetyAutomaton {
     /// Number of support letters.
     pub fn support_len(&self) -> usize {
         self.key.arity as usize
+    }
+
+    /// Number of internal letters.
+    pub fn internal_len(&self) -> usize {
+        self.key.internal as usize
     }
 
     /// Number of states discovered so far.
@@ -527,16 +573,23 @@ impl SafetyAutomaton {
 
     /// The successor of `state` under `column`, computed: progresses
     /// and simplifies the state's residue, interns the result as a
-    /// state (labelling it if new) and memoises the edge. Returns the
-    /// successor and the number of edges evicted to make room (all of
-    /// them, once the template holds [`EDGE_CAP`]).
+    /// state (labelling it if new) and memoises the edge. The internal
+    /// letters take the values the residue pins. Returns the successor
+    /// and the number of edges evicted to make room (all of them, once
+    /// the template holds [`EDGE_CAP`]).
     pub fn discover(&mut self, state: u32, column: u64) -> (u32, usize) {
         let t = Instant::now();
         let residue = self.states[state as usize].residue;
         let w = PropState::from_words(vec![column]);
         let stepped = progress(&mut self.arena, residue, &w).expect("past-free residue");
         let next = simplify(&mut self.arena, stepped);
+        let fresh = self.states.len() as u32;
         let next = self.intern_state(next);
+        debug_assert!(
+            next != fresh
+                || pins_its_internal_letters(&self.arena, self.states[fresh as usize].residue),
+            "a discovered state leaves an internal letter unpinned"
+        );
         if self.arena.nodes().len() > self.compact_at {
             self.compact();
         }
@@ -595,22 +648,36 @@ impl SafetyAutomaton {
     }
 
     /// Rebuilds the concrete residue of `state` inside `dst`, mapping
-    /// canonical atom `i` to `support[i]`. `memo` must not be shared
-    /// across different supports.
+    /// canonical atom `i` to `letters[i]`: the support, then one
+    /// internal letter of `dst` per internal letter of the template.
+    /// `memo` must not be shared across different letter lists.
     pub fn reconstruct(
         &self,
         dst: &mut Arena,
         state: u32,
-        support: &[AtomId],
+        letters: &[AtomId],
         memo: &mut HashMap<FormulaId, FormulaId>,
     ) -> FormulaId {
+        debug_assert_eq!(letters.len(), (self.key.arity + self.key.internal) as usize);
         dst.translate_from(
             &self.arena,
             self.states[state as usize].residue,
-            support,
+            letters,
             memo,
         )
     }
+}
+
+/// Whether `residue` pins every internal letter it mentions.
+fn pins_its_internal_letters(arena: &Arena, residue: FormulaId) -> bool {
+    let mut pinned = HashSet::new();
+    pins(arena, residue, |a, _| {
+        pinned.insert(a);
+    });
+    arena
+        .internal_atoms(residue)
+        .iter()
+        .all(|a| pinned.contains(a))
 }
 
 /// Splits a residue into independently steppable *units*: the
@@ -623,12 +690,56 @@ impl SafetyAutomaton {
 /// [`simplify`] applies across instantiations — so a unit stays one
 /// instantiation's obligation and its template stays small. `⊤` yields
 /// no units.
+///
+/// Parts that share an internal letter are joined into one unit (their
+/// conjunction, at the place of the first): an internal letter's
+/// definition and its uses must step together, since the definition is
+/// what pins its value.
 pub fn split_units(arena: &mut Arena, f: FormulaId) -> Vec<FormulaId> {
     let mut parts = Vec::new();
     collect_parts(arena, f, &mut parts);
     let mut seen = HashSet::with_capacity(parts.len());
     parts.retain(|p| seen.insert(*p));
+    if arena.has_internal() {
+        join_internal(arena, &mut parts);
+    }
     parts
+}
+
+/// Joins the parts that share an internal letter, transitively: each
+/// class becomes the conjunction of its parts, in order, at the place
+/// of its first part.
+fn join_internal(arena: &mut Arena, parts: &mut Vec<FormulaId>) {
+    fn root(class: &mut [usize], mut i: usize) -> usize {
+        while class[i] != i {
+            class[i] = class[class[i]];
+            i = class[i];
+        }
+        i
+    }
+    let mut class: Vec<usize> = (0..parts.len()).collect();
+    let mut first: HashMap<AtomId, usize> = HashMap::new();
+    for (i, &p) in parts.iter().enumerate() {
+        for a in arena.internal_atoms(p) {
+            let j = *first.entry(a).or_insert(i);
+            let (ri, rj) = (root(&mut class, i), root(&mut class, j));
+            // The smaller index stays the root: classes keep the order
+            // of their first parts.
+            class[ri.max(rj)] = ri.min(rj);
+        }
+    }
+    if first.is_empty() {
+        return;
+    }
+    let mut members: Vec<Vec<FormulaId>> = vec![Vec::new(); parts.len()];
+    for (i, &p) in parts.iter().enumerate() {
+        members[root(&mut class, i)].push(p);
+    }
+    parts.clear();
+    for m in members.into_iter().filter(|m| !m.is_empty()) {
+        let unit = arena.and_all(m);
+        parts.push(unit);
+    }
 }
 
 /// Collects the atomic parts of `f`'s conjunctive spine, distributing
@@ -924,6 +1035,7 @@ mod tests {
             nodes: vec![CanonNode::Not(0)],
             root: 0,
             arity: 0,
+            internal: 0,
         };
         assert!(!bad.validate());
         assert!(SafetyAutomaton::new(&bad).is_none());
@@ -1026,6 +1138,53 @@ mod tests {
         assert!(!auto.holds_on_empty(owing));
         let dead = step(&mut auto, owing, 0);
         assert!(!auto.sat(dead) && !auto.holds_on_empty(dead));
+    }
+
+    /// `□(q → ℓ) ∧ ¬ℓ ∧ □(○ℓ ↔ p)` with `ℓ` internal, standing for `●p`.
+    fn prev_p_guarded_by_q(ar: &mut Arena, p: &str, q: &str, l: &str) -> FormulaId {
+        let f = crate::parser::parse(ar, &format!("G ({q} -> {l}) & !{l} & G (X {l} <-> {p})"))
+            .unwrap();
+        let la = ar.find_atom(l).unwrap();
+        ar.mark_internal(la);
+        f
+    }
+
+    #[test]
+    fn internal_letters_follow_the_support_and_step_with_the_state() {
+        let mut ar = Arena::new();
+        let f = prev_p_guarded_by_q(&mut ar, "p", "q", "l");
+        let g = prev_p_guarded_by_q(&mut ar, "r", "s", "m");
+        let (kf, sf) = canonicalize(&ar, f).unwrap();
+        let (kg, _) = canonicalize(&ar, g).unwrap();
+        assert_eq!(kf, kg, "isomorphic up to the internal letter");
+        assert_eq!((kf.arity, kf.internal), (2, 1));
+        assert!(sf.iter().all(|&a| !ar.is_internal(a)));
+        let mut auto = SafetyAutomaton::new(&kf).unwrap();
+        let bit = |name: &str| 1u64 << sf.iter().position(|&a| ar.atom_name(a) == name).unwrap();
+        // `q` at instant 0: `●p` is false there.
+        let dead = step(&mut auto, 0, bit("q"));
+        assert!(!auto.sat(dead));
+        // `p`, then `q`: fine; `q` again without `p` before it: dead.
+        let after_p = step(&mut auto, 0, bit("p"));
+        let after_q = step(&mut auto, after_p, bit("q"));
+        assert!(auto.sat(after_q));
+        let twice = step(&mut auto, after_q, bit("q"));
+        assert!(!auto.sat(twice));
+    }
+
+    #[test]
+    fn parts_sharing_an_internal_letter_form_one_unit() {
+        let mut ar = Arena::new();
+        let f = prev_p_guarded_by_q(&mut ar, "p", "q", "l");
+        let g = prev_p_guarded_by_q(&mut ar, "r", "s", "m");
+        let both = ar.and(f, g);
+        let folded = simplify(&mut ar, both);
+        let units = split_units(&mut ar, folded);
+        assert_eq!(units.len(), 2, "{units:?}");
+        let (la, ma) = (ar.find_atom("l").unwrap(), ar.find_atom("m").unwrap());
+        let mut letters: Vec<Vec<AtomId>> = units.iter().map(|&u| ar.internal_atoms(u)).collect();
+        letters.sort();
+        assert_eq!(letters, vec![vec![la], vec![ma]]);
     }
 
     #[test]

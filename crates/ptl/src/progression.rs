@@ -12,8 +12,14 @@
 //! their truth value in `w`, and the result is simplified. With the
 //! hash-consed arena the simplification happens in the constructors, and
 //! per-step memoisation makes each step linear in the formula DAG.
+//!
+//! An *internal* letter ([`Arena::mark_internal`]) is not read from the
+//! state: it stands for `●D`, the formula carries its definition
+//! `¬ℓ ∧ □(○ℓ ↔ D)`, and progressing the definition leaves the literal
+//! `ℓ` or `¬ℓ` at the top level of every residue. [`pins`] reads those
+//! literals, and [`progress`] steps with the values they pin.
 
-use crate::arena::{Arena, FormulaId, Node};
+use crate::arena::{Arena, AtomId, FormulaId, Node};
 use crate::nnf::NnfError;
 use crate::trace::PropState;
 use std::collections::HashMap;
@@ -21,10 +27,40 @@ use std::collections::HashMap;
 /// Progresses `f` through one propositional state.
 ///
 /// Returns the obligation that the remaining (infinite) suffix must
-/// satisfy. Returns an error for past connectives.
+/// satisfy. Returns an error for past connectives. An internal letter
+/// takes the value `f` [`pins`], whatever `state` says of it.
 pub fn progress(arena: &mut Arena, f: FormulaId, state: &PropState) -> Result<FormulaId, NnfError> {
     let mut memo = HashMap::new();
-    go(arena, f, state, &mut memo)
+    if !arena.has_internal() {
+        return go(arena, f, state, &mut memo);
+    }
+    let mut pinned = state.clone();
+    pins(arena, f, |a, v| pinned.set(a, v));
+    go(arena, f, &pinned, &mut memo)
+}
+
+/// Calls `pin` with each internal letter `f` pins and its value: a
+/// literal `ℓ` (true) or `¬ℓ` (false) among `f`'s top-level
+/// conjuncts, or among those of a top-level `□`'s operand, which holds
+/// now as well (simplification may absorb the literal into a box).
+/// Walks only the conjunctive spine, not the whole formula.
+pub fn pins(arena: &Arena, f: FormulaId, mut pin: impl FnMut(AtomId, bool)) {
+    let mut stack = vec![f];
+    while let Some(g) = stack.pop() {
+        match arena.node(g) {
+            Node::And(a, b) => {
+                stack.push(a);
+                stack.push(b);
+            }
+            Node::Release(a, b) if arena.node(a) == Node::False => stack.push(b),
+            Node::Atom(a) if arena.is_internal(a) => pin(a, true),
+            Node::Not(x) => match arena.node(x) {
+                Node::Atom(a) if arena.is_internal(a) => pin(a, false),
+                _ => {}
+            },
+            _ => {}
+        }
+    }
 }
 
 /// Progresses `f` through every state of a finite trace, left to right.
@@ -209,6 +245,46 @@ mod tests {
         assert_eq!(progress(&mut ar, r, &st(&[qa])).unwrap(), r);
         // ¬q: violated.
         assert_eq!(progress(&mut ar, r, &st(&[pa])).unwrap(), ar.fls());
+    }
+
+    /// `□(q → ℓ) ∧ ¬ℓ ∧ □(○ℓ ↔ p)`: `ℓ` is an internal letter standing
+    /// for `●p`.
+    fn prev_p_guarded_by_q(ar: &mut Arena) -> (FormulaId, AtomId, AtomId) {
+        let p = ar.atom("p");
+        let q = ar.atom("q");
+        let l = ar.atom("l");
+        let la = ar.find_atom("l").unwrap();
+        ar.mark_internal(la);
+        let use_l = ar.implies(q, l);
+        let use_l = ar.always(use_l);
+        let nl = ar.not(l);
+        let xl = ar.next(l);
+        let def = ar.iff(xl, p);
+        let def = ar.always(def);
+        let f = ar.and_all([use_l, nl, def]);
+        (f, ar.find_atom("p").unwrap(), ar.find_atom("q").unwrap())
+    }
+
+    #[test]
+    fn internal_letters_take_the_value_the_residue_pins() {
+        let mut ar = Arena::new();
+        let (f, pa, qa) = prev_p_guarded_by_q(&mut ar);
+        let la = ar.find_atom("l").unwrap();
+        let mut pinned = Vec::new();
+        pins(&ar, f, |a, v| pinned.push((a, v)));
+        assert_eq!(pinned, vec![(la, false)]);
+        // The state's `l` is ignored: `l` is false at instant 0, so `q`
+        // there is a bad prefix.
+        let bad = progress(&mut ar, f, &st(&[qa, la])).unwrap();
+        assert_eq!(crate::simplify::simplify(&mut ar, bad), ar.fls());
+        // After `p`, the residue pins `l`, and `q` is fine next.
+        let after_p = progress(&mut ar, f, &st(&[pa])).unwrap();
+        let after_p = crate::simplify::simplify(&mut ar, after_p);
+        let mut pinned = Vec::new();
+        pins(&ar, after_p, |a, v| pinned.push((a, v)));
+        assert_eq!(pinned, vec![(la, true)]);
+        let ok = progress(&mut ar, after_p, &st(&[qa])).unwrap();
+        assert_ne!(crate::simplify::simplify(&mut ar, ok), ar.fls());
     }
 
     #[test]

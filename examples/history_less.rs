@@ -1,76 +1,93 @@
 //! History-less checking of past constraints (the Section 5 thread).
 //!
-//! For `∀*□ψ` constraints with `ψ` a past formula, potential
-//! satisfaction can be monitored **without storing the history at
-//! all**: one vector of subformula truth values per ground substitution,
-//! updated by the `since`/`●` recurrences (Chomicki, ICDE 1992 — the
-//! history-less evaluation the paper's Section 5 discusses as the
-//! practical alternative).
+//! For `∀*□ψ` constraints with past connectives in `ψ`, potential
+//! satisfaction needs no stored history: the grounding rewrites each
+//! past subformula `●D` into an internal letter `ℓ` with the future
+//! definition `¬ℓ ∧ □(○ℓ ↔ D)` (Chomicki's auxiliary-relation device,
+//! ICDE 1992), so a unit's template state carries everything the past
+//! contributes, and the engine runs the constraint like any other.
+//! Under a `HistoryBudget::Window` it keeps only a window of states in
+//! memory.
 //!
 //! The audit constraint here: *every filled order was submitted at some
 //! point in the past* — `∀x □(Fill(x) → ◈Sub(x))`.
 //!
 //! Run with: `cargo run --example history_less`
 
-use ticc::core::past::{PastMonitor, PastStatus};
+use ticc::core::{CheckOptions, Engine, HistoryBudget, Status};
 use ticc::fotl::parser::parse;
-use ticc::tdb::{Schema, State};
+use ticc::tdb::{Schema, Transaction};
 
 fn main() {
     let schema = Schema::builder().pred("Sub", 1).pred("Fill", 1).build();
-    let phi = parse(&schema, "forall x. G (Fill(x) -> O Sub(x))").unwrap();
-    println!("constraint: forall x. G (Fill(x) -> O Sub(x))   [past matrix]");
+    let (sub, fill) = (schema.pred("Sub").unwrap(), schema.pred("Fill").unwrap());
+    let text = "forall x. G (Fill(x) -> O Sub(x))";
+    println!("constraint: {text}   [past matrix]");
 
-    let mut monitor = PastMonitor::new(schema.clone(), vec![], &phi).unwrap();
+    let opts = CheckOptions::builder()
+        .history_budget(HistoryBudget::Window(8))
+        .build();
+    let mut engine = Engine::new(schema.clone(), opts);
+    let id = engine
+        .add_constraint("audit", parse(&schema, text).unwrap())
+        .unwrap();
 
-    // A long stream of order traffic; the monitor never stores a state.
-    let mk = |subs: &[u64], fills: &[u64]| {
-        let mut s = State::empty(schema.clone());
+    let mut tx = |subs: &[u64], fills: &[u64]| {
+        let mut t = Transaction::new();
         for &v in subs {
-            s.insert_named("Sub", vec![v]).unwrap();
+            t = t.insert(sub, vec![v]);
         }
         for &v in fills {
-            s.insert_named("Fill", vec![v]).unwrap();
+            t = t.insert(fill, vec![v]);
         }
-        s
+        engine.append(&t).unwrap();
+        engine.status(id)
     };
-
-    let stream: Vec<State> = vec![
-        mk(&[1], &[]),
-        mk(&[2], &[1]),
-        mk(&[3], &[2]),
-        mk(&[], &[3]),
-        mk(&[4], &[]),
-        mk(&[], &[4]),
+    let stream: [(&[u64], &[u64]); 6] = [
+        (&[1], &[]),
+        (&[2], &[1]),
+        (&[3], &[2]),
+        (&[], &[3]),
+        (&[4], &[]),
+        (&[], &[4]),
     ];
-    for (t, s) in stream.iter().enumerate() {
-        let status = monitor.append(s);
-        println!(
-            "t={t}: {:<24} status = {:?}  (tracked substitutions: {}, history stored: none)",
-            s.display(),
-            status,
-            monitor.tracked_substitutions()
-        );
+    for (t, (subs, fills)) in stream.iter().enumerate() {
+        let status = tx(subs, fills);
+        println!("t={t}: +Sub{subs:?} +Fill{fills:?}  status = {status:?}");
     }
 
-    // Long quiet period: memory stays flat.
+    // A long quiet period: the resident history stays within the
+    // window, however many instants pass.
     for _ in 0..1_000 {
-        monitor.append(&State::empty(schema.clone()));
+        engine.append(&Transaction::new()).unwrap();
     }
+    let h = engine.history();
+    let stats = engine.stats();
     println!(
-        "\nafter 1000 more (empty) instants: {} instants consumed, \
-         still only {} tracked substitutions — cost independent of history length",
-        monitor.instants(),
-        monitor.tracked_substitutions()
+        "\nafter 1000 more (empty) instants: {} instants, {} resident in memory, \
+         {} spilled as {} distinct page(s)",
+        h.len(),
+        h.len() - h.base(),
+        stats.history.spilled_instants,
+        stats.history.spilled_distinct,
+    );
+    println!(
+        "(the spill tier still keeps a 4-byte page index per spilled instant, \
+         {} bytes here, until recovery stops replaying the cold prefix)",
+        4 * stats.history.spilled_instants
     );
 
     // Now an audit failure: order 99 filled without ever being submitted.
-    let status = monitor.append(&mk(&[], &[99]));
+    let status = {
+        let t = Transaction::new().insert(fill, vec![99]);
+        engine.append(&t).unwrap();
+        engine.status(id)
+    };
     match status {
-        PastStatus::Violated { at } => println!(
-            "\nFill(99) without a prior Sub(99): VIOLATED at instant {at} \
-             (detected from O(1)-per-element state, no history replay)"
+        Status::Violated { at } => println!(
+            "\nFill(99) without a prior Sub(99): VIOLATED at history length {at} \
+             (decided from the units' template states, no history replay)"
         ),
-        PastStatus::Satisfied => unreachable!(),
+        Status::Satisfied => unreachable!("Fill(99) has no prior Sub(99)"),
     }
 }

@@ -40,8 +40,8 @@ cargo test -q --offline
 echo "==> cargo test -q -p ticc-bench (outside default-members)"
 cargo test -q --offline -p ticc-bench
 
-echo "==> cargo doc --no-deps (warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
+echo "==> cargo doc --workspace --no-deps --document-private-items (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items --offline
 
 echo "==> shell smoke run"
 smoke="$(mktemp)"

@@ -1,26 +1,55 @@
-//! Session-audit scenario: the history-less past monitor (§5) on the
-//! login/activity workload.
+//! Session-audit scenario: a past constraint (§5) on the
+//! login/activity workload, monitored by the engine.
 //!
 //! The audit constraint is the textbook past formula
 //! `∀x □(Act(x) → (¬Logout(x)) S Login(x))` — "every action happens
-//! inside an open session". Being `∀□(past)`, it defines a safety
-//! property (Proposition 2.1) and is monitored history-lessly.
+//! inside an open session". The grounding rewrites its `since` into an
+//! internal letter with a future-form definition, so the engine checks
+//! it like any universal constraint, with a unit's template state
+//! carrying the session's past.
 
-use ticc::core::past::{PastMonitor, PastStatus};
+use ticc::core::{CheckOptions, Engine, Status};
 use ticc::fotl::parser::parse;
 use ticc::tdb::workload::{SessionViolation, SessionWorkload};
+use ticc::tdb::{History, State, Transaction};
 
 const AUDIT: &str = "forall x. G (Act(x) -> ((!Logout(x)) S Login(x)))";
 
-fn run_monitor(h: &ticc::tdb::History) -> PastStatus {
-    let sc = h.schema().clone();
-    let phi = parse(&sc, AUDIT).unwrap();
-    let mut m = PastMonitor::new(sc, vec![], &phi).unwrap();
-    let mut st = PastStatus::Satisfied;
-    for s in h.states() {
-        st = m.append(s);
+/// The transaction that turns `prev` into `next`.
+fn diff(prev: &State, next: &State) -> Transaction {
+    let mut tx = Transaction::new();
+    for p in next.schema().preds() {
+        for t in prev.relation(p).iter() {
+            if !next.holds(p, t) {
+                tx = tx.delete(p, t.to_vec());
+            }
+        }
+        for t in next.relation(p).iter() {
+            if !prev.holds(p, t) {
+                tx = tx.insert(p, t.to_vec());
+            }
+        }
     }
-    st
+    tx
+}
+
+/// Replays `h` through an engine monitoring the audit; returns the
+/// instant (0-based) whose state made the audit unsatisfiable, if any.
+fn run_monitor(h: &History) -> Option<usize> {
+    let sc = h.schema().clone();
+    let mut e = Engine::new(sc.clone(), CheckOptions::default());
+    let id = e
+        .add_constraint("audit", parse(&sc, AUDIT).unwrap())
+        .unwrap();
+    let mut prev = State::empty(sc);
+    for s in h.states() {
+        e.append(&diff(&prev, s)).unwrap();
+        prev = s.clone();
+    }
+    match e.status(id) {
+        Status::Satisfied => None,
+        Status::Violated { at } => Some(at - 1),
+    }
 }
 
 #[test]
@@ -32,7 +61,7 @@ fn clean_workloads_pass_the_audit() {
             ..Default::default()
         }
         .generate();
-        assert_eq!(run_monitor(&h), PastStatus::Satisfied, "seed {seed}");
+        assert_eq!(run_monitor(&h), None, "seed {seed}");
     }
 }
 
@@ -45,7 +74,7 @@ fn act_without_login_is_caught_at_the_instant() {
         ..Default::default()
     }
     .generate();
-    assert_eq!(run_monitor(&h), PastStatus::Violated { at: 7 });
+    assert_eq!(run_monitor(&h), Some(7));
 }
 
 #[test]
@@ -63,7 +92,7 @@ fn act_after_logout_is_caught() {
             ..Default::default()
         }
         .generate();
-        if let PastStatus::Violated { at } = run_monitor(&h) {
+        if let Some(at) = run_monitor(&h) {
             assert_eq!(at, 15, "seed {seed}");
             caught += 1;
         }
