@@ -748,7 +748,7 @@ impl GroundingContext {
         let Some(set) = self.compiled.as_mut() else {
             return self.step_symbolic(net, state, history_len, stats);
         };
-        let grown = self.g.grow(net)?;
+        let grown = self.g.grow(net);
         let w = self
             .g
             .patch_state(net)

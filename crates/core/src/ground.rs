@@ -38,6 +38,15 @@
 //! top-level literal ([`ticc_ptl::progression::pins`]). States never
 //! valuate an internal letter: the encoder, the trace and every column
 //! see database letters only. Such matrices ground with the odometer.
+//!
+//! **One walk.** Every instantiation — the odometer's, the indexed
+//! enumerator's, and a seed unit's (`Grounding::ground_parts`) — is
+//! grounded by the same substitution, `GroundCtx::instance`: a digit
+//! vector names each external variable's element in a slice of ground
+//! arguments (`M`, or a seed's own argument list). The indexed
+//! enumerator alone adds the cross-instantiation share memo
+//! (`SharePlan`), which never covers a node containing a past
+//! connective, so each instantiation keeps its own internal letters.
 
 use crate::fact::{FactMemo, Net};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -211,6 +220,8 @@ pub struct Grounding {
     /// when `R_D` grows (see [`Grounding::ground_parts`]).
     external: Vec<String>,
     matrix: Formula,
+    /// Each external variable's digit ([`var_digits`]).
+    digit: VarDigits,
     /// The concrete values of `M` as a persistent set, extended by
     /// [`Grounding::grow`] — the known-universe membership test
     /// without rebuilding a `BTreeSet` per append.
@@ -319,6 +330,19 @@ impl IndexPlan {
     }
 }
 
+/// Each external variable's digit: `external[d]` is digit `d` of every
+/// digit vector. Built once per matrix and read by [`index_patterns`],
+/// [`SharePlan::build`] and the walk.
+type VarDigits = HashMap<String, usize>;
+
+fn var_digits(external: &[String]) -> VarDigits {
+    external
+        .iter()
+        .enumerate()
+        .map(|(i, v)| (v.clone(), i))
+        .collect()
+}
+
 /// Collects the matrix's predicate-atom patterns with every variable
 /// resolved to its external digit. Returns `None` (odometer fallback)
 /// when the matrix contains an equality atom: equalities fold
@@ -328,14 +352,9 @@ impl IndexPlan {
 /// its own definitions.
 fn index_patterns(
     matrix: &Formula,
-    external: &[String],
+    digit: &VarDigits,
     consts: &[Value],
 ) -> Option<Vec<AtomPattern>> {
-    let digit: HashMap<&str, usize> = external
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (v.as_str(), i))
-        .collect();
     let mut out: Vec<AtomPattern> = Vec::new();
     let mut stack = vec![matrix];
     while let Some(f) = stack.pop() {
@@ -738,6 +757,7 @@ pub(crate) fn ground_with(
     }
     let (external, matrix) = ticc_fotl::classify::external_prefix(phi);
     let external: Vec<String> = external.into_iter().map(str::to_owned).collect();
+    let digit = var_digits(&external);
     let schema = history.schema().clone();
     let consts: Vec<Value> = schema.consts().map(|c| history.const_value(c)).collect();
 
@@ -768,7 +788,7 @@ pub(crate) fn ground_with(
     let mut cands: Option<Vec<Vec<u32>>> = None;
     if strategy == GroundStrategy::Indexed && mode == GroundMode::Folded && k > 0 {
         let t0 = std::time::Instant::now();
-        if let Some(patterns) = index_patterns(matrix, &external, &consts) {
+        if let Some(patterns) = index_patterns(matrix, &digit, &consts) {
             let folded = fold_rigid_false(&mut arena, matrix);
             if folded == arena.tru() {
                 let p = IndexPlan::new(patterns);
@@ -785,55 +805,44 @@ pub(crate) fn ground_with(
         index_build += t0.elapsed();
     }
 
-    // Ψ_D: conjunction over the supported instantiations (indexed) or
-    // all |M|^k mappings (odometer).
-    let mut inst_shared = 0usize;
-    let mut psi_d;
-    if let Some(list) = &cands {
-        psi_d = ground_cands(
-            mode,
-            &schema,
-            &consts,
-            &m,
-            &external,
-            matrix,
-            list,
-            &mut arena,
-            &mut letters,
-            &mut inst_shared,
-        )?;
+    // Ψ_D: conjunction over the supported instantiations (indexed, in
+    // list order, counting those whose ground formula an earlier one
+    // already produced) or all |M|^k mappings (odometer, digit 0
+    // fastest; k == 0 yields exactly one mapping).
+    let indexed = cands.is_some();
+    let share = if indexed {
+        SharePlan::build(matrix, &digit, msize)
     } else {
-        let mut ctx = GroundCtx::new(mode, &schema, &consts, &mut arena, &mut letters);
-        psi_d = ctx.arena.tru();
-        let mut idx = vec![0usize; k];
-        loop {
-            let mut map: HashMap<&str, GArg> = HashMap::with_capacity(k);
-            for (v, &i) in external.iter().zip(&idx) {
-                map.insert(v.as_str(), m[i]);
-            }
-            let inst = ctx.instance(matrix, &map)?;
-            psi_d = ctx.arena.and(psi_d, inst);
-            // Odometer over |M|^k; k == 0 yields exactly one mapping.
-            let mut pos = 0;
-            while pos < k {
-                idx[pos] += 1;
-                if idx[pos] < msize {
-                    break;
-                }
-                idx[pos] = 0;
-                pos += 1;
-            }
-            if pos == k {
-                break;
-            }
+        None
+    };
+    let mut ctx = GroundCtx::new(
+        mode,
+        &schema,
+        &consts,
+        &digit,
+        share,
+        &mut arena,
+        &mut letters,
+    );
+    let mut psi_d = ctx.arena.tru();
+    let mut inst_shared = 0usize;
+    let mut seen: HashSet<FormulaId> = HashSet::new();
+    let mut conjoin = |digits: &[u32]| {
+        let inst = ctx.instance(matrix, &m, digits);
+        if indexed && !seen.insert(inst) {
+            inst_shared += 1;
         }
+        psi_d = ctx.arena.and(psi_d, inst);
+    };
+    match &cands {
+        Some(list) => list.iter().for_each(|f| conjoin(f)),
+        None => expand(&vec![UNBOUND; k], 0, msize, |f| conjoin(&f)),
     }
 
     let mut axiom_conjuncts = 0usize;
     let formula = match mode {
         GroundMode::Folded => psi_d,
         GroundMode::Full => {
-            let mut ctx = GroundCtx::new(mode, &schema, &consts, &mut arena, &mut letters);
             let ax = ctx.axiom_d(&m, &mut axiom_conjuncts);
             let boxed = ctx.arena.always(ax);
             ctx.arena.and(psi_d, boxed)
@@ -888,6 +897,7 @@ pub(crate) fn ground_with(
         letters,
         external,
         matrix: matrix.clone(),
+        digit,
         known,
         memo: FactMemo::default(),
         spare: Vec::new(),
@@ -901,59 +911,25 @@ pub(crate) fn ground_with(
     })
 }
 
-/// Builds `Ψ_D` over an explicit candidate list (the indexed path),
-/// conjoining the instantiations in list order and counting those
-/// whose ground formula an earlier candidate already produced.
-#[allow(clippy::too_many_arguments)]
-fn ground_cands(
-    mode: GroundMode,
-    schema: &Schema,
-    consts: &[Value],
-    m: &[GArg],
-    external: &[String],
-    matrix: &Formula,
-    cands: &[Vec<u32>],
-    arena: &mut Arena,
-    letters: &mut AtomInterner<LetterKey>,
-    inst_shared: &mut usize,
-) -> Result<FormulaId, GroundError> {
-    let digit: HashMap<&str, usize> = external
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (v.as_str(), i))
-        .collect();
-    let mut seen: HashSet<FormulaId> = HashSet::new();
-    let mut ctx = GroundCtx::new(mode, schema, consts, arena, letters);
-    let share = SharePlan::build(matrix, &digit, m.len());
-    let mut memo = ShareMemo::new();
-    let mut psi_d = ctx.arena.tru();
-    for cand in cands {
-        let inst = ctx.ground_matrix_digits(matrix, &digit, m, cand, share.as_ref(), &mut memo)?;
-        if !seen.insert(inst) {
-            *inst_shared += 1;
-        }
-        psi_d = ctx.arena.and(psi_d, inst);
-    }
-    Ok(psi_d)
-}
-
-/// Cross-instantiation structure-sharing plan: each AST node of the
-/// matrix gets a dense id plus the bitmask of external digits free in
-/// it, so ground subformulas can be memoised per `(subformula,
+/// Cross-instantiation structure-sharing plan and memo: each AST node
+/// of the matrix gets a dense id plus the bitmask of external digits
+/// free in it, so ground subformulas can be memoised per `(subformula,
 /// partial-assignment signature)`. Two instantiations that agree on
 /// the digits a subformula actually mentions share its ground sub-DAG
-/// without re-walking it. Built only when every signature packs into a
-/// `u128` (`k · ⌈log2 |M|⌉ ≤ 120`, which is always the case in
-/// practice); otherwise the enumerator grounds unmemoised — the arena
-/// still hash-conses node-by-node.
+/// without re-walking it. A node containing a past connective gets no
+/// id: its internal letters belong to one instantiation. Built only
+/// when every signature packs into a `u128` (`k · ⌈log2 |M|⌉ ≤ 120`,
+/// which is always the case in practice); otherwise the enumerator
+/// grounds unmemoised — the arena still hash-conses node-by-node.
 struct SharePlan {
     /// AST node address → (dense id, free-digit mask).
     nodes: HashMap<usize, (u32, u64)>,
     msize: u128,
+    memo: HashMap<(u32, u128), FormulaId>,
 }
 
 impl SharePlan {
-    fn build(matrix: &Formula, digit: &HashMap<&str, usize>, msize: usize) -> Option<SharePlan> {
+    fn build(matrix: &Formula, digit: &VarDigits, msize: usize) -> Option<SharePlan> {
         let k = digit.len();
         if k > 64 {
             return None;
@@ -963,12 +939,15 @@ impl SharePlan {
             return None;
         }
         let mut nodes = HashMap::new();
+        /// Registers `f`'s past-free nodes; returns `f`'s free-digit
+        /// mask and whether it contains a past connective.
         fn walk(
             f: &Formula,
-            digit: &HashMap<&str, usize>,
+            digit: &VarDigits,
             nodes: &mut HashMap<usize, (u32, u64)>,
-        ) -> u64 {
+        ) -> (u64, bool) {
             let mut mask = 0u64;
+            let mut past = matches!(f, Formula::Prev(_) | Formula::Since(_, _));
             if let Formula::Atom(a) = f {
                 for t in a.terms() {
                     if let Term::Var(v) = t {
@@ -979,21 +958,27 @@ impl SharePlan {
                 }
             }
             for c in f.children() {
-                mask |= walk(c, digit, nodes);
+                let (m, p) = walk(c, digit, nodes);
+                mask |= m;
+                past |= p;
             }
-            let id = nodes.len() as u32;
-            nodes.insert(f as *const Formula as usize, (id, mask));
-            mask
+            if !past {
+                let id = nodes.len() as u32;
+                nodes.insert(f as *const Formula as usize, (id, mask));
+            }
+            (mask, past)
         }
         walk(matrix, digit, &mut nodes);
         Some(SharePlan {
             nodes,
             msize: msize as u128,
+            memo: HashMap::new(),
         })
     }
 
     /// The memo key for grounding `f` under `digits`, or `None` if `f`
-    /// is not a planned node (the plan was built for another formula).
+    /// is not a planned node (it contains a past connective, or the
+    /// plan was built for another formula).
     fn key(&self, f: &Formula, digits: &[u32]) -> Option<(u32, u128)> {
         let &(id, mask) = self.nodes.get(&(f as *const Formula as usize))?;
         let mut sig: u128 = 0;
@@ -1007,16 +992,16 @@ impl SharePlan {
     }
 }
 
-/// Memo table for [`GroundCtx::ground_matrix_digits`].
-type ShareMemo = HashMap<(u32, u128), FormulaId>;
-
 /// Borrowed working set for formula construction.
 struct GroundCtx<'a> {
     mode: GroundMode,
     schema: &'a Schema,
     consts: &'a [Value],
+    digit: &'a VarDigits,
     arena: &'a mut Arena,
     letters: &'a mut AtomInterner<LetterKey>,
+    /// The share memo (indexed enumeration only).
+    share: Option<SharePlan>,
     /// Internal letters allocated so far: the next one is `Past(past)`.
     past: u32,
     /// The current instantiation's internal letters, each with the `D`
@@ -1034,6 +1019,8 @@ impl<'a> GroundCtx<'a> {
         mode: GroundMode,
         schema: &'a Schema,
         consts: &'a [Value],
+        digit: &'a VarDigits,
+        share: Option<SharePlan>,
         arena: &'a mut Arena,
         letters: &'a mut AtomInterner<LetterKey>,
     ) -> Self {
@@ -1041,23 +1028,22 @@ impl<'a> GroundCtx<'a> {
             mode,
             schema,
             consts,
+            digit,
             arena,
             letters,
+            share,
             past: 0,
             defs: Vec::new(),
             past_memo: HashMap::new(),
         }
     }
 
-    /// Grounds one instantiation of `matrix` and conjoins the
+    /// Grounds the instantiation of `matrix` that binds external
+    /// variable `v` to `m[digits[d]]`, `d` its digit, and conjoins the
     /// definition `¬ℓ ∧ □(○ℓ ↔ D)` of each internal letter it
     /// allocated.
-    fn instance(
-        &mut self,
-        matrix: &Formula,
-        map: &HashMap<&str, GArg>,
-    ) -> Result<FormulaId, GroundError> {
-        let mut out = self.ground_matrix(matrix, map)?;
+    fn instance(&mut self, matrix: &Formula, m: &[GArg], digits: &[u32]) -> FormulaId {
+        let mut out = self.walk(matrix, m, digits);
         self.past_memo.clear();
         for (l, d) in std::mem::take(&mut self.defs) {
             let lf = self.arena.atom_id(l);
@@ -1068,7 +1054,7 @@ impl<'a> GroundCtx<'a> {
             let def = self.arena.and(not_l, always);
             out = self.arena.and(out, def);
         }
-        Ok(out)
+        out
     }
 
     /// The internal letter standing for `●d`, shared by the current
@@ -1114,19 +1100,6 @@ impl<'a> GroundCtx<'a> {
         e
     }
 
-    fn resolve(&self, t: &Term, map: &HashMap<&str, GArg>) -> GArg {
-        match t {
-            Term::Var(v) => *map
-                .get(v.as_str())
-                .expect("universal sentence: all variables externally bound"),
-            Term::Value(v) => GArg::Rel(*v),
-            Term::Const(c) => match self.mode {
-                GroundMode::Folded => GArg::Rel(self.consts[c.index()]),
-                GroundMode::Full => GArg::Const(*c),
-            },
-        }
-    }
-
     fn letter(&mut self, key: LetterKey) -> AtomId {
         let schema = self.schema;
         self.letters
@@ -1143,168 +1116,68 @@ impl<'a> GroundCtx<'a> {
         self.arena.atom_id(id)
     }
 
-    fn ground_matrix(
-        &mut self,
-        f: &Formula,
-        map: &HashMap<&str, GArg>,
-    ) -> Result<FormulaId, GroundError> {
-        Ok(match f {
+    /// The substitution `f[v ↦ m[digits[d]]]`, through the share memo
+    /// when there is one.
+    fn walk(&mut self, f: &Formula, m: &[GArg], digits: &[u32]) -> FormulaId {
+        let key = self.share.as_ref().and_then(|s| s.key(f, digits));
+        if let Some(&g) = key.and_then(|k| self.share.as_ref()?.memo.get(&k)) {
+            return g;
+        }
+        let out = match f {
             Formula::True => self.arena.tru(),
             Formula::False => self.arena.fls(),
-            Formula::Atom(a) => self.ground_atom(a, map)?,
+            Formula::Atom(a) => self.ground_atom(a, m, digits),
             Formula::Not(g) => {
-                let x = self.ground_matrix(g, map)?;
+                let x = self.walk(g, m, digits);
                 self.arena.not(x)
             }
             Formula::And(a, b) => {
-                let x = self.ground_matrix(a, map)?;
-                let y = self.ground_matrix(b, map)?;
+                let x = self.walk(a, m, digits);
+                let y = self.walk(b, m, digits);
                 self.arena.and(x, y)
             }
             Formula::Or(a, b) => {
-                let x = self.ground_matrix(a, map)?;
-                let y = self.ground_matrix(b, map)?;
+                let x = self.walk(a, m, digits);
+                let y = self.walk(b, m, digits);
                 self.arena.or(x, y)
             }
             Formula::Implies(a, b) => {
-                let x = self.ground_matrix(a, map)?;
-                let y = self.ground_matrix(b, map)?;
+                let x = self.walk(a, m, digits);
+                let y = self.walk(b, m, digits);
                 self.arena.implies(x, y)
             }
             Formula::Next(g) => {
-                let x = self.ground_matrix(g, map)?;
+                let x = self.walk(g, m, digits);
                 self.arena.next(x)
             }
             Formula::Until(a, b) => {
-                let x = self.ground_matrix(a, map)?;
-                let y = self.ground_matrix(b, map)?;
+                let x = self.walk(a, m, digits);
+                let y = self.walk(b, m, digits);
                 self.arena.until(x, y)
             }
             Formula::Prev(g) => {
-                let x = self.ground_matrix(g, map)?;
+                let x = self.walk(g, m, digits);
                 self.ground_prev(x)
             }
             Formula::Since(a, b) => {
-                let x = self.ground_matrix(a, map)?;
-                let y = self.ground_matrix(b, map)?;
+                let x = self.walk(a, m, digits);
+                let y = self.walk(b, m, digits);
                 self.ground_since(x, y)
             }
             Formula::Forall(_, _) | Formula::Exists(_, _) => {
                 unreachable!("universal matrix is quantifier-free (checked by classify)")
             }
-        })
-    }
-
-    fn ground_atom(
-        &mut self,
-        a: &Atom,
-        map: &HashMap<&str, GArg>,
-    ) -> Result<FormulaId, GroundError> {
-        match a {
-            Atom::Eq(t1, t2) => {
-                let (x, y) = (self.resolve(t1, map), self.resolve(t2, map));
-                match self.mode {
-                    GroundMode::Folded => {
-                        if gargs_equal(x, y, self.consts) {
-                            Ok(self.arena.tru())
-                        } else {
-                            Ok(self.arena.fls())
-                        }
-                    }
-                    GroundMode::Full => Ok(self.eq_letter(x, y)),
-                }
-            }
-            Atom::Pred(p, ts) => {
-                let args: Vec<GArg> = ts.iter().map(|t| self.resolve(t, map)).collect();
-                if self.mode == GroundMode::Folded
-                    && args.iter().any(|a| matches!(a, GArg::Fresh(_)))
-                {
-                    // Axiom_D forces p(…z…) false for all time; fold it.
-                    return Ok(self.arena.fls());
-                }
-                Ok(self.pred_letter(*p, args))
-            }
-            Atom::Leq(_, _) | Atom::Succ(_, _) | Atom::Zero(_) => {
-                Err(GroundError::ExtendedVocabulary)
-            }
-        }
-    }
-
-    /// [`GroundCtx::ground_matrix`] for the indexed enumerator: the
-    /// assignment is a digit vector over `m` instead of a name map, and
-    /// ground subformulas are memoised per `(subformula,
-    /// partial-assignment signature)` through the share plan.
-    #[allow(clippy::too_many_arguments)]
-    fn ground_matrix_digits(
-        &mut self,
-        f: &Formula,
-        digit: &HashMap<&str, usize>,
-        m: &[GArg],
-        digits: &[u32],
-        share: Option<&SharePlan>,
-        memo: &mut ShareMemo,
-    ) -> Result<FormulaId, GroundError> {
-        let key = share.and_then(|s| s.key(f, digits));
-        if let Some(k) = key {
-            if let Some(&g) = memo.get(&k) {
-                return Ok(g);
-            }
-        }
-        let out = match f {
-            Formula::True => self.arena.tru(),
-            Formula::False => self.arena.fls(),
-            Formula::Atom(a) => self.ground_atom_digits(a, digit, m, digits)?,
-            Formula::Not(g) => {
-                let x = self.ground_matrix_digits(g, digit, m, digits, share, memo)?;
-                self.arena.not(x)
-            }
-            Formula::And(a, b) => {
-                let x = self.ground_matrix_digits(a, digit, m, digits, share, memo)?;
-                let y = self.ground_matrix_digits(b, digit, m, digits, share, memo)?;
-                self.arena.and(x, y)
-            }
-            Formula::Or(a, b) => {
-                let x = self.ground_matrix_digits(a, digit, m, digits, share, memo)?;
-                let y = self.ground_matrix_digits(b, digit, m, digits, share, memo)?;
-                self.arena.or(x, y)
-            }
-            Formula::Implies(a, b) => {
-                let x = self.ground_matrix_digits(a, digit, m, digits, share, memo)?;
-                let y = self.ground_matrix_digits(b, digit, m, digits, share, memo)?;
-                self.arena.implies(x, y)
-            }
-            Formula::Next(g) => {
-                let x = self.ground_matrix_digits(g, digit, m, digits, share, memo)?;
-                self.arena.next(x)
-            }
-            Formula::Until(a, b) => {
-                let x = self.ground_matrix_digits(a, digit, m, digits, share, memo)?;
-                let y = self.ground_matrix_digits(b, digit, m, digits, share, memo)?;
-                self.arena.until(x, y)
-            }
-            Formula::Forall(_, _) | Formula::Exists(_, _) => {
-                unreachable!("universal matrix is quantifier-free (checked by classify)")
-            }
-            Formula::Prev(_) | Formula::Since(_, _) => {
-                unreachable!("indexed plans exclude past connectives (index_patterns)")
-            }
         };
-        if let Some(k) = key {
-            memo.insert(k, out);
+        if let (Some(s), Some(k)) = (self.share.as_mut(), key) {
+            s.memo.insert(k, out);
         }
-        Ok(out)
+        out
     }
 
-    fn ground_atom_digits(
-        &mut self,
-        a: &Atom,
-        digit: &HashMap<&str, usize>,
-        m: &[GArg],
-        digits: &[u32],
-    ) -> Result<FormulaId, GroundError> {
+    fn ground_atom(&mut self, a: &Atom, m: &[GArg], digits: &[u32]) -> FormulaId {
         let resolve = |t: &Term| -> GArg {
             match t {
-                Term::Var(v) => m[digits[digit[v.as_str()]] as usize],
+                Term::Var(v) => m[digits[self.digit[v.as_str()]] as usize],
                 Term::Value(v) => GArg::Rel(*v),
                 Term::Const(c) => match self.mode {
                     GroundMode::Folded => GArg::Rel(self.consts[c.index()]),
@@ -1316,14 +1189,9 @@ impl<'a> GroundCtx<'a> {
             Atom::Eq(t1, t2) => {
                 let (x, y) = (resolve(t1), resolve(t2));
                 match self.mode {
-                    GroundMode::Folded => {
-                        if gargs_equal(x, y, self.consts) {
-                            Ok(self.arena.tru())
-                        } else {
-                            Ok(self.arena.fls())
-                        }
-                    }
-                    GroundMode::Full => Ok(self.eq_letter(x, y)),
+                    GroundMode::Folded if gargs_equal(x, y, self.consts) => self.arena.tru(),
+                    GroundMode::Folded => self.arena.fls(),
+                    GroundMode::Full => self.eq_letter(x, y),
                 }
             }
             Atom::Pred(p, ts) => {
@@ -1331,12 +1199,13 @@ impl<'a> GroundCtx<'a> {
                 if self.mode == GroundMode::Folded
                     && args.iter().any(|a| matches!(a, GArg::Fresh(_)))
                 {
-                    return Ok(self.arena.fls());
+                    // Axiom_D forces p(…z…) false for all time; fold it.
+                    return self.arena.fls();
                 }
-                Ok(self.pred_letter(*p, args))
+                self.pred_letter(*p, args)
             }
             Atom::Leq(_, _) | Atom::Succ(_, _) | Atom::Zero(_) => {
-                Err(GroundError::ExtendedVocabulary)
+                unreachable!("extended vocabulary is refused before any walk (ground_with)")
             }
         }
     }
@@ -1801,9 +1670,9 @@ impl Grounding {
     /// under the indexed strategy — without grounding them. Any other
     /// transaction returns `None` after one allocation-free check, the
     /// steady-state gate.
-    pub(crate) fn grow(&mut self, net: Net<'_>) -> Result<Option<Growth>, GroundError> {
+    pub(crate) fn grow(&mut self, net: Net<'_>) -> Option<Growth> {
         if !self.grows(net) {
-            return Ok(None);
+            return None;
         }
         let t = std::time::Instant::now();
         let delta = self.tx_delta(net);
@@ -1840,12 +1709,12 @@ impl Grounding {
             self.stats.inst_enumerated = self.stats.mappings;
         }
         self.stats.inst_pruned = self.stats.mappings - self.stats.inst_enumerated;
-        Ok(Some(Growth {
+        Some(Growth {
             old_len,
             fresh,
             new_elements: msize > old_len,
             time: t.elapsed(),
-        }))
+        })
     }
 
     /// Grounds the instantiation that binds the external variables to
@@ -1860,26 +1729,21 @@ impl Grounding {
     /// do not depend on what else the grounding holds: two argument
     /// lists with the same pattern of folded equalities ground to the
     /// same keys.
-    pub(crate) fn ground_parts(&self, args: &[GArg]) -> Result<Vec<GroundPart>, GroundError> {
+    pub(crate) fn ground_parts(&self, args: &[GArg]) -> Vec<GroundPart> {
         debug_assert_eq!(args.len(), self.external.len());
         let mut arena = Arena::new();
         let mut letters: AtomInterner<LetterKey> = AtomInterner::new();
-        let inst = {
-            let map: HashMap<&str, GArg> = self
-                .external
-                .iter()
-                .map(String::as_str)
-                .zip(args.iter().copied())
-                .collect();
-            let mut ctx = GroundCtx::new(
-                GroundMode::Folded,
-                &self.schema,
-                &self.consts,
-                &mut arena,
-                &mut letters,
-            );
-            ctx.instance(&self.matrix, &map)?
-        };
+        let digits: Vec<u32> = (0..args.len() as u32).collect();
+        let inst = GroundCtx::new(
+            GroundMode::Folded,
+            &self.schema,
+            &self.consts,
+            &self.digit,
+            None,
+            &mut arena,
+            &mut letters,
+        )
+        .instance(&self.matrix, args, &digits);
         let keys: HashMap<AtomId, &LetterKey> = letters.iter().map(|(k, a)| (a, k)).collect();
         let mut parts = Vec::new();
         for part in split_units(&mut arena, inst) {
@@ -1902,7 +1766,7 @@ impl Grounding {
                 .collect();
             parts.push(GroundPart { key, letters });
         }
-        Ok(parts)
+        parts
     }
 
     /// The number of external quantifiers `k`.
@@ -2092,10 +1956,21 @@ impl Grounding {
         // active set is the join of the plan against the persisted
         // occurrence index — both are re-derived rather than re-earned:
         // no re-grounding, no walk over the trace.
+        // The walk takes the matrix as `ground_with` left it: quantifier-
+        // free over the external variables, without extended vocabulary.
+        let digit = var_digits(&d.external);
+        if !d.matrix.is_quantifier_free()
+            || d.matrix.uses_extended_vocabulary()
+            || ticc_fotl::subst::free_vars(&d.matrix)
+                .iter()
+                .any(|v| !digit.contains_key(v))
+        {
+            return Err("snapshot matrix is outside the grounded fragment".to_owned());
+        }
         let m_pos = value_positions(&d.m);
         let k = d.external.len();
         let (plan, active, open) = if d.indexed {
-            let patterns = index_patterns(&d.matrix, &d.external, &d.consts)
+            let patterns = index_patterns(&d.matrix, &digit, &d.consts)
                 .ok_or("snapshot marked indexed but the matrix is outside the indexed class")?;
             let plan = IndexPlan::new(patterns);
             occ.retain(|&p, _| plan.tracks(p));
@@ -2126,6 +2001,7 @@ impl Grounding {
             letters,
             external: d.external,
             matrix: d.matrix,
+            digit,
             known: d.known.into_iter().collect(),
             memo: FactMemo::default(),
             spare: Vec::new(),
@@ -2477,10 +2353,7 @@ mod tests {
         let tx = Transaction::new().insert(fill, vec![3]);
         assert!(g.tx_delta(facts.of(&tx)).is_empty());
         assert_eq!(g.newly_occurring(facts.of(&tx)), vec![(fill, vec![3])]);
-        let growth = g
-            .grow(facts.of(&tx))
-            .unwrap()
-            .expect("a first occurrence grows Ψ_D");
+        let growth = g.grow(facts.of(&tx)).expect("a first occurrence grows Ψ_D");
         assert!(!growth.new_elements);
         assert_eq!(growth.fresh.len(), 2);
         // Their letters (Fill(3), and Sub(z_i) folded away) were false
@@ -2490,7 +2363,7 @@ mod tests {
         assert_eq!(g.stats.inst_pruned, 6);
         // Same transaction again: the tuple is indexed now.
         assert!(g.newly_occurring(facts.of(&tx)).is_empty());
-        assert!(g.grow(facts.of(&tx)).unwrap().is_none());
+        assert!(g.grow(facts.of(&tx)).is_none());
     }
 
     /// The occurrence index tracks only the predicates the plan's
@@ -2508,14 +2381,11 @@ mod tests {
         let fill = sc.pred("Fill").unwrap();
         let tx = Transaction::new().insert(fill, vec![1]);
         assert!(g.newly_occurring(facts.of(&tx)).is_empty());
-        assert!(g.grow(facts.of(&tx)).unwrap().is_none());
+        assert!(g.grow(facts.of(&tx)).is_none());
         assert!(!g.occ.contains_key(&fill));
         // A new element still grows M, whichever predicate brings it.
         let tx = Transaction::new().insert(fill, vec![2]);
-        let growth = g
-            .grow(facts.of(&tx))
-            .unwrap()
-            .expect("a new element grows M");
+        let growth = g.grow(facts.of(&tx)).expect("a new element grows M");
         assert!(growth.new_elements && growth.fresh.is_empty());
     }
 
@@ -2543,7 +2413,7 @@ mod tests {
         for tx in &txs {
             let (before, occ_before) = (g.active.clone(), g.occ.clone());
             let old_len = g.m.len();
-            let growth = g.grow(facts.of(tx)).unwrap().expect("every step grows Ψ_D");
+            let growth = g.grow(facts.of(tx)).expect("every step grows Ψ_D");
             let plan = g.plan.clone().unwrap();
             let full = enumerate_active(&plan.patterns, &g.occ, &g.m_pos, g.m.len(), 2, None)
                 .unwrap()
@@ -2575,6 +2445,133 @@ mod tests {
         assert_eq!(g.active.len(), g.stats.inst_enumerated);
     }
 
+    /// Grounds every instantiation of `g`'s matrix in odometer order
+    /// through one fresh context, with or without the share memo:
+    /// each instantiation's formula, and the letter table left behind
+    /// in id order.
+    fn walk_all(
+        g: &Grounding,
+        mode: GroundMode,
+        share: bool,
+    ) -> (Vec<FormulaId>, Vec<(LetterKey, AtomId)>) {
+        let (mut arena, mut letters) = (Arena::new(), AtomInterner::new());
+        let plan = share
+            .then(|| SharePlan::build(&g.matrix, &g.digit, g.m.len()))
+            .flatten();
+        assert_eq!(plan.is_some(), share);
+        let mut ctx = GroundCtx::new(
+            mode,
+            &g.schema,
+            &g.consts,
+            &g.digit,
+            plan,
+            &mut arena,
+            &mut letters,
+        );
+        let mut out = Vec::new();
+        let k = g.external_len();
+        expand(&vec![UNBOUND; k], 0, g.m.len(), |f| {
+            out.push(ctx.instance(&g.matrix, &g.m, &f));
+        });
+        let mut table: Vec<(LetterKey, AtomId)> =
+            letters.iter().map(|(key, a)| (key.clone(), a)).collect();
+        table.sort_by_key(|&(_, a)| a);
+        (out, table)
+    }
+
+    /// Appends one state per fact, each holding that fact alone.
+    fn push_facts(h: &mut History, facts: &[(&str, &[Value])]) {
+        for (pred, tuple) in facts {
+            let mut s = State::empty(h.schema().clone());
+            s.insert_named(pred, tuple.to_vec()).unwrap();
+            h.push_state(s);
+        }
+    }
+
+    fn past_letters(table: &[(LetterKey, AtomId)]) -> usize {
+        table
+            .iter()
+            .filter(|(key, _)| matches!(key, LetterKey::Past(_)))
+            .count()
+    }
+
+    /// Each instantiation keeps its own internal letter per past
+    /// subformula that does not fold away, with or without the share
+    /// memo: a memo that reached a past node would hand the letters of
+    /// `O Sub(7)`, which mentions no variable, from the first
+    /// instantiation to all the others.
+    #[test]
+    fn past_letters_stay_per_instantiation() {
+        let sc = Schema::builder().pred("Sub", 1).pred("Rep", 2).build();
+        let mut h = History::new(sc.clone());
+        push_facts(&mut h, &[("Sub", &[1]), ("Rep", &[1, 2])]);
+        let phi = parse(&sc, "forall x y. G (Rep(x, y) -> (Y Sub(x) | O Sub(7)))").unwrap();
+        let g = ground(&h, &phi, GroundMode::Folded).unwrap();
+        // M = {1, 2, 7, z1, z2}: 25 instantiations. Each grounds
+        // `O Sub(7)` to a letter of its own; `Y Sub(x)` folds to ⊥ when
+        // x is a z_i, so it takes a letter in the 3 · 5 others.
+        assert_eq!(g.m.len(), 5);
+        let mut table: Vec<(LetterKey, AtomId)> =
+            g.letters.iter().map(|(key, a)| (key.clone(), a)).collect();
+        table.sort_by_key(|&(_, a)| a);
+        assert_eq!(past_letters(&table), 25 + 15);
+        for share in [false, true] {
+            let (_, walked) = walk_all(&g, GroundMode::Folded, share);
+            assert_eq!(past_letters(&walked), 25 + 15, "share memo: {share}");
+        }
+    }
+
+    /// On past-free matrices, the share memo only skips work: every
+    /// instantiation grounds to the same formula, and the letters are
+    /// interned in the same order, as without it.
+    #[test]
+    fn share_memo_changes_no_instance() {
+        let sc = Schema::builder()
+            .pred("Sub", 1)
+            .pred("Rep", 2)
+            .constant("c")
+            .build();
+        let mut h = History::new(sc.clone());
+        h.set_constant(sc.constant("c").unwrap(), 4);
+        push_facts(&mut h, &[("Sub", &[1]), ("Rep", &[1, 4]), ("Rep", &[2, 2])]);
+        for text in [
+            "forall x y. G ((Rep(x, y) & x != y) -> X (Sub(x) | Sub(y)))",
+            "forall x y. G (Rep(x, c) -> (x = c | F Rep(y, 7)))",
+            "forall x y z. G ((Rep(x, y) & Rep(y, z)) -> (x = z | X !Sub(c)))",
+        ] {
+            let phi = parse(&sc, text).unwrap();
+            let g = ground(&h, &phi, GroundMode::Folded).unwrap();
+            for mode in [GroundMode::Folded, GroundMode::Full] {
+                let (plain, plain_letters) = walk_all(&g, mode, false);
+                let (shared, shared_letters) = walk_all(&g, mode, true);
+                assert_eq!(plain.len(), g.stats.mappings);
+                assert_eq!(shared, plain, "{text} ({mode:?})");
+                assert_eq!(shared_letters, plain_letters, "{text} ({mode:?})");
+            }
+        }
+    }
+
+    /// The walk takes a matrix only as `ground_with` accepts it, so a
+    /// restore refuses a dumped matrix outside that shape instead of
+    /// leaving it to the first growth.
+    #[test]
+    fn restore_refuses_a_matrix_the_walk_cannot_take() {
+        let h = history(&[&[1]]);
+        let sc = h.schema().clone();
+        let phi = parse(&sc, "forall x. G (Sub(x) -> X G !Sub(x))").unwrap();
+        let g = ground(&h, &phi, GroundMode::Folded).unwrap();
+        assert!(Grounding::restore(sc.clone(), g.dump()).is_ok());
+        for bad in [
+            "G (succ(x, x) -> !Sub(x))",
+            "G (Sub(x) -> !Fill(y))",
+            "G (Sub(x) -> exists y. Fill(y))",
+        ] {
+            let mut d = g.dump();
+            d.matrix = parse(&sc, bad).unwrap();
+            assert!(Grounding::restore(sc.clone(), d).is_err(), "{bad}");
+        }
+    }
+
     /// The `Ψ_D` size gauges are computed when read: they equal the
     /// sizes of the current formula. A growth extends `M` but grounds
     /// nothing (the engine binds the new instantiations from its seed
@@ -2597,10 +2594,7 @@ mod tests {
         assert!(built.formula_tree_size > 0);
         for v in [10, 11, 12] {
             let tx = Transaction::new().insert(sub, vec![v]);
-            let growth = g
-                .grow(facts.of(&tx))
-                .unwrap()
-                .expect("a new element grows Ψ_D");
+            let growth = g.grow(facts.of(&tx)).expect("a new element grows Ψ_D");
             assert_eq!(growth.fresh.len(), 1);
             let s = assert_current(&g);
             assert_eq!(s.formula_tree_size, built.formula_tree_size);

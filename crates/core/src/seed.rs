@@ -635,7 +635,7 @@ fn ground_replayed(
             None => g.m[d as usize],
         })
         .collect();
-    let parts = g.ground_parts(&args)?;
+    let parts = g.ground_parts(&args);
     let mut units = Vec::with_capacity(parts.len());
     for p in parts {
         let mut support = Vec::with_capacity(p.letters.len());

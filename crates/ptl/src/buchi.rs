@@ -20,7 +20,7 @@
 //! exponential to (typically) linear, while keeping both the emptiness
 //! verdict and extracted witnesses exact.
 
-use crate::arena::{Arena, AtomId, FormulaId, Node};
+use crate::arena::{Arena, FormulaId, Node};
 use crate::emptiness::FairGraph;
 use crate::nnf::{nnf, NnfError};
 use crate::trace::PropState;
@@ -351,18 +351,6 @@ impl Buchi {
             },
             labels,
         )
-    }
-
-    /// The atoms the node's own (first-stored) variant forces true.
-    pub fn node_true_atoms(&self, arena: &Arena, id: u32) -> Vec<AtomId> {
-        self.nodes[id as usize]
-            .old
-            .iter()
-            .filter_map(|&f| match arena.node(f) {
-                Node::Atom(a) => Some(a),
-                _ => None,
-            })
-            .collect()
     }
 }
 

@@ -298,11 +298,6 @@ impl GroupWal {
         self.queue.lock().expect("group queue lock").pending.len()
     }
 
-    /// Sessions registered in this log (recovered ones included).
-    pub fn session_count(&self) -> usize {
-        self.queue.lock().expect("group queue lock").names.len()
-    }
-
     /// Registers `name`, returning its stable session id — the
     /// existing id if the name is already known (from this process or
     /// recovery), a fresh one (logged as a registration frame)

@@ -12,8 +12,7 @@
 //! * schemas (predicate and constant symbols) — [`schema`],
 //! * finite relations and database states — [`relation`], [`state`],
 //! * finite-time histories with an append/transaction API — [`history`],
-//!   [`update`] — and a log-structured alternative with periodic
-//!   checkpoints for long-running monitored databases — [`log`],
+//!   [`update`],
 //! * the set `R_D` of *relevant* elements from Lemma 4.1 and restriction
 //!   to a subuniverse — [`relevant`],
 //! * reproducible workload generators used by the examples and the
@@ -21,7 +20,6 @@
 //!   deterministic PRNG — [`rng`].
 
 pub mod history;
-pub mod log;
 pub mod relation;
 pub mod relevant;
 pub mod rng;
@@ -31,7 +29,6 @@ pub mod update;
 pub mod workload;
 
 pub use history::History;
-pub use log::LogHistory;
 pub use relation::Relation;
 pub use relevant::relevant_elements;
 pub use schema::{ConstId, PredId, Schema, SchemaBuilder};

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use ticc_tdb::{History, LogHistory, Schema, State, Transaction, Value};
+use ticc_tdb::{History, Schema, State, Transaction, Value};
 
 fn schema() -> Arc<Schema> {
     Schema::builder().pred("P", 1).pred("E", 2).build()
@@ -140,39 +140,5 @@ proptest! {
             prop_assert!(s.delete(e, &[a, b]));
         }
         prop_assert!(s.relation(e).is_empty());
-    }
-
-    #[test]
-    fn log_history_equals_snapshot_history(
-        txs in proptest::collection::vec(
-            (
-                proptest::collection::vec((any::<bool>(), 0u64..6), 0..4),
-                proptest::collection::vec((any::<bool>(), 0u64..6, 0u64..6), 0..3),
-            ),
-            1..8,
-        ),
-        every in 1usize..5,
-    ) {
-        let sc = schema();
-        let (p, e) = (sc.pred("P").unwrap(), sc.pred("E").unwrap());
-        let mut log = LogHistory::new(sc.clone(), every);
-        let mut full = History::new(sc.clone());
-        for (ps, es) in &txs {
-            let mut tx = Transaction::new();
-            for &(ins, v) in ps {
-                tx = if ins { tx.insert(p, vec![v]) } else { tx.delete(p, vec![v]) };
-            }
-            for &(ins, a, b) in es {
-                tx = if ins { tx.insert(e, vec![a, b]) } else { tx.delete(e, vec![a, b]) };
-            }
-            log.apply(&tx).unwrap();
-            full.apply(&tx).unwrap();
-        }
-        prop_assert_eq!(log.to_history(), full.clone());
-        prop_assert_eq!(log.relevant(), &full.relevant());
-        for t in 0..full.len() {
-            prop_assert_eq!(&log.state_at(t), full.state(t));
-        }
-        prop_assert!(log.materialised_states() <= full.len());
     }
 }

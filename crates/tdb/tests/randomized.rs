@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use ticc_tdb::rng::Rng;
-use ticc_tdb::{History, LogHistory, Schema, State, Transaction, Value};
+use ticc_tdb::{History, Schema, State, Transaction, Value};
 
 fn schema() -> Arc<Schema> {
     Schema::builder().pred("P", 1).pred("E", 2).build()
@@ -127,44 +127,5 @@ fn transactions_replay_histories() {
             replayed.apply(&tx).unwrap();
         }
         assert_eq!(replayed, h);
-    }
-}
-
-#[test]
-fn log_history_equals_snapshot_history() {
-    let mut rng = Rng::seed_from_u64(15);
-    for _ in 0..150 {
-        let sc = schema();
-        let (p, e) = (sc.pred("P").unwrap(), sc.pred("E").unwrap());
-        let every = rng.gen_range_usize(1..5);
-        let mut log = LogHistory::new(sc.clone(), every);
-        let mut full = History::new(sc.clone());
-        for _ in 0..rng.gen_range_usize(1..8) {
-            let mut tx = Transaction::new();
-            for _ in 0..rng.gen_range_usize(0..4) {
-                let v = rng.gen_range(0..6);
-                tx = if rng.gen_bool(0.5) {
-                    tx.insert(p, vec![v])
-                } else {
-                    tx.delete(p, vec![v])
-                };
-            }
-            for _ in 0..rng.gen_range_usize(0..3) {
-                let (a, b) = (rng.gen_range(0..6), rng.gen_range(0..6));
-                tx = if rng.gen_bool(0.5) {
-                    tx.insert(e, vec![a, b])
-                } else {
-                    tx.delete(e, vec![a, b])
-                };
-            }
-            log.apply(&tx).unwrap();
-            full.apply(&tx).unwrap();
-        }
-        assert_eq!(log.to_history(), full);
-        assert_eq!(log.relevant(), &full.relevant());
-        for t in 0..full.len() {
-            assert_eq!(&log.state_at(t), full.state(t));
-        }
-        assert!(log.materialised_states() <= full.len());
     }
 }
